@@ -7,6 +7,7 @@ for a fixed seed and input.
 """
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -201,8 +202,7 @@ def _cmd_nullspace(args) -> int:
 
 def _cmd_scalar(args) -> int:
     eq = ScalarEquation.from_lists(
-        _parse_coeffs(args.a), _parse_coeffs(args.c),
-        _parse_coeffs(args.b), _parse_coeffs(args.d))
+        *(_parse_coeffs(getattr(args, name), f"--{name}") for name in "acbd"))
     tol = _tolerances(args)
     rep = solve_scalar(eq, rng=args.seed, tol=tol)
     if args.json:
@@ -228,14 +228,19 @@ def _cmd_check(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _parse_coeffs(text: str) -> list:
-    """Comma-separated complex coefficients; entries like 1.5, 2+3i, -0.5i."""
+def _parse_coeffs(text: str, flag: str = "the list") -> list:
+    """Comma-separated finite complex coefficients; entries like 1.5, 2+3i,
+    -0.5i.  `flag` names the option in error messages."""
     out = []
     for tok in text.split(","):
-        tok = tok.strip().replace("i", "j")
+        tok = tok.strip()
         if not tok:
             continue
-        out.append(complex(tok))
+        val = complex(tok[:-1] + "j" if tok.endswith("i") else tok)
+        if not cmath.isfinite(val):
+            raise ValueError(f"non-finite coefficient {tok} at position "
+                             f"{len(out)} of {flag}")
+        out.append(val)
     if not out:
         raise ValueError("empty coefficient list")
     return out

@@ -16,8 +16,8 @@ import scipy.optimize
 from .config import Tolerances, make_rng, unit_circle_points
 from .errors import BreakdownError, PreconditionError, RatlinError
 from .linbuild import (StructuredLinearization, check_finite_minimality,
-                       check_infinity_minimality, transfer_eval)
-from .polymat import NEG_INF, PolyMatrix, numerical_rank
+                       check_infinity_minimality, transfer_samples)
+from .polymat import NEG_INF, PolyMatrix, generic_rank, numerical_rank
 
 INF_BETA_TOL = 1e-12
 
@@ -93,6 +93,22 @@ class MinimalBasisResult:
     @property
     def count(self) -> int:
         return len(self.indices)
+
+    def full_rank_at(self, points, tol: Tolerances = Tolerances()) -> bool:
+        """Whether the basis has full rank `count` at every given point."""
+        return all(numerical_rank(self.vectors.eval(z), tol.rank_scale) == self.count
+                   for z in points)
+
+    def is_reduced(self, tol: Tolerances = Tolerances()) -> bool:
+        """Whether the highest-degree coefficient matrix, taken vector by
+        vector, has full rank.  Vectors are stored in ascending degree order,
+        so the sorted index list doubles as the per-vector degree list."""
+        v = self.vectors.coeffs
+        if self.side == "right":
+            hcd = np.stack([v[d, :, j] for j, d in enumerate(self.indices)], axis=1)
+        else:
+            hcd = np.stack([v[d, j, :] for j, d in enumerate(self.indices)], axis=0)
+        return numerical_rank(hcd, tol.rank_scale) == self.count
 
 
 def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
@@ -228,6 +244,29 @@ def classify(sl: StructuredLinearization, rng=None,
                           grade_at_infinity=sl.rho_d + 1)
 
 
+def sampled_minimality(sl: StructuredLinearization, rng,
+                       tol: Tolerances = Tolerances()) -> tuple:
+    """Pointwise minimality where the spectral results rely on it.
+
+    Returns ([(z, (left, right)) ...], (left, right) at infinity): the finite
+    checks at 20 random points, then at every finite eigenvalue of the state
+    pencil and (if square) of the full pencil, and the reversal checks at 0
+    with the build grades.
+    """
+    r = sl.realization
+    pts = list(unit_circle_points(rng, 20))
+    la0, la1 = sl.state_pencil()
+    state = pencil_eigs(la0, la1, rng=rng, tol=tol)
+    if state.regular:
+        pts.extend(state.finite().tolist())
+    if sl.shape[0] == sl.shape[1]:
+        full = pencil_eigs(sl.L0, sl.L1, rng=rng, tol=tol)
+        if full.regular:
+            pts.extend(full.finite().tolist())
+    finite = [(z, check_finite_minimality(r, z, tol)) for z in pts]
+    return finite, check_infinity_minimality(r, sl.grade_a, sl.grade_d, tol)
+
+
 def partial_multiplicities_at(p: PolyMatrix, lam: complex,
                               rng=None, tol: Tolerances = Tolerances()) -> list:
     """Multiplicities of lam as a zero of P, from block-Toeplitz nullities.
@@ -245,7 +284,7 @@ def partial_multiplicities_at(p: PolyMatrix, lam: complex,
     rows, cols = p.rows, p.cols
     if rows == 0 or cols == 0:
         return []
-    r = _generic_rank_cached(mono, rng, tol)
+    r = generic_rank(mono, rng=rng, rank_scale=tol.rank_scale)
     taylor = _taylor_stack(mono, lam)
     rank_scale = tol.rank_scale * 1e6
 
@@ -267,11 +306,6 @@ def partial_multiplicities_at(p: PolyMatrix, lam: complex,
         prev_count = count_k
     raise BreakdownError(
         f"partial multiplicity sweep exceeded cap {cap} at lambda={lam}")
-
-
-def _generic_rank_cached(mono: PolyMatrix, rng, tol: Tolerances) -> int:
-    from .polymat import generic_rank
-    return generic_rank(mono, rng=make_rng(rng), rank_scale=tol.rank_scale)
 
 
 def _taylor_stack(mono: PolyMatrix, lam: complex) -> list:
@@ -338,25 +372,11 @@ def rational_rank(sl: StructuredLinearization, rng=None, samples: int = 5,
     and the threshold scaled up, keeping exact-by-construction rank drops
     (residual singular values ~1e-13 relative) on the zero side.
     """
-    rng = make_rng(rng)
-    r = sl.realization
-    best = 0
-    done = 0
-    tries = 0
-    while done < samples and tries < 10 * samples:
-        z = unit_circle_points(rng, 1)[0] * (1.0 + 0.07 * tries)
-        tries += 1
-        try:
-            if np.linalg.cond(r.A.eval(z)) > 1e6:
-                continue
-            val = transfer_eval(r, z, tol)
-        except RatlinError:
-            continue  # sampled a pole; try another radius
-        best = max(best, numerical_rank(val, tol.rank_scale * 1e6))
-        done += 1
-    if done == 0:
+    pts = transfer_samples(sl.realization, make_rng(rng), samples, 0.07,
+                           10 * samples, cond_max=1e6, tol=tol)
+    if not pts:
         raise RatlinError("could not find well-conditioned sample points")
-    return best
+    return max(numerical_rank(val, tol.rank_scale * 1e6) for _, val in pts)
 
 
 def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
@@ -401,8 +421,7 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
     mono = p.to_monomial()
     rows, cols = p.rows, p.cols
     if rank is None:
-        from .polymat import generic_rank
-        rank = generic_rank(mono, rng=make_rng(rng), rank_scale=tol.rank_scale)
+        rank = generic_rank(mono, rng=rng, rank_scale=tol.rank_scale)
     nullity = cols - rank
     if nullity <= 0:
         return MinimalBasisResult(
@@ -505,19 +524,8 @@ def certify_minimal_basis(res: MinimalBasisResult, l0: np.ndarray,
         1.0, float(np.max(np.abs(pencil.coeffs))))
     residual = float(np.max(np.abs(prod.coeffs))) / scale
 
-    pts = list(unit_circle_points(rng, 5)) + [0.0]
-    full = all(
-        numerical_rank(v.eval(z), tol.rank_scale) == res.count for z in pts)
-
-    # Columns (rows on the left) are emitted in ascending degree order, so
-    # the sorted index list doubles as the per-vector degree list.
-    if res.side == "right":
-        hcd = np.stack([v.coeffs[d, :, j] for j, d in enumerate(res.indices)],
-                       axis=1)
-    else:
-        hcd = np.stack([v.coeffs[d, j, :] for j, d in enumerate(res.indices)],
-                       axis=0)
-    reduced = numerical_rank(hcd, tol.rank_scale) == res.count
+    full = res.full_rank_at(list(unit_circle_points(rng, 5)) + [0.0], tol)
+    reduced = res.is_reduced(tol)
     ok = residual <= 1e-10 and full and reduced
     return {"residual": residual, "pointwise_full_rank": full,
             "reduced_full_rank": reduced, "ok": ok}

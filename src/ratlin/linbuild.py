@@ -18,8 +18,9 @@ import numpy as np
 
 from .config import Tolerances, make_rng, unit_circle_points
 from .dualbases import DualBasisPair, pair_for
-from .errors import BasisError, DimensionError, PoleError, PreconditionError
-from .polymat import NEG_INF, Basis, PolyMatrix, numerical_rank
+from .errors import (BasisError, DimensionError, PoleError, PreconditionError,
+                     RatlinError)
+from .polymat import Basis, PolyMatrix, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,13 @@ class Realization:
         av = self.A.eval(z)
         return numerical_rank(av) == self.n
 
-    def grade_sides(self) -> tuple:
-        """Default grades (d_A, d_D) = max(1, deg) over each side's blocks."""
+    def grade_sides(self, grade_a: int | None = None,
+                    grade_d: int | None = None) -> tuple:
+        """Grades (d_A, d_D): max(1, deg) over each side's blocks, or the
+        given grades where they are higher (overrides only go upward)."""
         da = int(max(1.0, _deg(self.A), _deg(self.C)))
         dd = int(max(1.0, _deg(self.D), _deg(self.B)))
-        return da, dd
+        return max(da, grade_a or 0), max(dd, grade_d or 0)
 
     def to_dict(self) -> dict:
         return {"A": self.A.to_dict(), "B": self.B.to_dict(),
@@ -79,14 +82,18 @@ class Realization:
 
     @staticmethod
     def from_dict(obj: dict) -> "Realization":
-        return Realization(
-            A=PolyMatrix.from_dict(obj["A"]), B=PolyMatrix.from_dict(obj["B"]),
-            C=PolyMatrix.from_dict(obj["C"]), D=PolyMatrix.from_dict(obj["D"]))
+        blocks = {}
+        for key in "ABCD":
+            try:
+                blocks[key] = PolyMatrix.from_dict(obj[key])
+            except ValueError as exc:
+                raise ValueError(f"block {key}: {exc}") from exc
+        return Realization(**blocks)
 
 
-def _deg(p: PolyMatrix) -> float:
-    d = p.degree()
-    return d if d != NEG_INF else 0.0
+def _deg(p: PolyMatrix) -> int:
+    """Degree of p, with 0 for the zero matrix."""
+    return max(p.degree(), 0)
 
 
 @dataclass(frozen=True)
@@ -187,9 +194,7 @@ def minimality_report(r: Realization, points, grade_a: int | None = None,
                       tol: Tolerances = Tolerances()) -> MinimalityReport:
     """Run the finite checks at every requested point plus the reversal
     checks at 0, and bundle the results."""
-    da0, dd0 = r.grade_sides()
-    da = max(da0, grade_a or 0)
-    dd = max(dd0, grade_d or 0)
+    da, dd = r.grade_sides(grade_a, grade_d)
     finite = {complex(z): check_finite_minimality(r, z, tol) for z in points}
     inf_ok = check_infinity_minimality(r, da, dd, tol)
     return MinimalityReport(finite_ok_at=finite, infinity_ok=inf_ok,
@@ -207,7 +212,7 @@ def row_pencil(p: PolyMatrix, d: int, pair: DualBasisPair) -> PolyMatrix:
     if p.basis is not pair.basis:
         raise BasisError("row_pencil: matrix and pair bases differ")
     deg = p.degree()
-    if d < max(1, 0 if deg == NEG_INF else int(deg)):
+    if d < max(1, _deg(p)):
         raise DimensionError(f"target grade {d} below degree {deg}")
     if pair.d != d or pair.s != p.cols:
         raise DimensionError("pair does not match the requested grade/block size")
@@ -222,23 +227,17 @@ def row_pencil(p: PolyMatrix, d: int, pair: DualBasisPair) -> PolyMatrix:
         m0[:, :cols] = q.coeff(0)
         return PolyMatrix(np.stack([m0, m1]), p.basis)
 
-    if p.basis is Basis.MONOMIAL:
-        if deg == d - 1 and deg >= 1:
-            m1[:, cols:2 * cols] = q.coeff(d - 1)
-            m0[:, cols:2 * cols] = q.coeff(d - 2)
-            for j in range(3, d + 1):
-                m0[:, (j - 1) * cols:j * cols] = q.coeff(d - j)
-        else:
-            m1[:, :cols] = q.coeff(d)
-            m0[:, :cols] = q.coeff(d - 1)
-            for j in range(2, d + 1):
-                m0[:, (j - 1) * cols:j * cols] = q.coeff(d - j)
+    for j in range(2, d + 1):
+        m0[:, (j - 1) * cols:j * cols] = q.coeff(d - j)
+    if p.basis is Basis.MONOMIAL and deg == d - 1 and deg >= 1:
+        m1[:, cols:2 * cols] = q.coeff(d - 1)
+    elif p.basis is Basis.MONOMIAL:
+        m1[:, :cols] = q.coeff(d)
+        m0[:, :cols] = q.coeff(d - 1)
     else:
         m1[:, :cols] = 2.0 * q.coeff(d)
         m0[:, :cols] = q.coeff(d - 1)
         m0[:, cols:2 * cols] = q.coeff(d - 2) - q.coeff(d)
-        for j in range(3, d + 1):
-            m0[:, (j - 1) * cols:j * cols] = q.coeff(d - j)
     return PolyMatrix(np.stack([m0, m1]), p.basis)
 
 
@@ -247,9 +246,7 @@ def build(r: Realization, grade_a: int | None = None,
     """Assemble the structured pencil; grades may only be overridden upward."""
     if not r.check_state_regular(rng):
         raise PreconditionError("state matrix appears singular (rank test failed)")
-    da0, dd0 = r.grade_sides()
-    da = max(da0, grade_a or 0)
-    dd = max(dd0, grade_d or 0)
+    da, dd = r.grade_sides(grade_a, grade_d)
     n, p, m = r.n, r.p, r.m
 
     pair_a = pair_for(r.A.basis, n, da)
@@ -294,8 +291,7 @@ def block_pencil(p: PolyMatrix, d: int | None = None) -> tuple:
     Returns (L0, L1, pair).  Right minimal indices of the pencil exceed those
     of P by d-1; left minimal indices agree.
     """
-    deg = p.degree()
-    d = d or int(max(1.0, 0.0 if deg == NEG_INF else deg))
+    d = d or int(max(1.0, _deg(p)))
     pair = pair_for(p.basis, p.cols, d)
     m_p = row_pencil(p, d, pair)
     k = pair.K
@@ -320,9 +316,7 @@ def check_infinity_minimality(r: Realization, grade_a: int | None = None,
                               grade_d: int | None = None,
                               tol: Tolerances = Tolerances()) -> tuple:
     """Rank tests on the reversed blocks at 0, with the build grades."""
-    da0, dd0 = r.grade_sides()
-    da = max(da0, grade_a or 0)
-    dd = max(dd0, grade_d or 0)
+    da, dd = r.grade_sides(grade_a, grade_d)
     a0 = r.A.reversal(da).eval(0.0)
     c0 = r.C.reversal(da).eval(0.0)
     b0 = r.B.reversal(dd).eval(0.0)
@@ -331,11 +325,15 @@ def check_infinity_minimality(r: Realization, grade_a: int | None = None,
     return left, right
 
 
+_POLE_HINT = (": pole or state eigenvalue; "
+              "use reversal/limit-based routines instead")
+
+
 def transfer_eval(r: Realization, lam: complex,
                   tol: Tolerances = Tolerances()) -> np.ndarray:
     """D(lam) + C(lam) A(lam)^{-1} B(lam) via a linear solve."""
     av = r.A.eval(lam)
-    _require_invertible(av, lam, tol)
+    require_invertible(av, lam, tol, hint=_POLE_HINT)
     return r.D.eval(lam) + r.C.eval(lam) @ np.linalg.solve(av, r.B.eval(lam))
 
 
@@ -345,15 +343,40 @@ def hat_transfer_eval(sl: StructuredLinearization, lam: complex,
     [M_D + C A^{-1} M_B; K_D](lam), of shape (p + rho_D m) x m(1 + rho_D)."""
     r = sl.realization
     av = r.A.eval(lam)
-    _require_invertible(av, lam, tol)
+    require_invertible(av, lam, tol, hint=_POLE_HINT)
     top = sl.m_d.eval(lam) + r.C.eval(lam) @ np.linalg.solve(av, sl.m_b.eval(lam))
     return np.vstack([top, sl.pair_d.K.eval(lam)])
 
 
-def _require_invertible(av: np.ndarray, lam, tol: Tolerances):
-    sv = np.linalg.svd(av, compute_uv=False)
-    n = av.shape[0]
+def transfer_samples(r: Realization, rng, count: int, step: float,
+                     max_tries: int, cond_max: float | None = None,
+                     tol: Tolerances = Tolerances()) -> list:
+    """Up to `count` pairs (z, R(z)) at random points off the poles.
+
+    Try k draws one point on the unit circle and scales it by 1 + step * k,
+    so repeated misses move outward; a point is kept when cond(A(z)) is at
+    most `cond_max` (if given) and R(z) can be evaluated.  At most
+    `max_tries` points are drawn.
+    """
+    out = []
+    for k in range(max_tries):
+        if len(out) == count:
+            break
+        z = unit_circle_points(rng, 1)[0] * (1.0 + step * k)
+        try:
+            if cond_max is not None and np.linalg.cond(r.A.eval(z)) > cond_max:
+                continue
+            out.append((z, transfer_eval(r, z, tol)))
+        except RatlinError:
+            continue  # sampled a pole; try another radius
+    return out
+
+
+def require_invertible(mat: np.ndarray, lam, tol: Tolerances,
+                       what: str = "state matrix", hint: str = ""):
+    """Raise PoleError unless the square matrix `what` (evaluated at lam) is
+    numerically invertible."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    n = mat.shape[0]
     if sv.size == 0 or sv[-1] <= n * np.finfo(float).eps * max(sv[0], 1.0) * tol.rank_scale:
-        raise PoleError(
-            f"state matrix singular at lambda={lam}: pole or state eigenvalue; "
-            "use reversal/limit-based routines instead")
+        raise PoleError(f"{what} singular at lambda={lam}{hint}")

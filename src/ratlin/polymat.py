@@ -263,6 +263,11 @@ class PolyMatrix:
             if len(flat) != rows * cols:
                 raise DimensionError("coefficient entry count mismatch")
             vals = np.array([complex(re, im) for re, im in flat])
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                i, j = divmod(int(bad[0]), cols)
+                raise ValueError(f"non-finite coefficient {vals[bad[0]]} of "
+                                 f"degree {k} at entry ({i}, {j})")
             stack[k] = vals.reshape(rows, cols)
         return PolyMatrix(stack, basis)
 

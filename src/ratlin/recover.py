@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, make_rng, unit_circle_points
-from .errors import PoleError, PreconditionError, RatlinError
-from .eigsolve import (MinimalBasisResult, pencil_eigs, pencil_null_vector,
-                       polynomial_nullspace, vector_degree)
-from .linbuild import (StructuredLinearization, check_finite_minimality,
-                       check_infinity_minimality, hat_transfer_eval,
-                       transfer_eval)
-from .polymat import NEG_INF, PolyMatrix, numerical_rank
+from .config import Tolerances, make_rng
+from .errors import PreconditionError, RatlinError
+from .eigsolve import (MinimalBasisResult, pencil_null_vector,
+                       polynomial_nullspace, sampled_minimality, vector_degree)
+from .linbuild import (StructuredLinearization, hat_transfer_eval,
+                       require_invertible, transfer_eval, transfer_samples)
+from .polymat import NEG_INF, PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,7 @@ def lift_right_eigvec(sl: StructuredLinearization, lam: complex,
     r = sl.realization
     x = np.asarray(x, dtype=complex).ravel()
     av = r.A.eval(lam)
-    sv = np.linalg.svd(av, compute_uv=False)
-    if sv[-1] <= r.n * np.finfo(float).eps * max(sv[0], 1.0) * tol.rank_scale:
-        raise PoleError(f"state matrix singular at lambda={lam}")
+    require_invertible(av, lam, tol)
     upper = -sl.pair_a.N.eval(lam).T @ np.linalg.solve(av, r.B.eval(lam) @ x)
     lower = sl.pair_d.N.eval(lam).T @ x
     return np.concatenate([upper, lower])
@@ -121,9 +118,7 @@ def lift_left_eigvec(sl: StructuredLinearization, lam: complex,
     y = np.asarray(y_t, dtype=complex).ravel()
     la0, la1 = sl.state_pencil()
     la = la1 * complex(lam) + la0
-    sv = np.linalg.svd(la, compute_uv=False)
-    if sv[-1] <= la.shape[0] * np.finfo(float).eps * max(sv[0], 1.0) * tol.rank_scale:
-        raise PoleError(f"state pencil singular at lambda={lam}")
+    require_invertible(la, lam, tol, "state pencil")
     first = np.linalg.solve(la.T, sl.m_c.eval(lam).T).T
     mr = _m_r_eval(sl, lam, tol)
     last = -mr @ sl.pair_d.Nhat.eval(lam).T
@@ -189,23 +184,47 @@ def recover_right_minimal_basis(sl: StructuredLinearization, rng=None,
     basis is the last m-row slice of the lower block (the selector completion
     at work) and the indices drop by rho_D.
     """
+    return _recover_minimal_basis(sl, "right", rng, tol)
+
+
+def recover_left_minimal_basis(sl: StructuredLinearization, rng=None,
+                               tol: Tolerances = Tolerances()) -> RecoveredNullspace:
+    """Left minimal basis of the rational matrix: the rows of the pencil's
+    left basis restricted to the block at positions [n(1+rho_A), n(1+rho_A)+p);
+    indices carry over as-is."""
+    return _recover_minimal_basis(sl, "left", rng, tol)
+
+
+def _recover_minimal_basis(sl: StructuredLinearization, side: str, rng,
+                           tol: Tolerances) -> RecoveredNullspace:
+    """Both sides at once, written for columns: a left basis is handled
+    through its transpose, whose columns are the basis rows."""
     rng = make_rng(rng)
-    _check_sampled_minimality(sl, "right", rng, tol)
-    basis_l = polynomial_nullspace(sl.L0, sl.L1, "right", rng=rng, tol=tol)
+    _check_sampled_minimality(sl, side, rng, tol)
+    basis_l = polynomial_nullspace(sl.L0, sl.L1, side, rng=rng, tol=tol)
     r = sl.realization
+    if side == "right":
+        first, size, shift = sl.shape[1] - r.m, r.m, sl.rho_d
+    else:
+        first, size, shift = sl.blocks["L_A"][1], r.p, 0
+
+    def orient(stack):  # (grade+1, size, count) <-> the side's own layout
+        return stack if side == "right" else stack.transpose(0, 2, 1)
+
     if basis_l.count == 0:
         empty = MinimalBasisResult(
-            vectors=PolyMatrix(np.zeros((1, r.m, 0), dtype=complex)),
-            indices=[], side="right")
-        return RecoveredNullspace("right", empty, basis_l, sl.rho_d,
-                                  _empty_diagnostics())
+            vectors=PolyMatrix(orient(np.zeros((1, size, 0), dtype=complex))),
+            indices=[], side=side)
+        return RecoveredNullspace(side, empty, basis_l, shift, {
+            "ok": True, "degree_consistent": True, "nullspace_residual": 0.0,
+            "pointwise_full_rank": True, "reduced_full_rank": True})
 
-    stack = basis_l.vectors.coeffs[:, -r.m:, :]
+    stack = orient(basis_l.vectors.coeffs)[:, first:first + size, :]
     cols = []
     degrees = []
     ok_deg = True
-    for j, eps in enumerate(basis_l.indices):
-        want = eps - sl.rho_d
+    for j, index in enumerate(basis_l.indices):
+        want = index - shift
         col = np.array(stack[:, :, j])
         deg = vector_degree(col)
         if deg == NEG_INF or deg != want:
@@ -213,56 +232,14 @@ def recover_right_minimal_basis(sl: StructuredLinearization, rng=None,
         cols.append(_normalize_column(col, want))
         degrees.append(want)
     gmax = max(degrees)
-    out = np.zeros((gmax + 1, r.m, len(cols)), dtype=complex)
+    out = np.zeros((gmax + 1, size, len(cols)), dtype=complex)
     for j, col in enumerate(cols):
         out[:, :, j] = col[: gmax + 1]
-    basis_r = MinimalBasisResult(vectors=PolyMatrix(out), indices=sorted(degrees),
-                                 side="right")
-    diag = _nullspace_diagnostics(sl, basis_r, "right", rng, tol)
+    basis_r = MinimalBasisResult(vectors=PolyMatrix(orient(out)),
+                                 indices=sorted(degrees), side=side)
+    diag = _nullspace_diagnostics(sl, basis_r, side, rng, tol)
     diag["degree_consistent"] = ok_deg
-    return RecoveredNullspace("right", basis_r, basis_l, sl.rho_d, diag)
-
-
-def recover_left_minimal_basis(sl: StructuredLinearization, rng=None,
-                               tol: Tolerances = Tolerances()) -> RecoveredNullspace:
-    """Left minimal basis of the rational matrix; indices carry over as-is."""
-    rng = make_rng(rng)
-    _check_sampled_minimality(sl, "left", rng, tol)
-    basis_l = polynomial_nullspace(sl.L0, sl.L1, "left", rng=rng, tol=tol)
-    r = sl.realization
-    na = sl.blocks["L_A"][1]
-    if basis_l.count == 0:
-        empty = MinimalBasisResult(
-            vectors=PolyMatrix(np.zeros((1, 0, r.p), dtype=complex)),
-            indices=[], side="left")
-        return RecoveredNullspace("left", empty, basis_l, 0,
-                                  _empty_diagnostics())
-
-    stack = basis_l.vectors.coeffs[:, :, na:na + r.p]
-    rows_out = []
-    degrees = []
-    ok_deg = True
-    for j, eta in enumerate(basis_l.indices):
-        row = np.array(stack[:, j, :])
-        deg = vector_degree(row)
-        if deg == NEG_INF or deg != eta:
-            ok_deg = False
-        rows_out.append(_normalize_column(row, eta))
-        degrees.append(eta)
-    gmax = max(degrees)
-    out = np.zeros((gmax + 1, len(rows_out), r.p), dtype=complex)
-    for j, row in enumerate(rows_out):
-        out[:, j, :] = row[: gmax + 1]
-    basis_r = MinimalBasisResult(vectors=PolyMatrix(out), indices=sorted(degrees),
-                                 side="left")
-    diag = _nullspace_diagnostics(sl, basis_r, "left", rng, tol)
-    diag["degree_consistent"] = ok_deg
-    return RecoveredNullspace("left", basis_r, basis_l, 0, diag)
-
-
-def _empty_diagnostics() -> dict:
-    return {"ok": True, "degree_consistent": True, "nullspace_residual": 0.0,
-            "pointwise_full_rank": True, "reduced_full_rank": True}
+    return RecoveredNullspace(side, basis_r, basis_l, shift, diag)
 
 
 def _normalize_column(col: np.ndarray, degree: int) -> np.ndarray:
@@ -283,35 +260,20 @@ def _check_sampled_minimality(sl: StructuredLinearization, side: str,
                               rng, tol: Tolerances):
     """Sampled proxy for the global rank hypotheses of index recovery.
 
-    The pointwise rank conditions are checked at all finite eigenvalues of
-    the pencil and the state pencil plus 20 random points, and the matching
-    reversal condition at 0.  Exact global verification would need symbolic
-    arithmetic and is out of scope; failures raise with the offending points.
+    The pointwise rank condition of the side ([A; C] for right bases, [A, B]
+    for left ones) is checked at the points of `sampled_minimality`, and the
+    matching reversal condition at 0.  Exact global verification would need
+    symbolic arithmetic and is out of scope; failures raise with the
+    offending points.
     """
-    r = sl.realization
-    pts = list(unit_circle_points(rng, 20))
-    la0, la1 = sl.state_pencil()
-    state = pencil_eigs(la0, la1, rng=rng, tol=tol)
-    if state.regular:
-        pts.extend(state.finite().tolist())
-    if sl.shape[0] == sl.shape[1]:
-        full = pencil_eigs(sl.L0, sl.L1, rng=rng, tol=tol)
-        if full.regular:
-            pts.extend(full.finite().tolist())
-
-    bad = []
-    for z in pts:
-        left_ok, right_ok = check_finite_minimality(r, z, tol)
-        ok = left_ok if side == "right" else right_ok
-        if not ok:
-            bad.append(z)
-    inf_left, inf_right = check_infinity_minimality(r, sl.grade_a, sl.grade_d, tol)
-    inf_ok = inf_left if side == "right" else inf_right
-    if bad or not inf_ok:
+    k = 0 if side == "right" else 1
+    finite, at_inf = sampled_minimality(sl, rng, tol)
+    bad = [z for z, oks in finite if not oks[k]]
+    if bad or not at_inf[k]:
         detail = []
         if bad:
             detail.append(f"pointwise rank condition fails at {bad[:4]}")
-        if not inf_ok:
+        if not at_inf[k]:
             detail.append("reversal rank condition fails at 0")
         raise PreconditionError(
             f"{side} minimal basis recovery hypotheses not satisfied: "
@@ -322,17 +284,7 @@ def _nullspace_diagnostics(sl: StructuredLinearization, basis: MinimalBasisResul
                            side: str, rng, tol: Tolerances) -> dict:
     """Re-verify a recovered basis: nullspace residual at sample points,
     pointwise full rank (including 0), and reducedness."""
-    r = sl.realization
-    pts = []
-    tries = 0
-    while len(pts) < 5 and tries < 40:
-        z = unit_circle_points(rng, 1)[0] * (1.0 + 0.05 * tries)
-        tries += 1
-        try:
-            rv = transfer_eval(r, z, tol)
-        except RatlinError:
-            continue
-        pts.append((z, rv))
+    pts = transfer_samples(sl.realization, rng, 5, 0.05, 40, tol=tol)
     worst = 0.0
     for z, rv in pts:
         vv = basis.vectors.eval(z)
@@ -340,16 +292,8 @@ def _nullspace_diagnostics(sl: StructuredLinearization, basis: MinimalBasisResul
         scale = max(1.0, np.linalg.norm(rv)) * max(1.0, np.linalg.norm(vv))
         worst = max(worst, float(np.linalg.norm(res)) / scale)
 
-    eval_pts = [z for z, _ in pts] + [0.0]
-    full = all(numerical_rank(basis.vectors.eval(z), tol.rank_scale) == basis.count
-               for z in eval_pts)
-    if side == "right":
-        hcd = np.stack([basis.vectors.coeffs[d, :, j]
-                        for j, d in enumerate(basis.indices)], axis=1)
-    else:
-        hcd = np.stack([basis.vectors.coeffs[d, j, :]
-                        for j, d in enumerate(basis.indices)], axis=0)
-    reduced = numerical_rank(hcd, tol.rank_scale) == basis.count
+    full = basis.full_rank_at([z for z, _ in pts] + [0.0], tol)
+    reduced = basis.is_reduced(tol)
     return {"ok": worst <= 1e-8 and full and reduced,
             "nullspace_residual": worst,
             "pointwise_full_rank": full,

@@ -16,8 +16,8 @@ import numpy as np
 from .config import Tolerances, make_rng
 from .errors import PreconditionError
 from .eigsolve import classify
-from .linbuild import Realization, build
-from .polymat import Basis, NEG_INF, PolyMatrix
+from .linbuild import Realization, _deg, build
+from .polymat import Basis, PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,6 @@ class ScalarEquation:
             c=PolyMatrix.from_scalar_coeffs(c, Basis.MONOMIAL),
             b=PolyMatrix.from_scalar_coeffs(b, Basis.CHEBYSHEV1),
             d=PolyMatrix.from_scalar_coeffs(d, Basis.CHEBYSHEV1))
-
-
-def _deg(p: PolyMatrix) -> float:
-    deg = p.degree()
-    return 0.0 if deg == NEG_INF else float(deg)
 
 
 @dataclass(frozen=True)
@@ -115,9 +110,10 @@ def cleared_form(eq: ScalarEquation) -> PolyMatrix:
     return cb - ad
 
 
-def cleared_residual(eq: ScalarEquation, lam: complex) -> tuple:
-    """|c b - a d| at a point together with its coefficient-sum scale."""
-    val = abs(complex((cleared_form(eq).eval(lam))[0, 0]))
+def cleared_residual(eq: ScalarEquation, form: PolyMatrix, lam: complex) -> tuple:
+    """|c b - a d| at a point, from `form` = cleared_form(eq), together with
+    its coefficient-sum scale."""
+    val = abs(complex((form.eval(lam))[0, 0]))
     total = sum(float(np.sum(np.abs(p.coeffs))) for p in (eq.a, eq.b, eq.c, eq.d))
     scale = total * max(1.0, abs(lam)) ** (eq.grade_left + eq.grade_right)
     return val, scale
@@ -154,7 +150,7 @@ def solve_scalar(eq: ScalarEquation, rng=None,
         if b_roots.size and np.min(np.abs(b_roots - lam)) <= tol.match * max(1.0, abs(lam)):
             excluded.append(lam)
             continue
-        val, scale = cleared_residual(eq, lam)
+        val, scale = cleared_residual(eq, resfun, lam)
         roots.append((lam, val / scale))
     return RootReport(roots=roots, excluded=excluded)
 

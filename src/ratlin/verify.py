@@ -11,15 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, make_rng, unit_circle_points
+from .config import Tolerances, make_rng
 from .errors import PreconditionError, RatlinError
 from .eigsolve import (classify, match_multisets, pencil_eigs,
                        pencil_generic_rank, polymatrix_nullspace,
-                       polynomial_nullspace, rational_rank, vector_degree)
+                       polynomial_nullspace, rational_rank, sampled_minimality,
+                       vector_degree)
 from .linbuild import (Realization, StructuredLinearization, build,
-                       check_finite_minimality, check_infinity_minimality,
-                       transfer_eval)
-from .polymat import (Basis, PolyMatrix, max_coeff_diff, numerical_rank,
+                       check_infinity_minimality, hat_transfer_eval,
+                       transfer_samples)
+from .polymat import (Basis, PolyMatrix, hstack, max_coeff_diff, numerical_rank,
                       poly_adjugate, poly_det_coeffs, scalar_multiply)
 from .recover import (eigenpair, factorization_residuals,
                       recover_left_minimal_basis, recover_right_minimal_basis)
@@ -139,7 +140,6 @@ def gen_fixture(spec: FixtureSpec) -> Realization:
 
 
 def _combine_last_column(base: PolyMatrix, w: PolyMatrix, grade: int) -> PolyMatrix:
-    from .polymat import hstack
     last = (base.to_monomial() @ w.to_monomial()).to_basis(base.basis)
     return hstack(base, last).pad_to_grade(max(grade, last.grade))
 
@@ -221,55 +221,35 @@ def _check_dual_pairs(sl: StructuredLinearization) -> CheckEntry:
 def _check_rank_additivity(sl, rng, tol) -> CheckEntry:
     """rank L(z) == rank R(z) + n + s at random non-pole points."""
     r = sl.realization
-    done = 0
-    tries = 0
+    pts = transfer_samples(r, rng, 5, 0.11, 50, cond_max=1e7, tol=tol)
     ok = True
     loc = None
-    while done < 5 and tries < 50:
-        z = unit_circle_points(rng, 1)[0] * (1.0 + 0.11 * tries)
-        tries += 1
-        try:
-            rv = transfer_eval(r, z, tol)
-        except RatlinError:
-            continue
-        if np.linalg.cond(r.A.eval(z)) > 1e7:
-            continue
-        done += 1
+    for z, rv in pts:
         lhs = numerical_rank(sl.pencil_eval(z), tol.rank_scale)
         rhs = numerical_rank(rv, tol.rank_scale) + r.n + sl.s
         if lhs != rhs:
             ok = False
             loc = complex(z)
-    return _entry("transfer-rank-additivity", ok and done == 5,
+    return _entry("transfer-rank-additivity", ok and len(pts) == 5,
                   0.0 if ok else 1.0, loc)
 
 
 def _check_one_sided_factorizations(sl, rng, tol) -> CheckEntry:
-    r = sl.realization
+    pts = transfer_samples(sl.realization, rng, 10, 0.07, 60, cond_max=1e6,
+                           tol=tol)
     worst = 0.0
     loc = None
-    done = 0
-    tries = 0
-    while done < 10 and tries < 60:
-        z = unit_circle_points(rng, 1)[0] * (1.0 + 0.07 * tries)
-        tries += 1
-        try:
-            if np.linalg.cond(r.A.eval(z)) > 1e6:
-                continue
-            rres, lres = factorization_residuals(sl, z, tol)
-        except RatlinError:
-            continue
-        done += 1
+    for z, _ in pts:
+        rres, lres = factorization_residuals(sl, z, tol)
         scale = _point_scale(sl, z, tol)
         val = max(rres, lres) / scale
         if val > worst:
             worst, loc = val, complex(z)
-    return _entry("one-sided-factorizations", done == 10 and worst <= 1e-10,
+    return _entry("one-sided-factorizations", len(pts) == 10 and worst <= 1e-10,
                   worst, loc)
 
 
 def _point_scale(sl, z, tol) -> float:
-    from .linbuild import hat_transfer_eval
     rhat = hat_transfer_eval(sl, z, tol)
     nd = sl.pair_d.N.eval(z)
     return max(1.0, float(np.linalg.norm(rhat)) * max(1.0, float(np.linalg.norm(nd))))
@@ -292,25 +272,10 @@ def _check_minimality_proxy(sl, rng, tol) -> CheckEntry:
     """Pointwise minimality at 20 random points and at every computed
     eigenvalue of the state pencil and of the full pencil (where the
     classification actually relies on it), plus the reversal checks at 0."""
-    r = sl.realization
-    pts = list(unit_circle_points(rng, 20))
-    la0, la1 = sl.state_pencil()
-    state = pencil_eigs(la0, la1, rng=rng, tol=tol)
-    if state.regular:
-        pts.extend(state.finite().tolist())
-    if sl.shape[0] == sl.shape[1]:
-        full = pencil_eigs(sl.L0, sl.L1, rng=rng, tol=tol)
-        if full.regular:
-            pts.extend(full.finite().tolist())
-    fails = 0
-    loc = None
-    for z in pts:
-        left, right = check_finite_minimality(r, z, tol)
-        if not (left and right):
-            fails += 1
-            loc = complex(z)
-    inf_ok = all(check_infinity_minimality(r, sl.grade_a, sl.grade_d, tol))
-    return _entry("minimality-proxy", fails == 0 and inf_ok, float(fails), loc)
+    finite, at_inf = sampled_minimality(sl, rng, tol)
+    bad = [z for z, oks in finite if not all(oks)]
+    return _entry("minimality-proxy", not bad and all(at_inf), float(len(bad)),
+                  complex(bad[-1]) if bad else None)
 
 
 def cleared_matrix(r: Realization) -> PolyMatrix:
@@ -353,7 +318,6 @@ def _check_nullspaces(sl, rng, tol) -> list:
         return [_skip("right-index-shift"), _skip("left-index-match"),
                 _skip("nullvector-degree-law"), _skip("nullspace-dimension")]
 
-    entries = []
     cleared = cleared_matrix(r)
     rank_r = rational_rank(sl, rng=rng, tol=tol)
 
@@ -361,50 +325,34 @@ def _check_nullspaces(sl, rng, tol) -> list:
     entries_dim = _entry("nullspace-dimension", dim_ok,
                          abs(right_nullity - (r.m - rank_r))
                          + abs(left_nullity - (r.p - rank_r)))
+    return (_check_index_side(sl, "right", right_nullity, cleared, rank_r, rng, tol)
+            + _check_index_side(sl, "left", left_nullity, cleared, rank_r, rng, tol)
+            + [entries_dim])
 
-    if right_nullity > 0:
-        oracle = polymatrix_nullspace(cleared, "right", rng=rng, tol=tol,
-                                      rank=rank_r)
-        depth = max(oracle.indices, default=0) + sl.rho_d + 2
-        if oracle.count == 0 or depth * sl.shape[1] > SWEEP_BUDGET:
-            entries.append(_skip("right-index-shift"))
-            entries.append(_skip("nullvector-degree-law"))
-        else:
-            try:
-                rec = recover_right_minimal_basis(sl, rng=rng, tol=tol)
-                ok = rec.basis_r.indices == sorted(oracle.indices) \
-                    and rec.diagnostics["ok"]
-                entries.append(_entry(
-                    "right-index-shift", ok,
-                    rec.diagnostics.get("nullspace_residual", 0.0)))
-            except PreconditionError:
-                entries.append(_skip("right-index-shift"))
-            entries.append(_degree_law(sl, rng, tol))
-    else:
-        entries.append(_skip("right-index-shift"))
-        entries.append(_skip("nullvector-degree-law"))
 
-    if left_nullity > 0:
-        oracle = polymatrix_nullspace(cleared, "left", rng=rng, tol=tol,
-                                      rank=rank_r)
-        depth = max(oracle.indices, default=0) + 2
-        if oracle.count == 0 or depth * sl.shape[0] > SWEEP_BUDGET:
-            entries.append(_skip("left-index-match"))
-        else:
-            try:
-                rec = recover_left_minimal_basis(sl, rng=rng, tol=tol)
-                ok = rec.basis_r.indices == sorted(oracle.indices) \
-                    and rec.diagnostics["ok"]
-                entries.append(_entry(
-                    "left-index-match", ok,
-                    rec.diagnostics.get("nullspace_residual", 0.0)))
-            except PreconditionError:
-                entries.append(_skip("left-index-match"))
-    else:
-        entries.append(_skip("left-index-match"))
-
-    entries.append(entries_dim)
-    return entries
+def _check_index_side(sl, side, nullity, cleared, rank_r, rng, tol) -> list:
+    """One side of `_check_nullspaces`: the recovered minimal indices against
+    the oracle's, followed on the right by the degree law."""
+    right = side == "right"
+    name = "right-index-shift" if right else "left-index-match"
+    skipped = [_skip(name)] + ([_skip("nullvector-degree-law")] if right else [])
+    if nullity <= 0:
+        return skipped
+    oracle = polymatrix_nullspace(cleared, side, rng=rng, tol=tol, rank=rank_r)
+    shift, width = (sl.rho_d, sl.shape[1]) if right else (0, sl.shape[0])
+    depth = max(oracle.indices, default=0) + shift + 2
+    if oracle.count == 0 or depth * width > SWEEP_BUDGET:
+        return skipped
+    recover_basis = (recover_right_minimal_basis if right
+                     else recover_left_minimal_basis)
+    try:
+        rec = recover_basis(sl, rng=rng, tol=tol)
+        ok = rec.basis_r.indices == sorted(oracle.indices) \
+            and rec.diagnostics["ok"]
+        entry = _entry(name, ok, rec.diagnostics.get("nullspace_residual", 0.0))
+    except PreconditionError:
+        entry = _skip(name)
+    return [entry] + ([_degree_law(sl, rng, tol)] if right else [])
 
 
 def _degree_law(sl, rng, tol) -> CheckEntry:

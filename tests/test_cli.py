@@ -130,6 +130,22 @@ class TestErrors:
         code, _, _ = run_cli(capsys, "eigs", "--input", str(bad))
         assert code == 2
 
+    def test_non_finite_scalar_coefficient_is_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "scalar", "--a", "1,nan", "--c", "1",
+                               "--b", "1,1", "--d", "2")
+        assert code == 2
+        assert "non-finite coefficient nan at position 1 of --a" in err
+
+    def test_non_finite_input_coefficient_is_input_error(self, capsys, tmp_path):
+        obj = preset_cross_coupled().to_dict()
+        obj["B"]["coeffs"][1][2] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_cli(capsys, "eigs", "--input", str(path))
+        assert code == 2
+        assert "block B: non-finite coefficient" in err
+        assert "degree 1 at entry (1, 0)" in err
+
 
 def test_parse_coeffs_complex_forms():
     got = _parse_coeffs("1.5, 2+3i, -0.5i, -1-2i")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from ratlin.config import unit_circle_points
 from ratlin.dualbases import chebyshev_pair, monomial_pair
 from ratlin.errors import BasisError, DimensionError, PoleError, PreconditionError
 from ratlin.linbuild import (Realization, block_pencil, build,
                              check_finite_minimality, check_infinity_minimality,
-                             hat_transfer_eval, row_pencil, transfer_eval)
+                             hat_transfer_eval, row_pencil, transfer_eval,
+                             transfer_samples)
 from ratlin.polymat import Basis, PolyMatrix, numerical_rank
 
 from conftest import random_polymatrix, random_realization
@@ -257,3 +259,29 @@ def test_realization_json_round_trip(preset):
     for name in "ABCD":
         assert np.array_equal(getattr(again, name).coeffs,
                               getattr(preset, name).coeffs)
+
+
+class TestTransferSamples:
+    def test_at_most_count_points_within_the_cond_bound(self):
+        r = random_realization(4, n=3, grade_a=3)
+        pts = transfer_samples(r, np.random.default_rng(9), 3, 0.07, 50,
+                               cond_max=6.0)
+        assert len(pts) == 3
+        for z, rv in pts:
+            assert np.linalg.cond(r.A.eval(z)) <= 6.0
+            assert np.array_equal(rv, transfer_eval(r, z))
+
+    def test_same_seed_same_points(self):
+        r = random_realization(5)
+        first, second = (transfer_samples(r, np.random.default_rng(3), 5, 0.11,
+                                          50, cond_max=1e7) for _ in range(2))
+        assert [z for z, _ in first] == [z for z, _ in second]
+
+    def test_each_try_draws_one_point(self):
+        r = random_realization(6)
+        rng = np.random.default_rng(8)
+        assert transfer_samples(r, rng, 5, 0.05, 40, cond_max=1.0) == []
+        ref = np.random.default_rng(8)
+        for _ in range(40):
+            unit_circle_points(ref, 1)
+        assert rng.uniform() == ref.uniform()

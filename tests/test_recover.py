@@ -9,6 +9,7 @@ from ratlin.recover import (eigenpair, factorization_residuals,
                             lift_left_eigvec, lift_right_eigvec,
                             recover_left_eigvec, recover_left_minimal_basis,
                             recover_right_eigvec, recover_right_minimal_basis)
+from ratlin.verify import FixtureSpec, gen_fixture
 
 from conftest import random_polymatrix, random_realization
 
@@ -209,3 +210,16 @@ class TestMinimalBases:
         sl = build(r)
         with pytest.raises(PreconditionError):
             recover_right_minimal_basis(sl)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_left_recovery_matches_right_recovery_of_transpose(seed):
+    """Left minimal indices of R equal the right ones of R^T, realized as
+    (A^T, C^T, B^T, D^T); here R has a zero last row."""
+    r = gen_fixture(FixtureSpec(seed=seed, structure="zero-row-c"))
+    rt = Realization(A=r.A.T, B=r.C.T, C=r.B.T, D=r.D.T)
+    left = recover_left_minimal_basis(build(r, rng=seed), rng=seed)
+    right = recover_right_minimal_basis(build(rt, rng=seed), rng=seed)
+    assert left.basis_r.indices == right.basis_r.indices == [0]
+    assert left.diagnostics["ok"] and right.diagnostics["ok"]
+    assert np.allclose(left.basis_r.vectors.T.coeffs, right.basis_r.vectors.coeffs)
