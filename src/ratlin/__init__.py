@@ -9,7 +9,7 @@ to eigenvectors and minimal bases of R by block slicing.
 """
 
 from .config import DEFAULT_SEED, Tolerances
-from .dualbases import DualBasisPair, chebyshev_pair, completion, monomial_pair
+from .dualbases import DualBasisPair, chebyshev_pair, monomial_pair
 from .errors import (BasisError, BreakdownError, DimensionError, PoleError,
                      PreconditionError, RatlinError)
 from .eigsolve import (MinimalBasisResult, PencilEig, SpectralReport,
@@ -37,7 +37,7 @@ __all__ = [
     "RootReport", "ScalarEquation", "SpectralReport",
     "StructuredLinearization", "Tolerances", "build", "chebyshev_pair",
     "check_finite_minimality", "check_infinity_minimality", "classify",
-    "completion", "eigenpair", "factorization_residuals", "gen_fixture",
+    "eigenpair", "factorization_residuals", "gen_fixture",
     "generic_rank", "hat_transfer_eval", "hstack", "invariant_orders_at_infinity",
     "irreducibility_check", "lift_left_eigvec", "lift_right_eigvec",
     "minimality_report", "monomial_pair", "partial_multiplicities_at", "pencil_eigs",

@@ -2,8 +2,9 @@
 
 Commands: linearize, eigs, infinity, nullspace, scalar, check.  Exit codes:
 0 success, 1 mathematical precondition failure, 2 I/O or parse failure.
-Numeric output is serialized with 17 significant digits and is byte-stable
-for a fixed seed and input.
+JSON output writes each double exactly (its shortest round-tripping repr);
+tables print 17 significant digits.  Output is byte-stable for a fixed seed
+and input.
 """
 
 import argparse
@@ -108,20 +109,13 @@ def _load_realization(args) -> Realization:
         return Realization.from_dict(json.load(fh))
 
 
-def format_number(x: float) -> float:
-    """Round-trip through 17 significant digits."""
-    return float(f"{x:.17g}")
-
-
 def _clean(obj):
-    if isinstance(obj, float):
-        return format_number(obj)
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     if isinstance(obj, (np.floating,)):
-        return format_number(float(obj))
+        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

@@ -1,18 +1,27 @@
-"""Dual minimal basis pairs and their unimodular completions.
+"""Dual minimal basis pairs and their unimodular extensions.
 
 For block size s and grade d the pair (K, N) satisfies K(lambda) N(lambda)^T = 0
 with K of size (d-1)s x ds (all row degrees 1) and N of size s x ds (all row
-degrees d-1).  The completion (Khat, Nhat) makes U = [K; Khat] unimodular with
+degrees d-1).  The pair (Khat, Nhat) makes U = [K; Khat] unimodular with
 U^{-1} = [Nhat^T  N^T], which is what turns eigenvector and minimal-basis
-recovery into a block slice.
+recovery into a block slice.  All four are written in closed form from the
+basis's three-term recurrence (Amiraslani, Corless & Lancaster, IMA J.
+Numer. Anal. 2009).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, RatlinError
+from .errors import DimensionError
 from .polymat import Basis, PolyMatrix
+
+# (alpha_k, beta_k, gamma_k) of lambda phi_k = alpha_k phi_{k+1} + beta_k phi_k
+# + gamma_k phi_{k-1}; gamma_0 = 0 in every basis.
+RECURRENCE = {
+    Basis.MONOMIAL: lambda k: (1.0, 0.0, 0.0),
+    Basis.CHEBYSHEV1: lambda k: (1.0, 0.0, 0.0) if k == 0 else (0.5, 0.0, 0.5),
+}
 
 
 @dataclass(frozen=True)
@@ -31,118 +40,68 @@ class DualBasisPair:
         return self.d - 1
 
 
+def pair_for(basis: Basis, s: int, d: int) -> DualBasisPair:
+    """The pair dual to N = [phi_{d-1} I, ..., phi_1 I, phi_0 I], with Khat, Nhat.
+
+    Row i of K is the recurrence at k = d-2-i,
+    -alpha_k e_i + (lambda - beta_k) e_{i+1} - gamma_k e_{i+2}, so the last
+    row is [-alpha_0 I, (lambda - beta_0) I].  Khat selects the last block
+    column, where N^T holds phi_0 I = I.
+    """
+    _check_sd(s, d)
+    rec = RECURRENCE[basis]
+    k0 = np.zeros((d - 1, d))
+    k1 = np.zeros((d - 1, d))
+    for i in range(d - 1):
+        # subtracting from +0.0 keeps a zero coefficient's block at +0.0
+        k0[i, i:i + 3] -= rec(d - 2 - i)[:d - i]
+        k1[i, i + 1] = 1.0
+    n = np.eye(d)[::-1, None, :]  # degree k carries I in block d-1-k
+    khat = np.eye(d)[None, -1:, :]
+    return DualBasisPair(s, d, basis, _blocks([k0, k1], s, basis),
+                         _blocks(n, s, basis), _blocks(khat, s, basis),
+                         _blocks(_nhat(rec, d), s, basis))
+
+
 def monomial_pair(s: int, d: int) -> DualBasisPair:
     """Block bidiagonal [-I, lambda I] chain with N = [I l^{d-1}, ..., I l, I]."""
-    _check_sd(s, d)
-    k0 = np.zeros(((d - 1) * s, d * s), dtype=complex)
-    k1 = np.zeros_like(k0)
-    for i in range(d - 1):
-        k0[i * s:(i + 1) * s, i * s:(i + 1) * s] = -np.eye(s)
-        k1[i * s:(i + 1) * s, (i + 1) * s:(i + 2) * s] = np.eye(s)
-    K = PolyMatrix(np.stack([k0, k1]), Basis.MONOMIAL)
-
-    n_stack = np.zeros((d, s, d * s), dtype=complex)
-    for j in range(d):  # block j from the left carries lambda^{d-1-j}
-        n_stack[d - 1 - j, :, j * s:(j + 1) * s] = np.eye(s)
-    N = PolyMatrix(n_stack, Basis.MONOMIAL)
-
-    khat, nhat = completion(K, N)
-    return DualBasisPair(s, d, Basis.MONOMIAL, K, N, khat, nhat)
+    return pair_for(Basis.MONOMIAL, s, d)
 
 
 def chebyshev_pair(s: int, d: int) -> DualBasisPair:
-    """Three-term-recurrence chain dual to N = [phi_{d-1} I, ..., phi_0 I].
+    """Interior rows [-1/2 I, lambda I, -1/2 I], final row [-I, lambda I]."""
+    return pair_for(Basis.CHEBYSHEV1, s, d)
 
-    Interior rows are [-1/2 I, lambda I, -1/2 I]; the final row is [-I, lambda I]
-    since phi_1 = lambda phi_0.  For d = 2 that final row is the whole of K.
+
+def _nhat(rec, d: int) -> np.ndarray:
+    """Coefficient stack of the scalar Nhat, of grade d-2, in the pair's basis.
+
+    Column c of Nhat^T solves K x = e_c with x = 0 in the phi_0 block (so
+    Khat Nhat^T = 0).  Writing y_k for the entry in the phi_k block, row
+    d-2-k of K gives y_{k+1} = ((lambda - beta_k) y_k - gamma_k y_{k-1}
+    - [c == d-2-k]) / alpha_k, a back-substitution up K.  Each y_k has degree
+    below k, so every product by lambda stays within grade d-2.
     """
-    _check_sd(s, d)
-    k0 = np.zeros(((d - 1) * s, d * s), dtype=complex)
-    k1 = np.zeros_like(k0)
-    for i in range(d - 1):
-        rows = slice(i * s, (i + 1) * s)
-        if i < d - 2:
-            k0[rows, i * s:(i + 1) * s] = -0.5 * np.eye(s)
-            k1[rows, (i + 1) * s:(i + 2) * s] = np.eye(s)
-            k0[rows, (i + 2) * s:(i + 3) * s] = -0.5 * np.eye(s)
-        else:
-            k0[rows, i * s:(i + 1) * s] = -np.eye(s)
-            k1[rows, (i + 1) * s:(i + 2) * s] = np.eye(s)
-    K = PolyMatrix(np.stack([k0, k1]), Basis.CHEBYSHEV1)
-
-    n_stack = np.zeros((d, s, d * s), dtype=complex)
-    for j in range(d):
-        n_stack[d - 1 - j, :, j * s:(j + 1) * s] = np.eye(s)
-    N = PolyMatrix(n_stack, Basis.CHEBYSHEV1)
-
-    khat, nhat = completion(K, N)
-    return DualBasisPair(s, d, Basis.CHEBYSHEV1, K, N, khat, nhat)
+    g = max(d - 2, 0)
+    times_lam = np.zeros((g + 1, g + 1))  # lambda * p == times_lam @ p, deg p < g
+    for j in range(g):
+        alpha, beta, gamma = rec(j)
+        times_lam[j + 1, j], times_lam[j, j] = alpha, beta
+        if j:
+            times_lam[j - 1, j] = gamma
+    y = np.zeros((d + 1, g + 1, d - 1))  # y[k + 1][degree, c] = y_k; y_{-1} = y_0 = 0
+    for k in range(d - 1):
+        alpha, beta, gamma = rec(k)
+        y[k + 2] = times_lam @ y[k + 1] - beta * y[k + 1] - gamma * y[k]
+        y[k + 2, 0, d - 2 - k] -= 1.0
+        y[k + 2] /= alpha
+    return y[:0:-1].transpose(1, 2, 0)  # block j of Nhat holds y_{d-1-j}
 
 
-def completion(K: PolyMatrix, N: PolyMatrix) -> tuple:
-    """Unimodular completion (Khat, Nhat) of a dual pair from this module.
-
-    Khat selects the last block column, which works because the last block of
-    N^T is phi_0 * I = I in both bases.  Nhat is the unique polynomial of
-    degree <= d-2 solving K Nhat^T = I and Khat Nhat^T = 0; the solve is done
-    on the coefficient stack, one column at a time.
-    """
-    s = N.rows
-    ds = N.cols
-    if ds % s != 0:
-        raise DimensionError("N column count is not a multiple of the block size")
-    d = ds // s
-    if K.shape != ((d - 1) * s, ds):
-        raise DimensionError(f"K has shape {K.shape}, expected {((d - 1) * s, ds)}")
-
-    khat = np.zeros((1, s, ds), dtype=complex)
-    khat[0, :, (d - 1) * s:] = np.eye(s)
-    Khat = PolyMatrix(khat, K.basis)
-
-    if d == 1:
-        Nhat = PolyMatrix(np.zeros((1, 0, ds), dtype=complex), K.basis)
-        return Khat, Nhat
-
-    resid = K @ N.T
-    if np.max(np.abs(resid.coeffs)) > 1e-12:
-        raise RatlinError("completion: K N^T != 0, not a dual pair")
-
-    # Unknowns: coefficients X_0..X_{d-2} of one column x(lambda) of Nhat^T.
-    # Conditions: conv(K, x) = e_col over degrees 0..d-1 and Khat x_t = 0.
-    k0 = K.coeff(0)
-    k1 = K.coeff(1)
-    ncoef = d - 1
-    nrows_eq = d * (d - 1) * s + ncoef * s
-    ncols_eq = ncoef * ds
-    sys = np.zeros((nrows_eq, ncols_eq), dtype=complex)
-    for t in range(d):
-        r = slice(t * (d - 1) * s, (t + 1) * (d - 1) * s)
-        if t <= ncoef - 1:
-            sys[r, t * ds:(t + 1) * ds] = k0
-        if 1 <= t <= ncoef:
-            sys[r, (t - 1) * ds:t * ds] = k1
-    base = d * (d - 1) * s
-    for t in range(ncoef):
-        r = slice(base + t * s, base + (t + 1) * s)
-        sys[r, t * ds:(t + 1) * ds] = khat[0]
-
-    rhs = np.zeros((nrows_eq, (d - 1) * s), dtype=complex)
-    rhs[: (d - 1) * s, :] = np.eye((d - 1) * s)
-
-    sol, *_ = np.linalg.lstsq(sys, rhs, rcond=None)
-    if np.linalg.norm(sys @ sol - rhs) > 1e-10 * max(1.0, np.linalg.norm(rhs)):
-        raise RatlinError("completion: coefficient system inconsistent (malformed pair)")
-
-    # The solve works on monomial coefficients; re-express in the pair basis.
-    nhat_t = sol.reshape(ncoef, ds, (d - 1) * s)
-    Nhat = PolyMatrix(nhat_t.transpose(0, 2, 1), Basis.MONOMIAL).to_basis(K.basis)
-    return Khat, Nhat
-
-
-def pair_for(basis: Basis, s: int, d: int) -> DualBasisPair:
-    if basis is Basis.MONOMIAL:
-        return monomial_pair(s, d)
-    return chebyshev_pair(s, d)
+def _blocks(pattern, s: int, basis: Basis) -> PolyMatrix:
+    """Scalar coefficient stack -> PolyMatrix with each entry times I_s."""
+    eye = np.eye(s)
+    return PolyMatrix(np.stack([np.kron(c, eye) for c in pattern]), basis)
 
 
 def _check_sd(s: int, d: int):

@@ -166,14 +166,12 @@ def pencil_generic_rank(l0: np.ndarray, l1: np.ndarray, rng=None,
                for z in unit_circle_points(rng, samples))
 
 
-def pencil_null_vector(l0: np.ndarray, l1: np.ndarray, lam: complex,
-                       side: str = "right") -> np.ndarray:
-    """Singular vector of L(lam) for the smallest singular value."""
+def pencil_null_vector(l0: np.ndarray, l1: np.ndarray, lam: complex) -> tuple:
+    """Right and left singular vectors of L(lam) for the smallest singular
+    value, from one SVD."""
     mat = np.asarray(l1) * complex(lam) + np.asarray(l0)
     u, _, vh = np.linalg.svd(mat)
-    if side == "right":
-        return vh[-1].conj()
-    return u[:, -1].conj()
+    return vh[-1].conj(), u[:, -1].conj()
 
 
 def match_multisets(computed, expected, tol_match: float = 1e-7):

@@ -67,15 +67,21 @@ def recover_right_eigvec(sl: StructuredLinearization, lam: complex,
                          tol: Tolerances = Tolerances()) -> np.ndarray:
     """Right eigenvector of the rational matrix from one of the pencil.
 
-    With the last-block-selector completion this is a slice: the final m
-    entries of x_tilde.  A vector from the unclassified part of the spectrum
-    slices to numerical zero and is rejected.
+    The lower part of x_tilde is N_D(lam)^T x = [phi_{d-1}(lam) x; ...;
+    phi_0(lam) x], so every block determines x.  The block with the largest
+    |phi_k(lam)| is sliced and divided by phi_k(lam): the phi_0 block alone
+    loses relative accuracy like |lam|^{d-1} (Higham, Li & Tisseur, SIMAX
+    2007).  A vector from the unclassified part of the spectrum slices to
+    numerical zero and is rejected.
     """
     r = sl.realization
     x_tilde = np.asarray(x_tilde, dtype=complex).ravel()
     if x_tilde.size != sl.shape[1]:
         raise RatlinError("x_tilde length does not match the pencil")
-    x = x_tilde[-r.m:]
+    phis = sl.pair_d.N.eval(lam)[0, ::r.m][::-1]  # phi_0, ..., phi_{d-1}
+    k = int(np.argmax(np.abs(phis)))  # ties go to the lowest degree
+    end = x_tilde.size - k * r.m
+    x = x_tilde[end - r.m:end] / phis[k]
     if np.linalg.norm(x) <= 1e-12 * np.linalg.norm(x_tilde):
         raise RatlinError(
             "recovered vector is numerically zero: the pencil vector does not "
@@ -129,8 +135,7 @@ def eigenpair(sl: StructuredLinearization, lam: complex,
               tol: Tolerances = Tolerances()) -> EigenpairR:
     """Recover both eigenvectors at a classified zero and report residuals."""
     r = sl.realization
-    x_tilde = pencil_null_vector(sl.L0, sl.L1, lam, "right")
-    y_tilde = pencil_null_vector(sl.L0, sl.L1, lam, "left")
+    x_tilde, y_tilde = pencil_null_vector(sl.L0, sl.L1, lam)
     x = recover_right_eigvec(sl, lam, x_tilde, tol)
     y = recover_left_eigvec(sl, lam, y_tilde, tol)
     rv = transfer_eval(r, lam, tol)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ratlin.cli import main, _parse_coeffs, format_number
+from ratlin.cli import main, _parse_coeffs
+from ratlin.linbuild import build
 from ratlin.verify import preset_cross_coupled
 
 
@@ -154,7 +155,14 @@ def test_parse_coeffs_complex_forms():
         _parse_coeffs("  ,")
 
 
-def test_format_number_round_trip():
-    x = 0.1 + 0.2
-    assert format_number(x) == x
-    assert format_number(1e300) == 1e300
+def test_linearize_json_is_bit_exact(capsys):
+    """Every printed L0 and L1 entry parses back to build's double, sign of
+    zero included."""
+    code, out, _ = run_cli(capsys, "linearize", "--preset", "cross-coupled")
+    assert code == 0
+    obj = json.loads(out)
+    sl = build(preset_cross_coupled())
+    for name in ("L0", "L1"):
+        want = getattr(sl, name)
+        got = np.array(obj[name], dtype=float)
+        assert got.tobytes() == np.stack([want.real, want.imag], axis=-1).tobytes()

@@ -116,6 +116,21 @@ class TestRunAll:
         assert rep.passed
         assert elapsed < 60.0
 
+    @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
+    def test_grade10_eigenvector_recovery(self, basis):
+        # zeros well outside the unit disc, where phi_{d-1} dominates phi_0
+        spec = FixtureSpec(seed=2, grade_a=10, grade_d=10, basis_a=basis,
+                           basis_d=basis)
+        by_name = {e.name: e for e in run_all(gen_fixture(spec)).entries}
+        assert by_name["eigenvector-recovery"].status == "pass"
+
+    @pytest.mark.parametrize("grade", [10, 12])
+    def test_chebyshev_high_grade_dual_pairs(self, grade):
+        spec = FixtureSpec(seed=2, grade_a=grade, grade_d=grade,
+                           basis_a=Basis.CHEBYSHEV1, basis_d=Basis.CHEBYSHEV1)
+        by_name = {e.name: e for e in run_all(gen_fixture(spec)).entries}
+        assert by_name["dual-pair-identities"].status == "pass"
+
     def test_report_serialization(self):
         rep = run_all(preset_cross_coupled(), seed=2)
         obj = rep.to_dict()
