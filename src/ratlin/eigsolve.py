@@ -16,7 +16,7 @@ import scipy.optimize
 from .config import Tolerances, make_rng, unit_circle_points
 from .errors import BreakdownError, PreconditionError, RatlinError
 from .linbuild import (StructuredLinearization, check_finite_minimality,
-                       check_infinity_minimality, transfer_samples)
+                       check_infinity_minimality, sample_points, system_eval)
 from .polymat import NEG_INF, PolyMatrix, generic_rank, numerical_rank
 
 INF_BETA_TOL = 1e-12
@@ -154,16 +154,6 @@ def pencil_is_regular(l0: np.ndarray, l1: np.ndarray, rng=None,
         if numerical_rank(l1 * z + l0, tol.rank_scale) == n:
             return True
     return False
-
-
-def pencil_generic_rank(l0: np.ndarray, l1: np.ndarray, rng=None,
-                        samples: int = 5, tol: Tolerances = Tolerances()) -> int:
-    """Rank over the rational functions; the cutoff is loosened a couple of
-    orders beyond machine epsilon so pencils assembled from computed data
-    (structural zeros only exact to roundoff) are still judged correctly."""
-    rng = make_rng(rng)
-    return max(numerical_rank(l1 * z + l0, tol.rank_scale * 100.0)
-               for z in unit_circle_points(rng, samples))
 
 
 def pencil_null_vector(l0: np.ndarray, l1: np.ndarray, lam: complex) -> tuple:
@@ -363,18 +353,19 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None,
 
 def rational_rank(sl: StructuredLinearization, rng=None, samples: int = 5,
                   tol: Tolerances = Tolerances()) -> int:
-    """Generic rank of the rational matrix, from sampled transfer evaluations.
-
-    Transfer values carry roundoff of order eps * cond(A), so the rank cutoff
-    is loosened accordingly: sample points with cond(A) above 1e6 are skipped
-    and the threshold scaled up, keeping exact-by-construction rank drops
-    (residual singular values ~1e-13 relative) on the zero side.
+    """Generic rank of the rational matrix, as max rank P(z) - n over sampled
+    points, where P = [A B; -C D] holds input data only, free of the
+    cancellation in forming D + C A^{-1} B.  Points with cond(A) above 1e6
+    are skipped and the cutoff is scaled up, keeping exact-by-construction
+    rank drops (residual singular values ~1e-13 relative) on the zero side.
     """
-    pts = transfer_samples(sl.realization, make_rng(rng), samples, 0.07,
-                           10 * samples, cond_max=1e6, tol=tol)
+    r = sl.realization
+    pts = sample_points(r, make_rng(rng), samples, 0.07, 10 * samples,
+                        cond_max=1e6, tol=tol)
     if not pts:
         raise RatlinError("could not find well-conditioned sample points")
-    return max(numerical_rank(val, tol.rank_scale * 1e6) for _, val in pts)
+    return max(numerical_rank(system_eval(r, z), tol.rank_scale * 1e6)
+               for z in pts) - r.n
 
 
 def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
@@ -390,7 +381,10 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
     l0 = np.asarray(l0, dtype=complex)
     l1 = np.asarray(l1, dtype=complex)
     pencil = PolyMatrix(np.stack([l0, l1]))
-    rank = pencil_generic_rank(l0, l1, rng=rng, tol=tol)
+    # the cutoff is loosened a couple of orders beyond machine epsilon so
+    # pencils assembled from computed data (structural zeros only exact to
+    # roundoff) are still judged correctly
+    rank = generic_rank(pencil, rng, rank_scale=tol.rank_scale * 100.0)
     # pencil minimal indices never exceed the rank, so the dimension sum caps
     # the sweep
     return polymatrix_nullspace(pencil, side, rng=rng, tol=tol, rank=rank,

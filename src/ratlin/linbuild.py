@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, make_rng, unit_circle_points
+from .config import Tolerances, unit_circle_points
 from .dualbases import DualBasisPair, pair_for
-from .errors import (BasisError, DimensionError, PoleError, PreconditionError,
-                     RatlinError)
-from .polymat import Basis, PolyMatrix, numerical_rank
+from .errors import BasisError, DimensionError, PoleError, PreconditionError
+from .polymat import Basis, PolyMatrix, generic_rank, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -64,9 +63,7 @@ class Realization:
 
     def check_state_regular(self, rng=None) -> bool:
         """Probabilistic certificate: A invertible at a seeded random point."""
-        z = unit_circle_points(make_rng(rng), 1)[0]
-        av = self.A.eval(z)
-        return numerical_rank(av) == self.n
+        return generic_rank(self.A, rng, samples=1) == self.n
 
     def grade_sides(self, grade_a: int | None = None,
                     grade_d: int | None = None) -> tuple:
@@ -82,6 +79,8 @@ class Realization:
 
     @staticmethod
     def from_dict(obj: dict) -> "Realization":
+        if not isinstance(obj, dict):
+            raise ValueError("a realization is a JSON object with blocks A, B, C, D")
         blocks = {}
         for key in "ABCD":
             try:
@@ -348,27 +347,35 @@ def hat_transfer_eval(sl: StructuredLinearization, lam: complex,
     return np.vstack([top, sl.pair_d.K.eval(lam)])
 
 
-def transfer_samples(r: Realization, rng, count: int, step: float,
-                     max_tries: int, cond_max: float | None = None,
-                     tol: Tolerances = Tolerances()) -> list:
-    """Up to `count` pairs (z, R(z)) at random points off the poles.
+def system_eval(r: Realization, lam: complex) -> np.ndarray:
+    """System matrix [A B; -C D](lam), of rank n + rank R(lam) off the poles."""
+    return np.block([[r.A.eval(lam), r.B.eval(lam)],
+                     [-r.C.eval(lam), r.D.eval(lam)]])
+
+
+def sample_points(r: Realization, rng, count: int, step: float,
+                  max_tries: int, cond_max: float | None = None,
+                  tol: Tolerances = Tolerances()) -> list:
+    """Up to `count` random points off the poles.
 
     Try k draws one point on the unit circle and scales it by 1 + step * k,
     so repeated misses move outward; a point is kept when cond(A(z)) is at
-    most `cond_max` (if given) and R(z) can be evaluated.  At most
-    `max_tries` points are drawn.
+    most `cond_max` (if given) and A(z) passes `require_invertible`, so R(z)
+    can be evaluated there.  At most `max_tries` points are drawn.
     """
     out = []
     for k in range(max_tries):
         if len(out) == count:
             break
         z = unit_circle_points(rng, 1)[0] * (1.0 + step * k)
+        av = r.A.eval(z)
         try:
-            if cond_max is not None and np.linalg.cond(r.A.eval(z)) > cond_max:
+            if cond_max is not None and np.linalg.cond(av) > cond_max:
                 continue
-            out.append((z, transfer_eval(r, z, tol)))
-        except RatlinError:
+            require_invertible(av, z, tol)
+        except PoleError:
             continue  # sampled a pole; try another radius
+        out.append(z)
     return out
 
 

@@ -252,23 +252,27 @@ class PolyMatrix:
 
     @staticmethod
     def from_dict(obj: dict) -> "PolyMatrix":
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        basis = Basis(obj["basis"])
-        grade = int(obj["grade"])
-        raw = obj["coeffs"]
-        if len(raw) != grade + 1:
-            raise DimensionError("coeffs length does not match grade")
-        stack = np.zeros((grade + 1, rows, cols), dtype=complex)
-        for k, flat in enumerate(raw):
-            if len(flat) != rows * cols:
-                raise DimensionError("coefficient entry count mismatch")
-            vals = np.array([complex(re, im) for re, im in flat])
-            bad = np.flatnonzero(~np.isfinite(vals))
-            if bad.size:
-                i, j = divmod(int(bad[0]), cols)
-                raise ValueError(f"non-finite coefficient {vals[bad[0]]} of "
-                                 f"degree {k} at entry ({i}, {j})")
-            stack[k] = vals.reshape(rows, cols)
+        try:
+            rows, cols = int(obj["rows"]), int(obj["cols"])
+            basis = Basis(obj["basis"])
+            grade = int(obj["grade"])
+            raw = obj["coeffs"]
+            if grade < 0 or len(raw) != grade + 1:
+                raise ValueError(f"grade {grade} does not match "
+                                 f"{len(raw)} coefficient matrices")
+            stack = np.zeros((grade + 1, rows, cols), dtype=complex)
+            for k, flat in enumerate(raw):
+                if len(flat) != rows * cols:
+                    raise ValueError("coefficient entry count mismatch")
+                vals = np.array([complex(re, im) for re, im in flat])
+                bad = np.flatnonzero(~np.isfinite(vals))
+                if bad.size:
+                    i, j = divmod(int(bad[0]), cols)
+                    raise ValueError(f"non-finite coefficient {vals[bad[0]]} of "
+                                     f"degree {k} at entry ({i}, {j})")
+                stack[k] = vals.reshape(rows, cols)
+        except TypeError as exc:  # a list where a number belongs, or the reverse
+            raise ValueError(f"malformed polynomial matrix: {exc}") from exc
         return PolyMatrix(stack, basis)
 
 

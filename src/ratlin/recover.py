@@ -16,7 +16,7 @@ from .errors import PreconditionError, RatlinError
 from .eigsolve import (MinimalBasisResult, pencil_null_vector,
                        polynomial_nullspace, sampled_minimality, vector_degree)
 from .linbuild import (StructuredLinearization, hat_transfer_eval,
-                       require_invertible, transfer_eval, transfer_samples)
+                       require_invertible, sample_points, transfer_eval)
 from .polymat import NEG_INF, PolyMatrix
 
 
@@ -126,7 +126,7 @@ def lift_left_eigvec(sl: StructuredLinearization, lam: complex,
     la = la1 * complex(lam) + la0
     require_invertible(la, lam, tol, "state pencil")
     first = np.linalg.solve(la.T, sl.m_c.eval(lam).T).T
-    mr = _m_r_eval(sl, lam, tol)
+    mr = hat_transfer_eval(sl, lam, tol)[:r.p]
     last = -mr @ sl.pair_d.Nhat.eval(lam).T
     return np.concatenate([y @ first, y, y @ last])
 
@@ -144,21 +144,14 @@ def eigenpair(sl: StructuredLinearization, lam: complex,
     return EigenpairR(complex(lam), x, y, res_r, res_l)
 
 
-def _m_r_eval(sl: StructuredLinearization, lam: complex,
-              tol: Tolerances) -> np.ndarray:
-    """M_D(lam) + C(lam) A(lam)^{-1} M_B(lam)."""
-    r = sl.realization
-    av = r.A.eval(lam)
-    return sl.m_d.eval(lam) + r.C.eval(lam) @ np.linalg.solve(av, sl.m_b.eval(lam))
-
-
 # ---------------------------------------------------------------------------
 # one-sided factorization residuals
 # ---------------------------------------------------------------------------
 
 def factorization_residuals(sl: StructuredLinearization, lam: complex,
                             tol: Tolerances = Tolerances()) -> tuple:
-    """Residual norms of the two one-sided factorizations at a point.
+    """Residual norms of the two one-sided factorizations at a point, relative
+    to max(1, ||Rhat(lam)|| max(1, ||N_D(lam)||)).
 
     right: Rhat(lam) N_D(lam)^T - [R(lam); 0]
     left:  [I_p, -M_R(lam) Nhat_D(lam)^T] Rhat(lam) - R(lam) Khat_D(lam)
@@ -174,7 +167,8 @@ def factorization_residuals(sl: StructuredLinearization, lam: complex,
     ndhat = sl.pair_d.Nhat.eval(lam)
     selector = np.hstack([np.eye(r.p, dtype=complex), -mr @ ndhat.T])
     left = float(np.linalg.norm(selector @ rhat - rv @ sl.pair_d.Khat.eval(lam)))
-    return right, left
+    scale = max(1.0, float(np.linalg.norm(rhat)) * max(1.0, float(np.linalg.norm(nd))))
+    return right / scale, left / scale
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +283,16 @@ def _nullspace_diagnostics(sl: StructuredLinearization, basis: MinimalBasisResul
                            side: str, rng, tol: Tolerances) -> dict:
     """Re-verify a recovered basis: nullspace residual at sample points,
     pointwise full rank (including 0), and reducedness."""
-    pts = transfer_samples(sl.realization, rng, 5, 0.05, 40, tol=tol)
+    pts = sample_points(sl.realization, rng, 5, 0.05, 40, tol=tol)
     worst = 0.0
-    for z, rv in pts:
+    for z in pts:
+        rv = transfer_eval(sl.realization, z, tol)
         vv = basis.vectors.eval(z)
         res = rv @ vv if side == "right" else vv @ rv
         scale = max(1.0, np.linalg.norm(rv)) * max(1.0, np.linalg.norm(vv))
         worst = max(worst, float(np.linalg.norm(res)) / scale)
 
-    full = basis.full_rank_at([z for z, _ in pts] + [0.0], tol)
+    full = basis.full_rank_at(pts + [0.0], tol)
     reduced = basis.is_reduced(tol)
     return {"ok": worst <= 1e-8 and full and reduced,
             "nullspace_residual": worst,

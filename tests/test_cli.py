@@ -147,6 +147,35 @@ class TestErrors:
         assert "block B: non-finite coefficient" in err
         assert "degree 1 at entry (1, 0)" in err
 
+    @pytest.mark.parametrize("where, value, block", [
+        ((), [], None),
+        (("B", "coeffs", 0, 0), 5, "B"),
+        (("C", "coeffs", 1, 1), ["a", "b"], "C"),
+        (("A", "rows"), [2], "A"),
+        (("D",), {"rows": 2, "cols": 2, "basis": "monomial", "grade": -1,
+                  "coeffs": []}, "D"),
+        (("A", "grade"), 3, "A"),
+        (("B", "rows"), 1, "B"),
+    ], ids=["top-level-list", "number-entry", "string-entry", "list-rows",
+            "negative-grade", "grade-past-coeffs", "entry-count"])
+    def test_malformed_input_file_is_input_error(self, capsys, tmp_path,
+                                                 where, value, block):
+        obj = preset_cross_coupled().to_dict()
+        if where:
+            parent = obj
+            for key in where[:-1]:
+                parent = parent[key]
+            parent[where[-1]] = value
+        else:
+            obj = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run_cli(capsys, "eigs", "--input", str(path))
+        assert code == 2
+        assert err.startswith("input error: ")
+        if block:
+            assert f"block {block}: " in err
+
 
 def test_parse_coeffs_complex_forms():
     got = _parse_coeffs("1.5, 2+3i, -0.5i, -1-2i")

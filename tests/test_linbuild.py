@@ -6,8 +6,8 @@ from ratlin.dualbases import chebyshev_pair, monomial_pair
 from ratlin.errors import BasisError, DimensionError, PoleError, PreconditionError
 from ratlin.linbuild import (Realization, block_pencil, build,
                              check_finite_minimality, check_infinity_minimality,
-                             hat_transfer_eval, row_pencil, transfer_eval,
-                             transfer_samples)
+                             hat_transfer_eval, row_pencil, sample_points,
+                             system_eval, transfer_eval)
 from ratlin.polymat import Basis, PolyMatrix, numerical_rank
 
 from conftest import random_polymatrix, random_realization
@@ -261,27 +261,36 @@ def test_realization_json_round_trip(preset):
                               getattr(preset, name).coeffs)
 
 
-class TestTransferSamples:
+class TestSamplePoints:
     def test_at_most_count_points_within_the_cond_bound(self):
         r = random_realization(4, n=3, grade_a=3)
-        pts = transfer_samples(r, np.random.default_rng(9), 3, 0.07, 50,
-                               cond_max=6.0)
+        pts = sample_points(r, np.random.default_rng(9), 3, 0.07, 50,
+                            cond_max=6.0)
         assert len(pts) == 3
-        for z, rv in pts:
+        for z in pts:
             assert np.linalg.cond(r.A.eval(z)) <= 6.0
-            assert np.array_equal(rv, transfer_eval(r, z))
+            transfer_eval(r, z)  # a kept point is never a pole
 
     def test_same_seed_same_points(self):
         r = random_realization(5)
-        first, second = (transfer_samples(r, np.random.default_rng(3), 5, 0.11,
-                                          50, cond_max=1e7) for _ in range(2))
-        assert [z for z, _ in first] == [z for z, _ in second]
+        first, second = (sample_points(r, np.random.default_rng(3), 5, 0.11,
+                                       50, cond_max=1e7) for _ in range(2))
+        assert first == second
 
     def test_each_try_draws_one_point(self):
         r = random_realization(6)
         rng = np.random.default_rng(8)
-        assert transfer_samples(r, rng, 5, 0.05, 40, cond_max=1.0) == []
+        assert sample_points(r, rng, 5, 0.05, 40, cond_max=1.0) == []
         ref = np.random.default_rng(8)
         for _ in range(40):
             unit_circle_points(ref, 1)
         assert rng.uniform() == ref.uniform()
+
+
+def test_system_matrix_schur_complement_is_transfer():
+    r = random_realization(7, n=3, p=2, m=4, grade_a=2, grade_d=3)
+    z = 0.3 + 0.8j
+    p = system_eval(r, z)
+    assert p.shape == (r.n + r.p, r.n + r.m)
+    a, b, c, d = p[:r.n, :r.n], p[:r.n, r.n:], p[r.n:, :r.n], p[r.n:, r.n:]
+    assert np.allclose(d - c @ np.linalg.solve(a, b), transfer_eval(r, z))

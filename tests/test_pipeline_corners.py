@@ -52,7 +52,7 @@ def test_wildly_unbalanced_grades():
     for _ in range(5):
         z = 1.2 * np.exp(2j * np.pi * rng.uniform())
         rr, ll = factorization_residuals(sl, z)
-        assert max(rr, ll) <= 1e-9
+        assert max(rr, ll) <= 1e-10
 
 
 def test_one_by_one_everything():

@@ -1,8 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ratlin import eigsolve
+from ratlin.eigsolve import rational_rank
 from ratlin.errors import PreconditionError
-from ratlin.linbuild import Realization, transfer_eval
+from ratlin.linbuild import Realization, build, transfer_eval
 from ratlin.polymat import Basis, PolyMatrix
 from ratlin.verify import (FixtureSpec, cleared_matrix, gen_fixture,
                            preset_cross_coupled, run_all)
@@ -99,6 +104,36 @@ class TestRunAll:
         by_name = {e.name: e for e in rep.entries}
         assert by_name["minimality-proxy"].status == "fail"
         assert by_name["minimality-proxy"].worst_residual >= 1
+
+    def test_rank_decided_on_the_system_matrix(self):
+        # R(z) = D + C A^{-1} B is formed here with cancellation
+        # (||D|| + ||C|| ||A^{-1} B|| about 16 against ||R|| about 2), so the
+        # roundoff in R(z) sits above its own rank cutoff
+        path = Path(__file__).parent / "data" / "battery_seed3_rank_deficient_d.json"
+        r = Realization.from_dict(json.loads(path.read_text()))
+        by_name = {e.name: e for e in run_all(r, seed=1).entries}
+        assert by_name["transfer-rank-additivity"].status == "pass"
+        assert rational_rank(build(r)) == 1
+
+    def test_singular_battery_sweeps_the_pencil_once_per_side(self, monkeypatch):
+        # p != m, so the pencil is not square and the transposed sweep inside
+        # a left-side call is not counted
+        r = gen_fixture(FixtureSpec(seed=5, n=2, p=3, m=2,
+                                    structure="rank-deficient-d"))
+        shape = build(r).shape
+        sweeps = []
+        sweep = eigsolve.polymatrix_nullspace
+
+        def counting(p, side="right", **kw):
+            if p.shape == shape:
+                sweeps.append(side)
+            return sweep(p, side, **kw)
+
+        monkeypatch.setattr(eigsolve, "polymatrix_nullspace", counting)
+        by_name = {e.name: e for e in run_all(r, seed=1).entries}
+        assert by_name["nullvector-degree-law"].status == "pass"
+        assert by_name["left-index-match"].status == "pass"
+        assert sweeps == ["right", "left"]
 
     def test_deterministic_given_seed(self):
         spec = FixtureSpec(seed=21, n=2, p=2, m=2)
