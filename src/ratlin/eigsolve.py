@@ -36,16 +36,26 @@ class PencilEig:
     left_vectors: np.ndarray | None
     regular: bool
 
+    def _finite_mask(self) -> np.ndarray:
+        return np.abs(self.betas) > INF_BETA_TOL * np.maximum(1.0, np.abs(self.alphas))
+
     def finite(self) -> np.ndarray:
         """Finite eigenvalues alpha/beta, sorted by (real, imag)."""
-        mask = np.abs(self.betas) > INF_BETA_TOL * np.maximum(1.0, np.abs(self.alphas))
+        mask = self._finite_mask()
         vals = self.alphas[mask] / self.betas[mask]
         order = np.lexsort((vals.imag, vals.real))
         return vals[order]
 
     def infinite_count(self) -> int:
-        mask = np.abs(self.betas) > INF_BETA_TOL * np.maximum(1.0, np.abs(self.alphas))
-        return int(np.sum(~mask))
+        return int(np.sum(~self._finite_mask()))
+
+    def vectors_near(self, lam: complex) -> tuple:
+        """(x, y) of the finite pair nearest lam: L(lam) x = 0 = y^T L(lam)."""
+        idx = np.flatnonzero(self._finite_mask())
+        if self.right_vectors is None or idx.size == 0:
+            raise RatlinError("no finite eigenpair with vectors to match")
+        i = idx[np.argmin(np.abs(self.alphas[idx] / self.betas[idx] - lam))]
+        return self.right_vectors[:, i], self.left_vectors[:, i].conj()  # vl^H L = 0
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ state pencil L_A = [M_A; K_A] occupies the leading n(1+rho_A) rows/columns.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,12 @@ class StructuredLinearization:
 
     def pencil_eval(self, lam: complex) -> np.ndarray:
         return self.L1 * complex(lam) + self.L0
+
+    @cached_property
+    def spectrum(self):
+        """Full-pencil QZ with left and right vectors, run once on first use."""
+        from .eigsolve import pencil_eigs  # eigsolve imports this module
+        return pencil_eigs(self.L0, self.L1, vectors=True)
 
     def state_pencil(self) -> tuple:
         """(L0, L1) of the state block L_A = [M_A; K_A]."""
@@ -368,22 +375,21 @@ def sample_points(r: Realization, rng, count: int, step: float,
         if len(out) == count:
             break
         z = unit_circle_points(rng, 1)[0] * (1.0 + step * k)
-        av = r.A.eval(z)
         try:
-            if cond_max is not None and np.linalg.cond(av) > cond_max:
-                continue
-            require_invertible(av, z, tol)
+            sv = require_invertible(r.A.eval(z), z, tol)
         except PoleError:
             continue  # sampled a pole; try another radius
-        out.append(z)
+        if cond_max is None or sv[0] / sv[-1] <= cond_max:
+            out.append(z)
     return out
 
 
 def require_invertible(mat: np.ndarray, lam, tol: Tolerances,
-                       what: str = "state matrix", hint: str = ""):
+                       what: str = "state matrix", hint: str = "") -> np.ndarray:
     """Raise PoleError unless the square matrix `what` (evaluated at lam) is
-    numerically invertible."""
+    numerically invertible; return its singular values."""
     sv = np.linalg.svd(mat, compute_uv=False)
     n = mat.shape[0]
     if sv.size == 0 or sv[-1] <= n * np.finfo(float).eps * max(sv[0], 1.0) * tol.rank_scale:
         raise PoleError(f"{what} singular at lambda={lam}{hint}")
+    return sv

@@ -7,6 +7,7 @@ one-sided factorization residuals provide an executable certificate that a
 built pencil really carries the transfer function around with it.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,16 @@ class EigenpairR:
     yT: np.ndarray | None
     residual_right: float
     residual_left: float
+    eta_right: float   # residual / ||R(lambda)||_2, the normwise backward error
+    eta_left: float
 
     def to_dict(self) -> dict:
         def vec(v):
             return None if v is None else [[float(c.real), float(c.imag)] for c in v]
         return {"lambda": [float(self.value.real), float(self.value.imag)],
                 "x": vec(self.x), "yT": vec(self.yT),
-                "residuals": [self.residual_right, self.residual_left]}
+                "residuals": [self.residual_right, self.residual_left],
+                "eta": [self.eta_right, self.eta_left]}
 
 
 @dataclass(frozen=True)
@@ -133,15 +137,24 @@ def lift_left_eigvec(sl: StructuredLinearization, lam: complex,
 
 def eigenpair(sl: StructuredLinearization, lam: complex,
               tol: Tolerances = Tolerances()) -> EigenpairR:
-    """Recover both eigenvectors at a classified zero and report residuals."""
-    r = sl.realization
-    x_tilde, y_tilde = pencil_null_vector(sl.L0, sl.L1, lam)
+    """Both eigenvectors at a zero with residuals, sliced from the nearest QZ
+    pair of `sl.spectrum`, or from the SVD of L(lam) if the pencil is singular,
+    that recovery raises or a residual exceeds tol.residual."""
+    rv = transfer_eval(sl.realization, lam, tol)
+    with suppress(RatlinError):
+        ep = _eigenpair_from(sl, lam, *sl.spectrum.vectors_near(lam), rv, tol)
+        if max(ep.residual_right, ep.residual_left) <= tol.residual:
+            return ep
+    return _eigenpair_from(sl, lam, *pencil_null_vector(sl.L0, sl.L1, lam), rv, tol)
+
+
+def _eigenpair_from(sl, lam, x_tilde, y_tilde, rv, tol) -> EigenpairR:
     x = recover_right_eigvec(sl, lam, x_tilde, tol)
     y = recover_left_eigvec(sl, lam, y_tilde, tol)
-    rv = transfer_eval(r, lam, tol)
     res_r = float(np.linalg.norm(rv @ x) / np.linalg.norm(x))
     res_l = float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
-    return EigenpairR(complex(lam), x, y, res_r, res_l)
+    scale = float(np.linalg.norm(rv, 2)) or 1.0  # R(lam) = 0 leaves 0 residuals
+    return EigenpairR(complex(lam), x, y, res_r, res_l, res_r / scale, res_l / scale)
 
 
 # ---------------------------------------------------------------------------

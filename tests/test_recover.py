@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ratlin.errors import PoleError, PreconditionError, RatlinError
-from ratlin.eigsolve import pencil_null_vector
-from ratlin.linbuild import Realization, build
+from ratlin.eigsolve import classify, pencil_null_vector
+from ratlin.linbuild import Realization, build, transfer_eval
+from ratlin import recover
 from ratlin.polymat import Basis, PolyMatrix
 from ratlin.recover import (eigenpair, factorization_residuals,
                             lift_left_eigvec, lift_right_eigvec,
@@ -92,6 +94,60 @@ class TestEigvecMaps:
         bad[0] = 1.0
         with pytest.raises(RatlinError):
             recover_right_eigvec(sl, 0.5, bad)
+
+
+class TestEigenpair:
+    def test_one_qz_per_linearization(self, monkeypatch):
+        sl = build(gen_fixture(FixtureSpec(seed=2, grade_a=4, grade_d=4)))
+        zeros = [z.value for z in classify(sl).zeros if z.classified]
+        assert len(zeros) == 16
+        runs, svds = [], []
+        eig, null_vector = scipy.linalg.eig, recover.pencil_null_vector
+
+        def counting_eig(a, *args, **kwargs):
+            if a.shape == sl.shape:
+                runs.append(kwargs.get("right"))
+            return eig(a, *args, **kwargs)
+
+        def counting_svd(*args):
+            svds.append(args[2])
+            return null_vector(*args)
+
+        monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
+        monkeypatch.setattr(recover, "pencil_null_vector", counting_svd)
+        for lam in zeros:
+            ep = eigenpair(sl, lam)
+            assert max(ep.residual_right, ep.residual_left) <= 1e-8
+        assert runs == [True]
+        assert svds == []  # every pair came from the QZ vectors
+
+    def test_off_spectrum_point_takes_the_svd_path(self, preset):
+        sl = build(preset)
+        lam = 0.4 + 0.3j  # neither a zero nor a pole of the preset
+        ep = eigenpair(sl, lam)
+        x_tilde, y_tilde = pencil_null_vector(sl.L0, sl.L1, lam)
+        x = recover_right_eigvec(sl, lam, x_tilde)
+        y = recover_left_eigvec(sl, lam, y_tilde)
+        rv = transfer_eval(sl.realization, lam)
+        assert np.array_equal(ep.x, x)
+        assert np.array_equal(ep.yT, y)
+        assert ep.residual_right == float(np.linalg.norm(rv @ x) / np.linalg.norm(x))
+        assert ep.residual_left == float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
+        assert ep.residual_right > 1e-8
+
+    @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
+    @pytest.mark.parametrize("grade", [10, 12])
+    def test_backward_error_at_high_grade(self, basis, grade):
+        # monomial grade 12 misses the unscaled 1e-8 residual gate (1.3e-8),
+        # while relative to ||R(lambda)||_2 every pair is near roundoff
+        spec = FixtureSpec(seed=2, grade_a=grade, grade_d=grade, basis_a=basis,
+                           basis_d=basis)
+        sl = build(gen_fixture(spec))
+        pairs = [eigenpair(sl, z.value) for z in classify(sl).zeros
+                 if z.classified and not z.near_pole]
+        assert len(pairs) == 4 * grade
+        assert max(max(ep.eta_right, ep.eta_left) for ep in pairs) <= 1e-12
+        assert pairs[0].to_dict()["eta"] == [pairs[0].eta_right, pairs[0].eta_left]
 
 
 class TestFactorizationResiduals:

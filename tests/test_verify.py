@@ -115,6 +115,15 @@ class TestRunAll:
         assert by_name["transfer-rank-additivity"].status == "pass"
         assert rational_rank(build(r)) == 1
 
+    def test_eigenvector_recovery_far_from_the_origin(self):
+        # a zero at |lambda| about 78.6 with ||R(lambda)||_2 about 2.7e7: the
+        # QZ pair's left residual (2.3e-8) misses the 1e-8 gate, so eigenpair
+        # takes the SVD vectors there (7.2e-9)
+        path = Path(__file__).parent / "data" / "battery_seed4_regular_cheb.json"
+        r = Realization.from_dict(json.loads(path.read_text()))
+        by_name = {e.name: e for e in run_all(r, seed=1).entries}
+        assert by_name["eigenvector-recovery"].status == "pass"
+
     def test_singular_battery_sweeps_the_pencil_once_per_side(self, monkeypatch):
         # p != m, so the pencil is not square and the transposed sweep inside
         # a left-side call is not counted

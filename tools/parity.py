@@ -1,0 +1,107 @@
+"""Write every CLI output of a fixed input set, for byte-level parity checks.
+
+    python3 tools/parity.py OUTDIR [CHECKOUT]
+
+Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
+(default: the checkout this file lives in), on:
+
+- `--preset cross-coupled`;
+- `gen_fixture` inputs: 4 STRUCTURES x 4 basis pairs x seeds 1-3 at
+  n = p = m = 2, grade 2, plus the same 16 at n = p = m = 3, grade 3, seed 4;
+- 40 seeded `scalar` equations.
+
+Each realization goes through `eigs`, `infinity`, `nullspace --side left`,
+`nullspace --side right`, `check` (all with `--json`) and `linearize`.  Every
+run writes OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
+the inputs themselves go to OUTDIR/inputs/.  Two checkouts are at parity
+when `diff -r` of their output directories is empty.  BLAS is pinned to one
+thread unless the environment already says otherwise.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the thread pinning)
+
+COMMANDS = {
+    "eigs": ["eigs", "--json"],
+    "infinity": ["infinity", "--json"],
+    "nullspace-left": ["nullspace", "--side", "left", "--json"],
+    "nullspace-right": ["nullspace", "--side", "right", "--json"],
+    "linearize": ["linearize"],
+    "check": ["check", "--json"],
+}
+SCALAR_COUNT = 40
+
+
+def realizations(verify, basis):
+    """(name, realization) over the parity set of gen_fixture inputs."""
+    bases = (basis.MONOMIAL, basis.CHEBYSHEV1)
+    sizes = [(2, 2, seed) for seed in (1, 2, 3)] + [(3, 3, 4)]
+    for n, grade, seed in sizes:
+        for structure in verify.STRUCTURES:
+            for ba in bases:
+                for bd in bases:
+                    spec = verify.FixtureSpec(
+                        seed=seed, n=n, p=n, m=n, grade_a=grade, grade_d=grade,
+                        basis_a=ba, basis_d=bd, structure=structure)
+                    name = (f"{structure}-n{n}-g{grade}-s{seed}-"
+                            f"{ba.value}-{bd.value}")
+                    yield name, verify.gen_fixture(spec)
+
+
+def scalar_args(seed: int) -> list:
+    """--a --c --b --d of one seeded equation, degrees 1-6, each coefficient
+    printed exactly; odd seeds draw complex coefficients, even seeds real."""
+    rng = np.random.default_rng(seed)
+    args = []
+    for name, deg in zip("acbd", rng.integers(1, 7, size=4)):
+        vals = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1) * (seed % 2)
+        args.append(f"--{name}=" + ",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in vals))
+    return args
+
+
+def run(cli, argv: list, path: Path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+    path.write_text(f"exit {code}\n--- stdout\n{out.getvalue()}"
+                    f"--- stderr\n{err.getvalue()}")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (1, 2):
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    checkout = Path(argv[1]) if len(argv) == 2 else Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(checkout.resolve() / "src"))
+    from ratlin import cli, verify
+    from ratlin.polymat import Basis
+
+    (out / "inputs").mkdir(parents=True, exist_ok=True)
+    for name, cmd in COMMANDS.items():
+        run(cli, cmd + ["--preset", "cross-coupled"], out / f"preset.{name}.txt")
+    for case, r in realizations(verify, Basis):
+        src = out / "inputs" / f"{case}.json"
+        src.write_text(json.dumps(r.to_dict(), sort_keys=True) + "\n")
+        for name, cmd in COMMANDS.items():
+            run(cli, cmd + ["--input", str(src)], out / f"{case}.{name}.txt")
+    for seed in range(1, SCALAR_COUNT + 1):
+        run(cli, ["scalar", "--json"] + scalar_args(seed), out / f"scalar-{seed}.txt")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
