@@ -109,40 +109,45 @@ def _load_realization(args) -> Realization:
         return Realization.from_dict(json.load(fh))
 
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _dumps(obj, ind="\n") -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True) for obj made of
+    str-keyed dicts, lists, tuples and JSON leaves, which may also hold numpy
+    scalars and arrays (a complex entry as [re, im]).  A numeric array's
+    numbers are spelled by json in one call and laid out by one %s template;
+    `ind` is the newline and indent of obj's own line."""
+    sub = ind + "  "
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack([obj.real, obj.imag], axis=-1)
+        if obj.ndim == 0 or obj.size == 0 or obj.dtype.kind not in "biuf":
+            return _dumps(obj.tolist(), ind)
+        layout = "%s"
+        for k in range(obj.ndim - 1, -1, -1):
+            pad = ind + "  " * (k + 1)
+            layout = f"[{pad}{(',' + pad).join([layout] * obj.shape[k])}{pad[:-2]}]"
+        return layout % tuple(json.dumps(obj.ravel().tolist())[1:-1].split(", "))
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(k)}: {_dumps(v, sub)}" for k, v in sorted(obj.items()))
+        return "{" + sub + ("," + sub).join(items) + ind + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[" + sub + ("," + sub).join(_dumps(v, sub) for v in obj) + ind + "]"
+    return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
 
 
-def _emit(payload: dict, as_json: bool, table: str | None = None):
-    if as_json or table is None:
-        json.dump(_clean(payload), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(table + "\n")
+def _emit(payload: dict):
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _cmd_linearize(args) -> int:
     r = _load_realization(args)
     sl = build(r, grade_a=args.grade_a, grade_d=args.grade_d, rng=args.seed)
-    payload = sl.to_dict()
     if args.output:
         with open(args.output, "w") as fh:
-            json.dump(_clean(payload), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_dumps(sl.to_dict()) + "\n")
         print(f"wrote {args.output} "
               f"(pencil {sl.shape[0]}x{sl.shape[1]}, rhoA={sl.rho_a}, rhoD={sl.rho_d})")
     else:
-        _emit(payload, True)
+        _emit(sl.to_dict())
     return 0
 
 
@@ -152,7 +157,7 @@ def _cmd_eigs(args) -> int:
     sl = build(r, rng=args.seed)
     rep = classify(sl, rng=args.seed, tol=tol)
     if args.json:
-        _emit(rep.to_dict(), True)
+        _emit(rep.to_dict())
         return 0
     lines = ["poles (value, count):"]
     for v, c in rep.poles:
@@ -162,7 +167,7 @@ def _cmd_eigs(args) -> int:
         lines.append(f"  {z.value.real:+.17g}{z.value.imag:+.17g}j  "
                      f"{'yes' if z.classified else 'NO'}  "
                      f"{'yes' if z.near_pole else 'no'}")
-    _emit({}, False, "\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -171,9 +176,10 @@ def _cmd_infinity(args) -> int:
     tol = _tolerances(args)
     sl = build(r, rng=args.seed)
     orders = invariant_orders_at_infinity(sl, rng=args.seed, tol=tol)
-    payload = {"infinityOrders": orders, "grade": sl.rho_d + 1}
-    _emit(payload, args.json, f"invariant orders at infinity: {orders} "
-                              f"(grade {sl.rho_d + 1})")
+    if args.json:
+        _emit({"infinityOrders": orders, "grade": sl.rho_d + 1})
+    else:
+        print(f"invariant orders at infinity: {orders} (grade {sl.rho_d + 1})")
     return 0
 
 
@@ -185,10 +191,9 @@ def _cmd_nullspace(args) -> int:
           else recover_left_minimal_basis)
     rec = fn(sl, rng=args.seed, tol=tol)
     if args.json:
-        _emit(rec.to_dict(), True)
+        _emit(rec.to_dict())
         return 0
-    _emit({}, False,
-          f"{args.side} minimal indices: {rec.basis_r.indices} "
+    print(f"{args.side} minimal indices: {rec.basis_r.indices} "
           f"(pencil: {rec.basis_l.indices}, shift {rec.shift}); "
           f"verified: {rec.diagnostics['ok']}")
     return 0
@@ -200,14 +205,14 @@ def _cmd_scalar(args) -> int:
     tol = _tolerances(args)
     rep = solve_scalar(eq, rng=args.seed, tol=tol)
     if args.json:
-        _emit(rep.to_dict(), True)
+        _emit(rep.to_dict())
         return 0
     lines = [f"{len(rep.roots)} roots:"]
     for v, res in sorted(rep.roots, key=lambda t: (t[0].real, t[0].imag)):
         lines.append(f"  {v.real:+.17g}{v.imag:+.17g}j  residual {res:.3e}")
     if rep.excluded:
         lines.append(f"excluded as poles: {len(rep.excluded)}")
-    _emit({}, False, "\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 
@@ -216,9 +221,9 @@ def _cmd_check(args) -> int:
     tol = _tolerances(args)
     rep = verify.run_all(r, seed=args.seed, tol=tol)
     if args.json:
-        _emit(rep.to_dict(), True)
+        _emit(rep.to_dict())
     else:
-        _emit({}, False, rep.table())
+        print(rep.table())
     return 0 if rep.passed else 1
 
 

@@ -157,11 +157,10 @@ class StructuredLinearization:
         return src[r0:r1, c0:c1]
 
     def to_dict(self) -> dict:
-        def mat(a):
-            return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+        """Pencil and block metadata; L0 and L1 stay complex arrays."""
         return {
-            "L0": mat(self.L0),
-            "L1": mat(self.L1),
+            "L0": self.L0,
+            "L1": self.L1,
             "blocks": {k: list(v) for k, v in self.blocks.items()},
             "rhoA": self.rho_a,
             "rhoD": self.rho_d,
@@ -335,22 +334,26 @@ _POLE_HINT = (": pole or state eigenvalue; "
               "use reversal/limit-based routines instead")
 
 
+def _state_terms(r: Realization, lam: complex, tol: Tolerances, *pairs) -> list:
+    """[P(lam) + C(lam) A(lam)^{-1} Q(lam) for each (P, Q) in pairs], from one
+    invertibility check of A(lam) and one linear solve per Q."""
+    av = r.A.eval(lam)
+    require_invertible(av, lam, tol, hint=_POLE_HINT)
+    cv = r.C.eval(lam)
+    return [p.eval(lam) + cv @ np.linalg.solve(av, q.eval(lam)) for p, q in pairs]
+
+
 def transfer_eval(r: Realization, lam: complex,
                   tol: Tolerances = Tolerances()) -> np.ndarray:
     """D(lam) + C(lam) A(lam)^{-1} B(lam) via a linear solve."""
-    av = r.A.eval(lam)
-    require_invertible(av, lam, tol, hint=_POLE_HINT)
-    return r.D.eval(lam) + r.C.eval(lam) @ np.linalg.solve(av, r.B.eval(lam))
+    return _state_terms(r, lam, tol, (r.D, r.B))[0]
 
 
 def hat_transfer_eval(sl: StructuredLinearization, lam: complex,
                       tol: Tolerances = Tolerances()) -> np.ndarray:
     """Transfer function of the structured pencil at a point:
     [M_D + C A^{-1} M_B; K_D](lam), of shape (p + rho_D m) x m(1 + rho_D)."""
-    r = sl.realization
-    av = r.A.eval(lam)
-    require_invertible(av, lam, tol, hint=_POLE_HINT)
-    top = sl.m_d.eval(lam) + r.C.eval(lam) @ np.linalg.solve(av, sl.m_b.eval(lam))
+    top, = _state_terms(sl.realization, lam, tol, (sl.m_d, sl.m_b))
     return np.vstack([top, sl.pair_d.K.eval(lam)])
 
 

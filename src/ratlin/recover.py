@@ -16,7 +16,7 @@ from .config import Tolerances, make_rng
 from .errors import PreconditionError, RatlinError
 from .eigsolve import (MinimalBasisResult, pencil_null_vector,
                        polynomial_nullspace, sampled_minimality, vector_degree)
-from .linbuild import (StructuredLinearization, hat_transfer_eval,
+from .linbuild import (StructuredLinearization, _state_terms, hat_transfer_eval,
                        require_invertible, sample_points, transfer_eval)
 from .polymat import NEG_INF, PolyMatrix
 
@@ -170,8 +170,8 @@ def factorization_residuals(sl: StructuredLinearization, lam: complex,
     left:  [I_p, -M_R(lam) Nhat_D(lam)^T] Rhat(lam) - R(lam) Khat_D(lam)
     """
     r = sl.realization
-    rhat = hat_transfer_eval(sl, lam, tol)
-    rv = transfer_eval(r, lam, tol)
+    top, rv = _state_terms(r, lam, tol, (sl.m_d, sl.m_b), (r.D, r.B))
+    rhat = np.vstack([top, sl.pair_d.K.eval(lam)])
     nd = sl.pair_d.N.eval(lam)
     target = np.vstack([rv, np.zeros((sl.rho_d * r.m, r.m), dtype=complex)])
     right = float(np.linalg.norm(rhat @ nd.T - target))

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ratlin.cli import main, _parse_coeffs
+from ratlin.cli import main, _dumps, _parse_coeffs
 from ratlin.linbuild import build
-from ratlin.verify import preset_cross_coupled
+from ratlin.polymat import Basis
+from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled
 
 
 @pytest.fixture
@@ -184,14 +187,92 @@ def test_parse_coeffs_complex_forms():
         _parse_coeffs("  ,")
 
 
-def test_linearize_json_is_bit_exact(capsys):
+CHEBYSHEV_N3_G4 = FixtureSpec(seed=1, n=3, p=3, m=3, grade_a=4, grade_d=4,
+                              basis_a=Basis.CHEBYSHEV1, basis_d=Basis.CHEBYSHEV1)
+
+
+def test_linearize_json_is_bit_exact(capsys, tmp_path):
     """Every printed L0 and L1 entry parses back to build's double, sign of
-    zero included."""
-    code, out, _ = run_cli(capsys, "linearize", "--preset", "cross-coupled")
+    zero included, for the preset and a Chebyshev n = 3, grade 4 fixture."""
+    for r in (preset_cross_coupled(), gen_fixture(CHEBYSHEV_N3_G4)):
+        path = tmp_path / "realz.json"
+        path.write_text(json.dumps(r.to_dict()))
+        code, out, _ = run_cli(capsys, "linearize", "--input", str(path))
+        assert code == 0
+        obj = json.loads(out)
+        sl = build(r)
+        for name in ("L0", "L1"):
+            want = getattr(sl, name)
+            got = np.array(obj[name], dtype=float)
+            assert got.tobytes() == np.stack([want.real, want.imag], axis=-1).tobytes()
+
+
+def test_linearize_output_file_matches_stdout(capsys, tmp_path):
+    path = tmp_path / "realz.json"
+    path.write_text(json.dumps(gen_fixture(CHEBYSHEV_N3_G4).to_dict()))
+    _, printed, _ = run_cli(capsys, "linearize", "--input", str(path))
+    out_path = tmp_path / "lin.json"
+    code, _, _ = run_cli(capsys, "linearize", "--input", str(path),
+                         "--output", str(out_path))
     assert code == 0
-    obj = json.loads(out)
-    sl = build(preset_cross_coupled())
-    for name in ("L0", "L1"):
-        want = getattr(sl, name)
-        got = np.array(obj[name], dtype=float)
-        assert got.tobytes() == np.stack([want.real, want.imag], axis=-1).tobytes()
+    assert out_path.read_bytes() == printed.encode()
+
+
+def _ref(x):
+    """The plain-Python value json.dumps expects for x."""
+    if isinstance(x, np.ndarray):
+        if np.iscomplexobj(x):
+            x = np.stack([x.real, x.imag], axis=-1)
+        return x.tolist()
+    if isinstance(x, np.generic):
+        return x.item()
+    if isinstance(x, dict):
+        return {k: _ref(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_ref(v) for v in x]
+    return x
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                            5e-324, -2.2250738585072e-308, 1e300, 0.1])
+_DOUBLES = st.floats(allow_subnormal=True) | _SPECIAL
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+
+
+@st.composite
+def _complex_arrays(draw):
+    parts = draw(hnp.arrays(np.float64, draw(_SHAPES) + (2,), elements=_DOUBLES))
+    out = np.empty(parts.shape[:-1], dtype=complex)
+    out.real, out.imag = parts[..., 0], parts[..., 1]
+    return out
+
+
+_ARRAYS = (hnp.arrays(np.float64, _SHAPES, elements=_DOUBLES)
+           | hnp.arrays(np.float32, _SHAPES, elements=st.floats(width=32))
+           | hnp.arrays(st.sampled_from([np.int64, np.int32, np.bool_]), _SHAPES)
+           | _complex_arrays())
+_SCALARS = (st.builds(np.float64, _DOUBLES) | st.builds(np.float32, st.floats(width=32))
+            | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+            | st.builds(np.bool_, st.booleans()))
+_LEAVES = (st.none() | st.booleans() | st.integers() | _DOUBLES
+           | st.text(alphabet=st.characters(), max_size=8) | st.just('q"u\\o\u00e9\u2603')
+           | _SCALARS | _ARRAYS)
+_VALUES = st.recursive(
+    _LEAVES, lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids)
+    | st.dictionaries(st.text(max_size=5), kids, max_size=4), max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_VALUES)
+def test_dumps_matches_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
+
+
+def test_dumps_fixed_cases():
+    """Shapes the property test reaches only by chance (1 x 1, empty axes in
+    any position, 0-d), a complex array inside a dict next to plain values,
+    and a string array, whose text may hold the ", " that separates numbers."""
+    for obj in (np.ones((1, 1), dtype=complex), np.zeros((0, 3)), np.zeros((2, 0)),
+                np.zeros((2, 0, 3), dtype=complex), np.array(1.5), np.array(["a, b", 'q"']),
+                {"z": np.array([[-0.0 + 1j]]), "a": [], "m": {}, "n": np.int64(7)}):
+        assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)

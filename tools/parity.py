@@ -8,14 +8,20 @@ Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
 - `--preset cross-coupled`;
 - `gen_fixture` inputs: 4 STRUCTURES x 4 basis pairs x seeds 1-3 at
   n = p = m = 2, grade 2, plus the same 16 at n = p = m = 3, grade 3, seed 4;
+- regular `gen_fixture` inputs at the benchmark's `linearize` sizes, 4 basis
+  pairs each: n = p = m = 6, grade 4, seed 5 and n = p = m = 16, grade 8,
+  seed 6 (a 256 x 256 pencil);
 - 40 seeded `scalar` equations.
 
 Each realization goes through `eigs`, `infinity`, `nullspace --side left`,
-`nullspace --side right`, `check` (all with `--json`) and `linearize`.  Every
-run writes OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
-the inputs themselves go to OUTDIR/inputs/.  Two checkouts are at parity
-when `diff -r` of their output directories is empty.  BLAS is pinned to one
-thread unless the environment already says otherwise.
+`nullspace --side right`, `check` (all with `--json`), `linearize` and
+`linearize --output`.  Every run writes OUTDIR/<input>.<command>.txt with its
+exit code, stdout and stderr; `linearize --output` also writes its file to
+OUTDIR/<input>.pencil.json, named by a path relative to OUTDIR so that the
+`wrote ...` line is the same in every OUTDIR.  The inputs themselves go to
+OUTDIR/inputs/.  Two checkouts are at parity when `diff -r` of their output
+directories is empty.  BLAS is pinned to one thread unless the environment
+already says otherwise.  A run takes about a minute.
 """
 
 import contextlib
@@ -36,6 +42,7 @@ COMMANDS = {
     "nullspace-left": ["nullspace", "--side", "left", "--json"],
     "nullspace-right": ["nullspace", "--side", "right", "--json"],
     "linearize": ["linearize"],
+    "linearize-output": ["linearize", "--output", "{case}.pencil.json"],
     "check": ["check", "--json"],
 }
 SCALAR_COUNT = 40
@@ -44,9 +51,10 @@ SCALAR_COUNT = 40
 def realizations(verify, basis):
     """(name, realization) over the parity set of gen_fixture inputs."""
     bases = (basis.MONOMIAL, basis.CHEBYSHEV1)
-    sizes = [(2, 2, seed) for seed in (1, 2, 3)] + [(3, 3, 4)]
-    for n, grade, seed in sizes:
-        for structure in verify.STRUCTURES:
+    sizes = [(2, 2, seed, verify.STRUCTURES) for seed in (1, 2, 3)] + [
+        (3, 3, 4, verify.STRUCTURES), (6, 4, 5, ["regular"]), (16, 8, 6, ["regular"])]
+    for n, grade, seed, structures in sizes:
+        for structure in structures:
             for ba in bases:
                 for bd in bases:
                     spec = verify.FixtureSpec(
@@ -91,15 +99,18 @@ def main(argv=None) -> int:
     from ratlin.polymat import Basis
 
     (out / "inputs").mkdir(parents=True, exist_ok=True)
-    for name, cmd in COMMANDS.items():
-        run(cli, cmd + ["--preset", "cross-coupled"], out / f"preset.{name}.txt")
+    os.chdir(out)  # every path below is relative to OUTDIR
+    cases = [("preset", ["--preset", "cross-coupled"])]
     for case, r in realizations(verify, Basis):
-        src = out / "inputs" / f"{case}.json"
+        src = Path("inputs") / f"{case}.json"
         src.write_text(json.dumps(r.to_dict(), sort_keys=True) + "\n")
+        cases.append((case, ["--input", str(src)]))
+    for case, source in cases:
         for name, cmd in COMMANDS.items():
-            run(cli, cmd + ["--input", str(src)], out / f"{case}.{name}.txt")
+            run(cli, [a.format(case=case) for a in cmd] + source,
+                Path(f"{case}.{name}.txt"))
     for seed in range(1, SCALAR_COUNT + 1):
-        run(cli, ["scalar", "--json"] + scalar_args(seed), out / f"scalar-{seed}.txt")
+        run(cli, ["scalar", "--json"] + scalar_args(seed), Path(f"scalar-{seed}.txt"))
     return 0
 
 
