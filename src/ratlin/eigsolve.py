@@ -20,6 +20,8 @@ from .linbuild import (StructuredLinearization, check_finite_minimality,
 from .polymat import NEG_INF, PolyMatrix, generic_rank, numerical_rank
 
 INF_BETA_TOL = 1e-12
+# c in the staircase rank cutoff max(M, N) * eps * ||L||_2 * c
+STAIRCASE_SCALE = 1e6
 
 
 @dataclass(frozen=True)
@@ -386,7 +388,9 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
     formed; new nullspace directions are those orthogonal to shifts of the
     lower-degree basis vectors.  The sweep stops once the count matches the
     nullity of the pencil over the rational functions.  Basis columns are
-    orthonormalized degree by degree, so the output is deterministic.
+    orthonormalized degree by degree, so the output is deterministic.  A
+    staircase guess of the indices lets the sweep visit only the degrees
+    around them (see `polymatrix_nullspace`).
     """
     l0 = np.asarray(l0, dtype=complex)
     l1 = np.asarray(l1, dtype=complex)
@@ -411,6 +415,16 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
     coefficient.  Used directly it keeps the sweep depth at the (small)
     minimal indices of the matrix instead of the inflated indices of a
     linearization.
+
+    A pencil (grade 1) first gets a guess of its right minimal indices from
+    `_staircase_indices`.  A guess with `nullity` entries, none above `cap`,
+    is tested against the sweep's own nullities at degrees p - 1 and p of
+    each guessed index p, and only those degrees are visited; any mismatch
+    drops the guess for the full sweep.  Nullity is convex and piecewise
+    linear in the degree with its breakpoints at the indices, so agreement
+    there fixes the sweep's indices, and the vectors come from the same SVD
+    and deflation either way.  Raises BreakdownError when an index would
+    exceed `cap`.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
@@ -421,7 +435,7 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
                                   side="left")
 
     mono = p.to_monomial()
-    rows, cols = p.rows, p.cols
+    cols = p.cols
     if rank is None:
         rank = generic_rank(mono, rng=rng, rank_scale=tol.rank_scale)
     nullity = cols - rank
@@ -429,27 +443,17 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
         return MinimalBasisResult(
             vectors=PolyMatrix(np.zeros((1, cols, 0), dtype=complex)),
             indices=[], side="right")
-
-    found = []      # (degree, coeff stack of shape (degree+1, cols))
     if cap is None:
         # an index cannot exceed the degree content rank * grade
-        cap = rows + cols + rank * max(1, mono.grade)
-    prev_nullity = 0
-    for delta in range(cap + 1):
-        conv = _convolution_matrix(mono.coeffs, delta)
-        ns = _null_basis(conv, tol)
-        nu = ns.shape[1]
-        new_count = (nu - prev_nullity) - len(found)
-        prev_nullity = nu
-        if new_count > 0:
-            fresh = _deflate_shifts(ns, found, delta, cols, new_count)
-            for vec in fresh.T:
-                found.append((delta, vec.reshape(delta + 1, cols)))
-        if len(found) == nullity:
-            break
-    else:
-        raise BreakdownError(
-            f"nullspace sweep exceeded degree cap {cap} (numerical breakdown)")
+        cap = p.rows + cols + rank * max(1, mono.grade)
+
+    found = None
+    if mono.grade == 1:
+        guess = _staircase_indices(*mono.coeffs)
+        if len(guess) == nullity and max(guess) <= cap:
+            found = _guided_sweep(mono.coeffs, guess, tol)
+    if found is None:
+        found = _sweep(mono.coeffs, nullity, cap, tol)
 
     gmax = max(d for d, _ in found)
     stack = np.zeros((gmax + 1, cols, len(found)), dtype=complex)
@@ -458,6 +462,80 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
     return MinimalBasisResult(vectors=PolyMatrix(stack),
                               indices=sorted(d for d, _ in found),
                               side="right")
+
+
+def _sweep(stack, nullity, cap, tol) -> list:
+    """[(degree, coefficients)] of the basis from every degree up to the last
+    index; a degree's nullity comes from its singular values, and the null
+    vectors are taken only where that nullity adds some."""
+    found = []
+    prev_nullity = 0
+    for delta in range(cap + 1):
+        conv = _convolution_matrix(stack, delta)
+        nu = conv.shape[1] - numerical_rank(conv, tol.rank_scale)
+        new_count = nu - prev_nullity - len(found)
+        prev_nullity = nu
+        if new_count > 0:
+            _take(found, _null_basis(conv, tol), delta, stack.shape[2], new_count)
+        if len(found) == nullity:
+            return found
+    raise BreakdownError(
+        f"nullspace sweep exceeded degree cap {cap} (numerical breakdown)")
+
+
+def _guided_sweep(stack, guess, tol) -> list | None:
+    """The sweep's basis visiting only degrees p - 1 and p of each guessed
+    index p, or None when its nullity there differs from the guess's."""
+    def predicted(delta):
+        return sum(delta - eps + 1 for eps in guess if eps <= delta)
+
+    found = []
+    last = -1   # the last degree visited; degree -1 has nullity 0
+    for p in sorted(set(guess)):
+        if p - 1 != last:
+            conv = _convolution_matrix(stack, p - 1)
+            if conv.shape[1] - numerical_rank(conv, tol.rank_scale) != predicted(p - 1):
+                return None
+        ns = _null_basis(_convolution_matrix(stack, p), tol)
+        if ns.shape[1] != predicted(p):
+            return None
+        last = p
+        _take(found, ns, p, stack.shape[2], guess.count(p))
+    return found
+
+
+def _take(found, ns, delta, cols, new_count):
+    """Append the new degree-delta vectors of null basis ns to found."""
+    fresh = _deflate_shifts(ns, found, delta, cols, new_count)
+    found.extend((delta, vec.reshape(delta + 1, cols)) for vec in fresh.T)
+
+
+def _staircase_indices(l0: np.ndarray, l1: np.ndarray) -> list:
+    """Right minimal indices of lambda * l1 + l0 from Van Dooren's
+    column-compression staircase (LAA 1979; Demmel & Kagstrom, ACM TOMS 1993).
+
+    Step k compresses the null columns of the current l0 block, row-compresses
+    the matching columns of l1, and drops both: null columns that l1 leaves
+    rank deficient each close one index k.  Ranks use the absolute cutoff
+    max(M, N) * eps * ||[l0 l1]||_2 * STAIRCASE_SCALE.  Only a guess: it
+    picks the degrees the sweep visits and never decides an output.
+    """
+    cutoff = (max(l0.shape) * np.finfo(float).eps * STAIRCASE_SCALE
+              * np.linalg.norm(np.hstack([l0, l1]), 2))
+    a, b = l0, l1
+    indices = []
+    for k in range(l0.shape[1] + 1):
+        _, sv, vh = np.linalg.svd(a)
+        rank = int(np.sum(sv > cutoff))
+        if rank == a.shape[1]:
+            break
+        v = vh.conj().T
+        u, sb, _ = np.linalg.svd(b @ v[:, rank:])
+        rho = int(np.sum(sb > cutoff))
+        indices += [k] * (a.shape[1] - rank - rho)
+        uh = u.conj().T[rho:]
+        a, b = uh @ a @ v[:, :rank], uh @ b @ v[:, :rank]
+    return indices
 
 
 def _convolution_matrix(stack: np.ndarray, delta: int):

@@ -336,11 +336,15 @@ _POLE_HINT = (": pole or state eigenvalue; "
 
 def _state_terms(r: Realization, lam: complex, tol: Tolerances, *pairs) -> list:
     """[P(lam) + C(lam) A(lam)^{-1} Q(lam) for each (P, Q) in pairs], from one
-    invertibility check of A(lam) and one linear solve per Q."""
+    invertibility check of A(lam) and one linear solve with every Q side by
+    side."""
     av = r.A.eval(lam)
     require_invertible(av, lam, tol, hint=_POLE_HINT)
     cv = r.C.eval(lam)
-    return [p.eval(lam) + cv @ np.linalg.solve(av, q.eval(lam)) for p, q in pairs]
+    qs = [q.eval(lam) for _, q in pairs]
+    sols = np.split(np.linalg.solve(av, np.hstack(qs)),
+                    np.cumsum([q.shape[1] for q in qs])[:-1], axis=1)
+    return [p.eval(lam) + cv @ x for (p, _), x in zip(pairs, sols)]
 
 
 def transfer_eval(r: Realization, lam: complex,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, make_rng
-from .errors import PreconditionError, RatlinError
+from .errors import BreakdownError, PreconditionError, RatlinError
 from .eigsolve import (MinimalBasisResult, classify, match_multisets,
                        pencil_eigs, polymatrix_nullspace, rational_rank,
                        sampled_minimality, vector_degree)
@@ -297,10 +297,12 @@ def _check_nullspaces(sl, rng, tol) -> list:
     and the nullspace dimension rule; skipped for regular fixtures.
 
     The oracle indices come from a direct degree sweep on det(A) * R, whose
-    minimal indices equal those of R and stay cheap to reach.  The matching
-    pencil-level sweep costs O((index * width)^3) per degree, so a side is
-    skipped (not failed) when the predicted depth would blow the runtime
-    promise of this harness; the prediction uses the oracle indices.
+    minimal indices equal those of R.  That sweep costs O((degree * size)^3)
+    per degree, and so does the pencil-level sweep at the inflated indices,
+    so a side is skipped (not failed) when its depth would blow the runtime
+    promise of this harness: the oracle sweep stops at the degree where the
+    pencil sweep would pass SWEEP_BUDGET, and a side it cannot finish by
+    then is skipped.
     """
     r = sl.realization
     # loosened like the pencil sweep's own rank (see polynomial_nullspace)
@@ -332,10 +334,13 @@ def _check_index_side(sl, side, nullity, cleared, rank_r, rng, tol) -> list:
     skipped = [_skip(name)] + ([_skip("nullvector-degree-law")] if right else [])
     if nullity <= 0:
         return skipped
-    oracle = polymatrix_nullspace(cleared, side, rng=rng, tol=tol, rank=rank_r)
     shift, width = (sl.rho_d, sl.shape[1]) if right else (0, sl.shape[0])
-    depth = max(oracle.indices, default=0) + shift + 2
-    if oracle.count == 0 or depth * width > SWEEP_BUDGET:
+    try:  # an oracle index above the cap puts the pencil sweep over budget
+        oracle = polymatrix_nullspace(cleared, side, rng=rng, tol=tol, rank=rank_r,
+                                      cap=SWEEP_BUDGET // width - shift - 2)
+    except BreakdownError:
+        return skipped
+    if oracle.count == 0:
         return skipped
     recover_basis = (recover_right_minimal_basis if right
                      else recover_left_minimal_basis)

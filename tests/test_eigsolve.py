@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from ratlin import eigsolve
 from ratlin.errors import PreconditionError, RatlinError
 from ratlin.eigsolve import (certify_minimal_basis, classify,
                              invariant_orders_at_infinity, match_multisets,
@@ -9,6 +11,7 @@ from ratlin.eigsolve import (certify_minimal_basis, classify,
                              polynomial_nullspace, rational_rank, vector_degree)
 from ratlin.linbuild import Realization, build
 from ratlin.polymat import PolyMatrix, poly_det_coeffs
+from ratlin.verify import FixtureSpec, gen_fixture
 
 from conftest import random_polymatrix, random_realization
 
@@ -180,7 +183,7 @@ class TestInvariantOrders:
     @pytest.mark.parametrize("seed", [9001, 9002, 9005, 9011])
     def test_order_sum_balances_determinant_degrees(self, seed):
         # sum of invariant orders at infinity == m deg(det A) - deg(det(det(A) R))
-        from ratlin.verify import FixtureSpec, cleared_matrix, gen_fixture
+        from ratlin.verify import cleared_matrix
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 4))
         spec = FixtureSpec(seed=seed, n=int(rng.integers(1, 4)), p=m, m=m,
@@ -238,6 +241,73 @@ class TestPolynomialNullspace:
         assert len(res_l.indices) == 5 - 3
         assert certify_minimal_basis(res_r, l0, l1)["ok"]
         assert certify_minimal_basis(res_l, l0, l1)["ok"]
+
+
+    @staticmethod
+    def _kronecker_pencil():
+        """L_0, L_1, L_3, L_2^T, a 2x2 Jordan block at 2 and a size-2 block
+        at infinity, mixed by seeded random unitary P and Q."""
+        def l_block(eps):  # eps x (eps + 1), null vector [1, -l, l^2, ...]
+            eye = np.eye(eps, eps + 1)
+            return np.roll(eye, 1, axis=1), eye
+        blocks = [l_block(0), l_block(1), l_block(3)]
+        l0, l1 = l_block(2)
+        blocks.append((l0.T, l1.T))
+        blocks.append((-np.array([[2.0, 1.0], [0.0, 2.0]]), np.eye(2)))
+        blocks.append((np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])))
+        l0 = scipy.linalg.block_diag(*[b[0] for b in blocks])
+        l1 = scipy.linalg.block_diag(*[b[1] for b in blocks])
+        rng = np.random.default_rng(12)
+
+        def unitary(k):
+            q, _ = np.linalg.qr(rng.standard_normal((k, k))
+                                + 1j * rng.standard_normal((k, k)))
+            return q
+        p, q = unitary(l0.shape[0]), unitary(l0.shape[1])
+        return p @ l0 @ q, p @ l1 @ q
+
+    def test_staircase_on_known_kronecker_blocks(self):
+        l0, l1 = self._kronecker_pencil()
+        assert l0.shape == (11, 13)
+        assert eigsolve._staircase_indices(l0, l1) == [0, 1, 3]
+        assert eigsolve._staircase_indices(l0.T, l1.T) == [2]
+        assert polynomial_nullspace(l0, l1, "right").indices == [0, 1, 3]
+        assert polynomial_nullspace(l0, l1, "left").indices == [2]
+
+    def test_short_staircase_guess_falls_back(self, monkeypatch):
+        # the guess's own degrees all check out; only its length is short
+        l0, l1 = self._kronecker_pencil()
+        want = polynomial_nullspace(l0, l1, "right")
+        monkeypatch.setattr(eigsolve, "_staircase_indices", lambda a, b: [0, 1])
+        got = polynomial_nullspace(l0, l1, "right")
+        assert got.indices == want.indices == [0, 1, 3]
+        assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
+
+    @pytest.mark.parametrize("structure", ["zero-column-b", "zero-row-c",
+                                           "rank-deficient-d"])
+    @pytest.mark.parametrize("spoil", ["raise-last", "lower-last", "drop-last"])
+    def test_refuted_staircase_guess_falls_back_to_the_same_basis(
+            self, monkeypatch, structure, spoil):
+        sl = build(gen_fixture(FixtureSpec(seed=4, structure=structure)))
+        want = {side: polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
+                for side in ("right", "left")}
+        staircase = eigsolve._staircase_indices
+
+        def spoiled(l0, l1):
+            guess = staircase(l0, l1)
+            if not guess:
+                return guess
+            last = {"raise-last": [guess[-1] + 1],
+                    "lower-last": [abs(guess[-1] - 1)],  # 0 goes up to 1
+                    "drop-last": []}[spoil]
+            return guess[:-1] + last
+
+        monkeypatch.setattr(eigsolve, "_staircase_indices", spoiled)
+        for side, res in want.items():
+            got = polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
+            assert got.indices == res.indices
+            assert got.vectors.coeffs.tobytes() == res.vectors.coeffs.tobytes()
+        assert sum(w.count for w in want.values()) > 0
 
 
 def test_pencil_null_vector_matches_eigenvalue(preset):

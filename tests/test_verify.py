@@ -160,6 +160,21 @@ class TestRunAll:
         assert rep.passed
         assert elapsed < 60.0
 
+    def test_oracle_sweep_stops_at_the_budget(self):
+        # the left oracle index puts the pencil's left sweep over
+        # SWEEP_BUDGET; the oracle sweep used to run to it anyway (about 70 s)
+        import time
+        spec = FixtureSpec(seed=1, n=12, p=12, m=12, grade_a=4, grade_d=4,
+                           structure="rank-deficient-d")
+        r = gen_fixture(spec)
+        start = time.monotonic()
+        by_name = {e.name: e.status for e in run_all(r).entries}
+        elapsed = time.monotonic() - start
+        assert by_name["right-index-shift"] == "pass"
+        assert by_name["nullvector-degree-law"] == "pass"
+        assert by_name["left-index-match"] == "skipped"
+        assert elapsed < 20.0
+
     @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
     def test_grade10_eigenvector_recovery(self, basis):
         # zeros well outside the unit disc, where phi_{d-1} dominates phi_0

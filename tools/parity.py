@@ -11,6 +11,9 @@ Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
 - regular `gen_fixture` inputs at the benchmark's `linearize` sizes, 4 basis
   pairs each: n = p = m = 6, grade 4, seed 5 and n = p = m = 16, grade 8,
   seed 6 (a 256 x 256 pencil);
+- the 3 singular STRUCTURES x 4 basis pairs at n = p = m = 4, grade 2,
+  seed 7: 16 x 16 pencils with minimal indices 11-15, as deep as the
+  nullspace sweeps of the benchmark's battery go;
 - 40 seeded `scalar` equations.
 
 Each realization goes through `eigs`, `infinity`, `nullspace --side left`,
@@ -52,7 +55,8 @@ def realizations(verify, basis):
     """(name, realization) over the parity set of gen_fixture inputs."""
     bases = (basis.MONOMIAL, basis.CHEBYSHEV1)
     sizes = [(2, 2, seed, verify.STRUCTURES) for seed in (1, 2, 3)] + [
-        (3, 3, 4, verify.STRUCTURES), (6, 4, 5, ["regular"]), (16, 8, 6, ["regular"])]
+        (3, 3, 4, verify.STRUCTURES), (6, 4, 5, ["regular"]), (16, 8, 6, ["regular"]),
+        (4, 2, 7, verify.STRUCTURES[1:])]
     for n, grade, seed, structures in sizes:
         for structure in structures:
             for ba in bases:
