@@ -20,7 +20,7 @@ from .linbuild import (StructuredLinearization, check_finite_minimality,
 from .polymat import NEG_INF, PolyMatrix, generic_rank, numerical_rank
 
 INF_BETA_TOL = 1e-12
-# c in the staircase rank cutoff max(M, N) * eps * ||L||_2 * c
+# multiplier on the staircase rank cutoff max(M, N) * eps * ||[L0 L1]||_2
 STAIRCASE_SCALE = 1e6
 
 

@@ -242,7 +242,6 @@ class TestPolynomialNullspace:
         assert certify_minimal_basis(res_r, l0, l1)["ok"]
         assert certify_minimal_basis(res_l, l0, l1)["ok"]
 
-
     @staticmethod
     def _kronecker_pencil():
         """L_0, L_1, L_3, L_2^T, a 2x2 Jordan block at 2 and a size-2 block
