@@ -8,7 +8,7 @@ infinity under a matching reversal condition, and its null vectors map back
 to eigenvectors and minimal bases of R by block slicing.
 """
 
-from .config import DEFAULT_SEED, Tolerances
+from .config import DEFAULT_SEED
 from .dualbases import DualBasisPair, chebyshev_pair, monomial_pair
 from .errors import (BasisError, BreakdownError, DimensionError, PoleError,
                      PreconditionError, RatlinError)
@@ -35,7 +35,7 @@ __all__ = [
     "MinimalBasisResult", "MinimalityReport", "PencilEig", "PoleError", "PolyMatrix",
     "PreconditionError", "RatlinError", "Realization", "RecoveredNullspace",
     "RootReport", "ScalarEquation", "SpectralReport",
-    "StructuredLinearization", "Tolerances", "build", "chebyshev_pair",
+    "StructuredLinearization", "build", "chebyshev_pair",
     "check_finite_minimality", "check_infinity_minimality", "classify",
     "eigenpair", "factorization_residuals", "gen_fixture",
     "generic_rank", "hat_transfer_eval", "hstack", "invariant_orders_at_infinity",

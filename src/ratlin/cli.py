@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Commands: linearize, eigs, infinity, nullspace, scalar, check.  Exit codes:
-0 success, 1 mathematical precondition failure, 2 I/O or parse failure.
+Commands: linearize, eigs, infinity, nullspace, scalar, check.  Options are
+the input (--input or --preset), --seed and --json, plus each command's own;
+no threshold is settable and nothing is read from the environment.  Exit
+codes: 0 success, 1 mathematical precondition failure, 2 I/O or parse failure.
 JSON output writes each double exactly (its shortest round-tripping repr);
 tables print 17 significant digits.  Output is byte-stable for a fixed seed
 and input.
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from . import verify
-from .config import DEFAULT_SEED, Tolerances, seed_from_env
+from .config import DEFAULT_SEED
 from .errors import RatlinError
 from .eigsolve import classify, invariant_orders_at_infinity
 from .linbuild import Realization, build
@@ -49,12 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", help="realization JSON file")
             p.add_argument("--preset", choices=sorted(verify.PRESETS),
                            help="use a named built-in realization")
-        p.add_argument("--seed", type=lambda s: int(s, 0),
-                       default=seed_from_env(DEFAULT_SEED))
+        p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--tol-rank", type=float, default=None)
-        p.add_argument("--tol-match", type=float, default=None)
-        p.add_argument("--tol-residual", type=float, default=None)
 
     p = sub.add_parser("linearize", help="emit the structured pencil")
     common(p)
@@ -90,14 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_check)
     return parser
-
-
-def _tolerances(args) -> Tolerances:
-    base = Tolerances.from_env()
-    return Tolerances(
-        rank_scale=args.tol_rank if args.tol_rank is not None else base.rank_scale,
-        match=args.tol_match if args.tol_match is not None else base.match,
-        residual=args.tol_residual if args.tol_residual is not None else base.residual)
 
 
 def _load_realization(args) -> Realization:
@@ -153,9 +143,8 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_eigs(args) -> int:
     r = _load_realization(args)
-    tol = _tolerances(args)
     sl = build(r, rng=args.seed)
-    rep = classify(sl, rng=args.seed, tol=tol)
+    rep = classify(sl, rng=args.seed)
     if args.json:
         _emit(rep.to_dict())
         return 0
@@ -173,9 +162,8 @@ def _cmd_eigs(args) -> int:
 
 def _cmd_infinity(args) -> int:
     r = _load_realization(args)
-    tol = _tolerances(args)
     sl = build(r, rng=args.seed)
-    orders = invariant_orders_at_infinity(sl, rng=args.seed, tol=tol)
+    orders = invariant_orders_at_infinity(sl, rng=args.seed)
     if args.json:
         _emit({"infinityOrders": orders, "grade": sl.rho_d + 1})
     else:
@@ -185,11 +173,10 @@ def _cmd_infinity(args) -> int:
 
 def _cmd_nullspace(args) -> int:
     r = _load_realization(args)
-    tol = _tolerances(args)
     sl = build(r, rng=args.seed)
     fn = (recover_right_minimal_basis if args.side == "right"
           else recover_left_minimal_basis)
-    rec = fn(sl, rng=args.seed, tol=tol)
+    rec = fn(sl, rng=args.seed)
     if args.json:
         _emit(rec.to_dict())
         return 0
@@ -202,8 +189,7 @@ def _cmd_nullspace(args) -> int:
 def _cmd_scalar(args) -> int:
     eq = ScalarEquation.from_lists(
         *(_parse_coeffs(getattr(args, name), f"--{name}") for name in "acbd"))
-    tol = _tolerances(args)
-    rep = solve_scalar(eq, rng=args.seed, tol=tol)
+    rep = solve_scalar(eq, rng=args.seed)
     if args.json:
         _emit(rep.to_dict())
         return 0
@@ -218,8 +204,7 @@ def _cmd_scalar(args) -> int:
 
 def _cmd_check(args) -> int:
     r = _load_realization(args)
-    tol = _tolerances(args)
-    rep = verify.run_all(r, seed=args.seed, tol=tol)
+    rep = verify.run_all(r, seed=args.seed)
     if args.json:
         _emit(rep.to_dict())
     else:

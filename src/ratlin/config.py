@@ -1,51 +1,19 @@
-"""Shared tolerance knobs and the default random seed.
+"""Shared numeric constants and the default random seed.
 
 All randomized routines draw from numpy generators seeded explicitly; the
-default seed below is used whenever a caller does not pass one.  Tolerances
-can be overridden per call, via CLI flags, or through RATLIN_* environment
-variables.
+default seed below is used whenever a caller does not pass one.  Every
+threshold is a named module constant: rank cutoffs are the backward-stable
+max(rows, cols) * eps * sigma_max, scaled up by literal factors where the
+data are computed, and nothing is read from the environment.
 """
-
-import os
-from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_SEED = 0x5EED
-
-_ENV_PREFIX = "RATLIN_"
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Single source of numeric thresholds.
-
-    rank_scale: multiplier on the backward-stable rank cutoff
-        sigma <= max(rows, cols) * eps * sigma_max * rank_scale.
-    match: eigenvalue matching tolerance, relative to max(1, |lambda|).
-    residual: residual threshold used when classifying eigenpairs.
-    """
-
-    rank_scale: float = 1.0
-    match: float = 1e-7
-    residual: float = 1e-8
-
-    @staticmethod
-    def from_env() -> "Tolerances":
-        def _get(name, default):
-            raw = os.environ.get(_ENV_PREFIX + name)
-            return float(raw) if raw is not None else default
-
-        return Tolerances(
-            rank_scale=_get("TOL_RANK", 1.0),
-            match=_get("TOL_MATCH", 1e-7),
-            residual=_get("TOL_RESIDUAL", 1e-8),
-        )
-
-
-def seed_from_env(default: int = DEFAULT_SEED) -> int:
-    raw = os.environ.get(_ENV_PREFIX + "SEED")
-    return int(raw, 0) if raw is not None else default
+# eigenvalue matching and clustering tolerance, relative to max(1, |lambda|)
+MATCH_TOL = 1e-7
+# eigenvector-recovery residual gate
+RESIDUAL_TOL = 1e-8
 
 
 def make_rng(seed=None) -> np.random.Generator:

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .config import Tolerances, make_rng, unit_circle_points
+from .config import MATCH_TOL, make_rng, unit_circle_points
 from .errors import BreakdownError, PreconditionError, RatlinError
 from .linbuild import (StructuredLinearization, check_finite_minimality,
                        check_infinity_minimality, sample_points, system_eval)
@@ -22,6 +22,8 @@ from .polymat import NEG_INF, PolyMatrix, generic_rank, numerical_rank
 INF_BETA_TOL = 1e-12
 # multiplier on the staircase rank cutoff max(M, N) * eps * ||[L0 L1]||_2
 STAIRCASE_SCALE = 1e6
+RANK_SAMPLES = 5   # sample points of rational_rank
+DEGREE_TOL = 1e-8  # relative norm below which a coefficient row is zero
 
 
 @dataclass(frozen=True)
@@ -106,12 +108,12 @@ class MinimalBasisResult:
     def count(self) -> int:
         return len(self.indices)
 
-    def full_rank_at(self, points, tol: Tolerances = Tolerances()) -> bool:
+    def full_rank_at(self, points) -> bool:
         """Whether the basis has full rank `count` at every given point."""
-        return all(numerical_rank(self.vectors.eval(z), tol.rank_scale) == self.count
+        return all(numerical_rank(self.vectors.eval(z)) == self.count
                    for z in points)
 
-    def is_reduced(self, tol: Tolerances = Tolerances()) -> bool:
+    def is_reduced(self) -> bool:
         """Whether the highest-degree coefficient matrix, taken vector by
         vector, has full rank.  Vectors are stored in ascending degree order,
         so the sorted index list doubles as the per-vector degree list."""
@@ -120,11 +122,11 @@ class MinimalBasisResult:
             hcd = np.stack([v[d, :, j] for j, d in enumerate(self.indices)], axis=1)
         else:
             hcd = np.stack([v[d, j, :] for j, d in enumerate(self.indices)], axis=0)
-        return numerical_rank(hcd, tol.rank_scale) == self.count
+        return numerical_rank(hcd) == self.count
 
 
 def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
-                rng=None, tol: Tolerances = Tolerances()) -> PencilEig:
+                rng=None) -> PencilEig:
     """All (alpha, beta) pairs of a square pencil via the QZ backend.
 
     Regularity is detected by rank sampling at 3 seeded random points; a
@@ -134,7 +136,7 @@ def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
     l1 = np.asarray(l1, dtype=complex)
     if l0.shape != l1.shape or l0.ndim != 2 or l0.shape[0] != l0.shape[1]:
         raise RatlinError(f"pencil must be square, got {l0.shape} and {l1.shape}")
-    if not pencil_is_regular(l0, l1, rng=rng, tol=tol):
+    if not pencil_is_regular(l0, l1, rng=rng):
         empty = np.zeros(0, dtype=complex)
         return PencilEig(empty, empty, None, None, regular=False)
     try:
@@ -153,8 +155,7 @@ def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
     return PencilEig(np.asarray(alpha), np.asarray(beta), vr, vl, regular=True)
 
 
-def pencil_is_regular(l0: np.ndarray, l1: np.ndarray, rng=None,
-                      tol: Tolerances = Tolerances()) -> bool:
+def pencil_is_regular(l0: np.ndarray, l1: np.ndarray, rng=None) -> bool:
     """Determinant sampling: full rank at any of 3 random points."""
     if l0.shape[0] != l0.shape[1]:
         return False
@@ -163,7 +164,7 @@ def pencil_is_regular(l0: np.ndarray, l1: np.ndarray, rng=None,
         return True
     rng = make_rng(rng)
     for z in unit_circle_points(rng, 3):
-        if numerical_rank(l1 * z + l0, tol.rank_scale) == n:
+        if numerical_rank(l1 * z + l0) == n:
             return True
     return False
 
@@ -195,11 +196,12 @@ def match_multisets(computed, expected, tol_match: float = 1e-7):
     return worst <= tol_match, worst
 
 
-def cluster_eigenvalues(values, tol_match: float = 1e-7) -> list:
-    """Group a sorted eigenvalue list into (representative, count) clusters."""
+def cluster_eigenvalues(values) -> list:
+    """Group a sorted eigenvalue list into (representative, count) clusters
+    of points within MATCH_TOL of each other."""
     out = []
     for v in values:
-        if out and abs(v - out[-1][0]) <= tol_match * max(1.0, abs(v)):
+        if out and abs(v - out[-1][0]) <= MATCH_TOL * max(1.0, abs(v)):
             rep, c = out[-1]
             out[-1] = ((rep * c + v) / (c + 1), c + 1)
         else:
@@ -207,8 +209,7 @@ def cluster_eigenvalues(values, tol_match: float = 1e-7) -> list:
     return [(complex(v), int(c)) for v, c in out]
 
 
-def classify(sl: StructuredLinearization, rng=None,
-             tol: Tolerances = Tolerances()) -> SpectralReport:
+def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
     """Pole/zero classification of the rational matrix behind a linearization.
 
     Poles come from the state pencil, zeros from the full pencil; each zero is
@@ -221,22 +222,22 @@ def classify(sl: StructuredLinearization, rng=None,
         raise PreconditionError("classification needs a square rational matrix")
     rng = make_rng(rng)
     la0, la1 = sl.state_pencil()
-    state = pencil_eigs(la0, la1, rng=rng, tol=tol)
+    state = pencil_eigs(la0, la1, rng=rng)
     if not state.regular:
         raise PreconditionError("state pencil is singular; realization invalid")
-    full = pencil_eigs(sl.L0, sl.L1, rng=rng, tol=tol)
+    full = pencil_eigs(sl.L0, sl.L1, rng=rng)
     if not full.regular:
         raise PreconditionError(
             "the pencil is singular; eigenvalues are meaningless — "
             "use polynomial_nullspace for the singular structure")
 
     pole_vals = state.finite()
-    poles = cluster_eigenvalues(pole_vals, tol.match)
+    poles = cluster_eigenvalues(pole_vals)
 
     zeros = []
     for lam in full.finite():
-        mins = check_finite_minimality(r, lam, tol)
-        near = any(abs(lam - pv) <= tol.match * max(1.0, abs(lam))
+        mins = check_finite_minimality(r, lam)
+        near = any(abs(lam - pv) <= MATCH_TOL * max(1.0, abs(lam))
                    for pv in pole_vals)
         zeros.append(ZeroEntry(complex(lam), mins, bool(mins[0] and mins[1]), near))
 
@@ -244,8 +245,7 @@ def classify(sl: StructuredLinearization, rng=None,
                           grade_at_infinity=sl.rho_d + 1)
 
 
-def sampled_minimality(sl: StructuredLinearization, rng,
-                       tol: Tolerances = Tolerances()) -> tuple:
+def sampled_minimality(sl: StructuredLinearization, rng) -> tuple:
     """Pointwise minimality where the spectral results rely on it.
 
     Returns ([(z, (left, right)) ...], (left, right) at infinity): the finite
@@ -256,23 +256,24 @@ def sampled_minimality(sl: StructuredLinearization, rng,
     r = sl.realization
     pts = list(unit_circle_points(rng, 20))
     la0, la1 = sl.state_pencil()
-    state = pencil_eigs(la0, la1, rng=rng, tol=tol)
+    state = pencil_eigs(la0, la1, rng=rng)
     if state.regular:
         pts.extend(state.finite().tolist())
     if sl.shape[0] == sl.shape[1]:
-        full = pencil_eigs(sl.L0, sl.L1, rng=rng, tol=tol)
+        full = pencil_eigs(sl.L0, sl.L1, rng=rng)
         if full.regular:
             pts.extend(full.finite().tolist())
-    finite = [(z, check_finite_minimality(r, z, tol)) for z in pts]
-    return finite, check_infinity_minimality(r, sl.grade_a, sl.grade_d, tol)
+    finite = [(z, check_finite_minimality(r, z)) for z in pts]
+    return finite, check_infinity_minimality(r, sl.grade_a, sl.grade_d)
 
 
-def partial_multiplicities_at(p: PolyMatrix, lam: complex,
-                              rng=None, tol: Tolerances = Tolerances()) -> list:
+def partial_multiplicities_at(p: PolyMatrix, lam: complex, rng=None) -> list:
     """Multiplicities of lam as a zero of P, from block-Toeplitz nullities.
 
-    Builds the lower-triangular block-Toeplitz matrices of the Taylor
-    coefficients of P at lam; the count of multiplicities >= k is
+    T_k, the lower-triangular block-Toeplitz matrix of the first k Taylor
+    coefficients of P at lam, is the leading k block rows of the degree
+    k - 1 convolution matrix of the Taylor stack; the count of
+    multiplicities >= k is
     nullity(T_k) - nullity(T_{k-1}) - (cols - generic rank).
 
     The point is usually a computed eigenvalue, exact only to roundoff, so
@@ -284,17 +285,16 @@ def partial_multiplicities_at(p: PolyMatrix, lam: complex,
     rows, cols = p.rows, p.cols
     if rows == 0 or cols == 0:
         return []
-    r = generic_rank(mono, rng=rng, rank_scale=tol.rank_scale)
+    r = generic_rank(mono, rng=rng)
     taylor = _taylor_stack(mono, lam)
-    rank_scale = tol.rank_scale * 1e6
 
     cap = r * max(1, mono.grade) + 2
     mults = []
     prev_null = 0
     prev_count = None
     for k in range(1, cap + 1):
-        tk = _toeplitz(taylor, k, rows, cols)
-        null_k = (k * cols) - numerical_rank(tk, rank_scale)
+        tk = _convolution_matrix(taylor, k - 1)[:k * rows]
+        null_k = (k * cols) - numerical_rank(tk, 1e6)
         count_k = null_k - prev_null - (cols - r)
         count_k = max(0, count_k)
         if prev_count is not None:
@@ -308,30 +308,17 @@ def partial_multiplicities_at(p: PolyMatrix, lam: complex,
         f"partial multiplicity sweep exceeded cap {cap} at lambda={lam}")
 
 
-def _taylor_stack(mono: PolyMatrix, lam: complex) -> list:
+def _taylor_stack(mono: PolyMatrix, lam: complex) -> np.ndarray:
     """Taylor coefficients P_j = P^{(j)}(lam)/j! for j = 0..grade."""
     g = mono.grade
-    out = []
+    out = np.zeros_like(mono.coeffs, dtype=complex)
     for j in range(g + 1):
-        acc = np.zeros((mono.rows, mono.cols), dtype=complex)
         for t in range(j, g + 1):
-            acc += math.comb(t, j) * mono.coeffs[t] * lam ** (t - j)
-        out.append(acc)
+            out[j] += math.comb(t, j) * mono.coeffs[t] * lam ** (t - j)
     return out
 
 
-def _toeplitz(taylor: list, k: int, rows: int, cols: int) -> np.ndarray:
-    tk = np.zeros((k * rows, k * cols), dtype=complex)
-    for t in range(k):
-        for i in range(t + 1):
-            j = t - i
-            if j < len(taylor):
-                tk[t * rows:(t + 1) * rows, i * cols:(i + 1) * cols] = taylor[j]
-    return tk
-
-
-def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None,
-                                 tol: Tolerances = Tolerances()) -> list:
+def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
     """Invariant orders at infinity of the rational matrix, grade rho_D + 1.
 
     Combines the partial multiplicities at 0 of the reversed state pencil and
@@ -340,7 +327,7 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None,
     """
     rng = make_rng(rng)
     r = sl.realization
-    okl, okr = check_infinity_minimality(r, sl.grade_a, sl.grade_d, tol)
+    okl, okr = check_infinity_minimality(r, sl.grade_a, sl.grade_d)
     if not (okl and okr):
         raise PreconditionError(
             f"minimality at infinity fails (left={okl}, right={okr}); "
@@ -349,12 +336,12 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None,
 
     la0, la1 = sl.state_pencil()
     rev_state = PolyMatrix(np.stack([la1, la0]))
-    e_list = partial_multiplicities_at(rev_state, 0.0, rng=rng, tol=tol)
+    e_list = partial_multiplicities_at(rev_state, 0.0, rng=rng)
 
     rev_full = PolyMatrix(np.stack([np.asarray(sl.L1), np.asarray(sl.L0)]))
-    e_tilde = partial_multiplicities_at(rev_full, 0.0, rng=rng, tol=tol)
+    e_tilde = partial_multiplicities_at(rev_full, 0.0, rng=rng)
 
-    rank_r = rational_rank(sl, rng=rng, tol=tol)
+    rank_r = rational_rank(sl, rng=rng)
     t, u = len(e_list), len(e_tilde)
     if t + u > rank_r:
         raise PreconditionError(
@@ -363,25 +350,25 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None,
     return [q - g for q in body]
 
 
-def rational_rank(sl: StructuredLinearization, rng=None, samples: int = 5,
-                  tol: Tolerances = Tolerances()) -> int:
-    """Generic rank of the rational matrix, as max rank P(z) - n over sampled
-    points, where P = [A B; -C D] holds input data only, free of the
-    cancellation in forming D + C A^{-1} B.  Points with cond(A) above 1e6
-    are skipped and the cutoff is scaled up, keeping exact-by-construction
-    rank drops (residual singular values ~1e-13 relative) on the zero side.
+def rational_rank(sl: StructuredLinearization, rng=None) -> int:
+    """Generic rank of the rational matrix, as max rank P(z) - n over
+    RANK_SAMPLES sampled points, where P = [A B; -C D] holds input data only,
+    free of the cancellation in forming D + C A^{-1} B.  Points with cond(A)
+    above 1e6 are skipped and the cutoff is scaled up, keeping
+    exact-by-construction rank drops (residual singular values ~1e-13
+    relative) on the zero side.
     """
     r = sl.realization
-    pts = sample_points(r, make_rng(rng), samples, 0.07, 10 * samples,
-                        cond_max=1e6, tol=tol)
+    pts = sample_points(r, make_rng(rng), RANK_SAMPLES, 0.07, 10 * RANK_SAMPLES,
+                        cond_max=1e6)
     if not pts:
         raise RatlinError("could not find well-conditioned sample points")
-    return max(numerical_rank(system_eval(r, z), tol.rank_scale * 1e6)
+    return max(numerical_rank(system_eval(r, z), 1e6)
                for z in pts) - r.n
 
 
 def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
-                         rng=None, tol: Tolerances = Tolerances()) -> MinimalBasisResult:
+                         rng=None) -> MinimalBasisResult:
     """Minimal polynomial nullspace basis of a pencil by degree sweep.
 
     For each candidate degree the block convolution matrix of the pencil is
@@ -398,15 +385,14 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
     # the cutoff is loosened a couple of orders beyond machine epsilon so
     # pencils assembled from computed data (structural zeros only exact to
     # roundoff) are still judged correctly
-    rank = generic_rank(pencil, rng, rank_scale=tol.rank_scale * 100.0)
+    rank = generic_rank(pencil, rng, rank_scale=100.0)
     # pencil minimal indices never exceed the rank, so the dimension sum caps
     # the sweep
-    return polymatrix_nullspace(pencil, side, rng=rng, tol=tol, rank=rank,
+    return polymatrix_nullspace(pencil, side, rng=rng, rank=rank,
                                 cap=sum(l0.shape))
 
 
 def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
-                         tol: Tolerances = Tolerances(),
                          rank: int | None = None,
                          cap: int | None = None) -> MinimalBasisResult:
     """Degree-sweep minimal basis for a polynomial matrix of any grade.
@@ -429,15 +415,14 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
     if side == "left":
-        res = polymatrix_nullspace(p.T, "right", rng=rng, tol=tol, rank=rank,
-                                   cap=cap)
+        res = polymatrix_nullspace(p.T, "right", rng=rng, rank=rank, cap=cap)
         return MinimalBasisResult(vectors=res.vectors.T, indices=res.indices,
                                   side="left")
 
     mono = p.to_monomial()
     cols = p.cols
     if rank is None:
-        rank = generic_rank(mono, rng=rng, rank_scale=tol.rank_scale)
+        rank = generic_rank(mono, rng=rng)
     nullity = cols - rank
     if nullity <= 0:
         return MinimalBasisResult(
@@ -451,9 +436,9 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
     if mono.grade == 1:
         guess = _staircase_indices(*mono.coeffs)
         if len(guess) == nullity and max(guess) <= cap:
-            found = _guided_sweep(mono.coeffs, guess, tol)
+            found = _guided_sweep(mono.coeffs, guess)
     if found is None:
-        found = _sweep(mono.coeffs, nullity, cap, tol)
+        found = _sweep(mono.coeffs, nullity, cap)
 
     gmax = max(d for d, _ in found)
     stack = np.zeros((gmax + 1, cols, len(found)), dtype=complex)
@@ -464,7 +449,7 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
                               side="right")
 
 
-def _sweep(stack, nullity, cap, tol) -> list:
+def _sweep(stack, nullity, cap) -> list:
     """[(degree, coefficients)] of the basis from every degree up to the last
     index; a degree's nullity comes from its singular values, and the null
     vectors are taken only where that nullity adds some."""
@@ -472,18 +457,18 @@ def _sweep(stack, nullity, cap, tol) -> list:
     prev_nullity = 0
     for delta in range(cap + 1):
         conv = _convolution_matrix(stack, delta)
-        nu = conv.shape[1] - numerical_rank(conv, tol.rank_scale)
+        nu = conv.shape[1] - numerical_rank(conv)
         new_count = nu - prev_nullity - len(found)
         prev_nullity = nu
         if new_count > 0:
-            _take(found, _null_basis(conv, tol), delta, stack.shape[2], new_count)
+            _take(found, _null_basis(conv), delta, stack.shape[2], new_count)
         if len(found) == nullity:
             return found
     raise BreakdownError(
         f"nullspace sweep exceeded degree cap {cap} (numerical breakdown)")
 
 
-def _guided_sweep(stack, guess, tol) -> list | None:
+def _guided_sweep(stack, guess) -> list | None:
     """The sweep's basis visiting only degrees p - 1 and p of each guessed
     index p, or None when its nullity there differs from the guess's."""
     def predicted(delta):
@@ -494,9 +479,9 @@ def _guided_sweep(stack, guess, tol) -> list | None:
     for p in sorted(set(guess)):
         if p - 1 != last:
             conv = _convolution_matrix(stack, p - 1)
-            if conv.shape[1] - numerical_rank(conv, tol.rank_scale) != predicted(p - 1):
+            if conv.shape[1] - numerical_rank(conv) != predicted(p - 1):
                 return None
-        ns = _null_basis(_convolution_matrix(stack, p), tol)
+        ns = _null_basis(_convolution_matrix(stack, p))
         if ns.shape[1] != predicted(p):
             return None
         last = p
@@ -549,11 +534,11 @@ def _convolution_matrix(stack: np.ndarray, delta: int):
     return conv
 
 
-def _null_basis(mat, tol: Tolerances):
+def _null_basis(mat):
     u, sv, vh = np.linalg.svd(mat)
     if sv.size == 0:
         return np.eye(mat.shape[1], dtype=complex)
-    cutoff = max(mat.shape) * np.finfo(float).eps * sv[0] * tol.rank_scale
+    cutoff = max(mat.shape) * np.finfo(float).eps * sv[0]
     rank = int(np.sum(sv > cutoff))
     return vh[rank:].conj().T
 
@@ -573,19 +558,19 @@ def _deflate_shifts(ns, found, delta, cols, new_count):
     return u[:, :new_count]
 
 
-def vector_degree(stack: np.ndarray, rel_tol: float = 1e-8):
-    """Numerical degree of a coefficient stack (highest non-negligible row)."""
+def vector_degree(stack: np.ndarray):
+    """Numerical degree of a coefficient stack: its highest row with norm
+    above DEGREE_TOL relative to the largest."""
     norms = np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
     top = norms.max()
     if top == 0.0:
         return NEG_INF
-    idx = np.nonzero(norms > rel_tol * top)[0]
+    idx = np.nonzero(norms > DEGREE_TOL * top)[0]
     return int(idx[-1])
 
 
 def certify_minimal_basis(res: MinimalBasisResult, l0: np.ndarray,
-                          l1: np.ndarray, rng=None,
-                          tol: Tolerances = Tolerances()) -> dict:
+                          l1: np.ndarray, rng=None) -> dict:
     """Check the three minimal-basis conditions plus the pencil residual.
 
     Returns a diagnostics dict: residual of L*V (or V*L), full rank at 5
@@ -604,8 +589,8 @@ def certify_minimal_basis(res: MinimalBasisResult, l0: np.ndarray,
         1.0, float(np.max(np.abs(pencil.coeffs))))
     residual = float(np.max(np.abs(prod.coeffs))) / scale
 
-    full = res.full_rank_at(list(unit_circle_points(rng, 5)) + [0.0], tol)
-    reduced = res.is_reduced(tol)
+    full = res.full_rank_at(list(unit_circle_points(rng, 5)) + [0.0])
+    reduced = res.is_reduced()
     ok = residual <= 1e-10 and full and reduced
     return {"residual": residual, "pointwise_full_rank": full,
             "reduced_full_rank": reduced, "ok": ok}

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import Tolerances, unit_circle_points
+from .config import unit_circle_points
 from .dualbases import DualBasisPair, pair_for
 from .errors import BasisError, DimensionError, PoleError, PreconditionError
 from .polymat import Basis, PolyMatrix, generic_rank, numerical_rank
@@ -195,13 +195,12 @@ class MinimalityReport:
 
 
 def minimality_report(r: Realization, points, grade_a: int | None = None,
-                      grade_d: int | None = None,
-                      tol: Tolerances = Tolerances()) -> MinimalityReport:
+                      grade_d: int | None = None) -> MinimalityReport:
     """Run the finite checks at every requested point plus the reversal
     checks at 0, and bundle the results."""
     da, dd = r.grade_sides(grade_a, grade_d)
-    finite = {complex(z): check_finite_minimality(r, z, tol) for z in points}
-    inf_ok = check_infinity_minimality(r, da, dd, tol)
+    finite = {complex(z): check_finite_minimality(r, z) for z in points}
+    inf_ok = check_infinity_minimality(r, da, dd)
     return MinimalityReport(finite_ok_at=finite, infinity_ok=inf_ok,
                             grades=(da, dd))
 
@@ -308,25 +307,23 @@ def block_pencil(p: PolyMatrix, d: int | None = None) -> tuple:
     return stack[0], stack[1], pair
 
 
-def check_finite_minimality(r: Realization, lam: complex,
-                            tol: Tolerances = Tolerances()) -> tuple:
+def check_finite_minimality(r: Realization, lam: complex) -> tuple:
     """(rank [A; C](lam) == n, rank [A, B](lam) == n)."""
     av = r.A.eval(lam)
-    left = numerical_rank(np.vstack([av, r.C.eval(lam)]), tol.rank_scale) == r.n
-    right = numerical_rank(np.hstack([av, r.B.eval(lam)]), tol.rank_scale) == r.n
+    left = numerical_rank(np.vstack([av, r.C.eval(lam)])) == r.n
+    right = numerical_rank(np.hstack([av, r.B.eval(lam)])) == r.n
     return left, right
 
 
 def check_infinity_minimality(r: Realization, grade_a: int | None = None,
-                              grade_d: int | None = None,
-                              tol: Tolerances = Tolerances()) -> tuple:
+                              grade_d: int | None = None) -> tuple:
     """Rank tests on the reversed blocks at 0, with the build grades."""
     da, dd = r.grade_sides(grade_a, grade_d)
     a0 = r.A.reversal(da).eval(0.0)
     c0 = r.C.reversal(da).eval(0.0)
     b0 = r.B.reversal(dd).eval(0.0)
-    left = numerical_rank(np.vstack([a0, c0]), tol.rank_scale) == r.n
-    right = numerical_rank(np.hstack([a0, b0]), tol.rank_scale) == r.n
+    left = numerical_rank(np.vstack([a0, c0])) == r.n
+    right = numerical_rank(np.hstack([a0, b0])) == r.n
     return left, right
 
 
@@ -334,12 +331,12 @@ _POLE_HINT = (": pole or state eigenvalue; "
               "use reversal/limit-based routines instead")
 
 
-def _state_terms(r: Realization, lam: complex, tol: Tolerances, *pairs) -> list:
+def _state_terms(r: Realization, lam: complex, *pairs) -> list:
     """[P(lam) + C(lam) A(lam)^{-1} Q(lam) for each (P, Q) in pairs], from one
     invertibility check of A(lam) and one linear solve with every Q side by
     side."""
     av = r.A.eval(lam)
-    require_invertible(av, lam, tol, hint=_POLE_HINT)
+    require_invertible(av, lam, hint=_POLE_HINT)
     cv = r.C.eval(lam)
     qs = [q.eval(lam) for _, q in pairs]
     sols = np.split(np.linalg.solve(av, np.hstack(qs)),
@@ -347,17 +344,15 @@ def _state_terms(r: Realization, lam: complex, tol: Tolerances, *pairs) -> list:
     return [p.eval(lam) + cv @ x for (p, _), x in zip(pairs, sols)]
 
 
-def transfer_eval(r: Realization, lam: complex,
-                  tol: Tolerances = Tolerances()) -> np.ndarray:
+def transfer_eval(r: Realization, lam: complex) -> np.ndarray:
     """D(lam) + C(lam) A(lam)^{-1} B(lam) via a linear solve."""
-    return _state_terms(r, lam, tol, (r.D, r.B))[0]
+    return _state_terms(r, lam, (r.D, r.B))[0]
 
 
-def hat_transfer_eval(sl: StructuredLinearization, lam: complex,
-                      tol: Tolerances = Tolerances()) -> np.ndarray:
+def hat_transfer_eval(sl: StructuredLinearization, lam: complex) -> np.ndarray:
     """Transfer function of the structured pencil at a point:
     [M_D + C A^{-1} M_B; K_D](lam), of shape (p + rho_D m) x m(1 + rho_D)."""
-    top, = _state_terms(sl.realization, lam, tol, (sl.m_d, sl.m_b))
+    top, = _state_terms(sl.realization, lam, (sl.m_d, sl.m_b))
     return np.vstack([top, sl.pair_d.K.eval(lam)])
 
 
@@ -368,8 +363,7 @@ def system_eval(r: Realization, lam: complex) -> np.ndarray:
 
 
 def sample_points(r: Realization, rng, count: int, step: float,
-                  max_tries: int, cond_max: float | None = None,
-                  tol: Tolerances = Tolerances()) -> list:
+                  max_tries: int, cond_max: float | None = None) -> list:
     """Up to `count` random points off the poles.
 
     Try k draws one point on the unit circle and scales it by 1 + step * k,
@@ -383,7 +377,7 @@ def sample_points(r: Realization, rng, count: int, step: float,
             break
         z = unit_circle_points(rng, 1)[0] * (1.0 + step * k)
         try:
-            sv = require_invertible(r.A.eval(z), z, tol)
+            sv = require_invertible(r.A.eval(z), z)
         except PoleError:
             continue  # sampled a pole; try another radius
         if cond_max is None or sv[0] / sv[-1] <= cond_max:
@@ -391,12 +385,12 @@ def sample_points(r: Realization, rng, count: int, step: float,
     return out
 
 
-def require_invertible(mat: np.ndarray, lam, tol: Tolerances,
-                       what: str = "state matrix", hint: str = "") -> np.ndarray:
+def require_invertible(mat: np.ndarray, lam, what: str = "state matrix",
+                       hint: str = "") -> np.ndarray:
     """Raise PoleError unless the square matrix `what` (evaluated at lam) is
     numerically invertible; return its singular values."""
     sv = np.linalg.svd(mat, compute_uv=False)
     n = mat.shape[0]
-    if sv.size == 0 or sv[-1] <= n * np.finfo(float).eps * max(sv[0], 1.0) * tol.rank_scale:
+    if sv.size == 0 or sv[-1] <= n * np.finfo(float).eps * max(sv[0], 1.0):
         raise PoleError(f"{what} singular at lambda={lam}{hint}")
     return sv

@@ -15,6 +15,8 @@ from .config import make_rng, unit_circle_points
 from .errors import BasisError, DimensionError
 
 NEG_INF = float("-inf")  # degree of the zero matrix
+DET_RADIUS = 1.15  # sample circle of poly_det_coeffs
+DET_TRIM = 1e-10   # relative size below which its trailing coefficients drop
 
 
 class Basis(enum.Enum):
@@ -407,12 +409,11 @@ def _scalar_blowup(c: PolyMatrix, n: int) -> PolyMatrix:
     return PolyMatrix(stack, Basis.MONOMIAL)
 
 
-def poly_det_coeffs(p: PolyMatrix, radius: float = 1.15,
-                    trim: float = 1e-10) -> np.ndarray:
+def poly_det_coeffs(p: PolyMatrix) -> np.ndarray:
     """Monomial coefficients of det P(lambda) by evaluation-interpolation.
 
-    Samples on a circle of the given radius at roots of unity and inverts
-    the DFT; trailing coefficients below trim * max|coeff| are dropped.
+    Samples on the circle of radius DET_RADIUS at roots of unity and inverts
+    the DFT; trailing coefficients below DET_TRIM * max|coeff| are dropped.
     """
     if p.rows != p.cols:
         raise DimensionError("determinant needs a square polynomial matrix")
@@ -420,13 +421,13 @@ def poly_det_coeffs(p: PolyMatrix, radius: float = 1.15,
         return np.array([1.0 + 0j])
     bound = p.rows * max(1, p.grade)
     npts = bound + 1
-    omega = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
+    omega = DET_RADIUS * np.exp(2j * np.pi * np.arange(npts) / npts)
     vals = np.array([np.linalg.det(p.eval(z)) for z in omega])
     # samples are sums c_j r^j exp(+2 pi i jk/N): forward FFT/N inverts them
-    coeffs = np.fft.fft(vals) / npts / radius ** np.arange(npts)
+    coeffs = np.fft.fft(vals) / npts / DET_RADIUS ** np.arange(npts)
     mags = np.abs(coeffs)
     top = mags.max()
     if top == 0.0:
         return np.zeros(1, dtype=complex)
-    keep = np.nonzero(mags > trim * top)[0]
+    keep = np.nonzero(mags > DET_TRIM * top)[0]
     return np.array(coeffs[: keep[-1] + 1])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, make_rng
+from .config import RESIDUAL_TOL, make_rng
 from .errors import PreconditionError, RatlinError
 from .eigsolve import (MinimalBasisResult, pencil_null_vector,
                        polynomial_nullspace, sampled_minimality, vector_degree)
@@ -67,8 +67,7 @@ class RecoveredNullspace:
 # ---------------------------------------------------------------------------
 
 def recover_right_eigvec(sl: StructuredLinearization, lam: complex,
-                         x_tilde: np.ndarray,
-                         tol: Tolerances = Tolerances()) -> np.ndarray:
+                         x_tilde: np.ndarray) -> np.ndarray:
     """Right eigenvector of the rational matrix from one of the pencil.
 
     The lower part of x_tilde is N_D(lam)^T x = [phi_{d-1}(lam) x; ...;
@@ -94,8 +93,7 @@ def recover_right_eigvec(sl: StructuredLinearization, lam: complex,
 
 
 def recover_left_eigvec(sl: StructuredLinearization, lam: complex,
-                        y_tilde_t: np.ndarray,
-                        tol: Tolerances = Tolerances()) -> np.ndarray:
+                        y_tilde_t: np.ndarray) -> np.ndarray:
     """Left eigenvector: the block at positions [n(1+rho_A), n(1+rho_A)+p)."""
     r = sl.realization
     y = np.asarray(y_tilde_t, dtype=complex).ravel()
@@ -109,48 +107,47 @@ def recover_left_eigvec(sl: StructuredLinearization, lam: complex,
 
 
 def lift_right_eigvec(sl: StructuredLinearization, lam: complex,
-                      x: np.ndarray, tol: Tolerances = Tolerances()) -> np.ndarray:
+                      x: np.ndarray) -> np.ndarray:
     """Embed a right eigenvector of the rational matrix into the pencil:
     [-N_A^T A^{-1} B x; N_D^T x] evaluated at the point."""
     r = sl.realization
     x = np.asarray(x, dtype=complex).ravel()
     av = r.A.eval(lam)
-    require_invertible(av, lam, tol)
+    require_invertible(av, lam)
     upper = -sl.pair_a.N.eval(lam).T @ np.linalg.solve(av, r.B.eval(lam) @ x)
     lower = sl.pair_d.N.eval(lam).T @ x
     return np.concatenate([upper, lower])
 
 
 def lift_left_eigvec(sl: StructuredLinearization, lam: complex,
-                     y_t: np.ndarray, tol: Tolerances = Tolerances()) -> np.ndarray:
+                     y_t: np.ndarray) -> np.ndarray:
     """Embed a left eigenvector: y^T [M_C L_A^{-1}, I_p, -M_R Nhat_D^T]."""
     r = sl.realization
     y = np.asarray(y_t, dtype=complex).ravel()
     la0, la1 = sl.state_pencil()
     la = la1 * complex(lam) + la0
-    require_invertible(la, lam, tol, "state pencil")
+    require_invertible(la, lam, "state pencil")
     first = np.linalg.solve(la.T, sl.m_c.eval(lam).T).T
-    mr = hat_transfer_eval(sl, lam, tol)[:r.p]
+    mr = hat_transfer_eval(sl, lam)[:r.p]
     last = -mr @ sl.pair_d.Nhat.eval(lam).T
     return np.concatenate([y @ first, y, y @ last])
 
 
-def eigenpair(sl: StructuredLinearization, lam: complex,
-              tol: Tolerances = Tolerances()) -> EigenpairR:
+def eigenpair(sl: StructuredLinearization, lam: complex) -> EigenpairR:
     """Both eigenvectors at a zero with residuals, sliced from the nearest QZ
     pair of `sl.spectrum`, or from the SVD of L(lam) if the pencil is singular,
-    that recovery raises or a residual exceeds tol.residual."""
-    rv = transfer_eval(sl.realization, lam, tol)
+    that recovery raises or a residual exceeds RESIDUAL_TOL."""
+    rv = transfer_eval(sl.realization, lam)
     with suppress(RatlinError):
-        ep = _eigenpair_from(sl, lam, *sl.spectrum.vectors_near(lam), rv, tol)
-        if max(ep.residual_right, ep.residual_left) <= tol.residual:
+        ep = _eigenpair_from(sl, lam, *sl.spectrum.vectors_near(lam), rv)
+        if max(ep.residual_right, ep.residual_left) <= RESIDUAL_TOL:
             return ep
-    return _eigenpair_from(sl, lam, *pencil_null_vector(sl.L0, sl.L1, lam), rv, tol)
+    return _eigenpair_from(sl, lam, *pencil_null_vector(sl.L0, sl.L1, lam), rv)
 
 
-def _eigenpair_from(sl, lam, x_tilde, y_tilde, rv, tol) -> EigenpairR:
-    x = recover_right_eigvec(sl, lam, x_tilde, tol)
-    y = recover_left_eigvec(sl, lam, y_tilde, tol)
+def _eigenpair_from(sl, lam, x_tilde, y_tilde, rv) -> EigenpairR:
+    x = recover_right_eigvec(sl, lam, x_tilde)
+    y = recover_left_eigvec(sl, lam, y_tilde)
     res_r = float(np.linalg.norm(rv @ x) / np.linalg.norm(x))
     res_l = float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
     scale = float(np.linalg.norm(rv, 2)) or 1.0  # R(lam) = 0 leaves 0 residuals
@@ -161,8 +158,7 @@ def _eigenpair_from(sl, lam, x_tilde, y_tilde, rv, tol) -> EigenpairR:
 # one-sided factorization residuals
 # ---------------------------------------------------------------------------
 
-def factorization_residuals(sl: StructuredLinearization, lam: complex,
-                            tol: Tolerances = Tolerances()) -> tuple:
+def factorization_residuals(sl: StructuredLinearization, lam: complex) -> tuple:
     """Residual norms of the two one-sided factorizations at a point, relative
     to max(1, ||Rhat(lam)|| max(1, ||N_D(lam)||)).
 
@@ -170,7 +166,7 @@ def factorization_residuals(sl: StructuredLinearization, lam: complex,
     left:  [I_p, -M_R(lam) Nhat_D(lam)^T] Rhat(lam) - R(lam) Khat_D(lam)
     """
     r = sl.realization
-    top, rv = _state_terms(r, lam, tol, (sl.m_d, sl.m_b), (r.D, r.B))
+    top, rv = _state_terms(r, lam, (sl.m_d, sl.m_b), (r.D, r.B))
     rhat = np.vstack([top, sl.pair_d.K.eval(lam)])
     nd = sl.pair_d.N.eval(lam)
     target = np.vstack([rv, np.zeros((sl.rho_d * r.m, r.m), dtype=complex)])
@@ -188,32 +184,32 @@ def factorization_residuals(sl: StructuredLinearization, lam: complex,
 # minimal bases
 # ---------------------------------------------------------------------------
 
-def recover_right_minimal_basis(sl: StructuredLinearization, rng=None,
-                                tol: Tolerances = Tolerances()) -> RecoveredNullspace:
+def recover_right_minimal_basis(sl: StructuredLinearization,
+                                rng=None) -> RecoveredNullspace:
     """Right minimal basis and indices of the rational matrix.
 
     The pencil's right minimal basis vectors are split; the rational-matrix
     basis is the last m-row slice of the lower block (the selector completion
     at work) and the indices drop by rho_D.
     """
-    return _recover_minimal_basis(sl, "right", rng, tol)
+    return _recover_minimal_basis(sl, "right", rng)
 
 
-def recover_left_minimal_basis(sl: StructuredLinearization, rng=None,
-                               tol: Tolerances = Tolerances()) -> RecoveredNullspace:
+def recover_left_minimal_basis(sl: StructuredLinearization,
+                               rng=None) -> RecoveredNullspace:
     """Left minimal basis of the rational matrix: the rows of the pencil's
     left basis restricted to the block at positions [n(1+rho_A), n(1+rho_A)+p);
     indices carry over as-is."""
-    return _recover_minimal_basis(sl, "left", rng, tol)
+    return _recover_minimal_basis(sl, "left", rng)
 
 
-def _recover_minimal_basis(sl: StructuredLinearization, side: str, rng,
-                           tol: Tolerances) -> RecoveredNullspace:
+def _recover_minimal_basis(sl: StructuredLinearization, side: str,
+                           rng) -> RecoveredNullspace:
     """Both sides at once, written for columns: a left basis is handled
     through its transpose, whose columns are the basis rows."""
     rng = make_rng(rng)
-    _check_sampled_minimality(sl, side, rng, tol)
-    basis_l = polynomial_nullspace(sl.L0, sl.L1, side, rng=rng, tol=tol)
+    _check_sampled_minimality(sl, side, rng)
+    basis_l = polynomial_nullspace(sl.L0, sl.L1, side, rng=rng)
     r = sl.realization
     if side == "right":
         first, size, shift = sl.shape[1] - r.m, r.m, sl.rho_d
@@ -249,7 +245,7 @@ def _recover_minimal_basis(sl: StructuredLinearization, side: str, rng,
         out[:, :, j] = col[: gmax + 1]
     basis_r = MinimalBasisResult(vectors=PolyMatrix(orient(out)),
                                  indices=sorted(degrees), side=side)
-    diag = _nullspace_diagnostics(sl, basis_r, side, rng, tol)
+    diag = _nullspace_diagnostics(sl, basis_r, side, rng)
     diag["degree_consistent"] = ok_deg
     return RecoveredNullspace(side, basis_r, basis_l, shift, diag)
 
@@ -268,8 +264,7 @@ def _normalize_column(col: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _check_sampled_minimality(sl: StructuredLinearization, side: str,
-                              rng, tol: Tolerances):
+def _check_sampled_minimality(sl: StructuredLinearization, side: str, rng):
     """Sampled proxy for the global rank hypotheses of index recovery.
 
     The pointwise rank condition of the side ([A; C] for right bases, [A, B]
@@ -279,7 +274,7 @@ def _check_sampled_minimality(sl: StructuredLinearization, side: str,
     offending points.
     """
     k = 0 if side == "right" else 1
-    finite, at_inf = sampled_minimality(sl, rng, tol)
+    finite, at_inf = sampled_minimality(sl, rng)
     bad = [z for z, oks in finite if not oks[k]]
     if bad or not at_inf[k]:
         detail = []
@@ -293,20 +288,20 @@ def _check_sampled_minimality(sl: StructuredLinearization, side: str,
 
 
 def _nullspace_diagnostics(sl: StructuredLinearization, basis: MinimalBasisResult,
-                           side: str, rng, tol: Tolerances) -> dict:
+                           side: str, rng) -> dict:
     """Re-verify a recovered basis: nullspace residual at sample points,
     pointwise full rank (including 0), and reducedness."""
-    pts = sample_points(sl.realization, rng, 5, 0.05, 40, tol=tol)
+    pts = sample_points(sl.realization, rng, 5, 0.05, 40)
     worst = 0.0
     for z in pts:
-        rv = transfer_eval(sl.realization, z, tol)
+        rv = transfer_eval(sl.realization, z)
         vv = basis.vectors.eval(z)
         res = rv @ vv if side == "right" else vv @ rv
         scale = max(1.0, np.linalg.norm(rv)) * max(1.0, np.linalg.norm(vv))
         worst = max(worst, float(np.linalg.norm(res)) / scale)
 
-    full = basis.full_rank_at(pts + [0.0], tol)
-    reduced = basis.is_reduced(tol)
+    full = basis.full_rank_at(pts + [0.0])
+    reduced = basis.is_reduced()
     return {"ok": worst <= 1e-8 and full and reduced,
             "nullspace_residual": worst,
             "pointwise_full_rank": full,

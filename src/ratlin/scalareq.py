@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, make_rng
+from .config import MATCH_TOL, make_rng, unit_circle_points
 from .errors import PreconditionError
 from .eigsolve import classify
 from .linbuild import Realization, _deg, build
@@ -92,13 +92,12 @@ def poly_roots(p: PolyMatrix) -> np.ndarray:
                       dtype=complex)
 
 
-def irreducibility_check(a: PolyMatrix, c: PolyMatrix,
-                         tol: Tolerances = Tolerances()) -> bool:
-    """True iff a and c share no root within the clustering tolerance."""
+def irreducibility_check(a: PolyMatrix, c: PolyMatrix) -> bool:
+    """True iff a and c share no root within MATCH_TOL."""
     ra = poly_roots(a)
     rc = poly_roots(c)
     for x in ra:
-        if np.any(np.abs(rc - x) <= tol.match * max(1.0, abs(x))):
+        if np.any(np.abs(rc - x) <= MATCH_TOL * max(1.0, abs(x))):
             return False
     return True
 
@@ -119,26 +118,25 @@ def cleared_residual(eq: ScalarEquation, form: PolyMatrix, lam: complex) -> tupl
     return val, scale
 
 
-def solve_scalar(eq: ScalarEquation, rng=None,
-                 tol: Tolerances = Tolerances()) -> RootReport:
+def solve_scalar(eq: ScalarEquation, rng=None) -> RootReport:
     """All solutions of c/a = d/b that are not poles of either side.
 
     The classified zeros of the structured linearization are the roots of
     the cleared polynomial; those matching a root of b are excluded.
     """
     rng = make_rng(rng)
-    if not irreducibility_check(eq.a, eq.c, tol):
+    if not irreducibility_check(eq.a, eq.c):
         raise PreconditionError("c/a is not irreducible: a and c share a root")
 
     resfun = cleared_form(eq)
-    probe = np.exp(2j * np.pi * rng.uniform(size=20)) * 1.07
+    probe = unit_circle_points(rng, 20) * 1.07
     if all(abs(resfun.eval(z)[0, 0]) <= 1e-12 * _coeff_scale(eq) for z in probe):
         raise PreconditionError(
             "the equation holds identically (r == 0); no discrete root set")
 
     realiz = Realization(A=eq.a, B=eq.b, C=-eq.c, D=eq.d)
     sl = build(realiz, grade_a=eq.grade_left, grade_d=eq.grade_right, rng=rng)
-    report = classify(sl, rng=rng, tol=tol)
+    report = classify(sl, rng=rng)
 
     b_roots = poly_roots(eq.b)
     roots = []
@@ -147,7 +145,7 @@ def solve_scalar(eq: ScalarEquation, rng=None,
         if not entry.classified:
             continue
         lam = entry.value
-        if b_roots.size and np.min(np.abs(b_roots - lam)) <= tol.match * max(1.0, abs(lam)):
+        if b_roots.size and np.min(np.abs(b_roots - lam)) <= MATCH_TOL * max(1.0, abs(lam)):
             excluded.append(lam)
             continue
         val, scale = cleared_residual(eq, resfun, lam)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, make_rng
+from .config import RESIDUAL_TOL, make_rng
 from .errors import BreakdownError, PreconditionError, RatlinError
 from .eigsolve import (MinimalBasisResult, classify, match_multisets,
                        pencil_eigs, polymatrix_nullspace, rational_rank,
@@ -166,20 +166,19 @@ PRESETS = {"cross-coupled": preset_cross_coupled}
 # the check battery
 # ---------------------------------------------------------------------------
 
-def run_all(r: Realization, seed: int = 0,
-            tol: Tolerances = Tolerances()) -> CheckReport:
+def run_all(r: Realization, seed: int = 0) -> CheckReport:
     """Execute the full identity battery against one realization."""
     rng = make_rng(seed)
     sl = build(r, rng=rng)
     entries = []
     entries.append(_check_block_factors(sl))
     entries.append(_check_dual_pairs(sl))
-    entries.append(_check_rank_additivity(sl, rng, tol))
-    entries.append(_check_one_sided_factorizations(sl, rng, tol))
-    entries.append(_check_state_pencil_spectrum(sl, rng, tol))
-    entries.append(_check_minimality_proxy(sl, rng, tol))
-    entries.extend(_check_nullspaces(sl, rng, tol))
-    entries.append(_check_eigenvector_recovery(sl, rng, tol))
+    entries.append(_check_rank_additivity(sl, rng))
+    entries.append(_check_one_sided_factorizations(sl, rng))
+    entries.append(_check_state_pencil_spectrum(sl, rng))
+    entries.append(_check_minimality_proxy(sl, rng))
+    entries.extend(_check_nullspaces(sl, rng))
+    entries.append(_check_eigenvector_recovery(sl, rng))
     return CheckReport(entries)
 
 
@@ -217,16 +216,16 @@ def _check_dual_pairs(sl: StructuredLinearization) -> CheckEntry:
     return _entry("dual-pair-identities", worst <= 1e-13, worst)
 
 
-def _check_rank_additivity(sl, rng, tol) -> CheckEntry:
+def _check_rank_additivity(sl, rng) -> CheckEntry:
     """rank L(z) == rank R(z) + n + s at random non-pole points, with
     rank R(z) + n read off the system matrix [A B; -C D](z)."""
     r = sl.realization
-    pts = sample_points(r, rng, 5, 0.11, 50, cond_max=1e7, tol=tol)
+    pts = sample_points(r, rng, 5, 0.11, 50, cond_max=1e7)
     ok = True
     loc = None
     for z in pts:
-        lhs = numerical_rank(sl.pencil_eval(z), tol.rank_scale)
-        rhs = numerical_rank(system_eval(r, z), tol.rank_scale) + sl.s
+        lhs = numerical_rank(sl.pencil_eval(z))
+        rhs = numerical_rank(system_eval(r, z)) + sl.s
         if lhs != rhs:
             ok = False
             loc = complex(z)
@@ -234,24 +233,23 @@ def _check_rank_additivity(sl, rng, tol) -> CheckEntry:
                   0.0 if ok else 1.0, loc)
 
 
-def _check_one_sided_factorizations(sl, rng, tol) -> CheckEntry:
-    pts = sample_points(sl.realization, rng, 10, 0.07, 60, cond_max=1e6,
-                        tol=tol)
+def _check_one_sided_factorizations(sl, rng) -> CheckEntry:
+    pts = sample_points(sl.realization, rng, 10, 0.07, 60, cond_max=1e6)
     worst = 0.0
     loc = None
     for z in pts:
-        val = max(factorization_residuals(sl, z, tol))
+        val = max(factorization_residuals(sl, z))
         if val > worst:
             worst, loc = val, complex(z)
     return _entry("one-sided-factorizations", len(pts) == 10 and worst <= 1e-10,
                   worst, loc)
 
 
-def _check_state_pencil_spectrum(sl, rng, tol) -> CheckEntry:
+def _check_state_pencil_spectrum(sl, rng) -> CheckEntry:
     """Finite eigenvalues of the state pencil == roots of det A (interpolation
     oracle), matched to 1e-8."""
     la0, la1 = sl.state_pencil()
-    eig = pencil_eigs(la0, la1, rng=rng, tol=tol)
+    eig = pencil_eigs(la0, la1, rng=rng)
     if not eig.regular:
         return _entry("state-pencil-spectrum", False, 1.0)
     det = poly_det_coeffs(sl.realization.A.to_monomial())
@@ -260,11 +258,11 @@ def _check_state_pencil_spectrum(sl, rng, tol) -> CheckEntry:
     return _entry("state-pencil-spectrum", ok, worst)
 
 
-def _check_minimality_proxy(sl, rng, tol) -> CheckEntry:
+def _check_minimality_proxy(sl, rng) -> CheckEntry:
     """Pointwise minimality at 20 random points and at every computed
     eigenvalue of the state pencil and of the full pencil (where the
     classification actually relies on it), plus the reversal checks at 0."""
-    finite, at_inf = sampled_minimality(sl, rng, tol)
+    finite, at_inf = sampled_minimality(sl, rng)
     bad = [z for z, oks in finite if not all(oks)]
     return _entry("minimality-proxy", not bad and all(at_inf), float(len(bad)),
                   complex(bad[-1]) if bad else None)
@@ -292,7 +290,7 @@ def cleared_matrix(r: Realization) -> PolyMatrix:
 SWEEP_BUDGET = 600  # pencil width x sweep depth cap for run_all
 
 
-def _check_nullspaces(sl, rng, tol) -> list:
+def _check_nullspaces(sl, rng) -> list:
     """Index shift laws against the cleared-matrix oracle, the degree law,
     and the nullspace dimension rule; skipped for regular fixtures.
 
@@ -307,7 +305,7 @@ def _check_nullspaces(sl, rng, tol) -> list:
     r = sl.realization
     # loosened like the pencil sweep's own rank (see polynomial_nullspace)
     rank_pencil = generic_rank(PolyMatrix(np.stack([sl.L0, sl.L1])), rng,
-                               rank_scale=tol.rank_scale * 100.0)
+                               rank_scale=100.0)
     right_nullity = sl.shape[1] - rank_pencil
     left_nullity = sl.shape[0] - rank_pencil
     if right_nullity == 0 and left_nullity == 0:
@@ -315,18 +313,18 @@ def _check_nullspaces(sl, rng, tol) -> list:
                 _skip("nullvector-degree-law"), _skip("nullspace-dimension")]
 
     cleared = cleared_matrix(r)
-    rank_r = rational_rank(sl, rng=rng, tol=tol)
+    rank_r = rational_rank(sl, rng=rng)
 
     dim_ok = (right_nullity == r.m - rank_r) and (left_nullity == r.p - rank_r)
     entries_dim = _entry("nullspace-dimension", dim_ok,
                          abs(right_nullity - (r.m - rank_r))
                          + abs(left_nullity - (r.p - rank_r)))
-    return (_check_index_side(sl, "right", right_nullity, cleared, rank_r, rng, tol)
-            + _check_index_side(sl, "left", left_nullity, cleared, rank_r, rng, tol)
+    return (_check_index_side(sl, "right", right_nullity, cleared, rank_r, rng)
+            + _check_index_side(sl, "left", left_nullity, cleared, rank_r, rng)
             + [entries_dim])
 
 
-def _check_index_side(sl, side, nullity, cleared, rank_r, rng, tol) -> list:
+def _check_index_side(sl, side, nullity, cleared, rank_r, rng) -> list:
     """One side of `_check_nullspaces`: the recovered minimal indices against
     the oracle's, followed on the right by the degree law."""
     right = side == "right"
@@ -336,7 +334,7 @@ def _check_index_side(sl, side, nullity, cleared, rank_r, rng, tol) -> list:
         return skipped
     shift, width = (sl.rho_d, sl.shape[1]) if right else (0, sl.shape[0])
     try:  # an oracle index above the cap puts the pencil sweep over budget
-        oracle = polymatrix_nullspace(cleared, side, rng=rng, tol=tol, rank=rank_r,
+        oracle = polymatrix_nullspace(cleared, side, rng=rng, rank=rank_r,
                                       cap=SWEEP_BUDGET // width - shift - 2)
     except BreakdownError:
         return skipped
@@ -345,19 +343,19 @@ def _check_index_side(sl, side, nullity, cleared, rank_r, rng, tol) -> list:
     recover_basis = (recover_right_minimal_basis if right
                      else recover_left_minimal_basis)
     try:
-        rec = recover_basis(sl, rng=rng, tol=tol)
+        rec = recover_basis(sl, rng=rng)
     except PreconditionError:
         return skipped
     ok = rec.basis_r.indices == sorted(oracle.indices) and rec.diagnostics["ok"]
     entry = _entry(name, ok, rec.diagnostics.get("nullspace_residual", 0.0))
-    return [entry] + ([_degree_law(sl, rec.basis_l, tol)] if right else [])
+    return [entry] + ([_degree_law(sl, rec.basis_l)] if right else [])
 
 
-def _degree_law(sl, basis: MinimalBasisResult, tol) -> CheckEntry:
+def _degree_law(sl, basis: MinimalBasisResult) -> CheckEntry:
     """deg z == deg (lower block of z) for every vector of the pencil's right
     minimal basis, whenever the left reversal-minimality condition holds."""
     left_inf, _ = check_infinity_minimality(sl.realization, sl.grade_a,
-                                            sl.grade_d, tol)
+                                            sl.grade_d)
     if not left_inf:
         return _skip("nullvector-degree-law")
     r = sl.realization
@@ -371,12 +369,12 @@ def _degree_law(sl, basis: MinimalBasisResult, tol) -> CheckEntry:
     return _entry("nullvector-degree-law", ok, 0.0 if ok else 1.0)
 
 
-def _check_eigenvector_recovery(sl, rng, tol) -> CheckEntry:
+def _check_eigenvector_recovery(sl, rng) -> CheckEntry:
     r = sl.realization
     if r.p != r.m:
         return _skip("eigenvector-recovery")
     try:
-        report = classify(sl, rng=rng, tol=tol)
+        report = classify(sl, rng=rng)
     except PreconditionError:
         return _skip("eigenvector-recovery")
     pole_vals = [v for v, _ in report.poles]
@@ -387,7 +385,7 @@ def _check_eigenvector_recovery(sl, rng, tol) -> CheckEntry:
         if not entry.classified or entry.near_pole:
             continue
         try:
-            ep = eigenpair(sl, entry.value, tol)
+            ep = eigenpair(sl, entry.value)
         except RatlinError:
             return _entry("eigenvector-recovery", False, 1.0, entry.value)
         used += 1
@@ -396,4 +394,4 @@ def _check_eigenvector_recovery(sl, rng, tol) -> CheckEntry:
             worst, loc = val, entry.value
     if used == 0:
         return _skip("eigenvector-recovery")
-    return _entry("eigenvector-recovery", worst <= tol.residual, worst, loc)
+    return _entry("eigenvector-recovery", worst <= RESIDUAL_TOL, worst, loc)

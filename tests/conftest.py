@@ -1,9 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from ratlin.polymat import Basis, PolyMatrix
-from ratlin.linbuild import Realization
-from ratlin.verify import preset_cross_coupled
+# one BLAS thread, as in perfbench/run.py and tools/parity.py: timings and
+# the last digits of computed results depend on the thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402  (after the thread pinning)
+import pytest  # noqa: E402
+
+from ratlin.polymat import Basis, PolyMatrix  # noqa: E402
+from ratlin.linbuild import Realization  # noqa: E402
+from ratlin.verify import preset_cross_coupled  # noqa: E402
 
 
 @pytest.fixture

@@ -128,6 +128,20 @@ class TestErrors:
             main(["eigs", "--bogus"])
         assert exc.value.code == 2
 
+    def test_environment_does_not_configure_the_cli(self, capsys, monkeypatch):
+        argv = ("eigs", "--preset", "cross-coupled", "--json")
+        clean = run_cli(capsys, *argv)
+        monkeypatch.setenv("RATLIN_SEED", "abc")
+        monkeypatch.setenv("RATLIN_TOL_RANK", "nan")
+        monkeypatch.setenv("RATLIN_TOL_RESIDUAL", "1e300")
+        assert run_cli(capsys, *argv) == clean
+        assert clean[0] == 0
+
+    def test_tolerance_flags_are_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eigs", "--preset", "cross-coupled", "--tol-rank", "1"])
+        assert exc.value.code == 2
+
     def test_malformed_json_is_io_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{не json")

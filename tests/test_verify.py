@@ -209,3 +209,42 @@ def test_cleared_matrix_is_det_times_transfer():
     # degree: det A has degree 3, D = I l^2 -> cleared degree 5... the
     # off-diagonal couplings reach degree 6
     assert cm.degree() == 6
+
+
+SAME_RESULTS = Path(__file__).parent / "data" / "same_results_seed1_n2_g2.json"
+
+
+def same_results_record() -> dict:
+    """Tolerance-driven outcomes on the 16 seed-1, n = p = m = 2, grade-2
+    fixtures (every structure flag and basis pair): the battery's statuses,
+    the orders at infinity and the recovered minimal indices (or the class
+    name of the error a recovery raises).  Residuals are left out because
+    their last digits depend on the machine."""
+    from itertools import product
+    from ratlin.eigsolve import invariant_orders_at_infinity
+    from ratlin.errors import RatlinError
+    from ratlin.recover import (recover_left_minimal_basis,
+                                recover_right_minimal_basis)
+    from ratlin.verify import STRUCTURES
+    out = {}
+    for structure, ba, bd in product(STRUCTURES, Basis, Basis):
+        r = gen_fixture(FixtureSpec(seed=1, structure=structure,
+                                    basis_a=ba, basis_d=bd))
+        sl = build(r, rng=1)
+        rec = {"checks": [[e.name, e.status] for e in run_all(r, seed=1).entries],
+               "orders": invariant_orders_at_infinity(sl, rng=1)}
+        for side, fn in (("right", recover_right_minimal_basis),
+                         ("left", recover_left_minimal_basis)):
+            try:
+                rec[side] = fn(sl, rng=1).basis_r.indices
+            except RatlinError as exc:
+                rec[side] = type(exc).__name__
+        out[f"{structure}/{ba.value}/{bd.value}"] = rec
+    return out
+
+
+def test_same_results_on_the_seed1_fixtures():
+    """The record was written by
+    PYTHONPATH=src:tests python -c "import json, test_verify as t; t.SAME_RESULTS.write_text(json.dumps(t.same_results_record(), indent=1) + '\\n')"
+    """
+    assert same_results_record() == json.loads(SAME_RESULTS.read_text())
