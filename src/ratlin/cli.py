@@ -5,8 +5,10 @@ the input (--input or --preset), --seed and --json, plus each command's own;
 no threshold is settable and nothing is read from the environment.  Exit
 codes: 0 success, 1 mathematical precondition failure, 2 I/O or parse failure.
 JSON output writes each double exactly (its shortest round-tripping repr);
-tables print 17 significant digits.  Output is byte-stable for a fixed seed
-and input.
+tables print 17 significant digits.  Output is byte-stable for a fixed seed,
+input and BLAS thread count: the last digits of computed results can differ
+between thread counts, so the tests and tools/parity.py pin BLAS to one
+thread.
 """
 
 import argparse

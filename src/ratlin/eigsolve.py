@@ -1,9 +1,12 @@
 """Dense pencil spectral computations.
 
 Covers the generalized eigensolver contract (QZ via scipy), pole/zero
-classification of a structured linearization, local partial multiplicities,
-invariant orders at infinity, and polynomial nullspace minimal bases of
-singular pencils via a degree-sweep convolution method.
+classification of a structured linearization, and polynomial nullspace
+minimal bases of singular pencils via a degree-sweep convolution method.
+One column-compression staircase gives both a pencil's right minimal
+indices, which guide that sweep, and its Jordan block sizes at 0, which
+are the local partial multiplicities and, on reversed pencils, the
+invariant orders at infinity.
 """
 
 import math
@@ -15,8 +18,9 @@ import scipy.optimize
 
 from .config import MATCH_TOL, make_rng, unit_circle_points
 from .errors import BreakdownError, PreconditionError, RatlinError
-from .linbuild import (StructuredLinearization, check_finite_minimality,
-                       check_infinity_minimality, sample_points, system_eval)
+from .linbuild import (StructuredLinearization, block_pencil,
+                       check_finite_minimality, check_infinity_minimality,
+                       sample_points, system_eval)
 from .polymat import NEG_INF, PolyMatrix, generic_rank, numerical_rank
 
 INF_BETA_TOL = 1e-12
@@ -177,7 +181,7 @@ def pencil_null_vector(l0: np.ndarray, l1: np.ndarray, lam: complex) -> tuple:
     return vh[-1].conj(), u[:, -1].conj()
 
 
-def match_multisets(computed, expected, tol_match: float = 1e-7):
+def match_multisets(computed, expected, tol_match: float = MATCH_TOL):
     """Optimal pairing of two eigenvalue multisets.
 
     Returns (ok, worst) where worst is the largest matched distance relative
@@ -267,45 +271,19 @@ def sampled_minimality(sl: StructuredLinearization, rng) -> tuple:
     return finite, check_infinity_minimality(r, sl.grade_a, sl.grade_d)
 
 
-def partial_multiplicities_at(p: PolyMatrix, lam: complex, rng=None) -> list:
-    """Multiplicities of lam as a zero of P, from block-Toeplitz nullities.
+def partial_multiplicities_at(p: PolyMatrix, lam: complex) -> list:
+    """Multiplicities of lam as a zero of P, sorted: the Jordan block sizes
+    at 0 of `_staircase` on the block pencil of the Taylor expansion of P at
+    lam, a strong linearization of P(lam + mu) (a pencil is its own).
 
-    T_k, the lower-triangular block-Toeplitz matrix of the first k Taylor
-    coefficients of P at lam, is the leading k block rows of the degree
-    k - 1 convolution matrix of the Taylor stack; the count of
-    multiplicities >= k is
-    nullity(T_k) - nullity(T_{k-1}) - (cols - generic rank).
-
-    The point is usually a computed eigenvalue, exact only to roundoff, so
-    the rank cutoff is loosened well past machine epsilon: structural zero
-    singular values sit near eps * cond while genuine ones are O(1) relative.
+    The point is usually a computed eigenvalue, exact only to roundoff,
+    which the staircase's loosened rank cutoff absorbs.
     """
-    mono = p.to_monomial()
-    lam = complex(lam)
-    rows, cols = p.rows, p.cols
-    if rows == 0 or cols == 0:
+    if p.cols == 0:  # block_pencil needs a column
         return []
-    r = generic_rank(mono, rng=rng)
-    taylor = _taylor_stack(mono, lam)
-
-    cap = r * max(1, mono.grade) + 2
-    mults = []
-    prev_null = 0
-    prev_count = None
-    for k in range(1, cap + 1):
-        tk = _convolution_matrix(taylor, k - 1)[:k * rows]
-        null_k = (k * cols) - numerical_rank(tk, 1e6)
-        count_k = null_k - prev_null - (cols - r)
-        count_k = max(0, count_k)
-        if prev_count is not None:
-            exactly = prev_count - count_k
-            mults.extend([k - 1] * max(0, exactly))
-        if count_k == 0:
-            return sorted(mults)
-        prev_null = null_k
-        prev_count = count_k
-    raise BreakdownError(
-        f"partial multiplicity sweep exceeded cap {cap} at lambda={lam}")
+    taylor = PolyMatrix(_taylor_stack(p.to_monomial(), complex(lam)))
+    l0, l1, _ = block_pencil(taylor)
+    return _staircase(l0, l1)[1]
 
 
 def _taylor_stack(mono: PolyMatrix, lam: complex) -> np.ndarray:
@@ -325,7 +303,6 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
     of the reversed full pencil, padded with zeros up to the generic rank of
     the rational matrix, then shifts everything down by the grade.
     """
-    rng = make_rng(rng)
     r = sl.realization
     okl, okr = check_infinity_minimality(r, sl.grade_a, sl.grade_d)
     if not (okl and okr):
@@ -336,10 +313,10 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
 
     la0, la1 = sl.state_pencil()
     rev_state = PolyMatrix(np.stack([la1, la0]))
-    e_list = partial_multiplicities_at(rev_state, 0.0, rng=rng)
+    e_list = partial_multiplicities_at(rev_state, 0.0)
 
     rev_full = PolyMatrix(np.stack([np.asarray(sl.L1), np.asarray(sl.L0)]))
-    e_tilde = partial_multiplicities_at(rev_full, 0.0, rng=rng)
+    e_tilde = partial_multiplicities_at(rev_full, 0.0)
 
     rank_r = rational_rank(sl, rng=rng)
     t, u = len(e_list), len(e_tilde)
@@ -403,7 +380,7 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
     linearization.
 
     A pencil (grade 1) first gets a guess of its right minimal indices from
-    `_staircase_indices`.  A guess with `nullity` entries, none above `cap`,
+    `_staircase`.  A guess with `nullity` entries, none above `cap`,
     is tested against the sweep's own nullities at degrees p - 1 and p of
     each guessed index p, and only those degrees are visited; any mismatch
     drops the guess for the full sweep.  Nullity is convex and piecewise
@@ -434,7 +411,7 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
 
     found = None
     if mono.grade == 1:
-        guess = _staircase_indices(*mono.coeffs)
+        guess = _staircase(*mono.coeffs)[0]
         if len(guess) == nullity and max(guess) <= cap:
             found = _guided_sweep(mono.coeffs, guess)
     if found is None:
@@ -495,32 +472,38 @@ def _take(found, ns, delta, cols, new_count):
     found.extend((delta, vec.reshape(delta + 1, cols)) for vec in fresh.T)
 
 
-def _staircase_indices(l0: np.ndarray, l1: np.ndarray) -> list:
-    """Right minimal indices of lambda * l1 + l0 from Van Dooren's
-    column-compression staircase (LAA 1979; Demmel & Kagstrom, ACM TOMS 1993).
+def _staircase(l0: np.ndarray, l1: np.ndarray) -> tuple:
+    """(right minimal indices, Jordan block sizes at 0) of lambda * l1 + l0,
+    both sorted, from Van Dooren's column-compression staircase (LAA 1979;
+    Demmel & Kagstrom, ACM TOMS 1993).
 
-    Step k compresses the null columns of the current l0 block, row-compresses
-    the matching columns of l1, and drops both: null columns that l1 leaves
-    rank deficient each close one index k.  Ranks use the absolute cutoff
-    max(M, N) * eps * ||[l0 l1]||_2 * STAIRCASE_SCALE.  Only a guess: it
-    picks the degrees the sweep visits and never decides an output.
+    Step k compresses the mu_k null columns of the current l0 block,
+    row-compresses the matching columns of l1 to their rank rho_k, and drops
+    both.  mu_k - rho_k right minimal indices equal k, and rho_k - mu_{k+1}
+    Jordan blocks at 0 have size k + 1, with mu = 0 at the last step.  Ranks
+    use the absolute cutoff max(M, N) * eps * ||[l0 l1]||_2 * STAIRCASE_SCALE.
+    As a guess of the indices it only picks the degrees the nullspace sweep
+    visits.
     """
     cutoff = (max(l0.shape) * np.finfo(float).eps * STAIRCASE_SCALE
               * np.linalg.norm(np.hstack([l0, l1]), 2))
     a, b = l0, l1
-    indices = []
+    indices, sizes = [], []
+    rho = 0
     for k in range(l0.shape[1] + 1):
         _, sv, vh = np.linalg.svd(a)
         rank = int(np.sum(sv > cutoff))
-        if rank == a.shape[1]:
+        mu = a.shape[1] - rank
+        sizes += [k] * (rho - mu)
+        if mu == 0:
             break
         v = vh.conj().T
         u, sb, _ = np.linalg.svd(b @ v[:, rank:])
         rho = int(np.sum(sb > cutoff))
-        indices += [k] * (a.shape[1] - rank - rho)
+        indices += [k] * (mu - rho)
         uh = u.conj().T[rho:]
         a, b = uh @ a @ v[:, :rank], uh @ b @ v[:, :rank]
-    return indices
+    return indices, sizes
 
 
 def _convolution_matrix(stack: np.ndarray, delta: int):

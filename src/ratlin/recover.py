@@ -256,7 +256,7 @@ def _normalize_column(col: np.ndarray, degree: int) -> np.ndarray:
         return col
     top = col[degree]
     idx = int(np.argmax(np.abs(top)))
-    pivot = top.ravel()[idx] if top.ndim == 1 else top.reshape(-1)[idx]
+    pivot = top.ravel()[idx]
     if pivot == 0:
         return col
     out = col / pivot

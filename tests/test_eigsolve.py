@@ -1,3 +1,7 @@
+import json
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,15 +14,77 @@ from ratlin.eigsolve import (certify_minimal_basis, classify,
                              pencil_is_regular, pencil_null_vector,
                              polynomial_nullspace, rational_rank, vector_degree)
 from ratlin.linbuild import Realization, build
-from ratlin.polymat import PolyMatrix, poly_det_coeffs
-from ratlin.verify import FixtureSpec, gen_fixture
+from ratlin.polymat import Basis, PolyMatrix, poly_det_coeffs
+from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
 from conftest import random_polymatrix, random_realization
+
+
+ORDERS = Path(__file__).parent / "data" / "infinity_orders_deficient_leading.json"
 
 
 def scalar_realization(a, b, c, d):
     mk = PolyMatrix.from_scalar_coeffs
     return Realization(A=mk(a), B=mk(b), C=mk(c), D=mk(d))
+
+
+def deficient_leading(r: Realization, blocks: str) -> Realization:
+    """r with the first column of the leading coefficient of each named
+    block zeroed: "A" drops the rank of A's, "BD" that of [B; D]'s."""
+    parts = {k: getattr(r, k) for k in "ABCD"}
+    for k in blocks:
+        coeffs = parts[k].coeffs.copy()
+        coeffs[-1][:, 0] = 0.0
+        parts[k] = PolyMatrix(coeffs, parts[k].basis)
+    return Realization(**parts)
+
+
+def _kronecker_pencil():
+    """L_0, L_1, L_3, L_2^T, a 2x2 Jordan block at 2 and a size-2 block
+    at infinity, mixed by seeded random unitary P and Q."""
+    def l_block(eps):  # eps x (eps + 1), null vector [1, -l, l^2, ...]
+        eye = np.eye(eps, eps + 1)
+        return np.roll(eye, 1, axis=1), eye
+    blocks = [l_block(0), l_block(1), l_block(3)]
+    l0, l1 = l_block(2)
+    blocks.append((l0.T, l1.T))
+    blocks.append((-np.array([[2.0, 1.0], [0.0, 2.0]]), np.eye(2)))
+    blocks.append((np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])))
+    l0 = scipy.linalg.block_diag(*[b[0] for b in blocks])
+    l1 = scipy.linalg.block_diag(*[b[1] for b in blocks])
+    rng = np.random.default_rng(12)
+
+    def unitary(k):
+        q, _ = np.linalg.qr(rng.standard_normal((k, k))
+                            + 1j * rng.standard_normal((k, k)))
+        return q
+    p, q = unitary(l0.shape[0]), unitary(l0.shape[1])
+    return p @ l0 @ q, p @ l1 @ q
+
+
+def orders_record() -> dict:
+    """Orders at infinity with the grade, or the class name of the error
+    raised, on the seed-1 n = p = m = 2 grade-2 and seed-4 n = p = m = 3
+    grade-3 fixtures (every structure flag and basis pair), each with a
+    rank-deficient leading coefficient of A or of [B; D], and built with
+    grade_d raised by one and by two."""
+    variants = {"A": ("A", 0), "BD": ("BD", 0), "grade_d+1": ("", 1),
+                "grade_d+2": ("", 2)}
+    out = {}
+    for (n, g, seed), structure, ba, bd in product(
+            [(2, 2, 1), (3, 3, 4)], STRUCTURES, Basis, Basis):
+        r = gen_fixture(FixtureSpec(seed=seed, n=n, p=n, m=n, grade_a=g,
+                                    grade_d=g, basis_a=ba, basis_d=bd,
+                                    structure=structure))
+        for name, (blocks, raise_d) in variants.items():
+            key = f"{structure}/n{n}-g{g}-s{seed}/{ba.value}/{bd.value}/{name}"
+            try:
+                sl = build(deficient_leading(r, blocks), grade_d=g + raise_d, rng=1)
+                out[key] = {"orders": invariant_orders_at_infinity(sl, rng=1),
+                            "grade": sl.rho_d + 1}
+            except RatlinError as exc:
+                out[key] = type(exc).__name__
+    return out
 
 
 class TestPencilEigs:
@@ -145,6 +211,23 @@ class TestPartialMultiplicities:
         p = PolyMatrix.from_list([np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]])])
         assert partial_multiplicities_at(p, 0.0) == [1]
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 2), (0, 0)])
+    def test_empty_matrix(self, shape):
+        p = PolyMatrix(np.zeros((3,) + shape, dtype=complex))
+        assert partial_multiplicities_at(p, 1.0) == []
+
+    def test_kronecker_pencil_with_both_minimal_index_sides(self):
+        # L_0, L_1, L_3, L_2^T around a 2x2 Jordan block at 2 and a size-2
+        # block at infinity: only the Jordan block counts at 2, nothing at
+        # 0 or 1, and the infinite block is the size-2 block at 0 of the
+        # reversal
+        l0, l1 = _kronecker_pencil()
+        pencil = PolyMatrix(np.stack([l0, l1]))
+        assert partial_multiplicities_at(pencil, 2.0) == [2]
+        assert partial_multiplicities_at(pencil, 0.0) == []
+        assert partial_multiplicities_at(pencil, 1.0) == []
+        assert partial_multiplicities_at(PolyMatrix(np.stack([l1, l0])), 0.0) == [2]
+
     def test_degree_sum_matches_determinant(self):
         # random draws have simple roots; one multiplicity of 1 at each
         rng = np.random.default_rng(13)
@@ -179,6 +262,16 @@ class TestInvariantOrders:
         r = scalar_realization([1], [1], [1], [0, 1])
         with pytest.raises(PreconditionError):
             invariant_orders_at_infinity(build(r))
+
+    def test_recorded_orders_on_deficient_and_overridden_inputs(self):
+        """The record was written by
+        PYTHONPATH=src:tests python -c "import json, test_eigsolve as t; t.ORDERS.write_text(json.dumps(t.orders_record(), indent=1) + '\\n')"
+        """
+        record = json.loads(ORDERS.read_text())
+        assert orders_record() == record
+        # most entries differ from a generic input's orders, all -grade
+        assert sum(isinstance(v, dict) and set(v["orders"]) != {-v["grade"]}
+                   for v in record.values()) > len(record) // 2
 
     @pytest.mark.parametrize("seed", [9001, 9002, 9005, 9011])
     def test_order_sum_balances_determinant_degrees(self, seed):
@@ -242,42 +335,19 @@ class TestPolynomialNullspace:
         assert certify_minimal_basis(res_r, l0, l1)["ok"]
         assert certify_minimal_basis(res_l, l0, l1)["ok"]
 
-    @staticmethod
-    def _kronecker_pencil():
-        """L_0, L_1, L_3, L_2^T, a 2x2 Jordan block at 2 and a size-2 block
-        at infinity, mixed by seeded random unitary P and Q."""
-        def l_block(eps):  # eps x (eps + 1), null vector [1, -l, l^2, ...]
-            eye = np.eye(eps, eps + 1)
-            return np.roll(eye, 1, axis=1), eye
-        blocks = [l_block(0), l_block(1), l_block(3)]
-        l0, l1 = l_block(2)
-        blocks.append((l0.T, l1.T))
-        blocks.append((-np.array([[2.0, 1.0], [0.0, 2.0]]), np.eye(2)))
-        blocks.append((np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])))
-        l0 = scipy.linalg.block_diag(*[b[0] for b in blocks])
-        l1 = scipy.linalg.block_diag(*[b[1] for b in blocks])
-        rng = np.random.default_rng(12)
-
-        def unitary(k):
-            q, _ = np.linalg.qr(rng.standard_normal((k, k))
-                                + 1j * rng.standard_normal((k, k)))
-            return q
-        p, q = unitary(l0.shape[0]), unitary(l0.shape[1])
-        return p @ l0 @ q, p @ l1 @ q
-
     def test_staircase_on_known_kronecker_blocks(self):
-        l0, l1 = self._kronecker_pencil()
+        l0, l1 = _kronecker_pencil()
         assert l0.shape == (11, 13)
-        assert eigsolve._staircase_indices(l0, l1) == [0, 1, 3]
-        assert eigsolve._staircase_indices(l0.T, l1.T) == [2]
+        assert eigsolve._staircase(l0, l1) == ([0, 1, 3], [])
+        assert eigsolve._staircase(l0.T, l1.T) == ([2], [])
         assert polynomial_nullspace(l0, l1, "right").indices == [0, 1, 3]
         assert polynomial_nullspace(l0, l1, "left").indices == [2]
 
     def test_short_staircase_guess_falls_back(self, monkeypatch):
         # the guess's own degrees all check out; only its length is short
-        l0, l1 = self._kronecker_pencil()
+        l0, l1 = _kronecker_pencil()
         want = polynomial_nullspace(l0, l1, "right")
-        monkeypatch.setattr(eigsolve, "_staircase_indices", lambda a, b: [0, 1])
+        monkeypatch.setattr(eigsolve, "_staircase", lambda a, b: ([0, 1], []))
         got = polynomial_nullspace(l0, l1, "right")
         assert got.indices == want.indices == [0, 1, 3]
         assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
@@ -290,18 +360,18 @@ class TestPolynomialNullspace:
         sl = build(gen_fixture(FixtureSpec(seed=4, structure=structure)))
         want = {side: polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
                 for side in ("right", "left")}
-        staircase = eigsolve._staircase_indices
+        staircase = eigsolve._staircase
 
         def spoiled(l0, l1):
-            guess = staircase(l0, l1)
+            guess, sizes = staircase(l0, l1)
             if not guess:
-                return guess
+                return guess, sizes
             last = {"raise-last": [guess[-1] + 1],
                     "lower-last": [abs(guess[-1] - 1)],  # 0 goes up to 1
                     "drop-last": []}[spoil]
-            return guess[:-1] + last
+            return guess[:-1] + last, sizes
 
-        monkeypatch.setattr(eigsolve, "_staircase_indices", spoiled)
+        monkeypatch.setattr(eigsolve, "_staircase", spoiled)
         for side, res in want.items():
             got = polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
             assert got.indices == res.indices

@@ -14,6 +14,10 @@ Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
 - the 3 singular STRUCTURES x 4 basis pairs at n = p = m = 4, grade 2,
   seed 7: 16 x 16 pencils with minimal indices 11-15, as deep as the
   nullspace sweeps of the benchmark's battery go;
+- the seed-1 n = p = m = 2 grade-2 and seed-4 n = p = m = 3 grade-3 inputs
+  again, with the first column of the leading coefficient of A, or of B
+  and D, zeroed: a rank-deficient leading coefficient gives orders at
+  infinity other than -grade on 48 of these 64 inputs;
 - 40 seeded `scalar` equations.
 
 Each realization goes through `eigs`, `infinity`, `nullspace --side left`,
@@ -66,7 +70,22 @@ def realizations(verify, basis):
                         basis_a=ba, basis_d=bd, structure=structure)
                     name = (f"{structure}-n{n}-g{grade}-s{seed}-"
                             f"{ba.value}-{bd.value}")
-                    yield name, verify.gen_fixture(spec)
+                    r = verify.gen_fixture(spec)
+                    yield name, r
+                    if (n, grade, seed) in ((2, 2, 1), (3, 3, 4)):
+                        for blocks in ("A", "BD"):
+                            yield f"{name}-lead{blocks}", deficient_leading(r, blocks)
+
+
+def deficient_leading(r, blocks: str):
+    """r with the first column of the leading coefficient of each named
+    block zeroed."""
+    parts = {k: getattr(r, k) for k in "ABCD"}
+    for k in blocks:
+        coeffs = parts[k].coeffs.copy()
+        coeffs[-1][:, 0] = 0.0
+        parts[k] = type(parts[k])(coeffs, parts[k].basis)
+    return type(r)(**parts)
 
 
 def scalar_args(seed: int) -> list:
