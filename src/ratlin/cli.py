@@ -13,6 +13,7 @@ thread.
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 
@@ -40,6 +41,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@functools.lru_cache(maxsize=None)  # built on first use, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratlin",

@@ -100,8 +100,7 @@ def _nhat(rec, d: int) -> np.ndarray:
 
 def _blocks(pattern, s: int, basis: Basis) -> PolyMatrix:
     """Scalar coefficient stack -> PolyMatrix with each entry times I_s."""
-    eye = np.eye(s)
-    return PolyMatrix(np.stack([np.kron(c, eye) for c in pattern]), basis)
+    return PolyMatrix(np.kron(np.asarray(pattern), np.eye(s)[None]), basis)
 
 
 def _check_sd(s: int, d: int):

@@ -114,8 +114,8 @@ class MinimalBasisResult:
 
     def full_rank_at(self, points) -> bool:
         """Whether the basis has full rank `count` at every given point."""
-        return all(numerical_rank(self.vectors.eval(z)) == self.count
-                   for z in points)
+        pts = np.array(list(points), dtype=complex)
+        return bool(np.all(numerical_rank(self.vectors.eval(pts)) == self.count))
 
     def is_reduced(self) -> bool:
         """Whether the highest-degree coefficient matrix, taken vector by
@@ -238,12 +238,13 @@ def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
     pole_vals = state.finite()
     poles = cluster_eigenvalues(pole_vals)
 
-    zeros = []
-    for lam in full.finite():
-        mins = check_finite_minimality(r, lam)
-        near = any(abs(lam - pv) <= MATCH_TOL * max(1.0, abs(lam))
-                   for pv in pole_vals)
-        zeros.append(ZeroEntry(complex(lam), mins, bool(mins[0] and mins[1]), near))
+    vals = full.finite()
+    gap = vals[:, None] - pole_vals[None, :]
+    near = np.any(np.hypot(gap.real, gap.imag) <= MATCH_TOL * np.maximum(
+        1.0, np.hypot(vals.real, vals.imag))[:, None], axis=1)
+    zeros = [ZeroEntry(lam, mins, mins[0] and mins[1], nr)
+             for lam, mins, nr in zip(vals.tolist(), check_finite_minimality(r, vals),
+                                      near.tolist())]
 
     return SpectralReport(poles=poles, zeros=zeros, infinity_orders=None,
                           grade_at_infinity=sl.rho_d + 1)
@@ -267,7 +268,7 @@ def sampled_minimality(sl: StructuredLinearization, rng) -> tuple:
         full = pencil_eigs(sl.L0, sl.L1, rng=rng)
         if full.regular:
             pts.extend(full.finite().tolist())
-    finite = [(z, check_finite_minimality(r, z)) for z in pts]
+    finite = list(zip(pts, check_finite_minimality(r, np.array(pts))))
     return finite, check_infinity_minimality(r, sl.grade_a, sl.grade_d)
 
 
@@ -340,8 +341,7 @@ def rational_rank(sl: StructuredLinearization, rng=None) -> int:
                         cond_max=1e6)
     if not pts:
         raise RatlinError("could not find well-conditioned sample points")
-    return max(numerical_rank(system_eval(r, z), 1e6)
-               for z in pts) - r.n
+    return int(numerical_rank(system_eval(r, np.array(pts)), 1e6).max()) - r.n
 
 
 def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",

@@ -137,8 +137,9 @@ class StructuredLinearization:
     def shape(self) -> tuple:
         return self.L0.shape
 
-    def pencil_eval(self, lam: complex) -> np.ndarray:
-        return self.L1 * complex(lam) + self.L0
+    def pencil_eval(self, lam) -> np.ndarray:
+        """L(lam), or the stack of values at a 1-D array of points."""
+        return self.L1 * np.asarray(lam, dtype=complex)[..., None, None] + self.L0
 
     @cached_property
     def spectrum(self):
@@ -199,7 +200,8 @@ def minimality_report(r: Realization, points, grade_a: int | None = None,
     """Run the finite checks at every requested point plus the reversal
     checks at 0, and bundle the results."""
     da, dd = r.grade_sides(grade_a, grade_d)
-    finite = {complex(z): check_finite_minimality(r, z) for z in points}
+    pts = np.array(list(points), dtype=complex)
+    finite = dict(zip(pts.tolist(), check_finite_minimality(r, pts)))
     inf_ok = check_infinity_minimality(r, da, dd)
     return MinimalityReport(finite_ok_at=finite, infinity_ok=inf_ok,
                             grades=(da, dd))
@@ -307,12 +309,15 @@ def block_pencil(p: PolyMatrix, d: int | None = None) -> tuple:
     return stack[0], stack[1], pair
 
 
-def check_finite_minimality(r: Realization, lam: complex) -> tuple:
-    """(rank [A; C](lam) == n, rank [A, B](lam) == n)."""
+def check_finite_minimality(r: Realization, lam):
+    """(rank [A; C](lam) == n, rank [A, B](lam) == n) at a point; at a 1-D
+    array of points, the list of these pairs, from one SVD call per side."""
     av = r.A.eval(lam)
-    left = numerical_rank(np.vstack([av, r.C.eval(lam)])) == r.n
-    right = numerical_rank(np.hstack([av, r.B.eval(lam)])) == r.n
-    return left, right
+    left = numerical_rank(np.concatenate([av, r.C.eval(lam)], axis=-2)) == r.n
+    right = numerical_rank(np.concatenate([av, r.B.eval(lam)], axis=-1)) == r.n
+    if np.ndim(lam) == 0:
+        return left, right
+    return list(zip(left.tolist(), right.tolist()))
 
 
 def check_infinity_minimality(r: Realization, grade_a: int | None = None,
@@ -356,8 +361,9 @@ def hat_transfer_eval(sl: StructuredLinearization, lam: complex) -> np.ndarray:
     return np.vstack([top, sl.pair_d.K.eval(lam)])
 
 
-def system_eval(r: Realization, lam: complex) -> np.ndarray:
-    """System matrix [A B; -C D](lam), of rank n + rank R(lam) off the poles."""
+def system_eval(r: Realization, lam) -> np.ndarray:
+    """System matrix [A B; -C D](lam), of rank n + rank R(lam) off the poles;
+    the stack of them at a 1-D array of points."""
     return np.block([[r.A.eval(lam), r.B.eval(lam)],
                      [-r.C.eval(lam), r.D.eval(lam)]])
 

@@ -121,30 +121,34 @@ class PolyMatrix:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval(self, lam: complex) -> np.ndarray:
-        """Value at a finite point (Horner / Clenshaw).
+    def eval(self, lam) -> np.ndarray:
+        """Value at a finite point, or at a 1-D array of points the stack of
+        values, of shape (points, rows, cols) (Horner / Clenshaw, with the
+        points on a leading axis).
 
         Structure at infinity is handled through reversals, never by
         evaluating at a non-finite point.
         """
-        lam = complex(lam)
-        if not (np.isfinite(lam.real) and np.isfinite(lam.imag)):
+        pts = np.asarray(lam, dtype=complex)
+        if not np.all(np.isfinite(pts)):
             raise ValueError("evaluation point must be finite; use reversal "
                              "for structure at infinity")
+        x = pts[..., None, None]
+        shape = pts.shape + self.shape
         c = self.coeffs
         if self.basis is Basis.MONOMIAL:
-            out = np.array(c[-1], dtype=complex)
+            out = np.array(np.broadcast_to(c[-1], shape))
             for k in range(self.grade - 1, -1, -1):
-                out = out * lam + c[k]
+                out = out * x + c[k]
             return out
         # Clenshaw recurrence for first-kind Chebyshev values
         if self.grade == 0:
-            return np.array(c[0], dtype=complex)
-        b1 = np.zeros_like(c[0])
-        b2 = np.zeros_like(c[0])
+            return np.array(np.broadcast_to(c[0], shape))
+        b1 = np.zeros(shape, dtype=complex)
+        b2 = np.zeros(shape, dtype=complex)
         for k in range(self.grade, 0, -1):
-            b1, b2 = 2.0 * lam * b1 - b2 + c[k], b1
-        return lam * b1 - b2 + c[0]
+            b1, b2 = 2.0 * x * b1 - b2 + c[k], b1
+        return x * b1 - b2 + c[0]
 
     # -- basis handling ---------------------------------------------------
 
@@ -338,16 +342,17 @@ def max_coeff_diff(p: PolyMatrix, q: PolyMatrix) -> float:
     return float(np.max(np.abs(diff))) if diff.size else 0.0
 
 
-def numerical_rank(mat: np.ndarray, rank_scale: float = 1.0) -> int:
-    """Rank with the backward-stable cutoff max(dim)*eps*sigma_max."""
+def numerical_rank(mat: np.ndarray, rank_scale: float = 1.0):
+    """Rank with the backward-stable cutoff max(dim)*eps*sigma_max; a stack
+    (..., M, N) gives the array of its ranks from one SVD call."""
     mat = np.atleast_2d(np.asarray(mat))
     if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    cutoff = max(mat.shape) * np.finfo(float).eps * sv[0] * rank_scale
-    return int(np.sum(sv > cutoff))
+        ranks = np.zeros(mat.shape[:-2], dtype=int)
+    else:
+        sv = np.linalg.svd(mat, compute_uv=False)
+        cutoff = max(mat.shape[-2:]) * np.finfo(float).eps * sv[..., :1] * rank_scale
+        ranks = np.sum(sv > cutoff, axis=-1)
+    return int(ranks) if mat.ndim == 2 else ranks
 
 
 def generic_rank(p: PolyMatrix, rng=None, samples: int = 5,
@@ -362,7 +367,7 @@ def generic_rank(p: PolyMatrix, rng=None, samples: int = 5,
         return 0
     rng = make_rng(rng)
     pts = unit_circle_points(rng, samples)
-    return max(numerical_rank(p.eval(z), rank_scale) for z in pts)
+    return int(numerical_rank(p.eval(pts), rank_scale).max())
 
 
 def poly_adjugate(p: PolyMatrix) -> tuple:
@@ -422,7 +427,7 @@ def poly_det_coeffs(p: PolyMatrix) -> np.ndarray:
     bound = p.rows * max(1, p.grade)
     npts = bound + 1
     omega = DET_RADIUS * np.exp(2j * np.pi * np.arange(npts) / npts)
-    vals = np.array([np.linalg.det(p.eval(z)) for z in omega])
+    vals = np.linalg.det(p.eval(omega))
     # samples are sums c_j r^j exp(+2 pi i jk/N): forward FFT/N inverts them
     coeffs = np.fft.fft(vals) / npts / DET_RADIUS ** np.arange(npts)
     mags = np.abs(coeffs)

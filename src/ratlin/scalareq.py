@@ -109,13 +109,21 @@ def cleared_form(eq: ScalarEquation) -> PolyMatrix:
     return cb - ad
 
 
-def cleared_residual(eq: ScalarEquation, form: PolyMatrix, lam: complex) -> tuple:
-    """|c b - a d| at a point, from `form` = cleared_form(eq), together with
-    its coefficient-sum scale."""
-    val = abs(complex((form.eval(lam))[0, 0]))
-    total = sum(float(np.sum(np.abs(p.coeffs))) for p in (eq.a, eq.b, eq.c, eq.d))
-    scale = total * max(1.0, abs(lam)) ** (eq.grade_left + eq.grade_right)
-    return val, scale
+def cleared_residual(eq: ScalarEquation, form: PolyMatrix, lams) -> tuple:
+    """|c b - a d| at a 1-D array of points, from `form` = cleared_form(eq),
+    together with its coefficient-sum scale, as two arrays.
+
+    Moduli go through np.hypot, which rounds like Python's abs of a complex
+    number (np.abs can differ in the last bit), and the powers through
+    Python floats, which np.power can also differ from.
+    """
+    lams = np.asarray(lams, dtype=complex)
+    vals = form.eval(lams)[:, 0, 0]
+    total = _coeff_sum(eq)
+    power = eq.grade_left + eq.grade_right
+    scale = [total * max(1.0, m) ** power
+             for m in np.hypot(lams.real, lams.imag).tolist()]
+    return np.hypot(vals.real, vals.imag), np.array(scale)
 
 
 def solve_scalar(eq: ScalarEquation, rng=None) -> RootReport:
@@ -130,7 +138,8 @@ def solve_scalar(eq: ScalarEquation, rng=None) -> RootReport:
 
     resfun = cleared_form(eq)
     probe = unit_circle_points(rng, 20) * 1.07
-    if all(abs(resfun.eval(z)[0, 0]) <= 1e-12 * _coeff_scale(eq) for z in probe):
+    tiny = 1e-12 * max(1.0, _coeff_sum(eq))
+    if all(abs(resfun.eval(z)[0, 0]) <= tiny for z in probe):
         raise PreconditionError(
             "the equation holds identically (r == 0); no discrete root set")
 
@@ -139,7 +148,7 @@ def solve_scalar(eq: ScalarEquation, rng=None) -> RootReport:
     report = classify(sl, rng=rng)
 
     b_roots = poly_roots(eq.b)
-    roots = []
+    kept = []
     excluded = []
     for entry in report.zeros:
         if not entry.classified:
@@ -147,12 +156,11 @@ def solve_scalar(eq: ScalarEquation, rng=None) -> RootReport:
         lam = entry.value
         if b_roots.size and np.min(np.abs(b_roots - lam)) <= MATCH_TOL * max(1.0, abs(lam)):
             excluded.append(lam)
-            continue
-        val, scale = cleared_residual(eq, resfun, lam)
-        roots.append((lam, val / scale))
-    return RootReport(roots=roots, excluded=excluded)
+        else:
+            kept.append(lam)
+    val, scale = cleared_residual(eq, resfun, kept)
+    return RootReport(roots=list(zip(kept, (val / scale).tolist())), excluded=excluded)
 
 
-def _coeff_scale(eq: ScalarEquation) -> float:
-    return max(1.0, sum(float(np.sum(np.abs(p.coeffs)))
-                        for p in (eq.a, eq.b, eq.c, eq.d)))
+def _coeff_sum(eq: ScalarEquation) -> float:
+    return sum(float(np.sum(np.abs(p.coeffs))) for p in (eq.a, eq.b, eq.c, eq.d))

@@ -220,17 +220,11 @@ def _check_rank_additivity(sl, rng) -> CheckEntry:
     """rank L(z) == rank R(z) + n + s at random non-pole points, with
     rank R(z) + n read off the system matrix [A B; -C D](z)."""
     r = sl.realization
-    pts = sample_points(r, rng, 5, 0.11, 50, cond_max=1e7)
-    ok = True
-    loc = None
-    for z in pts:
-        lhs = numerical_rank(sl.pencil_eval(z))
-        rhs = numerical_rank(system_eval(r, z)) + sl.s
-        if lhs != rhs:
-            ok = False
-            loc = complex(z)
-    return _entry("transfer-rank-additivity", ok and len(pts) == 5,
-                  0.0 if ok else 1.0, loc)
+    pts = np.array(sample_points(r, rng, 5, 0.11, 50, cond_max=1e7), dtype=complex)
+    bad = np.flatnonzero(numerical_rank(sl.pencil_eval(pts))
+                         != numerical_rank(system_eval(r, pts)) + sl.s)
+    return _entry("transfer-rank-additivity", bad.size == 0 and pts.size == 5,
+                  float(bad.size > 0), complex(pts[bad[-1]]) if bad.size else None)
 
 
 def _check_one_sided_factorizations(sl, rng) -> CheckEntry:

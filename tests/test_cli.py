@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ratlin.cli import main, _dumps, _parse_coeffs
+import ratlin
+from ratlin.cli import main, _build_parser, _dumps, _parse_coeffs
 from ratlin.linbuild import build
 from ratlin.polymat import Basis
 from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled
@@ -141,6 +145,36 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["eigs", "--preset", "cross-coupled", "--tol-rank", "1"])
         assert exc.value.code == 2
+
+    def test_one_parser_serves_every_call(self, capsys):
+        """main builds its parser once per process: a good scalar run, a
+        malformed coefficient, an unknown option and the good run again
+        print the bytes and exit codes of separate interpreters."""
+        good = ("scalar", "--json", "--a=1,2", "--c=-2,0,1", "--b=1,0.5",
+                "--d=0.5,0,1")
+        runs = [good, ("scalar", "--a=1,x", "--c=1", "--b=1", "--d=2"),
+                ("scalar", "--bogus"), good]
+
+        def in_process(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse errors
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        src = os.path.dirname(os.path.dirname(ratlin.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        separate = {}
+        for argv in runs[:3]:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from ratlin.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv],
+                capture_output=True, text=True, env=env, timeout=120)
+            separate[argv] = (proc.returncode, proc.stdout, proc.stderr)
+        assert [in_process(argv) for argv in runs] == [separate[argv] for argv in runs]
+        assert [separate[argv][0] for argv in runs] == [0, 2, 2, 0]
+        assert _build_parser() is _build_parser()
 
     def test_malformed_json_is_io_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import pytest
 
 from ratlin.config import unit_circle_points
 from ratlin.dualbases import chebyshev_pair, monomial_pair
+from ratlin.eigsolve import pencil_eigs
 from ratlin.errors import BasisError, DimensionError, PoleError, PreconditionError
 from ratlin.linbuild import (Realization, block_pencil, build,
                              check_finite_minimality, check_infinity_minimality,
@@ -149,6 +150,25 @@ class TestMinimality:
     def test_random_full_blocks(self):
         r = random_realization(21, n=3, p=2, m=4)
         assert check_finite_minimality(r, 0.37 + 0.11j) == (True, True)
+
+    def test_point_array_matches_pointwise(self, preset):
+        """At an array of points the tests are the per-point pairs: the
+        preset's computed poles, where both pass, and a realization with
+        B = 0 whose poles 1 and 2 fail only the right test, next to a point
+        where both pass."""
+        la0, la1 = build(preset).state_pencil()
+        poles = pencil_eigs(la0, la1).finite()
+        a = PolyMatrix.from_list([np.diag([-1.0, -2.0]), np.eye(2)])
+        half = Realization(A=a, B=PolyMatrix.zero(2, 2), C=PolyMatrix.identity(2),
+                           D=PolyMatrix.identity(2))
+        pts = np.array([1.0, 5.0, 2.0])
+        for r, zs in ((preset, poles), (half, pts)):
+            assert check_finite_minimality(r, zs) == [
+                check_finite_minimality(r, z) for z in zs]
+        assert len(poles) == 3
+        assert check_finite_minimality(half, pts) == [
+            (True, False), (True, True), (True, False)]
+        assert check_finite_minimality(preset, np.zeros(0)) == []
 
     def test_infinity_preset(self, preset):
         assert check_infinity_minimality(preset) == (True, True)

@@ -1,5 +1,8 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratlin.errors import BasisError, DimensionError
 from ratlin.polymat import (NEG_INF, Basis, PolyMatrix, generic_rank, hstack,
@@ -226,3 +229,47 @@ def test_numerical_rank_cutoff():
     assert numerical_rank(mat) == 1
     assert numerical_rank(np.zeros((3, 3))) == 0
     assert numerical_rank(np.zeros((0, 3))) == 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(grade=st.integers(0, 12), basis=st.sampled_from(list(Basis)),
+       shape=st.sampled_from([(1, 1), (2, 3), (3, 1), (1, 4), (3, 3)]),
+       is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       polar=st.lists(st.tuples(st.floats(0.0, 30.0), st.floats(-np.pi, np.pi)),
+                      min_size=1, max_size=6))
+def test_eval_at_points_matches_each_point(grade, basis, shape, is_complex, seed, polar):
+    """Slice i of the value at a point array is bit for bit the value at point i."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((grade + 1, *shape))
+    if is_complex:
+        coeffs = coeffs + 1j * rng.standard_normal(coeffs.shape)
+    p = PolyMatrix(coeffs, basis)
+    pts = np.array([cmath.rect(r, t) for r, t in polar])
+    vals = p.eval(pts)
+    assert vals.shape == (len(pts), *shape)
+    for i, z in enumerate(pts):
+        assert vals[i].tobytes() == p.eval(z).tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(rows=st.integers(0, 5), cols=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+       ranks=st.lists(st.tuples(st.integers(0, 5), st.integers(-8, 8)),
+                      min_size=1, max_size=6),
+       rank_scale=st.sampled_from([1.0, 100.0, 1e6]))
+def test_numerical_rank_of_stack_matches_each_matrix(rows, cols, seed, ranks, rank_scale):
+    """A stack's ranks are the ranks of its matrices, each cut off at its own
+    scale; zero and empty matrices included."""
+    rng = np.random.default_rng(seed)
+    stack = np.stack([10.0 ** e * (
+        rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+        + 1j * (rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))))
+        for k, e in ((min(r, rows, cols), e) for r, e in ranks)])
+    got = numerical_rank(stack, rank_scale)
+    assert got.shape == (len(ranks),)
+    assert got.tolist() == [numerical_rank(m, rank_scale) for m in stack]
+
+
+def test_empty_point_array():
+    p = PolyMatrix(np.ones((3, 2, 3)), Basis.CHEBYSHEV1)
+    assert p.eval(np.zeros(0)).shape == (0, 2, 3)
+    assert numerical_rank(np.zeros((0, 2, 3))).shape == (0,)
