@@ -10,6 +10,7 @@ Numer. Anal. 2009).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,22 +32,31 @@ class DualBasisPair:
     basis: Basis
     K: PolyMatrix      # (d-1)s x ds, row degrees all 1
     N: PolyMatrix      # s x ds, row degrees all d-1
-    Khat: PolyMatrix   # s x ds, constant selector of the last block column
-    Nhat: PolyMatrix   # (d-1)s x ds, degree <= d-2
 
     @property
     def rho(self) -> int:
         """Degree of N."""
         return self.d - 1
 
+    @cached_property
+    def Khat(self) -> PolyMatrix:
+        """s x ds constant selector of the last block column, where N^T
+        holds phi_0 I = I; built on first read, like Nhat."""
+        return _blocks(np.eye(self.d)[None, -1:, :], self.s, self.basis)
+
+    @cached_property
+    def Nhat(self) -> PolyMatrix:
+        """(d-1)s x ds, degree <= d-2, with K Nhat^T = I and Khat Nhat^T = 0."""
+        return _blocks(_nhat(RECURRENCE[self.basis], self.d), self.s, self.basis)
+
 
 def pair_for(basis: Basis, s: int, d: int) -> DualBasisPair:
-    """The pair dual to N = [phi_{d-1} I, ..., phi_1 I, phi_0 I], with Khat, Nhat.
+    """The pair dual to N = [phi_{d-1} I, ..., phi_1 I, phi_0 I].
 
     Row i of K is the recurrence at k = d-2-i,
     -alpha_k e_i + (lambda - beta_k) e_{i+1} - gamma_k e_{i+2}, so the last
-    row is [-alpha_0 I, (lambda - beta_0) I].  Khat selects the last block
-    column, where N^T holds phi_0 I = I.
+    row is [-alpha_0 I, (lambda - beta_0) I].  The completion Khat, Nhat is
+    built when it is first read: build and block_pencil read only K and N.
     """
     _check_sd(s, d)
     rec = RECURRENCE[basis]
@@ -57,10 +67,8 @@ def pair_for(basis: Basis, s: int, d: int) -> DualBasisPair:
         k0[i, i:i + 3] -= rec(d - 2 - i)[:d - i]
         k1[i, i + 1] = 1.0
     n = np.eye(d)[::-1, None, :]  # degree k carries I in block d-1-k
-    khat = np.eye(d)[None, -1:, :]
     return DualBasisPair(s, d, basis, _blocks([k0, k1], s, basis),
-                         _blocks(n, s, basis), _blocks(khat, s, basis),
-                         _blocks(_nhat(rec, d), s, basis))
+                         _blocks(n, s, basis))
 
 
 def monomial_pair(s: int, d: int) -> DualBasisPair:

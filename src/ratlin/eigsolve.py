@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .config import MATCH_TOL, make_rng, unit_circle_points
 from .errors import BreakdownError, PreconditionError, RatlinError
@@ -143,6 +141,7 @@ def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
     if not pencil_is_regular(l0, l1, rng=rng):
         empty = np.zeros(0, dtype=complex)
         return PencilEig(empty, empty, None, None, regular=False)
+    import scipy.linalg  # here, not at the top: it is most of the import time
     try:
         if vectors:
             w, vl, vr = scipy.linalg.eig(-l0, l1, left=True, right=True,
@@ -193,6 +192,7 @@ def match_multisets(computed, expected, tol_match: float = MATCH_TOL):
         return False, math.inf
     if a.size == 0:
         return True, 0.0
+    import scipy.optimize  # on first use, like scipy.linalg in pencil_eigs
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     scale = np.maximum(1.0, np.abs(b[cols]))

@@ -147,6 +147,13 @@ class StructuredLinearization:
         from .eigsolve import pencil_eigs  # eigsolve imports this module
         return pencil_eigs(self.L0, self.L1, vectors=True)
 
+    @cached_property
+    def eigenpairs(self) -> dict:
+        """Recovered pair at each finite eigenvalue of `spectrum` whose QZ
+        vectors pass, keyed by the eigenvalue; built once on first use."""
+        from .recover import _spectrum_eigenpairs  # recover imports this module
+        return _spectrum_eigenpairs(self)
+
     def state_pencil(self) -> tuple:
         """(L0, L1) of the state block L_A = [M_A; K_A]."""
         r0, r1, c0, c1 = self.blocks["L_A"]
@@ -336,21 +343,36 @@ _POLE_HINT = (": pole or state eigenvalue; "
               "use reversal/limit-based routines instead")
 
 
-def _state_terms(r: Realization, lam: complex, *pairs) -> list:
-    """[P(lam) + C(lam) A(lam)^{-1} Q(lam) for each (P, Q) in pairs], from one
-    invertibility check of A(lam) and one linear solve with every Q side by
-    side."""
-    av = r.A.eval(lam)
-    require_invertible(av, lam, hint=_POLE_HINT)
-    cv = r.C.eval(lam)
-    qs = [q.eval(lam) for _, q in pairs]
-    sols = np.split(np.linalg.solve(av, np.hstack(qs)),
-                    np.cumsum([q.shape[1] for q in qs])[:-1], axis=1)
-    return [p.eval(lam) + cv @ x for (p, _), x in zip(pairs, sols)]
+def _state_stack(r: Realization, lams: np.ndarray, *pairs) -> tuple:
+    """([P + C A^{-1} Q for each (P, Q) in pairs], ok) at a 1-D array of
+    points, from one stacked evaluation of each block, one stacked
+    invertibility test of A and one stacked solve with every Q side by side.
+    ok marks the points where A passes `require_invertible`'s test; the
+    stacks hold those points only, so a pole never fails the others."""
+    av = r.A.eval(lams)
+    ok = ~_singular(np.linalg.svd(av, compute_uv=False))
+    pts = lams[ok]
+    cv = r.C.eval(pts)
+    qs = [q.eval(pts) for _, q in pairs]
+    sols = np.split(np.linalg.solve(av[ok], np.concatenate(qs, axis=-1)),
+                    np.cumsum([q.shape[-1] for q in qs])[:-1], axis=-1)
+    return [p.eval(pts) + cv @ x for (p, _), x in zip(pairs, sols)], ok
 
 
-def transfer_eval(r: Realization, lam: complex) -> np.ndarray:
-    """D(lam) + C(lam) A(lam)^{-1} B(lam) via a linear solve."""
+def _state_terms(r: Realization, lam, *pairs) -> list:
+    """`_state_stack` at one point, or at a 1-D array of points, raising
+    PoleError at the first point where A(lam) is singular."""
+    pts = np.atleast_1d(np.asarray(lam, dtype=complex))
+    terms, ok = _state_stack(r, pts, *pairs)
+    if not ok.all():
+        at = lam if np.ndim(lam) == 0 else pts[np.argmin(ok)]
+        raise PoleError(f"state matrix singular at lambda={at}{_POLE_HINT}")
+    return terms if np.ndim(lam) else [t[0] for t in terms]
+
+
+def transfer_eval(r: Realization, lam) -> np.ndarray:
+    """D(lam) + C(lam) A(lam)^{-1} B(lam) via a linear solve; the stack of
+    values at a 1-D array of points."""
     return _state_terms(r, lam, (r.D, r.B))[0]
 
 
@@ -396,7 +418,13 @@ def require_invertible(mat: np.ndarray, lam, what: str = "state matrix",
     """Raise PoleError unless the square matrix `what` (evaluated at lam) is
     numerically invertible; return its singular values."""
     sv = np.linalg.svd(mat, compute_uv=False)
-    n = mat.shape[0]
-    if sv.size == 0 or sv[-1] <= n * np.finfo(float).eps * max(sv[0], 1.0):
+    if _singular(sv):
         raise PoleError(f"{what} singular at lambda={lam}{hint}")
     return sv
+
+
+def _singular(sv: np.ndarray):
+    """The invertibility cutoff on the singular values of a square matrix, or
+    of each matrix of a stack: sigma_min <= n eps max(sigma_max, 1)."""
+    n = sv.shape[-1]
+    return n == 0 or sv[..., -1] <= n * np.finfo(float).eps * np.maximum(sv[..., 0], 1.0)

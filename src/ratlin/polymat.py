@@ -136,14 +136,16 @@ class PolyMatrix:
         x = pts[..., None, None]
         shape = pts.shape + self.shape
         c = self.coeffs
+        # copies in C order: each matrix of a stack is then contiguous, and
+        # products with it take the BLAS path of a single matrix, bit for bit
         if self.basis is Basis.MONOMIAL:
-            out = np.array(np.broadcast_to(c[-1], shape))
+            out = np.broadcast_to(c[-1], shape).copy()
             for k in range(self.grade - 1, -1, -1):
                 out = out * x + c[k]
             return out
         # Clenshaw recurrence for first-kind Chebyshev values
         if self.grade == 0:
-            return np.array(np.broadcast_to(c[0], shape))
+            return np.broadcast_to(c[0], shape).copy()
         b1 = np.zeros(shape, dtype=complex)
         b2 = np.zeros(shape, dtype=complex)
         for k in range(self.grade, 0, -1):

@@ -16,8 +16,9 @@ from .config import RESIDUAL_TOL, make_rng
 from .errors import PreconditionError, RatlinError
 from .eigsolve import (MinimalBasisResult, pencil_null_vector,
                        polynomial_nullspace, sampled_minimality, vector_degree)
-from .linbuild import (StructuredLinearization, _state_terms, hat_transfer_eval,
-                       require_invertible, sample_points, transfer_eval)
+from .linbuild import (StructuredLinearization, _state_stack, _state_terms,
+                       hat_transfer_eval, require_invertible, sample_points,
+                       transfer_eval)
 from .polymat import NEG_INF, PolyMatrix
 
 
@@ -32,6 +33,11 @@ class EigenpairR:
     residual_left: float
     eta_right: float   # residual / ||R(lambda)||_2, the normwise backward error
     eta_left: float
+
+    def __post_init__(self):
+        for v in (self.x, self.yT):
+            if v is not None:
+                v.flags.writeable = False  # memoized pairs go to every caller
 
     def to_dict(self) -> dict:
         def vec(v):
@@ -77,14 +83,26 @@ def recover_right_eigvec(sl: StructuredLinearization, lam: complex,
     2007).  A vector from the unclassified part of the spectrum slices to
     numerical zero and is rejected.
     """
-    r = sl.realization
+    return _right_block(sl, _phis(sl, lam), x_tilde)
+
+
+def _phis(sl: StructuredLinearization, lam) -> np.ndarray:
+    """phi_0(lam), ..., phi_{d-1}(lam) of the D side, or their rows at a 1-D
+    array of points: the first row of N_D(lam) at every m-th column, from
+    those entries alone."""
+    n = sl.pair_d.N
+    return PolyMatrix(n.coeffs[:, :1, ::sl.realization.m], n.basis).eval(lam)[..., 0, ::-1]
+
+
+def _right_block(sl: StructuredLinearization, phis: np.ndarray,
+                 x_tilde: np.ndarray) -> np.ndarray:
+    m = sl.realization.m
     x_tilde = np.asarray(x_tilde, dtype=complex).ravel()
     if x_tilde.size != sl.shape[1]:
         raise RatlinError("x_tilde length does not match the pencil")
-    phis = sl.pair_d.N.eval(lam)[0, ::r.m][::-1]  # phi_0, ..., phi_{d-1}
     k = int(np.argmax(np.abs(phis)))  # ties go to the lowest degree
-    end = x_tilde.size - k * r.m
-    x = x_tilde[end - r.m:end] / phis[k]
+    end = x_tilde.size - k * m
+    x = x_tilde[end - m:end] / phis[k]
     if np.linalg.norm(x) <= 1e-12 * np.linalg.norm(x_tilde):
         raise RatlinError(
             "recovered vector is numerically zero: the pencil vector does not "
@@ -134,23 +152,74 @@ def lift_left_eigvec(sl: StructuredLinearization, lam: complex,
 
 
 def eigenpair(sl: StructuredLinearization, lam: complex) -> EigenpairR:
-    """Both eigenvectors at a zero with residuals, sliced from the nearest QZ
-    pair of `sl.spectrum`, or from the SVD of L(lam) if the pencil is singular,
-    that recovery raises or a residual exceeds RESIDUAL_TOL."""
+    """Both eigenvectors at a zero with residuals.
+
+    At a finite eigenvalue of `sl.spectrum`, bit for bit, the pair comes from
+    `sl.eigenpairs`, recovered for the whole spectrum on first use; anywhere
+    else, or where that recovery failed, from `_eigenpair_at`."""
+    key = complex(lam)
+    ep = sl.eigenpairs.get(key)
+    if ep is None or repr(ep.value) != repr(key):  # repr keeps signed zeros
+        return _eigenpair_at(sl, lam)
+    return ep
+
+
+def _eigenpair_at(sl: StructuredLinearization, lam: complex) -> EigenpairR:
+    """The pair at one point, sliced from the nearest QZ pair of
+    `sl.spectrum`, or from the SVD of L(lam) if the pencil is singular, that
+    recovery raises or a residual exceeds RESIDUAL_TOL."""
     rv = transfer_eval(sl.realization, lam)
+    (phis,), (scale,) = _pair_terms(sl, np.array([lam], dtype=complex), rv[None])
     with suppress(RatlinError):
-        ep = _eigenpair_from(sl, lam, *sl.spectrum.vectors_near(lam), rv)
+        ep = _eigenpair_from(sl, lam, *sl.spectrum.vectors_near(lam), rv, phis, scale)
         if max(ep.residual_right, ep.residual_left) <= RESIDUAL_TOL:
             return ep
-    return _eigenpair_from(sl, lam, *pencil_null_vector(sl.L0, sl.L1, lam), rv)
+    return _eigenpair_from(sl, lam, *pencil_null_vector(sl.L0, sl.L1, lam), rv,
+                           phis, scale)
 
 
-def _eigenpair_from(sl, lam, x_tilde, y_tilde, rv) -> EigenpairR:
-    x = recover_right_eigvec(sl, lam, x_tilde)
+def _spectrum_eigenpairs(sl: StructuredLinearization) -> dict:
+    """`_eigenpair_at` at every finite eigenvalue of `sl.spectrum` whose QZ
+    pair passes, keyed by the eigenvalue, from one stacked evaluation of each
+    block, one invertibility test, one solve and one 2-norm.  Equal
+    eigenvalues take the first pair, as `vectors_near` does; poles and the
+    points that need the SVD vectors are left out."""
+    try:
+        spec = sl.spectrum
+    except RatlinError:
+        return {}
+    fin = np.flatnonzero(spec._finite_mask())
+    first = {}
+    for lam, i in zip((spec.alphas[fin] / spec.betas[fin]).tolist(), fin):
+        first.setdefault(lam, i)
+    r = sl.realization
+    (rvs,), ok = _state_stack(r, np.array(list(first), dtype=complex), (r.D, r.B))
+    lams = [lam for lam, keep in zip(first, ok) if keep]
+    phis, scales = _pair_terms(sl, np.array(lams, dtype=complex), rvs)
+    out = {}
+    for lam, rv, phi, scale in zip(lams, rvs, phis, scales):
+        i = first[lam]
+        with suppress(RatlinError):
+            ep = _eigenpair_from(sl, lam, spec.right_vectors[:, i],
+                                 spec.left_vectors[:, i].conj(), rv, phi, scale)
+            if max(ep.residual_right, ep.residual_left) <= RESIDUAL_TOL:
+                out[lam] = ep
+    return out
+
+
+def _pair_terms(sl, lams, rvs) -> tuple:
+    """`_phis` and ||R(lam)||_2 (1 where R(lam) = 0, which leaves 0
+    residuals) at a 1-D array of points, from one evaluation and one SVD call."""
+    scales = np.linalg.norm(rvs, 2, axis=(1, 2))
+    return _phis(sl, lams), np.where(scales == 0, 1.0, scales)
+
+
+def _eigenpair_from(sl, lam, x_tilde, y_tilde, rv, phis, scale) -> EigenpairR:
+    x = _right_block(sl, phis, x_tilde)
     y = recover_left_eigvec(sl, lam, y_tilde)
     res_r = float(np.linalg.norm(rv @ x) / np.linalg.norm(x))
     res_l = float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
-    scale = float(np.linalg.norm(rv, 2)) or 1.0  # R(lam) = 0 leaves 0 residuals
+    scale = float(scale)
     return EigenpairR(complex(lam), x, y, res_r, res_l, res_r / scale, res_l / scale)
 
 
@@ -158,26 +227,34 @@ def _eigenpair_from(sl, lam, x_tilde, y_tilde, rv) -> EigenpairR:
 # one-sided factorization residuals
 # ---------------------------------------------------------------------------
 
-def factorization_residuals(sl: StructuredLinearization, lam: complex) -> tuple:
+def factorization_residuals(sl: StructuredLinearization, lam) -> tuple | list:
     """Residual norms of the two one-sided factorizations at a point, relative
-    to max(1, ||Rhat(lam)|| max(1, ||N_D(lam)||)).
+    to max(1, ||Rhat(lam)|| max(1, ||N_D(lam)||)); at a 1-D array of points,
+    the list of these pairs, from one evaluation of each block and one solve.
 
     right: Rhat(lam) N_D(lam)^T - [R(lam); 0]
     left:  [I_p, -M_R(lam) Nhat_D(lam)^T] Rhat(lam) - R(lam) Khat_D(lam)
     """
     r = sl.realization
-    top, rv = _state_terms(r, lam, (sl.m_d, sl.m_b), (r.D, r.B))
-    rhat = np.vstack([top, sl.pair_d.K.eval(lam)])
-    nd = sl.pair_d.N.eval(lam)
-    target = np.vstack([rv, np.zeros((sl.rho_d * r.m, r.m), dtype=complex)])
-    right = float(np.linalg.norm(rhat @ nd.T - target))
+    pts = np.atleast_1d(np.asarray(lam, dtype=complex))
+    top, rv = (t.reshape((pts.size,) + t.shape[-2:])
+               for t in _state_terms(r, lam, (sl.m_d, sl.m_b), (r.D, r.B)))
+    rhat = np.concatenate([top, sl.pair_d.K.eval(pts)], axis=1)
+    nd = sl.pair_d.N.eval(pts)
+    target = np.concatenate(
+        [rv, np.zeros((pts.size, sl.rho_d * r.m, r.m), dtype=complex)], axis=1)
+    right = rhat @ nd.transpose(0, 2, 1) - target
 
-    mr = rhat[: r.p, :]
-    ndhat = sl.pair_d.Nhat.eval(lam)
-    selector = np.hstack([np.eye(r.p, dtype=complex), -mr @ ndhat.T])
-    left = float(np.linalg.norm(selector @ rhat - rv @ sl.pair_d.Khat.eval(lam)))
-    scale = max(1.0, float(np.linalg.norm(rhat)) * max(1.0, float(np.linalg.norm(nd))))
-    return right / scale, left / scale
+    mr = rhat[:, : r.p, :]
+    ndhat = sl.pair_d.Nhat.eval(pts)
+    eye = np.broadcast_to(np.eye(r.p, dtype=complex), (pts.size, r.p, r.p))
+    selector = np.concatenate([eye, -mr @ ndhat.transpose(0, 2, 1)], axis=2)
+    left = selector @ rhat - rv @ sl.pair_d.Khat.eval(pts)
+    out = []
+    for rgt, lft, rh, n in zip(right, left, rhat, nd):
+        scale = max(1.0, float(np.linalg.norm(rh)) * max(1.0, float(np.linalg.norm(n))))
+        out.append((float(np.linalg.norm(rgt)) / scale, float(np.linalg.norm(lft)) / scale))
+    return out[0] if np.ndim(lam) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +369,10 @@ def _nullspace_diagnostics(sl: StructuredLinearization, basis: MinimalBasisResul
     """Re-verify a recovered basis: nullspace residual at sample points,
     pointwise full rank (including 0), and reducedness."""
     pts = sample_points(sl.realization, rng, 5, 0.05, 40)
+    zs = np.array(pts, dtype=complex)
+    rvs, vvs = transfer_eval(sl.realization, zs), basis.vectors.eval(zs)
     worst = 0.0
-    for z in pts:
-        rv = transfer_eval(sl.realization, z)
-        vv = basis.vectors.eval(z)
-        res = rv @ vv if side == "right" else vv @ rv
+    for rv, vv, res in zip(rvs, vvs, rvs @ vvs if side == "right" else vvs @ rvs):
         scale = max(1.0, np.linalg.norm(rv)) * max(1.0, np.linalg.norm(vv))
         worst = max(worst, float(np.linalg.norm(res)) / scale)
 

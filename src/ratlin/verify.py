@@ -231,8 +231,8 @@ def _check_one_sided_factorizations(sl, rng) -> CheckEntry:
     pts = sample_points(sl.realization, rng, 10, 0.07, 60, cond_max=1e6)
     worst = 0.0
     loc = None
-    for z in pts:
-        val = max(factorization_residuals(sl, z))
+    for z, pair in zip(pts, factorization_residuals(sl, np.array(pts, dtype=complex))):
+        val = max(pair)
         if val > worst:
             worst, loc = val, complex(z)
     return _entry("one-sided-factorizations", len(pts) == 10 and worst <= 1e-10,

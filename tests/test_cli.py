@@ -228,6 +228,24 @@ class TestErrors:
             assert f"block {block}: " in err
 
 
+def test_scipy_is_imported_on_first_use():
+    """Importing the CLI loads neither scipy.linalg nor scipy.optimize, and a
+    `linearize` run, which runs no QZ, still leaves scipy.linalg unloaded."""
+    src = os.path.dirname(os.path.dirname(ratlin.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import ratlin.cli",
+        "print('scipy.linalg' in sys.modules, 'scipy.optimize' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = ratlin.cli.main(['linearize', '--preset', 'cross-coupled'])",
+        "print(code, 'scipy.linalg' in sys.modules)"])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False False\n0 False\n"
+
+
 def test_parse_coeffs_complex_forms():
     got = _parse_coeffs("1.5, 2+3i, -0.5i, -1-2i")
     assert got == [1.5 + 0j, 2 + 3j, -0.5j, -1 - 2j]

@@ -1,10 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ratlin.errors import PoleError, PreconditionError, RatlinError
 from ratlin.eigsolve import classify, pencil_null_vector
-from ratlin.linbuild import Realization, build, transfer_eval
+from ratlin.linbuild import Realization, build, hat_transfer_eval, transfer_eval
 from ratlin import recover
 from ratlin.polymat import Basis, PolyMatrix
 from ratlin.recover import (eigenpair, factorization_residuals,
@@ -113,13 +116,24 @@ class TestEigenpair:
             svds.append(args[2])
             return null_vector(*args)
 
+        solves = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
         monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
         monkeypatch.setattr(recover, "pencil_null_vector", counting_svd)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         for lam in zeros:
             ep = eigenpair(sl, lam)
             assert max(ep.residual_right, ep.residual_left) <= 1e-8
         assert runs == [True]
         assert svds == []  # every pair came from the QZ vectors
+        # one stacked solve, over every finite eigenvalue of the pencil
+        assert solves == [(len(sl.spectrum.finite()), 2, 2)]
+        assert len(sl.spectrum.finite()) >= 16
 
     def test_off_spectrum_point_takes_the_svd_path(self, preset):
         sl = build(preset)
@@ -135,6 +149,65 @@ class TestEigenpair:
         assert ep.residual_left == float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
         assert ep.residual_right > 1e-8
 
+    @pytest.mark.parametrize("spec", [
+        FixtureSpec(seed=seed, grade_a=grade, grade_d=grade, basis_a=basis,
+                    basis_d=basis)
+        for seed in (1, 2, 3) for basis in Basis for grade in (10, 12)] + [
+        # at n = 12 products with a strided R(lambda) round differently
+        FixtureSpec(seed=1, n=12, p=12, m=12, grade_a=6, grade_d=6)])
+    def test_memo_matches_the_per_point_path(self, spec):
+        sl = build(gen_fixture(spec))
+        memo = sl.eigenpairs
+        for lam in dict.fromkeys(sl.spectrum.finite().tolist()):
+            ep = recover._eigenpair_at(sl, lam)
+            if lam in memo:
+                assert _bits(memo[lam]) == _bits(ep)
+                assert eigenpair(sl, lam) is memo[lam]
+                assert not memo[lam].x.flags.writeable  # shared by every caller
+            else:  # the QZ pair missed, so the SVD vectors were used
+                x_tilde, _ = pencil_null_vector(sl.L0, sl.L1, lam)
+                assert np.array_equal(ep.x, recover_right_eigvec(sl, lam, x_tilde))
+
+    def test_pair_that_misses_the_gate_takes_the_svd_vectors(self):
+        # the zero of test_eigenvector_recovery_far_from_the_origin, whose QZ
+        # pair misses RESIDUAL_TOL: the memo leaves it out, so eigenpair
+        # slices the SVD vectors of L(lambda) there
+        path = Path(__file__).parent / "data" / "battery_seed4_regular_cheb.json"
+        sl = build(Realization.from_dict(json.loads(path.read_text())), rng=1)
+        zeros = [z.value for z in classify(sl, rng=1).zeros]
+        missed = [lam for lam in zeros if lam not in sl.eigenpairs]
+        assert len(missed) == 1 and len(sl.eigenpairs) == len(zeros) - 1
+        lam = missed[0]
+        assert abs(lam) > 70
+        ep = eigenpair(sl, lam)
+        x_tilde, y_tilde = pencil_null_vector(sl.L0, sl.L1, lam)
+        assert np.array_equal(ep.x, recover_right_eigvec(sl, lam, x_tilde))
+        assert np.array_equal(ep.yT, recover_left_eigvec(sl, lam, y_tilde))
+        assert max(ep.residual_right, ep.residual_left) <= 1e-8
+
+    def test_pole_among_the_eigenvalues(self):
+        # R = (l - 2) I_2 realized with A = l - 1 and B = C = 0: the pencil's
+        # eigenvalues are the pole 1, where A is singular, and 2 twice
+        sl = build(Realization(A=PolyMatrix.from_scalar_coeffs([-1, 1]),
+                               B=PolyMatrix.zero(1, 2), C=PolyMatrix.zero(2, 1),
+                               D=PolyMatrix.from_list([-2 * np.eye(2), np.eye(2)])))
+        pole, zero, twin = sl.spectrum.finite()
+        assert (pole, zero, twin) == (1, 2, 2)
+        assert list(sl.eigenpairs) == [zero]  # the stack did not fail at the pole
+        ep = eigenpair(sl, zero)
+        assert ep is sl.eigenpairs[zero]
+        # equal eigenvalues take the first QZ pair, as vectors_near does
+        assert _bits(ep) == _bits(recover._eigenpair_at(sl, zero))
+        assert ep.residual_right == ep.residual_left == 0.0
+        # the memo answers bit-identical points only: 2 + 0j != 2 - 0j bitwise
+        assert repr(complex(zero)) == "(2-0j)"
+        assert repr(eigenpair(sl, 2.0).value) == "(2+0j)"
+        with pytest.raises(PoleError) as exc:
+            eigenpair(sl, pole)
+        assert str(exc.value) == (f"state matrix singular at lambda={pole}: pole or "
+                                  "state eigenvalue; use reversal/limit-based "
+                                  "routines instead")
+
     @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
     @pytest.mark.parametrize("grade", [10, 12])
     def test_backward_error_at_high_grade(self, basis, grade):
@@ -148,6 +221,28 @@ class TestEigenpair:
         assert len(pairs) == 4 * grade
         assert max(max(ep.eta_right, ep.eta_left) for ep in pairs) <= 1e-12
         assert pairs[0].to_dict()["eta"] == [pairs[0].eta_right, pairs[0].eta_left]
+
+
+def _bits(ep) -> tuple:
+    """Every field of a pair, compared bit for bit."""
+    return (repr(ep.value), ep.x.tobytes(), ep.yT.tobytes(),
+            *(float(v).hex() for v in (ep.residual_right, ep.residual_left,
+                                       ep.eta_right, ep.eta_left)))
+
+
+def _factorization_residuals_at(sl, lam) -> tuple:
+    """The two residuals at one point, written out with 2-D arrays only."""
+    r = sl.realization
+    rv = transfer_eval(r, lam)
+    rhat = hat_transfer_eval(sl, lam)
+    nd = sl.pair_d.N.eval(lam)
+    target = np.vstack([rv, np.zeros((sl.rho_d * r.m, r.m), dtype=complex)])
+    right = float(np.linalg.norm(rhat @ nd.T - target))
+    selector = np.hstack([np.eye(r.p, dtype=complex),
+                          -rhat[:r.p] @ sl.pair_d.Nhat.eval(lam).T])
+    left = float(np.linalg.norm(selector @ rhat - rv @ sl.pair_d.Khat.eval(lam)))
+    scale = max(1.0, float(np.linalg.norm(rhat)) * max(1.0, float(np.linalg.norm(nd))))
+    return right / scale, left / scale
 
 
 class TestFactorizationResiduals:
@@ -174,6 +269,23 @@ class TestFactorizationResiduals:
             lam = 1.1 * np.exp(2j * np.pi * rng.uniform())
             rres, lres = factorization_residuals(sl, lam)
             assert max(rres, lres) <= 1e-10
+
+    @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
+    def test_point_array_matches_each_point(self, basis, monkeypatch):
+        r = random_realization(72, n=3, p=2, m=2, grade_a=3, grade_d=4,
+                               basis_a=basis, basis_d=basis)
+        sl = build(r)
+        pts = 1.3 * np.exp(2j * np.pi * np.random.default_rng(6).uniform(size=10))
+        each = [_factorization_residuals_at(sl, z) for z in pts]
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solves.append(a.shape) or solve(a, b))
+        stacked = factorization_residuals(sl, pts)
+        assert [tuple(v.hex() for v in pair) for pair in stacked] \
+            == [tuple(v.hex() for v in pair) for pair in each]
+        assert solves == [(10, 3, 3)]
+        assert factorization_residuals(sl, pts[:0]) == []
 
 
 class TestMinimalBases:
