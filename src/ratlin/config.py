@@ -12,7 +12,9 @@ import numpy as np
 DEFAULT_SEED = 0x5EED
 # eigenvalue matching and clustering tolerance, relative to max(1, |lambda|)
 MATCH_TOL = 1e-7
-# eigenvector-recovery residual gate
+# eigenpair's bound on an unscaled residual ||R(lambda) x|| / ||x||, above which
+# it takes the SVD vectors; the battery gates the normwise backward error
+# eta = ||R(lambda) x|| / (||R(lambda)||_2 ||x||) of each recovered pair by it
 RESIDUAL_TOL = 1e-8
 
 

@@ -180,26 +180,6 @@ def pencil_null_vector(l0: np.ndarray, l1: np.ndarray, lam: complex) -> tuple:
     return vh[-1].conj(), u[:, -1].conj()
 
 
-def match_multisets(computed, expected, tol_match: float = MATCH_TOL):
-    """Optimal pairing of two eigenvalue multisets.
-
-    Returns (ok, worst) where worst is the largest matched distance relative
-    to max(1, |lambda|); ok requires equal sizes and worst <= tol_match.
-    """
-    a = np.asarray(list(computed), dtype=complex)
-    b = np.asarray(list(expected), dtype=complex)
-    if a.size != b.size:
-        return False, math.inf
-    if a.size == 0:
-        return True, 0.0
-    import scipy.optimize  # on first use, like scipy.linalg in pencil_eigs
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    scale = np.maximum(1.0, np.abs(b[cols]))
-    worst = float(np.max(cost[rows, cols] / scale))
-    return worst <= tol_match, worst
-
-
 def cluster_eigenvalues(values) -> list:
     """Group a sorted eigenvalue list into (representative, count) clusters
     of points within MATCH_TOL of each other."""
@@ -302,7 +282,9 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
 
     Combines the partial multiplicities at 0 of the reversed state pencil and
     of the reversed full pencil, padded with zeros up to the generic rank of
-    the rational matrix, then shifts everything down by the grade.
+    the rational matrix, then shifts everything down by the grade.  The
+    reversal of lambda L1 + L0 is the pencil lambda L0 + L1, its own Taylor
+    expansion at 0, so `_staircase` reads the multiplicities off it directly.
     """
     r = sl.realization
     okl, okr = check_infinity_minimality(r, sl.grade_a, sl.grade_d)
@@ -313,11 +295,8 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
     g = sl.rho_d + 1
 
     la0, la1 = sl.state_pencil()
-    rev_state = PolyMatrix(np.stack([la1, la0]))
-    e_list = partial_multiplicities_at(rev_state, 0.0)
-
-    rev_full = PolyMatrix(np.stack([np.asarray(sl.L1), np.asarray(sl.L0)]))
-    e_tilde = partial_multiplicities_at(rev_full, 0.0)
+    e_list = _staircase(la1, la0)[1]
+    e_tilde = _staircase(sl.L1, sl.L0)[1]
 
     rank_r = rational_rank(sl, rng=rng)
     t, u = len(e_list), len(e_tilde)

@@ -15,8 +15,6 @@ from .config import make_rng, unit_circle_points
 from .errors import BasisError, DimensionError
 
 NEG_INF = float("-inf")  # degree of the zero matrix
-DET_RADIUS = 1.15  # sample circle of poly_det_coeffs
-DET_TRIM = 1e-10   # relative size below which its trailing coefficients drop
 
 
 class Basis(enum.Enum):
@@ -414,27 +412,3 @@ def scalar_multiply(c: PolyMatrix, p: PolyMatrix) -> PolyMatrix:
 def _scalar_blowup(c: PolyMatrix, n: int) -> PolyMatrix:
     stack = c.coeffs[:, 0, 0][:, None, None] * np.eye(n)[None, :, :]
     return PolyMatrix(stack, Basis.MONOMIAL)
-
-
-def poly_det_coeffs(p: PolyMatrix) -> np.ndarray:
-    """Monomial coefficients of det P(lambda) by evaluation-interpolation.
-
-    Samples on the circle of radius DET_RADIUS at roots of unity and inverts
-    the DFT; trailing coefficients below DET_TRIM * max|coeff| are dropped.
-    """
-    if p.rows != p.cols:
-        raise DimensionError("determinant needs a square polynomial matrix")
-    if p.rows == 0:
-        return np.array([1.0 + 0j])
-    bound = p.rows * max(1, p.grade)
-    npts = bound + 1
-    omega = DET_RADIUS * np.exp(2j * np.pi * np.arange(npts) / npts)
-    vals = np.linalg.det(p.eval(omega))
-    # samples are sums c_j r^j exp(+2 pi i jk/N): forward FFT/N inverts them
-    coeffs = np.fft.fft(vals) / npts / DET_RADIUS ** np.arange(npts)
-    mags = np.abs(coeffs)
-    top = mags.max()
-    if top == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = np.nonzero(mags > DET_TRIM * top)[0]
-    return np.array(coeffs[: keep[-1] + 1])

@@ -1,3 +1,4 @@
+import math
 import os
 
 # one BLAS thread, as in perfbench/run.py and tools/parity.py: timings and
@@ -7,10 +8,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pinning)
 import pytest  # noqa: E402
+import scipy.optimize  # noqa: E402
 
+from ratlin.config import MATCH_TOL  # noqa: E402
+from ratlin.errors import DimensionError  # noqa: E402
 from ratlin.polymat import Basis, PolyMatrix  # noqa: E402
 from ratlin.linbuild import Realization  # noqa: E402
 from ratlin.verify import preset_cross_coupled  # noqa: E402
+
+DET_RADIUS = 1.15  # sample circle of poly_det_coeffs
+DET_TRIM = 1e-10   # relative size below which its trailing coefficients drop
 
 
 @pytest.fixture
@@ -32,3 +39,48 @@ def random_realization(seed, n=2, p=2, m=2, grade_a=2, grade_d=2,
         B=random_polymatrix(rng, grade_d, n, m, basis_d),
         C=random_polymatrix(rng, grade_a, p, n, basis_a),
         D=random_polymatrix(rng, grade_d, p, m, basis_d))
+
+
+# -- test oracles: computed apart from the library's own spectral path -----
+
+def poly_det_coeffs(p: PolyMatrix) -> np.ndarray:
+    """Monomial coefficients of det P(lambda) by evaluation-interpolation.
+
+    Samples on the circle of radius DET_RADIUS at roots of unity and inverts
+    the DFT; trailing coefficients below DET_TRIM * max|coeff| are dropped.
+    """
+    if p.rows != p.cols:
+        raise DimensionError("determinant needs a square polynomial matrix")
+    if p.rows == 0:
+        return np.array([1.0 + 0j])
+    bound = p.rows * max(1, p.grade)
+    npts = bound + 1
+    omega = DET_RADIUS * np.exp(2j * np.pi * np.arange(npts) / npts)
+    vals = np.linalg.det(p.eval(omega))
+    # samples are sums c_j r^j exp(+2 pi i jk/N): forward FFT/N inverts them
+    coeffs = np.fft.fft(vals) / npts / DET_RADIUS ** np.arange(npts)
+    mags = np.abs(coeffs)
+    top = mags.max()
+    if top == 0.0:
+        return np.zeros(1, dtype=complex)
+    keep = np.nonzero(mags > DET_TRIM * top)[0]
+    return np.array(coeffs[: keep[-1] + 1])
+
+
+def match_multisets(computed, expected, tol_match: float = MATCH_TOL):
+    """Optimal pairing of two eigenvalue multisets.
+
+    Returns (ok, worst) where worst is the largest matched distance relative
+    to max(1, |lambda|); ok requires equal sizes and worst <= tol_match.
+    """
+    a = np.asarray(list(computed), dtype=complex)
+    b = np.asarray(list(expected), dtype=complex)
+    if a.size != b.size:
+        return False, math.inf
+    if a.size == 0:
+        return True, 0.0
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    scale = np.maximum(1.0, np.abs(b[cols]))
+    worst = float(np.max(cost[rows, cols] / scale))
+    return worst <= tol_match, worst

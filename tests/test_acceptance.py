@@ -13,8 +13,8 @@ import numpy as np
 import scipy.linalg
 
 from ratlin.eigsolve import (certify_minimal_basis, classify,
-                             invariant_orders_at_infinity, match_multisets,
-                             pencil_eigs, polynomial_nullspace, vector_degree)
+                             invariant_orders_at_infinity, pencil_eigs,
+                             polynomial_nullspace, vector_degree)
 from ratlin.linbuild import (Realization, block_pencil, build,
                              check_finite_minimality, check_infinity_minimality,
                              transfer_eval)
@@ -24,6 +24,8 @@ from ratlin.recover import (eigenpair, factorization_residuals,
                             recover_left_eigvec, recover_left_minimal_basis,
                             recover_right_eigvec, recover_right_minimal_basis)
 from ratlin.verify import FixtureSpec, cleared_matrix, gen_fixture, preset_cross_coupled
+
+from conftest import match_multisets
 
 ACCEPT_SEED = 0xACC
 

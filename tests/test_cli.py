@@ -229,8 +229,9 @@ class TestErrors:
 
 
 def test_scipy_is_imported_on_first_use():
-    """Importing the CLI loads neither scipy.linalg nor scipy.optimize, and a
-    `linearize` run, which runs no QZ, still leaves scipy.linalg unloaded."""
+    """Importing the CLI loads neither scipy.linalg nor scipy.optimize, a
+    `linearize` run, which runs no QZ, still leaves scipy.linalg unloaded,
+    and a `check` run, which does, never loads scipy.optimize."""
     src = os.path.dirname(os.path.dirname(ratlin.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = "\n".join([
@@ -239,11 +240,14 @@ def test_scipy_is_imported_on_first_use():
         "print('scipy.linalg' in sys.modules, 'scipy.optimize' in sys.modules)",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    code = ratlin.cli.main(['linearize', '--preset', 'cross-coupled'])",
-        "print(code, 'scipy.linalg' in sys.modules)"])
+        "print(code, 'scipy.linalg' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = ratlin.cli.main(['check', '--preset', 'cross-coupled', '--json'])",
+        "print(code, 'scipy.optimize' in sys.modules)"])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\n0 False\n"
+    assert proc.stdout == "False False\n0 False\n0 False\n"
 
 
 def test_parse_coeffs_complex_forms():

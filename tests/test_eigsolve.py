@@ -9,15 +9,16 @@ import scipy.linalg
 from ratlin import eigsolve
 from ratlin.errors import PreconditionError, RatlinError
 from ratlin.eigsolve import (certify_minimal_basis, classify,
-                             invariant_orders_at_infinity, match_multisets,
+                             invariant_orders_at_infinity,
                              partial_multiplicities_at, pencil_eigs,
                              pencil_is_regular, pencil_null_vector,
                              polynomial_nullspace, rational_rank, vector_degree)
 from ratlin.linbuild import Realization, build
-from ratlin.polymat import Basis, PolyMatrix, poly_det_coeffs
+from ratlin.polymat import Basis, PolyMatrix
 from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
-from conftest import random_polymatrix, random_realization
+from conftest import (match_multisets, poly_det_coeffs, random_polymatrix,
+                      random_realization)
 
 
 ORDERS = Path(__file__).parent / "data" / "infinity_orders_deficient_leading.json"
@@ -398,8 +399,3 @@ def test_vector_degree_threshold():
     assert vector_degree(stack) == 2
     stack[2, 1] = 1e-12
     assert vector_degree(stack) == 0
-
-
-def test_match_multisets_size_guard():
-    ok, worst = match_multisets([1.0], [1.0, 2.0], 1e-7)
-    assert not ok and worst == np.inf

@@ -4,13 +4,14 @@ degenerate dimensions, and determinant-level spectral cross-checks."""
 import numpy as np
 import pytest
 
-from ratlin.eigsolve import classify, match_multisets, pencil_eigs
+from ratlin.eigsolve import classify, pencil_eigs
 from ratlin.linbuild import Realization, build, transfer_eval
-from ratlin.polymat import Basis, PolyMatrix, poly_det_coeffs
+from ratlin.polymat import Basis, PolyMatrix
 from ratlin.recover import eigenpair, factorization_residuals
 from ratlin.scalareq import ScalarEquation, cleared_form, poly_roots, solve_scalar
 
-from conftest import random_polymatrix, random_realization
+from conftest import (match_multisets, poly_det_coeffs, random_polymatrix,
+                      random_realization)
 
 
 def pencil_det_oracle_roots(sl):

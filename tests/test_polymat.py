@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ratlin.errors import BasisError, DimensionError
 from ratlin.polymat import (NEG_INF, Basis, PolyMatrix, generic_rank, hstack,
-                            numerical_rank, poly_det_coeffs, vstack)
+                            numerical_rank, vstack)
 
 from conftest import random_polymatrix
 
@@ -201,18 +201,6 @@ class TestArithmetic:
         assert v.shape == (6, 2)
         lam = 0.3 + 0.8j
         assert np.allclose(h.eval(lam), np.hstack([a.eval(lam), b.eval(lam)]))
-
-
-class TestDetInterpolation:
-    def test_diagonal(self):
-        p = PolyMatrix.from_list([np.diag([-2.0, 2.0]), np.diag([-1.0, 1.0]),
-                                  np.diag([1.0, 0.0])])
-        det = poly_det_coeffs(p)
-        assert np.allclose(det, [-4, -4, 1, 1], atol=1e-10)
-
-    def test_constant(self):
-        p = PolyMatrix.from_list([np.diag([2.0, 3.0])])
-        assert np.allclose(poly_det_coeffs(p), [6.0])
 
 
 def test_json_round_trip():

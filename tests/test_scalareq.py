@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from ratlin.errors import PreconditionError
-from ratlin.eigsolve import match_multisets
 from ratlin.linbuild import build, transfer_eval
 from ratlin.polymat import PolyMatrix
 from ratlin.scalareq import (ScalarEquation, cleared_form, irreducibility_check,
                              poly_roots, solve_scalar)
+
+from conftest import match_multisets
 
 
 def oracle_roots(eq, tol=1e-7):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,8 +10,9 @@ from ratlin.eigsolve import rational_rank
 from ratlin.errors import PreconditionError
 from ratlin.linbuild import Realization, build, transfer_eval
 from ratlin.polymat import Basis, PolyMatrix
-from ratlin.verify import (FixtureSpec, cleared_matrix, gen_fixture,
-                           preset_cross_coupled, run_all)
+from ratlin.verify import (FixtureSpec, _check_state_pencil_spectrum,
+                           cleared_matrix, gen_fixture, preset_cross_coupled,
+                           run_all)
 
 
 class TestGenFixture:
@@ -189,6 +191,30 @@ class TestRunAll:
                            basis_a=Basis.CHEBYSHEV1, basis_d=Basis.CHEBYSHEV1)
         by_name = {e.name: e for e in run_all(gen_fixture(spec)).entries}
         assert by_name["dual-pair-identities"].status == "pass"
+
+    @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
+    def test_n16_grade8_passes(self, basis):
+        # the interpolated det A lost these poles (2.1e-3 monomial, 0.75
+        # Chebyshev), and unscaled eigenvector residuals reached 1.8e-7
+        spec = FixtureSpec(seed=6, n=16, p=16, m=16, grade_a=8, grade_d=8,
+                           basis_a=basis, basis_d=basis)
+        rep = run_all(gen_fixture(spec))
+        assert rep.passed, rep.table()
+
+    def test_monomial_grade12_passes(self):
+        # unscaled eigenvector residual 1.3e-8 on a backward stable solve
+        rep = run_all(gen_fixture(FixtureSpec(seed=2, grade_a=12, grade_d=12)))
+        assert rep.passed, rep.table()
+
+    def test_corrupted_state_pencil_fails(self):
+        sl = build(preset_cross_coupled())
+        r0, r1, c0, c1 = sl.blocks["K_A"]
+        l0 = np.array(sl.L0)
+        l0[r0:r1, c0:c1] *= 1.001
+        rng = np.random.default_rng(3)
+        assert _check_state_pencil_spectrum(sl, rng).status == "pass"
+        bad = _check_state_pencil_spectrum(dataclasses.replace(sl, L0=l0), rng)
+        assert bad.status == "fail" and bad.worst_residual > 1e-4
 
     def test_report_serialization(self):
         rep = run_all(preset_cross_coupled(), seed=2)
