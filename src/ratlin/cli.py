@@ -47,7 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ratlin",
         description="Linearize rational matrices given as D + C A^-1 B, solve "
                     "the associated eigenvalue problem, and recover spectral "
-                    "and singular structure from the pencil.")
+                    "and singular structure from the pencil.",
+        epilog="Output is byte-stable for a fixed seed, input and BLAS thread count; "
+               "last digits can differ between thread counts, so pin one thread "
+               "(OPENBLAS_NUM_THREADS=1) to reproduce --json output exactly.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=True):

@@ -5,8 +5,8 @@ with K of size (d-1)s x ds (all row degrees 1) and N of size s x ds (all row
 degrees d-1).  The pair (Khat, Nhat) makes U = [K; Khat] unimodular with
 U^{-1} = [Nhat^T  N^T], which is what turns eigenvector and minimal-basis
 recovery into a block slice.  All four are written in closed form from the
-basis's three-term recurrence (Amiraslani, Corless & Lancaster, IMA J.
-Numer. Anal. 2009).
+basis's row of `polymat.RECURRENCE` and its `times_lambda` matrix
+(Amiraslani, Corless & Lancaster, IMA J. Numer. Anal. 2009).
 """
 
 from dataclasses import dataclass
@@ -15,14 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .polymat import Basis, PolyMatrix
-
-# (alpha_k, beta_k, gamma_k) of lambda phi_k = alpha_k phi_{k+1} + beta_k phi_k
-# + gamma_k phi_{k-1}; gamma_0 = 0 in every basis.
-RECURRENCE = {
-    Basis.MONOMIAL: lambda k: (1.0, 0.0, 0.0),
-    Basis.CHEBYSHEV1: lambda k: (1.0, 0.0, 0.0) if k == 0 else (0.5, 0.0, 0.5),
-}
+from .polymat import RECURRENCE, Basis, PolyMatrix, times_lambda
 
 
 @dataclass(frozen=True)
@@ -47,7 +40,7 @@ class DualBasisPair:
     @cached_property
     def Nhat(self) -> PolyMatrix:
         """(d-1)s x ds, degree <= d-2, with K Nhat^T = I and Khat Nhat^T = 0."""
-        return _blocks(_nhat(RECURRENCE[self.basis], self.d), self.s, self.basis)
+        return _blocks(_nhat(self.basis, self.d), self.s, self.basis)
 
 
 def pair_for(basis: Basis, s: int, d: int) -> DualBasisPair:
@@ -81,7 +74,7 @@ def chebyshev_pair(s: int, d: int) -> DualBasisPair:
     return pair_for(Basis.CHEBYSHEV1, s, d)
 
 
-def _nhat(rec, d: int) -> np.ndarray:
+def _nhat(basis: Basis, d: int) -> np.ndarray:
     """Coefficient stack of the scalar Nhat, of grade d-2, in the pair's basis.
 
     Column c of Nhat^T solves K x = e_c with x = 0 in the phi_0 block (so
@@ -91,15 +84,10 @@ def _nhat(rec, d: int) -> np.ndarray:
     below k, so every product by lambda stays within grade d-2.
     """
     g = max(d - 2, 0)
-    times_lam = np.zeros((g + 1, g + 1))  # lambda * p == times_lam @ p, deg p < g
-    for j in range(g):
-        alpha, beta, gamma = rec(j)
-        times_lam[j + 1, j], times_lam[j, j] = alpha, beta
-        if j:
-            times_lam[j - 1, j] = gamma
+    times_lam = times_lambda(basis, g)
     y = np.zeros((d + 1, g + 1, d - 1))  # y[k + 1][degree, c] = y_k; y_{-1} = y_0 = 0
     for k in range(d - 1):
-        alpha, beta, gamma = rec(k)
+        alpha, beta, gamma = RECURRENCE[basis](k)
         y[k + 2] = times_lam @ y[k + 1] - beta * y[k + 1] - gamma * y[k]
         y[k + 2, 0, d - 2 - k] -= 1.0
         y[k + 2] /= alpha

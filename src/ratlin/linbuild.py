@@ -20,7 +20,7 @@ import numpy as np
 from .config import unit_circle_points
 from .dualbases import DualBasisPair, pair_for
 from .errors import BasisError, DimensionError, PoleError, PreconditionError
-from .polymat import Basis, PolyMatrix, generic_rank, numerical_rank
+from .polymat import RECURRENCE, Basis, PolyMatrix, generic_rank, numerical_rank
 
 
 @dataclass(frozen=True)
@@ -214,43 +214,34 @@ def minimality_report(r: Realization, points, grade_a: int | None = None,
                             grades=(da, dd))
 
 
-def row_pencil(p: PolyMatrix, d: int, pair: DualBasisPair) -> PolyMatrix:
+def row_pencil(p: PolyMatrix, pair: DualBasisPair) -> PolyMatrix:
     """Linear M_P with M_P(lambda) N(lambda)^T = P(lambda), N from the pair.
 
-    Monomial rule: [P_d l + P_{d-1}, P_{d-2}, ..., P_0] over the padded
-    coefficients, except that a matrix of degree exactly d-1 >= 1 is packed
-    as [0, P_{d-1} l + P_{d-2}, P_{d-3}, ..., P_0] (leading zero block).
-    Chebyshev rule (d >= 2): [2 P_d l + P_{d-1}, P_{d-2} - P_d, P_{d-3}, ..., P_0].
+    With d = pair.d and the recurrence (alpha, beta, gamma) at k = d-1:
+    [P_d (l - beta)/alpha + P_{d-1}, P_{d-2} - P_d gamma/alpha, ..., P_0] over
+    the padded coefficients, except that a monomial matrix of degree exactly
+    d-1 >= 1 is packed as [0, P_{d-1} l + P_{d-2}, P_{d-3}, ..., P_0].
     """
     if p.basis is not pair.basis:
         raise BasisError("row_pencil: matrix and pair bases differ")
-    deg = p.degree()
+    d, deg = pair.d, p.degree()
     if d < max(1, _deg(p)):
         raise DimensionError(f"target grade {d} below degree {deg}")
-    if pair.d != d or pair.s != p.cols:
-        raise DimensionError("pair does not match the requested grade/block size")
+    if pair.s != p.cols:
+        raise DimensionError("pair does not match the block size")
 
-    q = p.with_grade(d)
-    rows, cols = p.rows, p.cols
-    m0 = np.zeros((rows, d * cols), dtype=complex)
+    q, cols = p.with_grade(d).coeffs, p.cols
+    m0 = np.concatenate(q[d - 1::-1], axis=1)  # [P_{d-1}, ..., P_0]
     m1 = np.zeros_like(m0)
-
-    if d == 1:
-        m1[:, :cols] = q.coeff(1)
-        m0[:, :cols] = q.coeff(0)
-        return PolyMatrix(np.stack([m0, m1]), p.basis)
-
-    for j in range(2, d + 1):
-        m0[:, (j - 1) * cols:j * cols] = q.coeff(d - j)
     if p.basis is Basis.MONOMIAL and deg == d - 1 and deg >= 1:
-        m1[:, cols:2 * cols] = q.coeff(d - 1)
-    elif p.basis is Basis.MONOMIAL:
-        m1[:, :cols] = q.coeff(d)
-        m0[:, :cols] = q.coeff(d - 1)
+        m1[:, cols:2 * cols] = m0[:, :cols]
+        m0[:, :cols] = 0.0
     else:
-        m1[:, :cols] = 2.0 * q.coeff(d)
-        m0[:, :cols] = q.coeff(d - 1)
-        m0[:, cols:2 * cols] = q.coeff(d - 2) - q.coeff(d)
+        alpha, beta, gamma = RECURRENCE[p.basis](d - 1)
+        m1[:, :cols] = q[d] / alpha
+        m0[:, :cols] -= beta / alpha * q[d]
+        if d > 1:
+            m0[:, cols:2 * cols] -= gamma / alpha * q[d]
     return PolyMatrix(np.stack([m0, m1]), p.basis)
 
 
@@ -265,23 +256,18 @@ def build(r: Realization, grade_a: int | None = None,
     pair_a = pair_for(r.A.basis, n, da)
     pair_d = pair_for(r.D.basis, m, dd)
 
-    m_a = row_pencil(r.A, da, pair_a)
-    m_c = row_pencil(r.C, da, pair_a)
-    m_b = row_pencil(r.B, dd, pair_d)
-    m_d = row_pencil(r.D, dd, pair_d)
+    m_a = row_pencil(r.A, pair_a)
+    m_c = row_pencil(r.C, pair_a)
+    m_b = row_pencil(r.B, pair_d)
+    m_d = row_pencil(r.D, pair_d)
 
     rows = n * da + p + m * (dd - 1)
     cols = n * da + m * dd
-    stack = np.zeros((2, rows, cols), dtype=complex)
     ca = n * da  # column split between the two sides
-
-    for k in range(2):
-        stack[k, :n, :ca] = m_a.coeff(k)
-        stack[k, n:ca, :ca] = pair_a.K.coeff(k)
-        stack[k, :n, ca:] = m_b.coeff(k)
-        stack[k, ca:ca + p, :ca] = -m_c.coeff(k)
-        stack[k, ca:ca + p, ca:] = m_d.coeff(k)
-        stack[k, ca + p:, ca:] = pair_d.K.coeff(k)
+    stack = np.block([[m_a.coeffs, m_b.coeffs],
+                      [pair_a.K.coeffs, np.zeros((2, ca - n, cols - ca))],
+                      [-m_c.coeffs, m_d.coeffs],
+                      [np.zeros((2, rows - ca - p, ca)), pair_d.K.coeffs]])
 
     blocks = {
         "M_A": (0, n, 0, ca),
@@ -306,13 +292,7 @@ def block_pencil(p: PolyMatrix, d: int | None = None) -> tuple:
     """
     d = d or int(max(1.0, _deg(p)))
     pair = pair_for(p.basis, p.cols, d)
-    m_p = row_pencil(p, d, pair)
-    k = pair.K
-    rows = p.rows + k.rows
-    stack = np.zeros((2, rows, d * p.cols), dtype=complex)
-    for kk in range(2):
-        stack[kk, :p.rows, :] = m_p.coeff(kk)
-        stack[kk, p.rows:, :] = k.coeff(kk)
+    stack = np.concatenate([row_pencil(p, pair).coeffs, pair.K.coeffs], axis=1)
     return stack[0], stack[1], pair
 
 

@@ -4,9 +4,13 @@ A PolyMatrix stores a graded coefficient stack in either the monomial basis
 or the Chebyshev basis of the first kind.  The grade (declared formal degree)
 may exceed the actual degree; trailing zero coefficients are legal and
 meaningful, e.g. for reversals.
+Each basis is one row of the three-term table RECURRENCE, which drives
+products (kept in the operands' basis), the conversion to monomials and
+`dualbases`; only `eval` writes its Horner and Clenshaw loops out.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,45 @@ NEG_INF = float("-inf")  # degree of the zero matrix
 class Basis(enum.Enum):
     MONOMIAL = "monomial"
     CHEBYSHEV1 = "chebyshev1"
+
+
+# (alpha_k, beta_k, gamma_k) of lambda phi_k = alpha_k phi_{k+1} + beta_k phi_k
+# + gamma_k phi_{k-1}, with phi_0 = 1 and gamma_0 = 0 in every basis
+# (Amiraslani, Corless & Lancaster, IMA J. Numer. Anal. 29, 2009).
+RECURRENCE = {
+    Basis.MONOMIAL: lambda k: (1.0, 0.0, 0.0),
+    Basis.CHEBYSHEV1: lambda k: (1.0, 0.0, 0.0) if k == 0 else (0.5, 0.0, 0.5),
+}
+
+
+def times_lambda(basis: Basis, grade: int) -> np.ndarray:
+    """Square X with lambda sum_k c_k phi_k = sum_k (X c)_k phi_k for
+    coefficients c of degree below `grade`: column k holds alpha_k, beta_k,
+    gamma_k in rows k+1, k, k-1."""
+    x = np.zeros((grade + 2, grade + 1))
+    for k in range(grade + 1):
+        alpha, beta, gamma = RECURRENCE[basis](k)
+        x[k + 1, k], x[k, k] = alpha, beta
+        if k:
+            x[k - 1, k] = gamma
+    return x[:-1]
+
+
+@functools.lru_cache
+def _phi_stack(basis: Basis, x_basis: Basis, grade: int, count: int) -> np.ndarray:
+    """Read-only stack whose [j], j < count, maps the x_basis coefficients of
+    p, of the given grade, to those of phi_j p (phi_j of `basis`), from
+    phi_{j+1} = ((lambda - beta_j) phi_j - gamma_j phi_{j-1}) / alpha_j."""
+    g = grade + count - 1
+    x = times_lambda(x_basis, g)
+    out = np.zeros((count, g + 1, grade + 1))
+    out[0] = np.eye(g + 1, grade + 1)
+    for j in range(count - 1):
+        alpha, beta, gamma = RECURRENCE[basis](j)
+        # at j = 0, out[-1] is still zero and gamma_0 = 0
+        out[j + 1] = (x @ out[j] - beta * out[j] - gamma * out[j - 1]) / alpha
+    out.flags.writeable = False  # shared by every caller
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,7 +199,7 @@ class PolyMatrix:
         """Same matrix, same grade, expressed in the monomial basis."""
         if self.basis is Basis.MONOMIAL:
             return self
-        conv = chebyshev_to_monomial_matrix(self.grade)
+        conv = _phi_stack(self.basis, Basis.MONOMIAL, 0, self.grade + 1)[:, :, 0]
         out = np.tensordot(conv.T, self.coeffs, axes=(1, 0))
         return PolyMatrix(out, Basis.MONOMIAL)
 
@@ -165,8 +208,8 @@ class PolyMatrix:
             return self
         if basis is Basis.MONOMIAL:
             return self.to_monomial()
-        conv = chebyshev_to_monomial_matrix(self.grade)
-        flat = self.coeffs.reshape(self.grade + 1, -1)
+        conv = _phi_stack(basis, Basis.MONOMIAL, 0, self.grade + 1)[:, :, 0]
+        flat = self.to_monomial().coeffs.reshape(self.grade + 1, -1)
         cheb = np.linalg.solve(conv.T, flat).reshape(self.coeffs.shape)
         return PolyMatrix(cheb, Basis.CHEBYSHEV1)
 
@@ -230,17 +273,28 @@ class PolyMatrix:
         return self * (-1.0)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Product, computed in the monomial basis; grade = sum of grades."""
+        """Product in the operands' common basis; grade = sum of grades.
+
+        P Q = sum_i P_i (phi_i Q) = sum_j (phi_j P) Q_j, summed over the
+        operand of lower grade with i up (j down), one batched product per
+        term: for monomials, the schoolbook double loop's result bit for bit.
+        """
+        self._check_basis(other)
         if self.cols != other.rows:
             raise DimensionError(f"matmul: {self.shape} @ {other.shape}")
-        a = self.to_monomial()
-        b = other.to_monomial()
-        g = a.grade + b.grade
-        out = np.zeros((g + 1, a.rows, b.cols), dtype=complex)
-        for i in range(a.grade + 1):
-            for j in range(b.grade + 1):
-                out[i + j] += a.coeffs[i] @ b.coeffs[j]
-        return PolyMatrix(out, Basis.MONOMIAL)
+        if self.grade <= other.grade:  # sum_i P_i (phi_i Q), i up
+            terms = self.coeffs[:, None] @ other._phi_times(self.grade + 1)
+        else:  # sum_j (phi_j P) Q_j, j down
+            terms = (self._phi_times(other.grade + 1) @ other.coeffs[:, None])[::-1]
+        out = np.zeros(terms.shape[1:], dtype=complex)
+        for term in terms:
+            out += term
+        return PolyMatrix(out, self.basis)
+
+    def _phi_times(self, count: int) -> np.ndarray:
+        """Coefficient stacks of phi_j P, j < count, at grade P.grade + count - 1."""
+        stack = _phi_stack(self.basis, self.basis, self.grade, count)
+        return np.tensordot(stack, self.coeffs, axes=(2, 0))
 
     # -- serialization -----------------------------------------------------
 
@@ -282,20 +336,6 @@ class PolyMatrix:
         return PolyMatrix(stack, basis)
 
 
-def chebyshev_to_monomial_matrix(grade: int) -> np.ndarray:
-    """Row k holds the monomial coefficients of the degree-k first-kind
-    Chebyshev polynomial, via the three-term recurrence."""
-    n = grade + 1
-    conv = np.zeros((n, n))
-    conv[0, 0] = 1.0
-    if grade >= 1:
-        conv[1, 1] = 1.0
-    for k in range(1, grade):
-        conv[k + 1, 1:] = 2.0 * conv[k, :-1]
-        conv[k + 1] -= conv[k - 1]
-    return conv
-
-
 def hstack(*mats: PolyMatrix) -> PolyMatrix:
     """Concatenate horizontally; grades padded to the common maximum."""
     mats = list(mats)
@@ -328,18 +368,6 @@ def _common_basis(mats):
         if m.basis is not basis:
             raise BasisError("stack: mixed bases")
     return basis
-
-
-def max_coeff_diff(p: PolyMatrix, q: PolyMatrix) -> float:
-    """Largest coefficient difference of two polynomial matrices, compared
-    in the monomial basis at a common grade."""
-    if p.shape != q.shape:
-        raise DimensionError(f"compare: {p.shape} vs {q.shape}")
-    g = max(p.grade, q.grade)
-    a = p.to_monomial().pad_to_grade(g)
-    b = q.to_monomial().pad_to_grade(g)
-    diff = a.coeffs - b.coeffs
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
 
 
 def numerical_rank(mat: np.ndarray, rank_scale: float = 1.0):

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RESIDUAL_TOL, make_rng
-from .dualbases import RECURRENCE
 from .errors import BreakdownError, PreconditionError, RatlinError
 from .eigsolve import (MinimalBasisResult, classify, polymatrix_nullspace,
                        rational_rank, sampled_minimality, vector_degree)
 from .linbuild import (Realization, StructuredLinearization, build,
                        check_infinity_minimality, sample_points, system_eval)
-from .polymat import (Basis, PolyMatrix, generic_rank, hstack, max_coeff_diff,
+from .polymat import (RECURRENCE, Basis, PolyMatrix, generic_rank, hstack,
                       numerical_rank, poly_adjugate, scalar_multiply)
 from .recover import (eigenpair, factorization_residuals,
                       recover_left_minimal_basis, recover_right_minimal_basis)
@@ -191,13 +190,13 @@ def _skip(name):
 
 
 def _check_block_factors(sl: StructuredLinearization) -> CheckEntry:
-    """M_X N^T == X as exact coefficient identities, all four blocks."""
+    """M_X N^T == X coefficient by coefficient in their basis, all four blocks."""
     r = sl.realization
     worst = 0.0
     for mx, x, pair in ((sl.m_a, r.A, sl.pair_a), (sl.m_c, r.C, sl.pair_a),
                         (sl.m_b, r.B, sl.pair_d), (sl.m_d, r.D, sl.pair_d)):
         scale = max(1.0, float(np.max(np.abs(x.coeffs))))
-        worst = max(worst, max_coeff_diff(mx @ pair.N.T, x) / scale)
+        worst = max(worst, float(np.max(np.abs((mx @ pair.N.T - x).coeffs))) / scale)
     return _entry("block-factor-identities", worst <= 1e-13, worst)
 
 
@@ -205,11 +204,11 @@ def _check_dual_pairs(sl: StructuredLinearization) -> CheckEntry:
     worst = 0.0
     for pair in (sl.pair_a, sl.pair_d):
         prods = [pair.K @ pair.N.T,
-                 pair.Khat @ pair.N.T - PolyMatrix.identity(pair.s),
+                 pair.Khat @ pair.N.T - PolyMatrix.identity(pair.s, pair.basis),
                  pair.Khat @ pair.Nhat.T]
         if pair.d > 1:
             prods.append(pair.K @ pair.Nhat.T
-                         - PolyMatrix.identity((pair.d - 1) * pair.s))
+                         - PolyMatrix.identity((pair.d - 1) * pair.s, pair.basis))
         for prod in prods:
             if prod.coeffs.size:
                 worst = max(worst, float(np.max(np.abs(prod.coeffs))))

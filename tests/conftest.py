@@ -41,6 +41,17 @@ def random_realization(seed, n=2, p=2, m=2, grade_a=2, grade_d=2,
         D=random_polymatrix(rng, grade_d, p, m, basis_d))
 
 
+def schoolbook_matmul(a: PolyMatrix, b: PolyMatrix) -> np.ndarray:
+    """Coefficients of a product of monomial polynomial matrices from the
+    double loop over coefficient pairs; PolyMatrix.__matmul__ reproduces
+    them bit for bit."""
+    out = np.zeros((a.grade + b.grade + 1, a.rows, b.cols), dtype=complex)
+    for i in range(a.grade + 1):
+        for j in range(b.grade + 1):
+            out[i + j] += a.coeffs[i] @ b.coeffs[j]
+    return out
+
+
 # -- test oracles: computed apart from the library's own spectral path -----
 
 def poly_det_coeffs(p: PolyMatrix) -> np.ndarray:

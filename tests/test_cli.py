@@ -141,6 +141,14 @@ class TestErrors:
         assert run_cli(capsys, *argv) == clean
         assert clean[0] == 0
 
+    def test_help_says_output_depends_on_blas_threads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "BLAS thread count" in out
+        assert "OPENBLAS_NUM_THREADS=1" in out
+
     def test_tolerance_flags_are_unknown(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eigs", "--preset", "cross-coupled", "--tol-rank", "1"])

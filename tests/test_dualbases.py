@@ -78,9 +78,10 @@ def _assert_completion_identities(pr):
     of the pair is a dyadic rational of modest size."""
     s, d = pr.s, pr.d
     assert not (pr.K @ pr.N.T).coeffs.any()
-    assert not (pr.Khat @ pr.N.T - PolyMatrix.identity(s)).coeffs.any()
+    assert not (pr.Khat @ pr.N.T - PolyMatrix.identity(s, pr.basis)).coeffs.any()
     if d > 1:
-        assert not (pr.K @ pr.Nhat.T - PolyMatrix.identity((d - 1) * s)).coeffs.any()
+        assert not (pr.K @ pr.Nhat.T
+                    - PolyMatrix.identity((d - 1) * s, pr.basis)).coeffs.any()
         assert not (pr.Khat @ pr.Nhat.T).coeffs.any()
 
 
@@ -111,7 +112,8 @@ def test_row_pencil_reconstruction(basis):
     rng = np.random.default_rng(99)
     p = random_polymatrix(rng, 3, 2, 2, basis)
     pr = pair_for(basis, 2, 3)
-    m = row_pencil(p, 3, pr)
+    m = row_pencil(p, pr)
     prod = m @ pr.N.T
-    diff = prod - p.to_monomial().pad_to_grade(prod.grade)
+    assert prod.basis is basis
+    diff = prod - p.pad_to_grade(prod.grade)
     assert np.max(np.abs(diff.coeffs)) <= 1e-13

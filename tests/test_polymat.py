@@ -8,7 +8,7 @@ from ratlin.errors import BasisError, DimensionError
 from ratlin.polymat import (NEG_INF, Basis, PolyMatrix, generic_rank, hstack,
                             numerical_rank, vstack)
 
-from conftest import random_polymatrix
+from conftest import random_polymatrix, schoolbook_matmul
 
 
 def scalar_horner(coeffs, lam):
@@ -86,6 +86,23 @@ class TestToMonomial:
         p = random_polymatrix(rng, 5, 2, 2, Basis.CHEBYSHEV1)
         back = p.to_monomial().to_basis(Basis.CHEBYSHEV1)
         assert np.max(np.abs(back.coeffs - p.coeffs)) < 1e-12
+
+
+@pytest.mark.parametrize("grade", range(13))
+def test_to_monomial_matches_cheb2poly(grade):
+    """Each T_k converts to cheb2poly's integer coefficients exactly, and a
+    random matrix converts entry by entry as cheb2poly does."""
+    cheb2poly = np.polynomial.chebyshev.cheb2poly
+    for k, unit in enumerate(np.eye(grade + 1)):
+        got = PolyMatrix.from_scalar_coeffs(unit, Basis.CHEBYSHEV1).to_monomial()
+        assert got.basis is Basis.MONOMIAL and got.grade == grade
+        want = np.zeros(grade + 1)
+        want[:k + 1] = cheb2poly(unit[:k + 1])
+        assert np.array_equal(got.coeffs.ravel(), want)
+    p = random_polymatrix(np.random.default_rng(grade), grade, 2, 3, Basis.CHEBYSHEV1)
+    want = np.apply_along_axis(cheb2poly, 0, p.coeffs)
+    # the monomial coefficients of T_k grow like 2^k, and so do the roundings
+    assert np.max(np.abs(p.to_monomial().coeffs - want)) <= 1e-13 * 2.0 ** grade
 
 
 class TestReversal:
@@ -191,6 +208,14 @@ class TestArithmetic:
         with pytest.raises(BasisError):
             _ = a + b
 
+    def test_matmul_basis_mismatch(self):
+        a = PolyMatrix.identity(2)
+        b = PolyMatrix.identity(2, Basis.CHEBYSHEV1)
+        with pytest.raises(BasisError):
+            _ = a @ b
+        with pytest.raises(BasisError):
+            _ = b @ a
+
     def test_stacking(self):
         rng = np.random.default_rng(8)
         a = random_polymatrix(rng, 1, 2, 2)
@@ -255,6 +280,33 @@ def test_numerical_rank_of_stack_matches_each_matrix(rows, cols, seed, ranks, ra
     got = numerical_rank(stack, rank_scale)
     assert got.shape == (len(ranks),)
     assert got.tolist() == [numerical_rank(m, rank_scale) for m in stack]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(grades=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+       basis=st.sampled_from(list(Basis)),
+       dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+       is_complex=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_matmul_stays_in_the_operands_basis(grades, basis, dims, is_complex, seed):
+    """P @ Q keeps the basis and has grade g_a + g_b; its values are the
+    products of the values, and in the monomial basis its coefficients are
+    the schoolbook double loop's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    (ga, gb), (rows, inner, cols) = grades, dims
+    a, b = (rng.standard_normal((g + 1, r, c)) + 1j * is_complex
+            * rng.standard_normal((g + 1, r, c))
+            for g, r, c in ((ga, rows, inner), (gb, inner, cols)))
+    p, q = PolyMatrix(a, basis), PolyMatrix(b, basis)
+    prod = p @ q
+    assert prod.basis is basis and prod.grade == ga + gb
+    assert prod.shape == (rows, cols)
+    # an ellipse about [-1, 1], where neither basis grows fast
+    theta = rng.uniform(0.0, 2 * np.pi, 5)
+    pts = np.cos(theta) + 0.2j * np.sin(theta)
+    want = p.eval(pts) @ q.eval(pts)
+    assert np.max(np.abs(prod.eval(pts) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    if basis is Basis.MONOMIAL:
+        assert prod.coeffs.tobytes() == schoolbook_matmul(p, q).tobytes()
 
 
 def test_empty_point_array():

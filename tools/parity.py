@@ -14,6 +14,8 @@ Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
 - the 3 singular STRUCTURES x 4 basis pairs at n = p = m = 4, grade 2,
   seed 7: 16 x 16 pencils with minimal indices 11-15, as deep as the
   nullspace sweeps of the benchmark's battery go;
+- the regular seed-2 n = p = m = 2 inputs of grades 10 and 12 with both
+  sides Chebyshev, the highest grades `run_all` is tested at;
 - the seed-1 n = p = m = 2 grade-2 and seed-4 n = p = m = 3 grade-3 inputs
   again, with the first column of the leading coefficient of A, or of B
   and D, zeroed: a rank-deficient leading coefficient gives orders at
@@ -75,6 +77,11 @@ def realizations(verify, basis):
                     if (n, grade, seed) in ((2, 2, 1), (3, 3, 4)):
                         for blocks in ("A", "BD"):
                             yield f"{name}-lead{blocks}", deficient_leading(r, blocks)
+    cheb = basis.CHEBYSHEV1
+    for grade in (10, 12):
+        spec = verify.FixtureSpec(seed=2, grade_a=grade, grade_d=grade,
+                                  basis_a=cheb, basis_d=cheb)
+        yield f"regular-n2-g{grade}-s2-{cheb.value}-{cheb.value}", verify.gen_fixture(spec)
 
 
 def deficient_leading(r, blocks: str):
