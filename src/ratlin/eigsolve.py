@@ -2,11 +2,14 @@
 
 Covers the generalized eigensolver contract (QZ via scipy), pole/zero
 classification of a structured linearization, and polynomial nullspace
-minimal bases of singular pencils via a degree-sweep convolution method.
-One column-compression staircase gives both a pencil's right minimal
-indices, which guide that sweep, and its Jordan block sizes at 0, which
-are the local partial multiplicities and, on reversed pencils, the
-invariant orders at infinity.
+minimal bases.  One column-compression staircase gives a pencil's right
+minimal indices, a basis of those degrees by back-substitution through its
+own transforms, and its Jordan block sizes at 0, which are the local
+partial multiplicities and, on reversed pencils, the invariant orders at
+infinity.  A back-substituted basis is kept only when it passes a gate
+(count, certificate, and the nullity of one convolution matrix); otherwise,
+and for matrices of higher grade, a degree-sweep convolution method gives
+the basis.
 """
 
 import math
@@ -325,15 +328,15 @@ def rational_rank(sl: StructuredLinearization, rng=None) -> int:
 
 def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
                          rng=None) -> MinimalBasisResult:
-    """Minimal polynomial nullspace basis of a pencil by degree sweep.
+    """Minimal polynomial nullspace basis of a pencil.
 
-    For each candidate degree the block convolution matrix of the pencil is
-    formed; new nullspace directions are those orthogonal to shifts of the
-    lower-degree basis vectors.  The sweep stops once the count matches the
-    nullity of the pencil over the rational functions.  Basis columns are
-    orthonormalized degree by degree, so the output is deterministic.  A
-    staircase guess of the indices lets the sweep visit only the degrees
-    around them (see `polymatrix_nullspace`).
+    The basis comes from back-substitution through the pencil's staircase
+    when it passes the gate of `polymatrix_nullspace`, and from the degree
+    sweep otherwise: for each candidate degree the block convolution matrix
+    of the pencil is formed, and new nullspace directions are those
+    orthogonal to shifts of the lower-degree basis vectors, until the count
+    matches the nullity of the pencil over the rational functions.  Either
+    way the output is deterministic.
     """
     l0 = np.asarray(l0, dtype=complex)
     l1 = np.asarray(l1, dtype=complex)
@@ -358,15 +361,19 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
     minimal indices of the matrix instead of the inflated indices of a
     linearization.
 
-    A pencil (grade 1) first gets a guess of its right minimal indices from
-    `_staircase`.  A guess with `nullity` entries, none above `cap`,
-    is tested against the sweep's own nullities at degrees p - 1 and p of
-    each guessed index p, and only those degrees are visited; any mismatch
-    drops the guess for the full sweep.  Nullity is convex and piecewise
-    linear in the degree with its breakpoints at the indices, so agreement
-    there fixes the sweep's indices, and the vectors come from the same SVD
-    and deflation either way.  Raises BreakdownError when an index would
-    exceed `cap`.
+    A pencil (grade 1) first gets its right minimal indices from
+    `_staircase`.  When they number `nullity`, none above `cap`, the basis
+    back-substituted through the staircase (`_back_substitute`) is returned
+    if it passes the gate `_certified`: its count is the nullity,
+    `certify_minimal_basis` passes, and the convolution matrix at the top
+    degree has the nullity those degrees predict.  A rejected basis leaves
+    the staircase's indices as a guess, tested against the sweep's own
+    nullities at degrees p - 1 and p of each guessed index p, and only those
+    degrees are visited; any mismatch drops the guess for the full sweep.
+    Nullity is convex and piecewise linear in the degree with its
+    breakpoints at the indices, so agreement there fixes the sweep's
+    indices, and the vectors come from the same SVD and deflation either
+    way.  Raises BreakdownError when an index would exceed `cap`.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
@@ -390,19 +397,72 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
 
     found = None
     if mono.grade == 1:
-        guess = _staircase(*mono.coeffs)[0]
+        guess, _, steps = _staircase(*mono.coeffs)
         if len(guess) == nullity and max(guess) <= cap:
+            res = _basis_result(_back_substitute(steps), cols)
+            if _certified(mono.coeffs, res, nullity):
+                return res
             found = _guided_sweep(mono.coeffs, guess)
     if found is None:
         found = _sweep(mono.coeffs, nullity, cap)
+    return _basis_result(found, cols)
 
-    gmax = max(d for d, _ in found)
+
+def _basis_result(found, cols) -> MinimalBasisResult:
+    """The right basis of [(degree, coefficients)] listed by ascending degree."""
+    gmax = max((d for d, _ in found), default=0)
     stack = np.zeros((gmax + 1, cols, len(found)), dtype=complex)
     for j, (d, cf) in enumerate(found):
         stack[: d + 1, :, j] = cf
     return MinimalBasisResult(vectors=PolyMatrix(stack),
                               indices=sorted(d for d, _ in found),
                               side="right")
+
+
+def _back_substitute(steps) -> list:
+    """[(degree, coefficients)] of a right basis of the pencil from the
+    transforms of its `_staircase`, by ascending degree.
+
+    The null vectors z of S = U_top^H b V2 give V2 z, the degree-0 vectors of
+    a step's pencil, which are degree-k vectors of the pencil for step k.  A
+    vector w of the next step's pencil lifts to x = V1 lambda w + V2 u, with
+    S u = -U_top^H (a + lambda b) V1 w solved by u = W_rho sigma^-1 (...):
+    so x = (M0 + lambda M1) w, one degree up.  Vectors are scaled to unit
+    norm at each step; whether the result is a minimal basis is left to
+    `_certified`.
+    """
+    if not steps:
+        return []
+    vecs = np.zeros((1, steps[-1][3], 0), dtype=complex)  # (rows, columns, count)
+    degrees = []
+    for a, b, v, rank, ut, sb, wh in reversed(steps):
+        v1, v2 = v[:, :rank], v[:, rank:]
+        solve = -v2 @ (wh[:sb.size].conj().T / sb) @ ut.conj().T
+        new = v2 @ wh[sb.size:].conj().T
+        k = new.shape[1]
+        lifted = np.zeros((vecs.shape[0] + 1, v.shape[0], k + len(degrees)),
+                          dtype=complex)
+        lifted[0, :, :k] = new
+        lifted[:-1, :, k:] = (solve @ a @ v1) @ vecs
+        lifted[1:, :, k:] += (v1 + solve @ b @ v1) @ vecs
+        vecs = lifted / np.linalg.norm(lifted, axis=(0, 1))
+        degrees = [0] * k + [d + 1 for d in degrees]
+    return [(d, vecs[: d + 1, :, j]) for j, d in enumerate(degrees)]
+
+
+def _certified(stack, res: MinimalBasisResult, nullity) -> bool:
+    """Whether `res` is a minimal basis of the pencil: its count is the
+    nullity, `certify_minimal_basis` passes with its own generator, and the
+    nullity of the convolution matrix at the top degree D is
+    sum(D - d_i + 1).  Sorted degrees of any basis bound the minimal indices
+    from above one by one, so that last test holds only at the indices; the
+    certificate alone passes bases of the wrong degrees."""
+    if res.count != nullity or not certify_minimal_basis(res, *stack)["ok"]:
+        return False
+    top = res.indices[-1]
+    conv = _convolution_matrix(stack, top)
+    return conv.shape[1] - numerical_rank(conv) == sum(top - d + 1
+                                                       for d in res.indices)
 
 
 def _sweep(stack, nullity, cap) -> list:
@@ -452,22 +512,23 @@ def _take(found, ns, delta, cols, new_count):
 
 
 def _staircase(l0: np.ndarray, l1: np.ndarray) -> tuple:
-    """(right minimal indices, Jordan block sizes at 0) of lambda * l1 + l0,
-    both sorted, from Van Dooren's column-compression staircase (LAA 1979;
-    Demmel & Kagstrom, ACM TOMS 1993).
+    """(right minimal indices, Jordan block sizes at 0, steps) of
+    lambda * l1 + l0, the lists sorted, from Van Dooren's column-compression
+    staircase (LAA 1979; Demmel & Kagstrom, ACM TOMS 1993).
 
     Step k compresses the mu_k null columns of the current l0 block,
     row-compresses the matching columns of l1 to their rank rho_k, and drops
     both.  mu_k - rho_k right minimal indices equal k, and rho_k - mu_{k+1}
     Jordan blocks at 0 have size k + 1, with mu = 0 at the last step.  Ranks
     use the absolute cutoff max(M, N) * eps * ||[l0 l1]||_2 * STAIRCASE_SCALE.
-    As a guess of the indices it only picks the degrees the nullspace sweep
-    visits.
+    Each step keeps what it computed, (a, b, V, rank, U_top, sigma_top, W^H)
+    for the blocks a, b of the step, a = U S V^H and b V2 = U sigma W^H with
+    V = [V1 V2] split at the rank, for `_back_substitute`.
     """
     cutoff = (max(l0.shape) * np.finfo(float).eps * STAIRCASE_SCALE
               * np.linalg.norm(np.hstack([l0, l1]), 2))
     a, b = l0, l1
-    indices, sizes = [], []
+    indices, sizes, steps = [], [], []
     rho = 0
     for k in range(l0.shape[1] + 1):
         _, sv, vh = np.linalg.svd(a)
@@ -477,12 +538,13 @@ def _staircase(l0: np.ndarray, l1: np.ndarray) -> tuple:
         if mu == 0:
             break
         v = vh.conj().T
-        u, sb, _ = np.linalg.svd(b @ v[:, rank:])
+        u, sb, wh = np.linalg.svd(b @ v[:, rank:])
         rho = int(np.sum(sb > cutoff))
         indices += [k] * (mu - rho)
+        steps.append((a, b, v, rank, u[:, :rho], sb[:rho], wh))
         uh = u.conj().T[rho:]
         a, b = uh @ a @ v[:, :rank], uh @ b @ v[:, :rank]
-    return indices, sizes
+    return indices, sizes, steps
 
 
 def _convolution_matrix(stack: np.ndarray, delta: int):

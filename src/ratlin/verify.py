@@ -195,8 +195,10 @@ def _check_block_factors(sl: StructuredLinearization) -> CheckEntry:
     worst = 0.0
     for mx, x, pair in ((sl.m_a, r.A, sl.pair_a), (sl.m_c, r.C, sl.pair_a),
                         (sl.m_b, r.B, sl.pair_d), (sl.m_d, r.D, sl.pair_d)):
-        scale = max(1.0, float(np.max(np.abs(x.coeffs))))
-        worst = max(worst, float(np.max(np.abs((mx @ pair.N.T - x).coeffs))) / scale)
+        # initial=0: a realization with no outputs (p = 0) has empty C and D
+        scale = max(1.0, float(np.max(np.abs(x.coeffs), initial=0.0)))
+        gap = np.max(np.abs((mx @ pair.N.T - x).coeffs), initial=0.0)
+        worst = max(worst, float(gap) / scale)
     return _entry("block-factor-identities", worst <= 1e-13, worst)
 
 
@@ -278,7 +280,8 @@ def cleared_matrix(r: Realization) -> PolyMatrix:
     adj, det = poly_adjugate(r.A)
     cleared = scalar_multiply(det, r.D) \
         + (r.C.to_monomial() @ adj @ r.B.to_monomial())
-    mags = np.abs(cleared.coeffs).reshape(cleared.grade + 1, -1).max(axis=1)
+    mags = np.abs(cleared.coeffs).reshape(cleared.grade + 1, -1).max(
+        axis=1, initial=0.0)  # initial=0: no rows when p = 0
     top = mags.max()
     if top == 0.0:
         return PolyMatrix(cleared.coeffs[:1])

@@ -8,6 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402  (after the thread pinning)
 import pytest  # noqa: E402
+import scipy.linalg  # noqa: E402
 import scipy.optimize  # noqa: E402
 
 from ratlin.config import MATCH_TOL  # noqa: E402
@@ -50,6 +51,30 @@ def schoolbook_matmul(a: PolyMatrix, b: PolyMatrix) -> np.ndarray:
         for j in range(b.grade + 1):
             out[i + j] += a.coeffs[i] @ b.coeffs[j]
     return out
+
+
+def l_block(eps: int) -> tuple:
+    """(L0, L1) of the eps x (eps + 1) Kronecker block L_eps, whose right
+    minimal basis is [1, -lambda, lambda^2, ...] of degree eps."""
+    eye = np.eye(eps, eps + 1)
+    return np.roll(eye, 1, axis=1), eye
+
+
+def planted_kronecker(rng, eps, eta, t) -> tuple:
+    """(L0, L1) of lambda L1 + L0 with right minimal indices eps, left
+    minimal index eta and three 1 x 1 blocks lambda - t_j, t_j = +-t, under
+    a random orthogonal equivalence drawn from rng.  Small |t| puts finite
+    eigenvalues next to the 0 that the staircase compresses at."""
+    blocks = [l_block(e) for e in eps]
+    l0, l1 = l_block(eta)
+    blocks.append((l0.T, l1.T))
+    blocks += [(np.array([[-t * s]]), np.ones((1, 1)))
+               for s in rng.choice([-1.0, 1.0], size=3)]
+    l0 = scipy.linalg.block_diag(*[b[0] for b in blocks])
+    l1 = scipy.linalg.block_diag(*[b[1] for b in blocks])
+    p, _ = np.linalg.qr(rng.standard_normal((l0.shape[0],) * 2))
+    q, _ = np.linalg.qr(rng.standard_normal((l0.shape[1],) * 2))
+    return p @ l0 @ q, p @ l1 @ q
 
 
 # -- test oracles: computed apart from the library's own spectral path -----

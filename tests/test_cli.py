@@ -10,9 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 import ratlin
 from ratlin.cli import main, _build_parser, _dumps, _parse_coeffs
-from ratlin.linbuild import build
+from ratlin.linbuild import Realization, build
 from ratlin.polymat import Basis
 from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled
+
+from conftest import random_polymatrix
 
 
 @pytest.fixture
@@ -116,6 +118,17 @@ class TestCheck:
                                "--json")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+    def test_no_outputs_is_checked_not_an_input_error(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        blocks = {k: random_polymatrix(rng, 2, rows, 2)
+                  for k, rows in (("A", 2), ("B", 2), ("C", 0), ("D", 0))}
+        path = tmp_path / "no-outputs.json"
+        path.write_text(json.dumps(Realization(**blocks).to_dict()))
+        code, out, err = run_cli(capsys, "check", "--input", str(path))
+        assert code in (0, 1), err
+        assert "minimality-proxy" in out
 
 
 class TestErrors:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from ratlin import eigsolve
 from ratlin.errors import PreconditionError, RatlinError
@@ -14,11 +15,11 @@ from ratlin.eigsolve import (certify_minimal_basis, classify,
                              pencil_is_regular, pencil_null_vector,
                              polynomial_nullspace, rational_rank, vector_degree)
 from ratlin.linbuild import Realization, build
-from ratlin.polymat import Basis, PolyMatrix
+from ratlin.polymat import Basis, PolyMatrix, generic_rank
 from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
-from conftest import (match_multisets, poly_det_coeffs, random_polymatrix,
-                      random_realization)
+from conftest import (l_block, match_multisets, planted_kronecker,
+                      poly_det_coeffs, random_polymatrix, random_realization)
 
 
 ORDERS = Path(__file__).parent / "data" / "infinity_orders_deficient_leading.json"
@@ -43,9 +44,6 @@ def deficient_leading(r: Realization, blocks: str) -> Realization:
 def _kronecker_pencil():
     """L_0, L_1, L_3, L_2^T, a 2x2 Jordan block at 2 and a size-2 block
     at infinity, mixed by seeded random unitary P and Q."""
-    def l_block(eps):  # eps x (eps + 1), null vector [1, -l, l^2, ...]
-        eye = np.eye(eps, eps + 1)
-        return np.roll(eye, 1, axis=1), eye
     blocks = [l_block(0), l_block(1), l_block(3)]
     l0, l1 = l_block(2)
     blocks.append((l0.T, l1.T))
@@ -339,16 +337,18 @@ class TestPolynomialNullspace:
     def test_staircase_on_known_kronecker_blocks(self):
         l0, l1 = _kronecker_pencil()
         assert l0.shape == (11, 13)
-        assert eigsolve._staircase(l0, l1) == ([0, 1, 3], [])
-        assert eigsolve._staircase(l0.T, l1.T) == ([2], [])
+        assert eigsolve._staircase(l0, l1)[:2] == ([0, 1, 3], [])
+        assert eigsolve._staircase(l0.T, l1.T)[:2] == ([2], [])
         assert polynomial_nullspace(l0, l1, "right").indices == [0, 1, 3]
         assert polynomial_nullspace(l0, l1, "left").indices == [2]
 
     def test_short_staircase_guess_falls_back(self, monkeypatch):
         # the guess's own degrees all check out; only its length is short
         l0, l1 = _kronecker_pencil()
-        want = polynomial_nullspace(l0, l1, "right")
-        monkeypatch.setattr(eigsolve, "_staircase", lambda a, b: ([0, 1], []))
+        stack = _pencil_stack(l0, l1, "right")
+        want = eigsolve._basis_result(
+            eigsolve._sweep(stack, 3, sum(l0.shape)), l0.shape[1])
+        monkeypatch.setattr(eigsolve, "_staircase", lambda a, b: ([0, 1], [], []))
         got = polynomial_nullspace(l0, l1, "right")
         assert got.indices == want.indices == [0, 1, 3]
         assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
@@ -358,26 +358,96 @@ class TestPolynomialNullspace:
     @pytest.mark.parametrize("spoil", ["raise-last", "lower-last", "drop-last"])
     def test_refuted_staircase_guess_falls_back_to_the_same_basis(
             self, monkeypatch, structure, spoil):
+        # the spoiled staircase's transforms are those of the pencil with its
+        # columns reversed: the same indices, but vectors that fail the
+        # certificate when read in the original order
         sl = build(gen_fixture(FixtureSpec(seed=4, structure=structure)))
-        want = {side: polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
-                for side in ("right", "left")}
+        want = {}
+        for side in ("right", "left"):
+            stack = _pencil_stack(sl.L0, sl.L1, side)
+            nullity = stack.shape[2] - generic_rank(PolyMatrix(stack), 2,
+                                                    rank_scale=100.0)
+            if nullity:
+                want[side] = eigsolve._basis_result(
+                    eigsolve._sweep(stack, nullity, sum(sl.shape)), stack.shape[2])
         staircase = eigsolve._staircase
 
         def spoiled(l0, l1):
-            guess, sizes = staircase(l0, l1)
-            if not guess:
-                return guess, sizes
+            guess, sizes, _ = staircase(l0, l1)
             last = {"raise-last": [guess[-1] + 1],
                     "lower-last": [abs(guess[-1] - 1)],  # 0 goes up to 1
                     "drop-last": []}[spoil]
-            return guess[:-1] + last, sizes
+            return guess[:-1] + last, sizes, staircase(l0[:, ::-1], l1[:, ::-1])[2]
 
         monkeypatch.setattr(eigsolve, "_staircase", spoiled)
         for side, res in want.items():
             got = polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
             assert got.indices == res.indices
-            assert got.vectors.coeffs.tobytes() == res.vectors.coeffs.tobytes()
-        assert sum(w.count for w in want.values()) > 0
+            assert _right_coeffs(got).tobytes() == res.vectors.coeffs.tobytes()
+        assert want
+
+    @pytest.mark.parametrize("structure", ["zero-column-b", "zero-row-c",
+                                           "rank-deficient-d"])
+    def test_rejected_basis_gives_the_guided_sweep_basis(self, monkeypatch,
+                                                          structure):
+        sl = build(gen_fixture(FixtureSpec(seed=4, structure=structure)))
+        monkeypatch.setattr(eigsolve, "_certified", lambda *args: False)
+        sides = 0
+        for side in ("right", "left"):
+            stack = _pencil_stack(sl.L0, sl.L1, side)
+            guess = eigsolve._staircase(*stack)[0]
+            got = polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
+            assert got.indices == guess
+            if guess:
+                want = eigsolve._basis_result(eigsolve._guided_sweep(stack, guess),
+                                              stack.shape[2])
+                assert _right_coeffs(got).tobytes() == want.vectors.coeffs.tobytes()
+                sides += 1
+        assert sides
+
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    @pytest.mark.parametrize("basis_a, basis_d", list(product(Basis, Basis)))
+    def test_seed1_pencil_sides_need_no_sweep(self, monkeypatch, structure,
+                                              basis_a, basis_d):
+        # every side of these pencils takes the back-substituted basis
+        def refuse(*args):
+            raise AssertionError("the back-substituted basis was rejected")
+        monkeypatch.setattr(eigsolve, "_guided_sweep", refuse)
+        monkeypatch.setattr(eigsolve, "_sweep", refuse)
+        sl = build(gen_fixture(FixtureSpec(seed=1, structure=structure,
+                                           basis_a=basis_a, basis_d=basis_d)),
+                   rng=1)
+        counts = [polynomial_nullspace(sl.L0, sl.L1, side, rng=1).count
+                  for side in ("right", "left")]
+        assert sum(counts) > 0
+
+    @pytest.mark.parametrize("t", [1.0, 0.12, 1e-3])
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(eps=st.lists(st.integers(0, 5), min_size=3, max_size=3).filter(
+               lambda eps: sum(eps) <= 14),
+           eta=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_planted_indices_on_both_sides(self, t, eps, eta, seed):
+        # at |t| = 1e-3 the staircase's indices are mostly wrong while its
+        # vectors still pass the certificate; the convolution nullity test
+        # sends those sides to the sweep
+        eta = min(eta, 14 - sum(eps))  # at most 20 x 20
+        l0, l1 = planted_kronecker(np.random.default_rng(seed), eps, eta, t)
+        for side, want in (("right", sorted(eps)), ("left", [eta])):
+            res = polynomial_nullspace(l0, l1, side)
+            assert res.indices == want
+            assert certify_minimal_basis(res, l0, l1)["ok"]
+
+
+def _pencil_stack(l0, l1, side) -> np.ndarray:
+    """The coefficient stack polymatrix_nullspace sweeps for one side."""
+    pencil = PolyMatrix(np.stack([np.asarray(l0, dtype=complex),
+                                  np.asarray(l1, dtype=complex)]))
+    return (pencil if side == "right" else pencil.T).to_monomial().coeffs
+
+
+def _right_coeffs(res) -> np.ndarray:
+    """A basis's coefficients laid out as columns, on either side."""
+    return (res.vectors if res.side == "right" else res.vectors.T).coeffs
 
 
 def test_pencil_null_vector_matches_eigenvalue(preset):

@@ -14,6 +14,17 @@ from ratlin.verify import (FixtureSpec, _check_state_pencil_spectrum,
                            cleared_matrix, gen_fixture, preset_cross_coupled,
                            run_all)
 
+from conftest import random_polymatrix
+
+
+def _no_output_realization() -> Realization:
+    """A and B 2 x 2 at grade 2, C and D with no rows."""
+    rng = np.random.default_rng(0)
+    return Realization(A=random_polymatrix(rng, 2, 2, 2),
+                       B=random_polymatrix(rng, 2, 2, 2),
+                       C=random_polymatrix(rng, 2, 0, 2),
+                       D=random_polymatrix(rng, 2, 0, 2))
+
 
 class TestGenFixture:
     def test_deterministic(self):
@@ -145,6 +156,17 @@ class TestRunAll:
         assert by_name["nullvector-degree-law"].status == "pass"
         assert by_name["left-index-match"].status == "pass"
         assert sweeps == ["right", "left"]
+
+    def test_no_outputs_gives_a_report(self):
+        # p = 0: the block-factor and cleared-matrix scales took np.max of
+        # the empty C and D
+        rep = run_all(_no_output_realization(), seed=1)
+        by_name = {e.name: e.status for e in rep.entries}
+        assert by_name["block-factor-identities"] == "pass"
+        assert by_name["nullspace-dimension"] == "pass"
+        # with C empty, [A; C] = A loses rank at the poles: not minimal
+        assert by_name["minimality-proxy"] == "fail"
+        assert cleared_matrix(_no_output_realization()).shape == (0, 2)
 
     def test_deterministic_given_seed(self):
         spec = FixtureSpec(seed=21, n=2, p=2, m=2)
