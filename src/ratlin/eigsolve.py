@@ -7,9 +7,9 @@ minimal indices, a basis of those degrees by back-substitution through its
 own transforms, and its Jordan block sizes at 0, which are the local
 partial multiplicities and, on reversed pencils, the invariant orders at
 infinity.  A back-substituted basis is kept only when it passes a gate
-(count, certificate, and the nullity of one convolution matrix); otherwise,
-and for matrices of higher grade, a degree-sweep convolution method gives
-the basis.
+(count, the nullity of one convolution matrix, and the certificate);
+otherwise, and for matrices of higher grade, a degree-sweep convolution
+method gives the basis.
 """
 
 import math
@@ -361,19 +361,12 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
     minimal indices of the matrix instead of the inflated indices of a
     linearization.
 
-    A pencil (grade 1) first gets its right minimal indices from
-    `_staircase`.  When they number `nullity`, none above `cap`, the basis
-    back-substituted through the staircase (`_back_substitute`) is returned
-    if it passes the gate `_certified`: its count is the nullity,
-    `certify_minimal_basis` passes, and the convolution matrix at the top
-    degree has the nullity those degrees predict.  A rejected basis leaves
-    the staircase's indices as a guess, tested against the sweep's own
-    nullities at degrees p - 1 and p of each guessed index p, and only those
-    degrees are visited; any mismatch drops the guess for the full sweep.
-    Nullity is convex and piecewise linear in the degree with its
-    breakpoints at the indices, so agreement there fixes the sweep's
-    indices, and the vectors come from the same SVD and deflation either
-    way.  Raises BreakdownError when an index would exceed `cap`.
+    A pencil (grade 1) first gets the basis back-substituted through its
+    `_staircase`, returned if it passes the gate of `_gated_basis`: its
+    count is the nullity, the convolution matrix at the top degree has the
+    nullity those degrees predict, and `certify_minimal_basis` passes.  A
+    rejected basis falls back to the sweep.  Raises BreakdownError when an
+    index would exceed `cap`.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
@@ -395,22 +388,16 @@ def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
         # an index cannot exceed the degree content rank * grade
         cap = p.rows + cols + rank * max(1, mono.grade)
 
-    found = None
     if mono.grade == 1:
-        guess, _, steps = _staircase(*mono.coeffs)
-        if len(guess) == nullity and max(guess) <= cap:
-            res = _basis_result(_back_substitute(steps), cols)
-            if _certified(mono.coeffs, res, nullity):
-                return res
-            found = _guided_sweep(mono.coeffs, guess)
-    if found is None:
-        found = _sweep(mono.coeffs, nullity, cap)
-    return _basis_result(found, cols)
+        res = _gated_basis(mono.coeffs, nullity, cap)
+        if res is not None:
+            return res
+    return _basis_result(_sweep(mono.coeffs, nullity, cap), cols)
 
 
 def _basis_result(found, cols) -> MinimalBasisResult:
     """The right basis of [(degree, coefficients)] listed by ascending degree."""
-    gmax = max((d for d, _ in found), default=0)
+    gmax = max(d for d, _ in found)
     stack = np.zeros((gmax + 1, cols, len(found)), dtype=complex)
     for j, (d, cf) in enumerate(found):
         stack[: d + 1, :, j] = cf
@@ -429,10 +416,8 @@ def _back_substitute(steps) -> list:
     S u = -U_top^H (a + lambda b) V1 w solved by u = W_rho sigma^-1 (...):
     so x = (M0 + lambda M1) w, one degree up.  Vectors are scaled to unit
     norm at each step; whether the result is a minimal basis is left to
-    `_certified`.
+    `_gated_basis`.
     """
-    if not steps:
-        return []
     vecs = np.zeros((1, steps[-1][3], 0), dtype=complex)  # (rows, columns, count)
     degrees = []
     for a, b, v, rank, ut, sb, wh in reversed(steps):
@@ -450,19 +435,25 @@ def _back_substitute(steps) -> list:
     return [(d, vecs[: d + 1, :, j]) for j, d in enumerate(degrees)]
 
 
-def _certified(stack, res: MinimalBasisResult, nullity) -> bool:
-    """Whether `res` is a minimal basis of the pencil: its count is the
-    nullity, `certify_minimal_basis` passes with its own generator, and the
-    nullity of the convolution matrix at the top degree D is
-    sum(D - d_i + 1).  Sorted degrees of any basis bound the minimal indices
-    from above one by one, so that last test holds only at the indices; the
-    certificate alone passes bases of the wrong degrees."""
-    if res.count != nullity or not certify_minimal_basis(res, *stack)["ok"]:
-        return False
-    top = res.indices[-1]
+def _gated_basis(stack, nullity, cap) -> MinimalBasisResult | None:
+    """The pencil's right basis back-substituted through its `_staircase`,
+    or None unless the gate passes: the staircase's indices number the
+    nullity, none above `cap`; the convolution matrix at the top index D has
+    nullity sum(D - d_i + 1); and `certify_minimal_basis` passes with its own
+    generator.  A certified basis has degrees bounding the minimal indices
+    from above one by one, so the nullity test holds only at the indices;
+    the certificate alone passes bases of the wrong degrees.  The nullity
+    test needs only the indices and goes first, so a rejection by it costs
+    one values-only SVD."""
+    guess, _, steps = _staircase(*stack)
+    if len(guess) != nullity or max(guess) > cap:
+        return None
+    top = max(guess)
     conv = _convolution_matrix(stack, top)
-    return conv.shape[1] - numerical_rank(conv) == sum(top - d + 1
-                                                       for d in res.indices)
+    if conv.shape[1] - numerical_rank(conv) != sum(top - d + 1 for d in guess):
+        return None
+    res = _basis_result(_back_substitute(steps), stack.shape[2])
+    return res if certify_minimal_basis(res, *stack)["ok"] else None
 
 
 def _sweep(stack, nullity, cap) -> list:
@@ -482,27 +473,6 @@ def _sweep(stack, nullity, cap) -> list:
             return found
     raise BreakdownError(
         f"nullspace sweep exceeded degree cap {cap} (numerical breakdown)")
-
-
-def _guided_sweep(stack, guess) -> list | None:
-    """The sweep's basis visiting only degrees p - 1 and p of each guessed
-    index p, or None when its nullity there differs from the guess's."""
-    def predicted(delta):
-        return sum(delta - eps + 1 for eps in guess if eps <= delta)
-
-    found = []
-    last = -1   # the last degree visited; degree -1 has nullity 0
-    for p in sorted(set(guess)):
-        if p - 1 != last:
-            conv = _convolution_matrix(stack, p - 1)
-            if conv.shape[1] - numerical_rank(conv) != predicted(p - 1):
-                return None
-        ns = _null_basis(_convolution_matrix(stack, p))
-        if ns.shape[1] != predicted(p):
-            return None
-        last = p
-        _take(found, ns, p, stack.shape[2], guess.count(p))
-    return found
 
 
 def _take(found, ns, delta, cols, new_count):
@@ -541,7 +511,7 @@ def _staircase(l0: np.ndarray, l1: np.ndarray) -> tuple:
         u, sb, wh = np.linalg.svd(b @ v[:, rank:])
         rho = int(np.sum(sb > cutoff))
         indices += [k] * (mu - rho)
-        steps.append((a, b, v, rank, u[:, :rho], sb[:rho], wh))
+        steps.append((a, b, v, rank, u[:, :rho].copy(), sb[:rho], wh))
         uh = u.conj().T[rho:]
         a, b = uh @ a @ v[:, :rank], uh @ b @ v[:, :rank]
     return indices, sizes, steps
