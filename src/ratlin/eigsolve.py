@@ -207,9 +207,7 @@ def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
     r = sl.realization
     if r.p != r.m:
         raise PreconditionError("classification needs a square rational matrix")
-    rng = make_rng(rng)
-    la0, la1 = sl.state_pencil()
-    state = pencil_eigs(la0, la1, rng=rng)
+    state = sl.state_spectrum
     if not state.regular:
         raise PreconditionError("state pencil is singular; realization invalid")
     full = pencil_eigs(sl.L0, sl.L1, rng=rng)
@@ -231,28 +229,6 @@ def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
 
     return SpectralReport(poles=poles, zeros=zeros, infinity_orders=None,
                           grade_at_infinity=sl.rho_d + 1)
-
-
-def sampled_minimality(sl: StructuredLinearization, rng) -> tuple:
-    """Pointwise minimality where the spectral results rely on it.
-
-    Returns ([(z, (left, right)) ...], (left, right) at infinity): the finite
-    checks at 20 random points, then at every finite eigenvalue of the state
-    pencil and (if square) of the full pencil, and the reversal checks at 0
-    with the build grades.
-    """
-    r = sl.realization
-    pts = list(unit_circle_points(rng, 20))
-    la0, la1 = sl.state_pencil()
-    state = pencil_eigs(la0, la1, rng=rng)
-    if state.regular:
-        pts.extend(state.finite().tolist())
-    if sl.shape[0] == sl.shape[1]:
-        full = pencil_eigs(sl.L0, sl.L1, rng=rng)
-        if full.regular:
-            pts.extend(full.finite().tolist())
-    finite = list(zip(pts, check_finite_minimality(r, np.array(pts))))
-    return finite, check_infinity_minimality(r, sl.grade_a, sl.grade_d)
 
 
 def partial_multiplicities_at(p: PolyMatrix, lam: complex) -> list:

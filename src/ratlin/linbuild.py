@@ -148,6 +148,21 @@ class StructuredLinearization:
         return pencil_eigs(self.L0, self.L1, vectors=True)
 
     @cached_property
+    def state_spectrum(self):
+        """State-pencil QZ without vectors, run once on first use."""
+        from .eigsolve import pencil_eigs  # eigsolve imports this module
+        return pencil_eigs(*self.state_pencil())
+
+    @cached_property
+    def minimality(self) -> "MinimalityReport":
+        """Pointwise minimality at the finite eigenvalues of `state_spectrum`,
+        and at infinity with the build grades; built once on first use.
+        [A; C] and [A, B] have rank n wherever A is invertible, so the finite
+        checks can fail only at the poles."""
+        return minimality_report(self.realization, self.state_spectrum.finite(),
+                                 self.grade_a, self.grade_d)
+
+    @cached_property
     def eigenpairs(self) -> dict:
         """Recovered pair at each finite eigenvalue of `spectrum` whose QZ
         vectors pass, keyed by the eigenvalue; built once on first use."""
@@ -284,13 +299,13 @@ def build(r: Realization, grade_a: int | None = None,
         m_a=m_a, m_b=m_b, m_c=m_c, m_d=m_d)
 
 
-def block_pencil(p: PolyMatrix, d: int | None = None) -> tuple:
+def block_pencil(p: PolyMatrix) -> tuple:
     """Degenerate pencil [M_P; K] that linearizes a plain polynomial matrix.
 
-    Returns (L0, L1, pair).  Right minimal indices of the pencil exceed those
-    of P by d-1; left minimal indices agree.
+    Returns (L0, L1, pair).  With d = max(1, deg P), right minimal indices of
+    the pencil exceed those of P by d-1; left minimal indices agree.
     """
-    d = d or int(max(1.0, _deg(p)))
+    d = int(max(1.0, _deg(p)))
     pair = pair_for(p.basis, p.cols, d)
     stack = np.concatenate([row_pencil(p, pair).coeffs, pair.K.coeffs], axis=1)
     return stack[0], stack[1], pair
@@ -393,13 +408,13 @@ def sample_points(r: Realization, rng, count: int, step: float,
     return out
 
 
-def require_invertible(mat: np.ndarray, lam, what: str = "state matrix",
-                       hint: str = "") -> np.ndarray:
+def require_invertible(mat: np.ndarray, lam,
+                       what: str = "state matrix") -> np.ndarray:
     """Raise PoleError unless the square matrix `what` (evaluated at lam) is
     numerically invertible; return its singular values."""
     sv = np.linalg.svd(mat, compute_uv=False)
     if _singular(sv):
-        raise PoleError(f"{what} singular at lambda={lam}{hint}")
+        raise PoleError(f"{what} singular at lambda={lam}")
     return sv
 
 

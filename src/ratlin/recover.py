@@ -15,7 +15,7 @@ import numpy as np
 from .config import RESIDUAL_TOL, make_rng
 from .errors import PreconditionError, RatlinError
 from .eigsolve import (MinimalBasisResult, pencil_null_vector,
-                       polynomial_nullspace, sampled_minimality, vector_degree)
+                       polynomial_nullspace, vector_degree)
 from .linbuild import (StructuredLinearization, _state_stack, _state_terms,
                        hat_transfer_eval, require_invertible, sample_points,
                        transfer_eval)
@@ -208,10 +208,16 @@ def _spectrum_eigenpairs(sl: StructuredLinearization) -> dict:
 
 
 def _pair_terms(sl, lams, rvs) -> tuple:
-    """`_phis` and ||R(lam)||_2 (1 where R(lam) = 0, which leaves 0
-    residuals) at a 1-D array of points, from one evaluation and one SVD call."""
+    """`_phis` and ||R(lam)||_2 at a 1-D array of points, or 1 where R(lam)
+    is zero up to roundoff: rank 0 at the cutoff max(p, m) eps 1e6 (that of
+    computed data) relative to ||D(lam)||_F + ||C A^{-1} B(lam)||_F.  There
+    ||R(lam)||_2 is roundoff itself, as at a zero of a 1 x 1 R, and would
+    make eta 1 for any vector."""
+    dv = sl.realization.D.eval(lams)
+    parts = np.linalg.norm(dv, axis=(1, 2)) + np.linalg.norm(rvs - dv, axis=(1, 2))
     scales = np.linalg.norm(rvs, 2, axis=(1, 2))
-    return _phis(sl, lams), np.where(scales == 0, 1.0, scales)
+    zero = scales <= max(rvs.shape[1:]) * np.finfo(float).eps * 1e6 * parts
+    return _phis(sl, lams), np.where(zero, 1.0, scales)
 
 
 def _eigenpair_from(sl, lam, x_tilde, y_tilde, rv, phis, scale) -> EigenpairR:
@@ -285,7 +291,7 @@ def _recover_minimal_basis(sl: StructuredLinearization, side: str,
     """Both sides at once, written for columns: a left basis is handled
     through its transpose, whose columns are the basis rows."""
     rng = make_rng(rng)
-    _check_sampled_minimality(sl, side, rng)
+    _require_minimality(sl, side)
     basis_l = polynomial_nullspace(sl.L0, sl.L1, side, rng=rng)
     r = sl.realization
     if side == "right":
@@ -341,23 +347,22 @@ def _normalize_column(col: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _check_sampled_minimality(sl: StructuredLinearization, side: str, rng):
-    """Sampled proxy for the global rank hypotheses of index recovery.
+def _require_minimality(sl: StructuredLinearization, side: str):
+    """The global rank hypotheses of index recovery, from `sl.minimality`.
 
     The pointwise rank condition of the side ([A; C] for right bases, [A, B]
-    for left ones) is checked at the points of `sampled_minimality`, and the
-    matching reversal condition at 0.  Exact global verification would need
-    symbolic arithmetic and is out of scope; failures raise with the
+    for left ones) can fail only at the poles, where it is checked, and the
+    matching reversal condition is checked at 0; failures raise with the
     offending points.
     """
     k = 0 if side == "right" else 1
-    finite, at_inf = sampled_minimality(sl, rng)
-    bad = [z for z, oks in finite if not oks[k]]
-    if bad or not at_inf[k]:
+    rep = sl.minimality
+    bad = [z for z, oks in rep.finite_ok_at.items() if not oks[k]]
+    if bad or not rep.infinity_ok[k]:
         detail = []
         if bad:
             detail.append(f"pointwise rank condition fails at {bad[:4]}")
-        if not at_inf[k]:
+        if not rep.infinity_ok[k]:
             detail.append("reversal rank condition fails at 0")
         raise PreconditionError(
             f"{side} minimal basis recovery hypotheses not satisfied: "

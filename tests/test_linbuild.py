@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ratlin.config import unit_circle_points
 from ratlin.dualbases import chebyshev_pair, monomial_pair
@@ -7,9 +8,10 @@ from ratlin.eigsolve import pencil_eigs
 from ratlin.errors import BasisError, DimensionError, PoleError, PreconditionError
 from ratlin.linbuild import (Realization, block_pencil, build,
                              check_finite_minimality, check_infinity_minimality,
-                             hat_transfer_eval, row_pencil, sample_points,
-                             system_eval, transfer_eval)
+                             hat_transfer_eval, require_invertible, row_pencil,
+                             sample_points, system_eval, transfer_eval)
 from ratlin.polymat import Basis, PolyMatrix, numerical_rank
+from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
 from conftest import random_polymatrix, random_realization
 
@@ -192,6 +194,39 @@ class TestMinimality:
         assert left is True
 
 
+BASES = st.sampled_from([Basis.MONOMIAL, Basis.CHEBYSHEV1])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+       grade=st.integers(1, 3), structure=st.sampled_from(STRUCTURES),
+       basis_a=BASES, basis_d=BASES, angle=st.floats(0.0, 2.0 * np.pi),
+       radius=st.floats(0.05, 20.0))
+def test_minimal_off_the_poles(seed, n, grade, structure, basis_a, basis_d,
+                               angle, radius):
+    """[A; C] and [A, B] have rank n wherever A is invertible, so the finite
+    checks pass at every point off the poles: what lets
+    `StructuredLinearization.minimality` test only at the poles."""
+    r = gen_fixture(FixtureSpec(seed=seed, n=n, grade_a=grade, grade_d=grade,
+                                basis_a=basis_a, basis_d=basis_d,
+                                structure=structure))
+    z = radius * np.exp(1j * angle)
+    try:
+        require_invertible(r.A.eval(z), z)
+    except PoleError:
+        assume(False)
+    assert check_finite_minimality(r, z) == (True, True)
+
+
+def test_linearization_minimality_is_at_the_poles(preset):
+    sl = build(preset)
+    rep = sl.minimality
+    assert list(rep.finite_ok_at) == sl.state_spectrum.finite().tolist()
+    assert len(rep.finite_ok_at) == 3
+    assert rep.all_ok and rep.grades == (sl.grade_a, sl.grade_d)
+    assert sl.minimality is rep
+
+
 def test_minimality_report_aggregation(preset):
     from ratlin.linbuild import minimality_report
     rep = minimality_report(preset, [2.0, -1.0, -2.0, 0.3 + 0.4j])
@@ -268,7 +303,7 @@ def test_rank_relation_random_fixtures():
 
 def test_block_pencil_matches_state_pencil(preset):
     sl = build(preset)
-    l0, l1, pair = block_pencil(preset.A, sl.grade_a)
+    l0, l1, pair = block_pencil(preset.A)
     la0, la1 = sl.state_pencil()
     assert np.array_equal(l0, la0)
     assert np.array_equal(l1, la1)

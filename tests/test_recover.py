@@ -222,6 +222,21 @@ class TestEigenpair:
         assert max(max(ep.eta_right, ep.eta_left) for ep in pairs) <= 1e-12
         assert pairs[0].to_dict()["eta"] == [pairs[0].eta_right, pairs[0].eta_left]
 
+    @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
+    def test_backward_error_of_a_scalar_realization(self, basis):
+        # at a zero of a 1 x 1 R, ||R(lambda)||_2 is roundoff itself, and
+        # scaled by it eta was 1 whatever the vector; R(lambda) counts as zero
+        # there, so eta is the unscaled residual
+        spec = FixtureSpec(seed=1, n=2, p=1, m=1, basis_a=basis, basis_d=basis)
+        sl = build(gen_fixture(spec))
+        pairs = [eigenpair(sl, z.value) for z in classify(sl).zeros
+                 if z.classified and not z.near_pole]
+        assert len(pairs) == 6
+        for ep in pairs:
+            assert (ep.eta_right, ep.eta_left) == (ep.residual_right,
+                                                   ep.residual_left)
+            assert max(ep.eta_right, ep.eta_left) <= 1e-12
+
 
 def _bits(ep) -> tuple:
     """Every field of a pair, compared bit for bit."""

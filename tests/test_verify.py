@@ -157,6 +157,32 @@ class TestRunAll:
         assert by_name["left-index-match"].status == "pass"
         assert sweeps == ["right", "left"]
 
+    @pytest.mark.parametrize("structure, calls", [
+        ("zero-column-b", [False]), ("regular", [False, False, True])])
+    def test_qz_runs_per_battery(self, monkeypatch, structure, calls):
+        # one state-pencil QZ without vectors serves classify and every
+        # minimality check; a regular input adds the full pencil, without
+        # vectors for classify and with them for eigenpair
+        import scipy.linalg
+        eig = scipy.linalg.eig
+        runs = []
+
+        def counting(*args, **kw):
+            runs.append(kw.get("right"))
+            return eig(*args, **kw)
+
+        monkeypatch.setattr(scipy.linalg, "eig", counting)
+        run_all(gen_fixture(FixtureSpec(seed=1, structure=structure)), seed=1)
+        assert runs == calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_eigenvector_recovery_on_a_scalar_realization(self, n):
+        # eta was 1 at every zero of a 1 x 1 R (see tests/test_recover.py)
+        spec = FixtureSpec(seed=3, n=n, p=1, m=1, basis_d=Basis.CHEBYSHEV1)
+        by_name = {e.name: e for e in run_all(gen_fixture(spec), seed=1).entries}
+        assert by_name["eigenvector-recovery"].status == "pass"
+        assert by_name["eigenvector-recovery"].worst_residual <= 1e-12
+
     def test_no_outputs_gives_a_report(self):
         # p = 0: the block-factor and cleared-matrix scales took np.max of
         # the empty C and D
