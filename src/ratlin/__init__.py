@@ -26,7 +26,7 @@ from .recover import (EigenpairR, RecoveredNullspace, eigenpair,
                       lift_right_eigvec, recover_left_eigvec,
                       recover_left_minimal_basis, recover_right_eigvec,
                       recover_right_minimal_basis)
-from .scalareq import RootReport, ScalarEquation, irreducibility_check, solve_scalar
+from .scalareq import RootReport, ScalarEquation, solve_scalar
 from .verify import CheckReport, FixtureSpec, gen_fixture, preset_cross_coupled, run_all
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "check_finite_minimality", "check_infinity_minimality", "classify",
     "eigenpair", "factorization_residuals", "gen_fixture",
     "generic_rank", "hat_transfer_eval", "hstack", "invariant_orders_at_infinity",
-    "irreducibility_check", "lift_left_eigvec", "lift_right_eigvec",
+    "lift_left_eigvec", "lift_right_eigvec",
     "minimality_report", "monomial_pair", "partial_multiplicities_at", "pencil_eigs",
     "polymatrix_nullspace", "polynomial_nullspace", "preset_cross_coupled", "recover_left_eigvec",
     "recover_left_minimal_basis", "recover_right_eigvec",

@@ -110,8 +110,9 @@ def _dumps(obj, ind="\n") -> str:
     """The text of json.dumps(obj, indent=2, sort_keys=True) for obj made of
     str-keyed dicts, lists, tuples and JSON leaves, which may also hold numpy
     scalars and arrays (a complex entry as [re, im]).  A numeric array's
-    numbers are spelled by json in one call and laid out by one %s template;
-    `ind` is the newline and indent of obj's own line."""
+    numbers are spelled by json in one call and laid out by one %s template,
+    and so is a list or tuple of plain floats and ints; `ind` is the newline
+    and indent of obj's own line."""
     sub = ind + "  "
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
@@ -127,6 +128,9 @@ def _dumps(obj, ind="\n") -> str:
         items = (f"{json.dumps(k)}: {_dumps(v, sub)}" for k, v in sorted(obj.items()))
         return "{" + sub + ("," + sub).join(items) + ind + "}"
     if isinstance(obj, (list, tuple)) and obj:
+        if all(type(v) in (float, int) for v in obj):  # bools stay leaves
+            flat = json.dumps(obj, separators=("," + sub, ""))
+            return "[" + sub + flat[1:-1] + ind + "]"
         return "[" + sub + ("," + sub).join(_dumps(v, sub) for v in obj) + ind + "]"
     return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
 

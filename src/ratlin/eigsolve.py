@@ -20,8 +20,7 @@ import numpy as np
 from .config import MATCH_TOL, make_rng, unit_circle_points
 from .errors import BreakdownError, PreconditionError, RatlinError
 from .linbuild import (StructuredLinearization, block_pencil,
-                       check_finite_minimality, check_infinity_minimality,
-                       sample_points, system_eval)
+                       check_infinity_minimality, sample_points, system_eval)
 from .polymat import NEG_INF, PolyMatrix, generic_rank, numerical_rank
 
 INF_BETA_TOL = 1e-12
@@ -199,10 +198,12 @@ def cluster_eigenvalues(values) -> list:
 def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
     """Pole/zero classification of the rational matrix behind a linearization.
 
-    Poles come from the state pencil, zeros from the full pencil; each zero is
-    tagged with the pointwise minimality checks, and zeros failing either
-    check are reported unclassified (the spectral characterization does not
-    certify them).  A zero within matching tolerance of a pole is flagged.
+    Poles come from the state pencil, zeros from the full pencil.  A zero
+    within matching tolerance of a pole is flagged and tagged with the
+    pointwise minimality checks of `sl.minimality` at the nearest pole; any
+    other zero passes both, since [A; C] and [A, B] have full rank wherever
+    A is invertible.  Zeros failing either check are reported unclassified
+    (the spectral characterization does not certify them).
     """
     r = sl.realization
     if r.p != r.m:
@@ -223,9 +224,12 @@ def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
     gap = vals[:, None] - pole_vals[None, :]
     near = np.any(np.hypot(gap.real, gap.imag) <= MATCH_TOL * np.maximum(
         1.0, np.hypot(vals.real, vals.imag))[:, None], axis=1)
+    checks = sl.minimality.finite_ok_at if near.any() else {}  # one key per pole value
+    keys = np.array(list(checks))
+    tags = [checks[keys[np.argmin(np.abs(keys - lam))].item()] if nr else (True, True)
+            for lam, nr in zip(vals, near)]
     zeros = [ZeroEntry(lam, mins, mins[0] and mins[1], nr)
-             for lam, mins, nr in zip(vals.tolist(), check_finite_minimality(r, vals),
-                                      near.tolist())]
+             for lam, mins, nr in zip(vals.tolist(), tags, near.tolist())]
 
     return SpectralReport(poles=poles, zeros=zeros, infinity_orders=None,
                           grade_at_infinity=sl.rho_d + 1)

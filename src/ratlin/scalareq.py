@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MATCH_TOL, make_rng, unit_circle_points
+from .config import MATCH_TOL, make_rng
 from .errors import PreconditionError
 from .eigsolve import classify
 from .linbuild import Realization, _deg, build
@@ -77,31 +77,6 @@ class RootReport:
         }
 
 
-def poly_roots(p: PolyMatrix) -> np.ndarray:
-    """Roots of a scalar polynomial via the companion matrix of its
-    monomial coefficients; empty for (near-)constant polynomials."""
-    coeffs = p.to_monomial().coeffs.ravel()
-    mags = np.abs(coeffs)
-    top = mags.max()
-    if top == 0.0:
-        return np.zeros(0, dtype=complex)
-    last = int(np.nonzero(mags > 1e-12 * top)[0][-1])
-    if last == 0:
-        return np.zeros(0, dtype=complex)
-    return np.asarray(np.polynomial.polynomial.polyroots(coeffs[: last + 1]),
-                      dtype=complex)
-
-
-def irreducibility_check(a: PolyMatrix, c: PolyMatrix) -> bool:
-    """True iff a and c share no root within MATCH_TOL."""
-    ra = poly_roots(a)
-    rc = poly_roots(c)
-    for x in ra:
-        if np.any(np.abs(rc - x) <= MATCH_TOL * max(1.0, abs(x))):
-            return False
-    return True
-
-
 def cleared_form(eq: ScalarEquation) -> PolyMatrix:
     """The polynomial c*b - a*d in the monomial basis."""
     cb = eq.c @ eq.b.to_monomial()
@@ -119,7 +94,8 @@ def cleared_residual(eq: ScalarEquation, form: PolyMatrix, lams) -> tuple:
     """
     lams = np.asarray(lams, dtype=complex)
     vals = form.eval(lams)[:, 0, 0]
-    total = _coeff_sum(eq)
+    total = sum(float(np.sum(np.abs(p.coeffs)))
+                for p in (eq.a, eq.b, eq.c, eq.d))
     power = eq.grade_left + eq.grade_right
     scale = [total * max(1.0, m) ** power
              for m in np.hypot(lams.real, lams.imag).tolist()]
@@ -130,37 +106,37 @@ def solve_scalar(eq: ScalarEquation, rng=None) -> RootReport:
     """All solutions of c/a = d/b that are not poles of either side.
 
     The classified zeros of the structured linearization are the roots of
-    the cleared polynomial; those matching a root of b are excluded.
+    the cleared polynomial.  c/a is reducible when c has a root at a pole,
+    a root of a; a singular pencil means r == 0; zeros at a root of b are
+    excluded.  Both root tests are `_near_root`, so no polynomial is rooted
+    apart from the pencils' QZ.
     """
     rng = make_rng(rng)
-    if not irreducibility_check(eq.a, eq.c):
-        raise PreconditionError("c/a is not irreducible: a and c share a root")
-
-    resfun = cleared_form(eq)
-    probe = unit_circle_points(rng, 20) * 1.07
-    tiny = 1e-12 * max(1.0, _coeff_sum(eq))
-    if all(abs(resfun.eval(z)[0, 0]) <= tiny for z in probe):
-        raise PreconditionError(
-            "the equation holds identically (r == 0); no discrete root set")
-
     realiz = Realization(A=eq.a, B=eq.b, C=-eq.c, D=eq.d)
     sl = build(realiz, grade_a=eq.grade_left, grade_d=eq.grade_right, rng=rng)
-    report = classify(sl, rng=rng)
+    if _near_root(eq.c, sl.state_spectrum.finite()).any():
+        raise PreconditionError("c/a is not irreducible: a and c share a root")
+    try:
+        report = classify(sl, rng=rng)
+    except PreconditionError as exc:  # with p = m = 1 only a singular pencil
+        raise PreconditionError(
+            "the equation holds identically (r == 0); no discrete root set") from exc
 
-    b_roots = poly_roots(eq.b)
-    kept = []
-    excluded = []
-    for entry in report.zeros:
-        if not entry.classified:
-            continue
-        lam = entry.value
-        if b_roots.size and np.min(np.abs(b_roots - lam)) <= MATCH_TOL * max(1.0, abs(lam)):
-            excluded.append(lam)
-        else:
-            kept.append(lam)
-    val, scale = cleared_residual(eq, resfun, kept)
-    return RootReport(roots=list(zip(kept, (val / scale).tolist())), excluded=excluded)
+    zeros = np.array([z.value for z in report.zeros if z.classified], dtype=complex)
+    pole = _near_root(eq.b, zeros)
+    kept = zeros[~pole].tolist()
+    val, scale = cleared_residual(eq, cleared_form(eq), kept)
+    return RootReport(roots=list(zip(kept, (val / scale).tolist())),
+                      excluded=zeros[pole].tolist())
 
 
-def _coeff_sum(eq: ScalarEquation) -> float:
-    return sum(float(np.sum(np.abs(p.coeffs))) for p in (eq.a, eq.b, eq.c, eq.d))
+def _near_root(p: PolyMatrix, pts: np.ndarray) -> np.ndarray:
+    """Whether the scalar p has a root within MATCH_TOL * max(1, |z|) of each
+    point z, to first order: its Newton step |p(z) / p'(z)| is that small.
+    The step is free of p's scale and of zero leading coefficients; the zero
+    polynomial has no roots."""
+    series = (np.polynomial.Polynomial if p.basis is Basis.MONOMIAL
+              else np.polynomial.Chebyshev)(p.coeffs.ravel())
+    step = np.abs(series(pts)) <= MATCH_TOL * np.maximum(
+        1.0, np.abs(pts)) * np.abs(series.deriv()(pts))
+    return step & p.coeffs.any()

@@ -103,6 +103,18 @@ def poly_det_coeffs(p: PolyMatrix) -> np.ndarray:
     return np.array(coeffs[: keep[-1] + 1])
 
 
+def poly_roots(p: PolyMatrix) -> np.ndarray:
+    """Roots of a scalar polynomial from numpy.polynomial's companion matrix
+    of its monomial coefficients, trailing ones below 1e-12 of the largest
+    dropped; empty for a (near-)constant or zero polynomial."""
+    coeffs = p.to_monomial().coeffs.ravel()
+    mags = np.abs(coeffs)
+    keep = np.nonzero(mags > 1e-12 * mags.max())[0]
+    if keep.size == 0 or keep[-1] == 0:
+        return np.zeros(0, dtype=complex)
+    return np.polynomial.polynomial.polyroots(coeffs[: keep[-1] + 1]).astype(complex)
+
+
 def match_multisets(computed, expected, tol_match: float = MATCH_TOL):
     """Optimal pairing of two eigenvalue multisets.
 

@@ -25,7 +25,7 @@ from ratlin.recover import (eigenpair, factorization_residuals,
                             recover_right_eigvec, recover_right_minimal_basis)
 from ratlin.verify import FixtureSpec, cleared_matrix, gen_fixture, preset_cross_coupled
 
-from conftest import match_multisets
+from conftest import match_multisets, poly_roots
 
 ACCEPT_SEED = 0xACC
 
@@ -193,7 +193,7 @@ def companion_condition(coeffs):
 
 
 def test_criterion_5_scalar_solver_oracle():
-    from ratlin.scalareq import ScalarEquation, cleared_form, poly_roots, solve_scalar
+    from ratlin.scalareq import ScalarEquation, cleared_form, solve_scalar
     start = time.monotonic()
     rng = np.random.default_rng(ACCEPT_SEED + 5)
     accepted = 0

@@ -359,6 +359,29 @@ def test_dumps_matches_json_dumps(obj):
     assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
 
 
+_FLAT = st.sampled_from([-0.0, 0.0, 1e-300, 1e300, -1.5, 0.1]) | st.integers() \
+    | st.booleans()
+_NESTED = st.recursive(
+    st.lists(_FLAT, max_size=5) | st.none() | st.text(max_size=4) | _SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.tuples(_FLAT, _FLAT)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3), max_leaves=10)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_NESTED)
+def test_dumps_flat_lists_match_json_dumps(obj):
+    """Lists and tuples of plain floats and ints take one json.dumps call;
+    mixed with bools, None, strings or numpy scalars they do not."""
+    assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
+
+
+def test_dumps_flat_path_spellings():
+    for obj in ([1.0, True, 0], [True, False], (-0.0, 1e-300, 1e300, 3),
+                {"lambda": [0.5, -0.0], "blocks": (0, 2, 0, 4)},
+                [np.float64(0.1), 2.0], [[1.0, 2], []]):
+        assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
+
+
 def test_dumps_fixed_cases():
     """Shapes the property test reaches only by chance (1 x 1, empty axes in
     any position, 0-d), a complex array inside a dict next to plain values,

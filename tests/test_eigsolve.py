@@ -157,6 +157,59 @@ class TestClassify:
         assert len(zs) == 1
         assert abs(zs[0].value - 3.0) < 1e-10
 
+    def test_zero_on_pole_failing_right_minimality_unclassified(self):
+        # a and b share the root 1: R = d + c = 2 has no zeros, and the
+        # pencil's eigenvalue 1 is a decoupling zero where [a, b](1) = 0
+        r = scalar_realization([-1, 1], [-1, 1], [1], [1])
+        rep = classify(build(r))
+        assert len(rep.zeros) == 1
+        z = rep.zeros[0]
+        assert abs(z.value - 1.0) < 1e-12
+        assert z.near_pole and z.minimality == (True, False) and not z.classified
+
+    def test_repeated_pole_tags(self):
+        """A = (l - 1) I_2, B = [1; 0], C = [1, 1], D = 1: R = l / (l - 1).
+        The double pole is one key of sl.minimality, where both tests fail;
+        the decoupling zero on it is unclassified, the zero 0 classified."""
+        a = PolyMatrix.from_list([-np.eye(2), np.eye(2)])
+        r = Realization(A=a, B=PolyMatrix.from_list([np.array([[1.0], [0.0]])]),
+                        C=PolyMatrix.from_list([np.array([[1.0, 1.0]])]),
+                        D=PolyMatrix.identity(1))
+        sl = build(r)
+        rep = classify(sl)
+        assert len(rep.poles) == 1 and rep.poles[0][1] == 2
+        assert list(sl.minimality.finite_ok_at.values()) == [(False, False)]
+        by_value = sorted(rep.zeros, key=lambda z: z.value.real)
+        assert abs(by_value[0].value) < 1e-12 and abs(by_value[1].value - 1) < 1e-12
+        assert by_value[0].classified and by_value[0].minimality == (True, True)
+        assert not by_value[0].near_pole
+        assert by_value[1].near_pole and by_value[1].minimality == (False, False)
+        assert not by_value[1].classified
+
+    def test_no_minimality_check_at_the_zeros(self, preset, monkeypatch):
+        """The tags are read from the checks at the poles: the only
+        check_finite_minimality call during classify is sl.minimality's,
+        and without a zero near a pole there is none."""
+        from ratlin import linbuild
+        calls = []
+        orig = linbuild.check_finite_minimality
+
+        def counted(r, lam):
+            calls.append(np.atleast_1d(lam).copy())
+            return orig(r, lam)
+        monkeypatch.setattr(linbuild, "check_finite_minimality", counted)
+        monkeypatch.setattr(eigsolve, "check_finite_minimality", counted, raising=False)
+        sl = build(preset)
+        rep = classify(sl)
+        assert any(z.near_pole for z in rep.zeros)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], sl.state_spectrum.finite())
+        calls.clear()
+        # R = (l - 3)/(l - 1): its one zero is far from its one pole
+        rep = classify(build(scalar_realization([-1, 1], [1], [-2], [1])))
+        assert not any(z.near_pole for z in rep.zeros)
+        assert calls == []
+
     def test_non_square_rejected(self):
         r = random_realization(5, n=2, p=2, m=3)
         with pytest.raises(PreconditionError):

@@ -8,10 +8,10 @@ from ratlin.eigsolve import classify, pencil_eigs
 from ratlin.linbuild import Realization, build, transfer_eval
 from ratlin.polymat import Basis, PolyMatrix
 from ratlin.recover import eigenpair, factorization_residuals
-from ratlin.scalareq import ScalarEquation, cleared_form, poly_roots, solve_scalar
+from ratlin.scalareq import ScalarEquation, cleared_form, solve_scalar
 
-from conftest import (match_multisets, poly_det_coeffs, random_polymatrix,
-                      random_realization)
+from conftest import (match_multisets, poly_det_coeffs, poly_roots,
+                      random_polymatrix, random_realization)
 
 
 def pencil_det_oracle_roots(sl):

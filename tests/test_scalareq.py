@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from ratlin.config import MATCH_TOL
 from ratlin.errors import PreconditionError
-from ratlin.linbuild import build, transfer_eval
-from ratlin.polymat import PolyMatrix
-from ratlin.scalareq import (ScalarEquation, cleared_form, irreducibility_check,
-                             poly_roots, solve_scalar)
+from ratlin.linbuild import Realization, build, transfer_eval
+from ratlin.scalareq import ScalarEquation, cleared_form, solve_scalar
 
-from conftest import match_multisets
+from conftest import match_multisets, poly_roots
+
+P = np.polynomial.polynomial
 
 
 def oracle_roots(eq, tol=1e-7):
@@ -26,18 +27,49 @@ def oracle_roots(eq, tol=1e-7):
 
 
 class TestIrreducibility:
+    """c/a is reducible when c has a root within MATCH_TOL of a pole, by the
+    Newton step of c there; the decision is not read from the rank of
+    [a; c] at the poles, which a nonzero 2 x 1 matrix always passes."""
+
     def test_shared_root(self):
-        mk = PolyMatrix.from_scalar_coeffs
-        assert not irreducibility_check(mk([-1, 1]), mk([-1, 1]))
+        eq = ScalarEquation.from_lists([-1, 1], [-1, 1], [2, 1], [1, 0, 1])
+        with pytest.raises(PreconditionError, match="irreducible"):
+            solve_scalar(eq)
 
     def test_coupled_pair_numerator_denominator(self):
         # (l^2+1)(l+2) over l^2-l-2: roots {+-i, -2} vs {2, -1}
-        mk = PolyMatrix.from_scalar_coeffs
-        assert irreducibility_check(mk([-2, -1, 1]), mk([2, 1, 2, 1]))
+        eq = ScalarEquation.from_lists([-2, -1, 1], [2, 1, 2, 1], [1], [0, 1])
+        ok, worst = match_multisets([v for v, _ in solve_scalar(eq).roots],
+                                    oracle_roots(eq), 1e-7)
+        assert ok, worst
 
     def test_constant_denominator(self):
-        mk = PolyMatrix.from_scalar_coeffs
-        assert irreducibility_check(mk([1]), mk([-3, 0, 1]))
+        eq = ScalarEquation.from_lists([1], [-3, 0, 1], [1], [0, 1])
+        ok, worst = match_multisets([v for v, _ in solve_scalar(eq).roots],
+                                    oracle_roots(eq), 1e-7)
+        assert ok, worst
+
+    @pytest.mark.parametrize("delta, shared", [
+        (0.0, True), (1e-9, True), (0.5 * MATCH_TOL, True),
+        (2 * MATCH_TOL, False), (1e-5, False)])
+    def test_near_common_root(self, delta, shared):
+        """a = (l - 0.3)(l - 2), c = (l - 0.3 - delta)(l + 1): c/a counts as
+        reducible exactly when delta is within MATCH_TOL, as when the two
+        were rooted and compared.  0.3 is not a double, so the computed pole
+        is off the root of a by roundoff, and [a; c] has numerical rank 1
+        there even at delta = 0: sl.minimality's left test passes."""
+        eq = ScalarEquation.from_lists(P.polyfromroots([0.3, 2.0]),
+                                       P.polyfromroots([0.3 + delta, -1.0]),
+                                       [1, 0.5], [0.25, 1])
+        sl = build(Realization(A=eq.a, B=eq.b, C=-eq.c, D=eq.d))
+        assert all(left for left, _ in sl.minimality.finite_ok_at.values())
+        if shared:
+            with pytest.raises(PreconditionError, match="irreducible"):
+                solve_scalar(eq)
+        else:
+            ok, worst = match_multisets([v for v, _ in solve_scalar(eq).roots],
+                                        oracle_roots(eq), 1e-7)
+            assert ok, worst
 
 
 class TestSolve:
@@ -79,6 +111,36 @@ class TestSolve:
         assert np.allclose(vals, [-1.0], atol=1e-8)
         assert len(rep.excluded) == 2
         assert all(abs(v - 1.0) < 1e-6 for v in rep.excluded)
+
+    def test_far_root_kept_with_b_padded_above_its_degree(self):
+        """b = 1 + l/2 is padded to d's grade 6, and the cleared polynomial
+        has a root at 60.  A scale of sum |b_k| max(1, |l|)^grade for |b(l)|
+        would call 60 a root of b; b's Newton step there is 62."""
+        c = [1, 1]
+        b = [1, 0.5]
+        q = P.polyfromroots([60, 1, -1.5, 3, 0.5j, -0.5j])
+        d = np.polynomial.chebyshev.poly2cheb(P.polysub(P.polymul(c, [1, 0.5]), q))
+        eq = ScalarEquation.from_lists([1], c, b, d)
+        assert eq.b.grade == 6
+        bound = MATCH_TOL * np.sum(np.abs(eq.b.coeffs)) * 60.0 ** eq.b.grade
+        assert abs(eq.b.eval(60.0)[0, 0]) <= bound
+        rep = solve_scalar(eq)
+        assert rep.excluded == []
+        ok, worst = match_multisets([v for v, _ in rep.roots],
+                                    [60, 1, -1.5, 3, 0.5j, -0.5j], 1e-9)
+        assert ok, worst
+
+    def test_shared_root_of_b_and_cleared_form_excluded(self):
+        # b = (l - 0.5)(l + 2) and d = (l - 0.5)(l^2 + 1) vanish together at
+        # 0.5, so c b - a d does too; 0.5 is a pole of d/b, not a solution
+        b = np.polynomial.chebyshev.poly2cheb(P.polyfromroots([0.5, -2]))
+        d = np.polynomial.chebyshev.poly2cheb(P.polyfromroots([0.5, 1j, -1j]))
+        eq = ScalarEquation.from_lists([2, 1], [1, 0, 2], b, d)
+        assert abs(cleared_form(eq).eval(0.5)[0, 0]) <= 1e-14
+        rep = solve_scalar(eq)
+        assert len(rep.excluded) == 1 and abs(rep.excluded[0] - 0.5) <= 1e-10
+        ok, worst = match_multisets([v for v, _ in rep.roots], oracle_roots(eq), 1e-7)
+        assert ok, worst
 
     def test_residuals_match_one_root_at_a_time(self):
         """On 40 seeded equations (degrees 1-6, real and complex), every root's
@@ -122,7 +184,6 @@ class TestPencilStructure:
         b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         d = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         eq = ScalarEquation.from_lists(a, c, b, d)
-        from ratlin.linbuild import Realization
         sl = build(Realization(A=eq.a, B=eq.b, C=-eq.c, D=eq.d),
                    grade_a=3, grade_d=4)
         assert np.allclose(sl.m_a.coeff(1)[0], [a[3], 0, 0])
@@ -140,7 +201,6 @@ class TestPencilStructure:
         eq = ScalarEquation.from_lists(
             rng.standard_normal(3), rng.standard_normal(3),
             rng.standard_normal(4), rng.standard_normal(4))
-        from ratlin.linbuild import Realization
         r = Realization(A=eq.a, B=eq.b, C=-eq.c, D=eq.d)
         for lam in (0.3, 1.7 - 0.2j):
             av = eq.a.eval(lam)[0, 0]
