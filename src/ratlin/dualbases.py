@@ -10,7 +10,7 @@ basis's row of `polymat.RECURRENCE` and its `times_lambda` matrix
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class DualBasisPair:
         return _blocks(_nhat(self.basis, self.d), self.s, self.basis)
 
 
-@lru_cache(maxsize=64)  # bounded: least recently used pairs are dropped
 def pair_for(basis: Basis, s: int, d: int) -> DualBasisPair:
     """The pair dual to N = [phi_{d-1} I, ..., phi_1 I, phi_0 I].
 
@@ -51,7 +50,6 @@ def pair_for(basis: Basis, s: int, d: int) -> DualBasisPair:
     -alpha_k e_i + (lambda - beta_k) e_{i+1} - gamma_k e_{i+2}, so the last
     row is [-alpha_0 I, (lambda - beta_0) I].  The completion Khat, Nhat is
     built when it is first read: build and block_pencil read only K and N.
-    Pairs are memoized and shared: their arrays are read-only.
     """
     _check_sd(s, d)
     rec = RECURRENCE[basis]
@@ -97,8 +95,12 @@ def _nhat(basis: Basis, d: int) -> np.ndarray:
 
 
 def _blocks(pattern, s: int, basis: Basis) -> PolyMatrix:
-    """Scalar coefficient stack -> PolyMatrix with each entry times I_s."""
-    return PolyMatrix(np.kron(np.asarray(pattern), np.eye(s)[None]), basis)
+    """Scalar coefficient stack -> PolyMatrix with each entry times I_s
+    (the Kronecker product with I_s, by broadcasting)."""
+    pattern = np.asarray(pattern)
+    k, r, c = pattern.shape
+    return PolyMatrix((pattern[:, :, None, :, None] * np.eye(s)[:, None, :])
+                      .reshape(k, r * s, c * s), basis)
 
 
 def _check_sd(s: int, d: int):

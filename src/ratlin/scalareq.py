@@ -131,12 +131,16 @@ def solve_scalar(eq: ScalarEquation, rng=None) -> RootReport:
 
 
 def _near_root(p: PolyMatrix, pts: np.ndarray) -> np.ndarray:
-    """Whether the scalar p has a root within MATCH_TOL * max(1, |z|) of each
-    point z, to first order: its Newton step |p(z) / p'(z)| is that small.
-    The step is free of p's scale and of zero leading coefficients; the zero
-    polynomial has no roots."""
-    series = (np.polynomial.Polynomial if p.basis is Basis.MONOMIAL
-              else np.polynomial.Chebyshev)(p.coeffs.ravel())
-    step = np.abs(series(pts)) <= MATCH_TOL * np.maximum(
-        1.0, np.abs(pts)) * np.abs(series.deriv()(pts))
-    return step & p.coeffs.any()
+    """Whether the Newton step |p(z) / p'(z)| of the scalar p is at most
+    MATCH_TOL * max(1, |z|) at each point z.  Near a root of multiplicity k
+    the step is the distance to it over k, so a k-fold root counts within
+    k * MATCH_TOL * max(1, |z|).  The step is free of p's scale and of zero
+    leading coefficients; the zero polynomial has no roots."""
+    if p.basis is Basis.MONOMIAL:  # np.polynomial is loaded on first use
+        val, der = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    else:
+        val, der = np.polynomial.chebyshev.chebval, np.polynomial.chebyshev.chebder
+    coeffs = p.coeffs.ravel()
+    step = np.abs(val(pts, coeffs)) <= MATCH_TOL * np.maximum(
+        1.0, np.abs(pts)) * np.abs(val(pts, der(coeffs)))
+    return step & coeffs.any()

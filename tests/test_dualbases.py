@@ -117,18 +117,3 @@ def test_row_pencil_reconstruction(basis):
     assert prod.basis is basis
     diff = prod - p.pad_to_grade(prod.grade)
     assert np.max(np.abs(diff.coeffs)) <= 1e-13
-
-
-def test_pair_for_memoized_read_only_and_bounded():
-    pr = pair_for(Basis.CHEBYSHEV1, 3, 4)
-    assert pair_for(Basis.CHEBYSHEV1, 3, 4) is pr
-    assert chebyshev_pair(3, 4) is pr
-    assert pair_for(Basis.MONOMIAL, 3, 4) is not pr
-    for poly in (pr.K, pr.N, pr.Khat, pr.Nhat):
-        with pytest.raises(ValueError):
-            poly.coeffs[0, 0, 0] = 1.0
-    bound = pair_for.cache_info().maxsize
-    assert bound is not None
-    for d in range(1, bound + 2):
-        pair_for(Basis.MONOMIAL, 1, d)
-    assert pair_for.cache_info().currsize == bound

@@ -49,18 +49,25 @@ class TestIrreducibility:
                                     oracle_roots(eq), 1e-7)
         assert ok, worst
 
-    @pytest.mark.parametrize("delta, shared", [
-        (0.0, True), (1e-9, True), (0.5 * MATCH_TOL, True),
-        (2 * MATCH_TOL, False), (1e-5, False)])
-    def test_near_common_root(self, delta, shared):
-        """a = (l - 0.3)(l - 2), c = (l - 0.3 - delta)(l + 1): c/a counts as
-        reducible exactly when delta is within MATCH_TOL, as when the two
-        were rooted and compared.  0.3 is not a double, so the computed pole
-        is off the root of a by roundoff, and [a; c] has numerical rank 1
-        there even at delta = 0: sl.minimality's left test passes."""
-        eq = ScalarEquation.from_lists(P.polyfromroots([0.3, 2.0]),
-                                       P.polyfromroots([0.3 + delta, -1.0]),
-                                       [1, 0.5], [0.25, 1])
+    @pytest.mark.parametrize("mult, delta, shared", [
+        (1, 0.0, True), (1, 1e-9, True), (1, 0.5 * MATCH_TOL, True),
+        (1, 2 * MATCH_TOL, False), (1, 1e-5, False),
+        (2, 1.5 * MATCH_TOL, True), (2, 3 * MATCH_TOL, False)])
+    def test_near_common_root(self, mult, delta, shared):
+        """a = (l - 0.3)(l - 2) and c with a root of multiplicity `mult` at
+        0.3 + delta.  The Newton step of c at the pole is delta / mult, so
+        c/a counts as reducible when delta is within mult * MATCH_TOL.  For a
+        simple root that is the old rule of rooting both and comparing; for
+        the double root at 1.5 * MATCH_TOL the old rule solved and this one
+        rejects.  0.3 is not a double, so the computed pole is off the root
+        of a by roundoff, and [a; c] has numerical rank 1 there even at
+        delta = 0: sl.minimality's left test passes.  When solved, every
+        root of the cleared form is kept, the one within about delta^2 of
+        the pole too: a does not vanish there, so c/a - d/b does."""
+        eq = ScalarEquation.from_lists(
+            P.polyfromroots([0.3, 2.0]),
+            P.polyfromroots([0.3 + delta] * mult + [-1.0] * (2 - mult)),
+            [1, 0.5], [0.25, 1])
         sl = build(Realization(A=eq.a, B=eq.b, C=-eq.c, D=eq.d))
         assert all(left for left, _ in sl.minimality.finite_ok_at.values())
         if shared:
@@ -68,7 +75,7 @@ class TestIrreducibility:
                 solve_scalar(eq)
         else:
             ok, worst = match_multisets([v for v, _ in solve_scalar(eq).roots],
-                                        oracle_roots(eq), 1e-7)
+                                        poly_roots(cleared_form(eq)), 1e-7)
             assert ok, worst
 
 
