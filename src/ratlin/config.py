@@ -12,9 +12,8 @@ import numpy as np
 DEFAULT_SEED = 0x5EED
 # eigenvalue matching and clustering tolerance, relative to max(1, |lambda|)
 MATCH_TOL = 1e-7
-# eigenpair's bound on an unscaled residual ||R(lambda) x|| / ||x||, above which
-# it takes the SVD vectors; the battery gates the normwise backward error
-# eta = ||R(lambda) x|| / (||R(lambda)||_2 ||x||) of each recovered pair by it
+# the battery's bound on the normwise backward error
+# eta = ||R(lambda) x|| / (||R(lambda)||_2 ||x||) of each recovered eigenpair
 RESIDUAL_TOL = 1e-8
 
 

@@ -174,14 +174,6 @@ def pencil_is_regular(l0: np.ndarray, l1: np.ndarray, rng=None) -> bool:
     return False
 
 
-def pencil_null_vector(l0: np.ndarray, l1: np.ndarray, lam: complex) -> tuple:
-    """Right and left singular vectors of L(lam) for the smallest singular
-    value, from one SVD."""
-    mat = np.asarray(l1) * complex(lam) + np.asarray(l0)
-    u, _, vh = np.linalg.svd(mat)
-    return vh[-1].conj(), u[:, -1].conj()
-
-
 def cluster_eigenvalues(values) -> list:
     """Group a sorted eigenvalue list into (representative, count) clusters
     of points within MATCH_TOL of each other."""

@@ -37,6 +37,13 @@ class Realization:
     D: PolyMatrix
 
     def __post_init__(self):
+        for key in "ABCD":
+            coeffs = getattr(self, key).coeffs
+            finite = np.isfinite(coeffs)
+            if not finite.all():
+                k, i, j = np.argwhere(~finite)[0].tolist()
+                raise ValueError(f"block {key}: non-finite coefficient "
+                                 f"{coeffs[k, i, j]} of degree {k} at entry ({i}, {j})")
         n, p, m = self.n, self.p, self.m
         if n < 1:
             raise PreconditionError("state dimension must be >= 1")
@@ -164,8 +171,9 @@ class StructuredLinearization:
 
     @cached_property
     def eigenpairs(self) -> dict:
-        """Recovered pair at each finite eigenvalue of `spectrum` whose QZ
-        vectors pass, keyed by the eigenvalue; built once on first use."""
+        """Recovered pair at each finite eigenvalue of `spectrum` off the
+        poles whose slice is nonzero, keyed by the eigenvalue; built once on
+        first use."""
         from .recover import _spectrum_eigenpairs  # recover imports this module
         return _spectrum_eigenpairs(self)
 

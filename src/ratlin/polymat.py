@@ -324,13 +324,8 @@ class PolyMatrix:
             for k, flat in enumerate(raw):
                 if len(flat) != rows * cols:
                     raise ValueError("coefficient entry count mismatch")
-                vals = np.array([complex(re, im) for re, im in flat])
-                bad = np.flatnonzero(~np.isfinite(vals))
-                if bad.size:
-                    i, j = divmod(int(bad[0]), cols)
-                    raise ValueError(f"non-finite coefficient {vals[bad[0]]} of "
-                                     f"degree {k} at entry ({i}, {j})")
-                stack[k] = vals.reshape(rows, cols)
+                stack[k] = np.reshape([complex(re, im) for re, im in flat],
+                                      (rows, cols))
         except TypeError as exc:  # a list where a number belongs, or the reverse
             raise ValueError(f"malformed polynomial matrix: {exc}") from exc
         return PolyMatrix(stack, basis)

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RESIDUAL_TOL, make_rng
+from .config import make_rng
 from .errors import PreconditionError, RatlinError
-from .eigsolve import (MinimalBasisResult, pencil_null_vector,
-                       polynomial_nullspace, vector_degree)
+from .eigsolve import MinimalBasisResult, polynomial_nullspace, vector_degree
 from .linbuild import (StructuredLinearization, _state_stack, _state_terms,
                        hat_transfer_eval, require_invertible, sample_points,
                        transfer_eval)
@@ -24,7 +23,10 @@ from .polymat import NEG_INF, PolyMatrix
 
 @dataclass(frozen=True)
 class EigenpairR:
-    """Eigenvalue of the rational matrix with recovered vectors and residuals."""
+    """Eigenvalue of the rational matrix with recovered vectors, their
+    unscaled residuals ||R(lambda) x|| / ||x|| and their normwise backward
+    errors eta; eta is the figure to judge, as the unscaled residual grows
+    with ||R(lambda)||_2."""
 
     value: complex
     x: np.ndarray | None
@@ -152,11 +154,14 @@ def lift_left_eigvec(sl: StructuredLinearization, lam: complex,
 
 
 def eigenpair(sl: StructuredLinearization, lam: complex) -> EigenpairR:
-    """Both eigenvectors at a zero with residuals.
+    """Both eigenvectors at a point, sliced from a QZ pair of `sl.spectrum`,
+    with their unscaled residuals and normwise backward errors eta.
 
     At a finite eigenvalue of `sl.spectrum`, bit for bit, the pair comes from
     `sl.eigenpairs`, recovered for the whole spectrum on first use; anywhere
-    else, or where that recovery failed, from `_eigenpair_at`."""
+    else from `_eigenpair_at`.  Away from the spectrum the nearest pair is
+    no eigenpair of R(lam), and its eta says so.  A pole raises PoleError, a
+    pair whose slice is numerically zero RatlinError."""
     key = complex(lam)
     ep = sl.eigenpairs.get(key)
     if ep is None or repr(ep.value) != repr(key):  # repr keeps signed zeros
@@ -165,25 +170,20 @@ def eigenpair(sl: StructuredLinearization, lam: complex) -> EigenpairR:
 
 
 def _eigenpair_at(sl: StructuredLinearization, lam: complex) -> EigenpairR:
-    """The pair at one point, sliced from the nearest QZ pair of
-    `sl.spectrum`, or from the SVD of L(lam) if the pencil is singular, that
-    recovery raises or a residual exceeds RESIDUAL_TOL."""
+    """The pair at one point, sliced from the nearest finite QZ pair of
+    `sl.spectrum`."""
     rv = transfer_eval(sl.realization, lam)
     (phis,), (scale,) = _pair_terms(sl, np.array([lam], dtype=complex), rv[None])
-    with suppress(RatlinError):
-        ep = _eigenpair_from(sl, lam, *sl.spectrum.vectors_near(lam), rv, phis, scale)
-        if max(ep.residual_right, ep.residual_left) <= RESIDUAL_TOL:
-            return ep
-    return _eigenpair_from(sl, lam, *pencil_null_vector(sl.L0, sl.L1, lam), rv,
-                           phis, scale)
+    return _eigenpair_from(sl, lam, *sl.spectrum.vectors_near(lam), rv, phis, scale)
 
 
 def _spectrum_eigenpairs(sl: StructuredLinearization) -> dict:
-    """`_eigenpair_at` at every finite eigenvalue of `sl.spectrum` whose QZ
-    pair passes, keyed by the eigenvalue, from one stacked evaluation of each
-    block, one invertibility test, one solve and one 2-norm.  Equal
-    eigenvalues take the first pair, as `vectors_near` does; poles and the
-    points that need the SVD vectors are left out."""
+    """`_eigenpair_at` at every finite eigenvalue of `sl.spectrum`, keyed by
+    the eigenvalue, from one stacked evaluation of each block, one
+    invertibility test, one solve and one 2-norm.  Equal eigenvalues take the
+    first pair, as `vectors_near` does; poles and the pairs whose slice is
+    numerically zero are left out.  No residual is judged here: callers
+    judge eta."""
     try:
         spec = sl.spectrum
     except RatlinError:
@@ -200,10 +200,8 @@ def _spectrum_eigenpairs(sl: StructuredLinearization) -> dict:
     for lam, rv, phi, scale in zip(lams, rvs, phis, scales):
         i = first[lam]
         with suppress(RatlinError):
-            ep = _eigenpair_from(sl, lam, spec.right_vectors[:, i],
-                                 spec.left_vectors[:, i].conj(), rv, phi, scale)
-            if max(ep.residual_right, ep.residual_left) <= RESIDUAL_TOL:
-                out[lam] = ep
+            out[lam] = _eigenpair_from(sl, lam, spec.right_vectors[:, i],
+                                       spec.left_vectors[:, i].conj(), rv, phi, scale)
     return out
 
 

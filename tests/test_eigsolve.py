@@ -12,7 +12,7 @@ from ratlin.errors import PreconditionError, RatlinError
 from ratlin.eigsolve import (certify_minimal_basis, classify,
                              invariant_orders_at_infinity,
                              partial_multiplicities_at, pencil_eigs,
-                             pencil_is_regular, pencil_null_vector,
+                             pencil_is_regular,
                              polynomial_nullspace, rational_rank, vector_degree)
 from ratlin.linbuild import Realization, build
 from ratlin.polymat import Basis, PolyMatrix, generic_rank
@@ -502,14 +502,6 @@ def _pencil_stack(l0, l1, side) -> np.ndarray:
 def _right_coeffs(res) -> np.ndarray:
     """A basis's coefficients laid out as columns, on either side."""
     return (res.vectors if res.side == "right" else res.vectors.T).coeffs
-
-
-def test_pencil_null_vector_matches_eigenvalue(preset):
-    sl = build(preset)
-    lam = (-1 + np.sqrt(5)) / 2
-    v, w = pencil_null_vector(sl.L0, sl.L1, lam)
-    assert np.linalg.norm(sl.pencil_eval(lam) @ v) < 1e-10
-    assert np.linalg.norm(w @ sl.pencil_eval(lam)) < 1e-10
 
 
 def test_rational_rank(preset):

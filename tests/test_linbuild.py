@@ -135,6 +135,25 @@ class TestBuild:
                 C=random_polymatrix(rng, 1, 2, 2, Basis.CHEBYSHEV1),
                 D=random_polymatrix(rng, 1, 2, 2, Basis.MONOMIAL))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("B", np.nan, "block B: non-finite coefficient (nan+0j) of degree 1 at entry (0, 1)"),
+        ("A", np.inf, "block A: non-finite coefficient (inf+0j) of degree 1 at entry (0, 1)")],
+        ids=["nan-in-B", "inf-in-A"])
+    def test_non_finite_coefficient_rejected(self, preset, key, value, message):
+        # a realization built in code passes the same check as one read from JSON
+        blocks = {k: getattr(preset, k) for k in "ABCD"}
+        coeffs = np.array(blocks[key].coeffs)
+        coeffs[1, 0, 1] = value
+        blocks[key] = PolyMatrix(coeffs, blocks[key].basis)
+        with pytest.raises(ValueError) as exc:
+            Realization(**blocks)
+        assert str(exc.value) == message
+        obj = preset.to_dict()
+        obj[key] = blocks[key].to_dict()
+        with pytest.raises(ValueError) as exc:
+            Realization.from_dict(obj)
+        assert str(exc.value) == message
+
 
 class TestMinimality:
     def test_preset_at_state_eigenvalues(self, preset):

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from ratlin.errors import PoleError, PreconditionError, RatlinError
-from ratlin.eigsolve import classify, pencil_null_vector
+from ratlin.eigsolve import classify
 from ratlin.linbuild import Realization, build, hat_transfer_eval, transfer_eval
 from ratlin import recover
 from ratlin.polymat import Basis, PolyMatrix
@@ -66,7 +66,7 @@ class TestEigvecMaps:
     def test_lifted_vector_annihilates_pencil(self, preset):
         sl = build(preset)
         lam = (-1 + np.sqrt(5)) / 2  # a zero of the rational matrix
-        x_tilde, _ = pencil_null_vector(sl.L0, sl.L1, lam)
+        x_tilde, _ = sl.spectrum.vectors_near(lam)
         x = recover_right_eigvec(sl, lam, x_tilde)
         lifted = lift_right_eigvec(sl, lam, x)
         assert np.linalg.norm(sl.pencil_eval(lam) @ lifted) <= 1e-10 * np.linalg.norm(lifted)
@@ -105,16 +105,18 @@ class TestEigenpair:
         zeros = [z.value for z in classify(sl).zeros if z.classified]
         assert len(zeros) == 16
         runs, svds = [], []
-        eig, null_vector = scipy.linalg.eig, recover.pencil_null_vector
+        eig, svd = scipy.linalg.eig, np.linalg.svd
 
         def counting_eig(a, *args, **kwargs):
             if a.shape == sl.shape:
                 runs.append(kwargs.get("right"))
             return eig(a, *args, **kwargs)
 
-        def counting_svd(*args):
-            svds.append(args[2])
-            return null_vector(*args)
+        def counting_svd(a, *args, **kwargs):
+            # the regularity test before the QZ takes singular values only
+            if a.shape[-2:] == sl.shape and kwargs.get("compute_uv", True):
+                svds.append(a.shape)
+            return svd(a, *args, **kwargs)
 
         solves = []
         solve = np.linalg.solve
@@ -124,22 +126,22 @@ class TestEigenpair:
             return solve(a, b)
 
         monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
-        monkeypatch.setattr(recover, "pencil_null_vector", counting_svd)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         for lam in zeros:
             ep = eigenpair(sl, lam)
             assert max(ep.residual_right, ep.residual_left) <= 1e-8
         assert runs == [True]
-        assert svds == []  # every pair came from the QZ vectors
+        assert svds == []  # every pair came from the QZ vectors, no SVD of L(lambda)
         # one stacked solve, over every finite eigenvalue of the pencil
         assert solves == [(len(sl.spectrum.finite()), 2, 2)]
         assert len(sl.spectrum.finite()) >= 16
 
-    def test_off_spectrum_point_takes_the_svd_path(self, preset):
+    def test_off_spectrum_point_takes_the_nearest_qz_pair(self, preset):
         sl = build(preset)
         lam = 0.4 + 0.3j  # neither a zero nor a pole of the preset
         ep = eigenpair(sl, lam)
-        x_tilde, y_tilde = pencil_null_vector(sl.L0, sl.L1, lam)
+        x_tilde, y_tilde = sl.spectrum.vectors_near(lam)
         x = recover_right_eigvec(sl, lam, x_tilde)
         y = recover_left_eigvec(sl, lam, y_tilde)
         rv = transfer_eval(sl.realization, lam)
@@ -147,7 +149,8 @@ class TestEigenpair:
         assert np.array_equal(ep.yT, y)
         assert ep.residual_right == float(np.linalg.norm(rv @ x) / np.linalg.norm(x))
         assert ep.residual_left == float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
-        assert ep.residual_right > 1e-8
+        # the pair belongs to another point, and eta says so
+        assert min(ep.eta_right, ep.eta_left) > 1e-3
 
     @pytest.mark.parametrize("spec", [
         FixtureSpec(seed=seed, grade_a=grade, grade_d=grade, basis_a=basis,
@@ -159,31 +162,32 @@ class TestEigenpair:
         sl = build(gen_fixture(spec))
         memo = sl.eigenpairs
         for lam in dict.fromkeys(sl.spectrum.finite().tolist()):
-            ep = recover._eigenpair_at(sl, lam)
-            if lam in memo:
-                assert _bits(memo[lam]) == _bits(ep)
-                assert eigenpair(sl, lam) is memo[lam]
-                assert not memo[lam].x.flags.writeable  # shared by every caller
-            else:  # the QZ pair missed, so the SVD vectors were used
-                x_tilde, _ = pencil_null_vector(sl.L0, sl.L1, lam)
-                assert np.array_equal(ep.x, recover_right_eigvec(sl, lam, x_tilde))
+            if lam not in memo:  # a pole, or a slice that is numerically zero
+                with pytest.raises(RatlinError):
+                    recover._eigenpair_at(sl, lam)
+                continue
+            assert _bits(memo[lam]) == _bits(recover._eigenpair_at(sl, lam))
+            assert eigenpair(sl, lam) is memo[lam]
+            assert not memo[lam].x.flags.writeable  # shared by every caller
+        # classify's QZ without vectors finds the eigenvalues of sl.spectrum
+        # bit for bit, so every zero it certifies is answered from the memo
+        zeros = [z.value for z in classify(sl).zeros
+                 if z.classified and not z.near_pole]
+        assert zeros and all(lam in memo for lam in zeros)
 
-    def test_pair_that_misses_the_gate_takes_the_svd_vectors(self):
-        # the zero of test_eigenvector_recovery_far_from_the_origin, whose QZ
-        # pair misses RESIDUAL_TOL: the memo leaves it out, so eigenpair
-        # slices the SVD vectors of L(lambda) there
+    def test_large_residual_pair_is_judged_by_eta(self):
+        # the zero of test_eigenvector_recovery_far_from_the_origin: at
+        # |lambda| about 78.6, ||R(lambda)||_2 is about 2.7e7 and the QZ
+        # pair's unscaled left residual about 2.3e-8, yet its eta is roundoff
         path = Path(__file__).parent / "data" / "battery_seed4_regular_cheb.json"
         sl = build(Realization.from_dict(json.loads(path.read_text())), rng=1)
         zeros = [z.value for z in classify(sl, rng=1).zeros]
-        missed = [lam for lam in zeros if lam not in sl.eigenpairs]
-        assert len(missed) == 1 and len(sl.eigenpairs) == len(zeros) - 1
-        lam = missed[0]
-        assert abs(lam) > 70
+        assert len(zeros) == 12 and all(lam in sl.eigenpairs for lam in zeros)
+        (lam,) = [lam for lam in zeros if abs(lam) > 70]
         ep = eigenpair(sl, lam)
-        x_tilde, y_tilde = pencil_null_vector(sl.L0, sl.L1, lam)
-        assert np.array_equal(ep.x, recover_right_eigvec(sl, lam, x_tilde))
-        assert np.array_equal(ep.yT, recover_left_eigvec(sl, lam, y_tilde))
-        assert max(ep.residual_right, ep.residual_left) <= 1e-8
+        assert ep is sl.eigenpairs[lam]
+        assert max(ep.residual_right, ep.residual_left) > 1e-8
+        assert max(ep.eta_right, ep.eta_left) <= 1e-14
 
     def test_pole_among_the_eigenvalues(self):
         # R = (l - 2) I_2 realized with A = l - 1 and B = C = 0: the pencil's

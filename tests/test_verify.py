@@ -130,8 +130,8 @@ class TestRunAll:
 
     def test_eigenvector_recovery_far_from_the_origin(self):
         # a zero at |lambda| about 78.6 with ||R(lambda)||_2 about 2.7e7: the
-        # QZ pair's left residual (2.3e-8) misses the 1e-8 gate, so eigenpair
-        # takes the SVD vectors there (7.2e-9)
+        # QZ pair's unscaled left residual (2.3e-8) is above 1e-8, but the
+        # check gates eta, which is roundoff there
         path = Path(__file__).parent / "data" / "battery_seed4_regular_cheb.json"
         r = Realization.from_dict(json.loads(path.read_text()))
         by_name = {e.name: e for e in run_all(r, seed=1).entries}
