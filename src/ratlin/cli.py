@@ -61,11 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
         p.add_argument("--json", action="store_true", help="emit JSON")
 
+    def grade(text):  # non-negative; one below the realization's is raised to it
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"grade must be non-negative, got {value}")
+        return value
+
     p = sub.add_parser("linearize", help="emit the structured pencil")
     common(p)
-    p.add_argument("--grade-a", type=int, default=None,
+    p.add_argument("--grade-a", type=grade, default=None,
                    help="upward override of the state-side grade")
-    p.add_argument("--grade-d", type=int, default=None,
+    p.add_argument("--grade-d", type=grade, default=None,
                    help="upward override of the polynomial-side grade")
     p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_linearize)
@@ -109,21 +115,19 @@ def _load_realization(args) -> Realization:
 def _dumps(obj, ind="\n") -> str:
     """The text of json.dumps(obj, indent=2, sort_keys=True) for obj made of
     str-keyed dicts, lists, tuples and JSON leaves, which may also hold numpy
-    scalars and arrays (a complex entry as [re, im]).  A numeric array's
-    numbers are spelled by json in one call and laid out by one %s template,
-    and so is a list or tuple of plain floats and ints; `ind` is the newline
-    and indent of obj's own line."""
+    scalars and arrays (a complex entry as [re, im]).  A float or complex
+    array costs what its nonzeros cost: an exact zero is the constant "0.0"
+    or "-0.0", a complex entry zero in both parts is one of four constant
+    cells, and the nonzero doubles (NaN and infinities included) are spelled
+    by json in one call; cells, then rows, are joined axis by axis outward.
+    A list or tuple of plain floats and ints also takes one json.dumps call;
+    int, bool, 0-d and empty arrays are written as their lists.  `ind` is the
+    newline and indent of obj's own line."""
     sub = ind + "  "
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            obj = np.stack([obj.real, obj.imag], axis=-1)
-        if obj.ndim == 0 or obj.size == 0 or obj.dtype.kind not in "biuf":
+        if obj.ndim == 0 or obj.size == 0 or obj.dtype.kind not in "fc":
             return _dumps(obj.tolist(), ind)
-        layout = "%s"
-        for k in range(obj.ndim - 1, -1, -1):
-            pad = ind + "  " * (k + 1)
-            layout = f"[{pad}{(',' + pad).join([layout] * obj.shape[k])}{pad[:-2]}]"
-        return layout % tuple(json.dumps(obj.ravel().tolist())[1:-1].split(", "))
+        return _dumps_array(obj, ind)
     if isinstance(obj, dict) and obj:
         items = (f"{json.dumps(k)}: {_dumps(v, sub)}" for k, v in sorted(obj.items()))
         return "{" + sub + ("," + sub).join(items) + ind + "}"
@@ -135,8 +139,44 @@ def _dumps(obj, ind="\n") -> str:
     return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
 
 
+_ZEROS = np.array(["0.0", "-0.0"], dtype=object)  # indexed by np.signbit
+
+
+def _spell(x: np.ndarray) -> np.ndarray:
+    """json's spelling of each entry of the float array x, as an object
+    array of x's shape: zeros from _ZEROS, the rest from one json.dumps."""
+    words = _ZEROS[np.signbit(x).view(np.int8)]
+    nonzero = x != 0
+    if nonzero.any():
+        words[nonzero] = json.dumps(x[nonzero].tolist())[1:-1].split(", ")
+    return words
+
+
+def _dumps_array(a: np.ndarray, ind: str) -> str:
+    """_dumps of a nonempty float or complex array of ndim >= 1."""
+    if np.iscomplexobj(a):
+        pad, end = ind + "  " * (a.ndim + 1), ind + "  " * a.ndim
+        cell = "[" + pad + "%s," + pad + "%s" + end + "]"
+        real, imag = a.real, a.imag
+        words = np.array([cell % (r, i) for r in _ZEROS for i in _ZEROS],
+                         dtype=object)[2 * np.signbit(real) + np.signbit(imag)]
+        live = (real != 0) | (imag != 0)
+        if live.any():
+            parts = _spell(np.stack([real[live], imag[live]], axis=-1)).tolist()
+            words[live] = [cell % (r, i) for r, i in parts]
+    else:
+        words = _spell(a)
+    rows = words.ravel().tolist()
+    for k in range(a.ndim - 1, -1, -1):
+        pad, n = ind + "  " * (k + 1), a.shape[k]
+        head, sep, tail = "[" + pad, "," + pad, pad[:-2] + "]"
+        rows = [head + sep.join(rows[i:i + n]) + tail for i in range(0, len(rows), n)]
+    return rows[0]
+
+
 def _emit(payload: dict):
-    sys.stdout.write(_dumps(payload) + "\n")
+    sys.stdout.write(_dumps(payload))
+    sys.stdout.write("\n")
 
 
 def _cmd_linearize(args) -> int:
@@ -144,7 +184,8 @@ def _cmd_linearize(args) -> int:
     sl = build(r, grade_a=args.grade_a, grade_d=args.grade_d, rng=args.seed)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(_dumps(sl.to_dict()) + "\n")
+            fh.write(_dumps(sl.to_dict()))
+            fh.write("\n")
         print(f"wrote {args.output} "
               f"(pencil {sl.shape[0]}x{sl.shape[1]}, rhoA={sl.rho_a}, rhoD={sl.rho_d})")
     else:

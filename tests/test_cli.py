@@ -56,6 +56,20 @@ class TestLinearize:
         obj = json.loads(out)
         assert obj["rhoA"] == 2
 
+    def test_grade_override_below_the_grade_is_raised(self, capsys, realization_file):
+        code, out, _ = run_cli(capsys, "linearize", "--input", realization_file,
+                               "--grade-a", "0", "--grade-d", "0")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["rhoA"] == 1 and obj["rhoD"] == 1
+
+    @pytest.mark.parametrize("flag", ["--grade-a", "--grade-d"])
+    def test_negative_grade_override_exits_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["linearize", "--preset", "cross-coupled", flag, "-1"])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
 
 class TestEigs:
     def test_preset_json(self, capsys):
@@ -359,6 +373,31 @@ def test_dumps_matches_json_dumps(obj):
     assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
 
 
+@st.composite
+def _sparse_arrays(draw):
+    """Float64 or complex arrays of signed zeros with a few other doubles
+    (NaN, infinities and subnormals among them), as a built pencil is."""
+    cplx = draw(st.booleans())
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5))
+    parts = draw(hnp.arrays(np.float64, shape + ((2,) if cplx else ()),
+                            elements=st.sampled_from([0.0, -0.0])))
+    flat = parts.reshape(-1)
+    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=3)):
+        flat[i] = draw(_DOUBLES)
+    if not cplx:
+        return parts
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = parts[..., 0], parts[..., 1]
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_sparse_arrays() | st.dictionaries(st.text(max_size=3), _sparse_arrays(),
+                                          min_size=1, max_size=2))
+def test_dumps_sparse_arrays_match_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
+
+
 _FLAT = st.sampled_from([-0.0, 0.0, 1e-300, 1e300, -1.5, 0.1]) | st.integers() \
     | st.booleans()
 _NESTED = st.recursive(
@@ -385,8 +424,16 @@ def test_dumps_flat_path_spellings():
 def test_dumps_fixed_cases():
     """Shapes the property test reaches only by chance (1 x 1, empty axes in
     any position, 0-d), a complex array inside a dict next to plain values,
-    and a string array, whose text may hold the ", " that separates numbers."""
-    for obj in (np.ones((1, 1), dtype=complex), np.zeros((0, 3)), np.zeros((2, 0)),
-                np.zeros((2, 0, 3), dtype=complex), np.array(1.5), np.array(["a, b", 'q"']),
+    a string array, whose text may hold the ", " that separates numbers, and
+    a complex array with every sign pattern of a zero cell, every place and
+    sign of a single zero part, and an all-zero row."""
+    signed = np.array([[complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+                        complex(-0.0, -0.0)],
+                       [complex(0.0, 2.5), complex(-0.0, -2.5), complex(2.5, 0.0),
+                        complex(-2.5, -0.0)],
+                       [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                        complex(0.0, 0.0)]])
+    for obj in (signed, {"z": signed[None]}, np.ones((1, 1), dtype=complex),
+                np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 0, 3), dtype=complex), np.array(1.5), np.array(["a, b", 'q"']),
                 {"z": np.array([[-0.0 + 1j]]), "a": [], "m": {}, "n": np.int64(7)}):
         assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
