@@ -15,7 +15,7 @@ from .errors import (BasisError, BreakdownError, DimensionError, PoleError,
 from .eigsolve import (MinimalBasisResult, PencilEig, SpectralReport,
                        classify, invariant_orders_at_infinity,
                        partial_multiplicities_at, pencil_eigs,
-                       polymatrix_nullspace, polynomial_nullspace)
+                       polynomial_nullspace)
 from .linbuild import (MinimalityReport, Realization, StructuredLinearization,
                        build, check_finite_minimality,
                        check_infinity_minimality, hat_transfer_eval,
@@ -41,7 +41,7 @@ __all__ = [
     "generic_rank", "hat_transfer_eval", "hstack", "invariant_orders_at_infinity",
     "lift_left_eigvec", "lift_right_eigvec",
     "minimality_report", "monomial_pair", "partial_multiplicities_at", "pencil_eigs",
-    "polymatrix_nullspace", "polynomial_nullspace", "preset_cross_coupled", "recover_left_eigvec",
+    "polynomial_nullspace", "preset_cross_coupled", "recover_left_eigvec",
     "recover_left_minimal_basis", "recover_right_eigvec",
     "recover_right_minimal_basis", "row_pencil", "run_all", "solve_scalar",
     "transfer_eval", "vstack",

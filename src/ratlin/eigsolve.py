@@ -8,8 +8,9 @@ own transforms, and its Jordan block sizes at 0, which are the local
 partial multiplicities and, on reversed pencils, the invariant orders at
 infinity.  A back-substituted basis is kept only when it passes a gate
 (count, the nullity of one convolution matrix, and the certificate);
-otherwise, and for matrices of higher grade, a degree-sweep convolution
-method gives the basis.
+otherwise a degree-sweep convolution method gives the basis.  Only pencils
+are handled: a polynomial matrix of higher grade gets its nullspace through
+a linearization.
 """
 
 import math
@@ -302,69 +303,40 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
                          rng=None) -> MinimalBasisResult:
     """Minimal polynomial nullspace basis of a pencil.
 
-    The basis comes from back-substitution through the pencil's staircase
-    when it passes the gate of `polymatrix_nullspace`, and from the degree
-    sweep otherwise: for each candidate degree the block convolution matrix
-    of the pencil is formed, and new nullspace directions are those
-    orthogonal to shifts of the lower-degree basis vectors, until the count
-    matches the nullity of the pencil over the rational functions.  Either
-    way the output is deterministic.
-    """
-    l0 = np.asarray(l0, dtype=complex)
-    l1 = np.asarray(l1, dtype=complex)
-    pencil = PolyMatrix(np.stack([l0, l1]))
-    # the cutoff is loosened a couple of orders beyond machine epsilon so
-    # pencils assembled from computed data (structural zeros only exact to
-    # roundoff) are still judged correctly
-    rank = generic_rank(pencil, rng, rank_scale=100.0)
-    # pencil minimal indices never exceed the rank, so the dimension sum caps
-    # the sweep
-    return polymatrix_nullspace(pencil, side, rng=rng, rank=rank,
-                                cap=sum(l0.shape))
-
-
-def polymatrix_nullspace(p: PolyMatrix, side: str = "right", rng=None,
-                         rank: int | None = None,
-                         cap: int | None = None) -> MinimalBasisResult:
-    """Degree-sweep minimal basis for a polynomial matrix of any grade.
-
-    Same convolution construction as the pencil case, with one block row per
-    coefficient.  Used directly it keeps the sweep depth at the (small)
-    minimal indices of the matrix instead of the inflated indices of a
-    linearization.
-
-    A pencil (grade 1) first gets the basis back-substituted through its
-    `_staircase`, returned if it passes the gate of `_gated_basis`: its
-    count is the nullity, the convolution matrix at the top degree has the
-    nullity those degrees predict, and `certify_minimal_basis` passes.  A
-    rejected basis falls back to the sweep.  Raises BreakdownError when an
-    index would exceed `cap`.
+    The basis is back-substituted through the pencil's `_staircase`
+    (transposed on the left side) and kept if it passes the gate of
+    `_gated_basis`: its count is the nullity, the convolution matrix at the
+    top degree has the nullity those degrees predict, and
+    `certify_minimal_basis` passes.  A rejected basis is replaced by the
+    degree sweep: for each candidate degree the block convolution matrix of
+    the pencil is formed, and new nullspace directions are those orthogonal
+    to shifts of the lower-degree basis vectors, until the count matches the
+    nullity of the pencil over the rational functions.  Either way the
+    output is deterministic.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
+    stack = np.stack([np.asarray(l0, dtype=complex), np.asarray(l1, dtype=complex)])
+    # the cutoff is loosened a couple of orders beyond machine epsilon so
+    # pencils assembled from computed data (structural zeros only exact to
+    # roundoff) are still judged correctly
+    rank = generic_rank(PolyMatrix(stack), rng, rank_scale=100.0)
     if side == "left":
-        res = polymatrix_nullspace(p.T, "right", rng=rng, rank=rank, cap=cap)
-        return MinimalBasisResult(vectors=res.vectors.T, indices=res.indices,
-                                  side="left")
-
-    mono = p.to_monomial()
-    cols = p.cols
-    if rank is None:
-        rank = generic_rank(mono, rng=rng)
+        stack = np.ascontiguousarray(stack.transpose(0, 2, 1))
+    cols = stack.shape[2]
     nullity = cols - rank
-    if nullity <= 0:
-        return MinimalBasisResult(
+    if nullity == 0:
+        res = MinimalBasisResult(
             vectors=PolyMatrix(np.zeros((1, cols, 0), dtype=complex)),
             indices=[], side="right")
-    if cap is None:
-        # an index cannot exceed the degree content rank * grade
-        cap = p.rows + cols + rank * max(1, mono.grade)
-
-    if mono.grade == 1:
-        res = _gated_basis(mono.coeffs, nullity, cap)
-        if res is not None:
-            return res
-    return _basis_result(_sweep(mono.coeffs, nullity, cap), cols)
+    else:
+        res = _gated_basis(stack, nullity)
+        if res is None:
+            res = _basis_result(_sweep(stack, nullity), cols)
+    if side == "left":
+        return MinimalBasisResult(vectors=res.vectors.T, indices=res.indices,
+                                  side="left")
+    return res
 
 
 def _basis_result(found, cols) -> MinimalBasisResult:
@@ -407,18 +379,18 @@ def _back_substitute(steps) -> list:
     return [(d, vecs[: d + 1, :, j]) for j, d in enumerate(degrees)]
 
 
-def _gated_basis(stack, nullity, cap) -> MinimalBasisResult | None:
+def _gated_basis(stack, nullity) -> MinimalBasisResult | None:
     """The pencil's right basis back-substituted through its `_staircase`,
     or None unless the gate passes: the staircase's indices number the
-    nullity, none above `cap`; the convolution matrix at the top index D has
-    nullity sum(D - d_i + 1); and `certify_minimal_basis` passes with its own
+    nullity; the convolution matrix at the top index D has nullity
+    sum(D - d_i + 1); and `certify_minimal_basis` passes with its own
     generator.  A certified basis has degrees bounding the minimal indices
     from above one by one, so the nullity test holds only at the indices;
     the certificate alone passes bases of the wrong degrees.  The nullity
     test needs only the indices and goes first, so a rejection by it costs
     one values-only SVD."""
     guess, _, steps = _staircase(*stack)
-    if len(guess) != nullity or max(guess) > cap:
+    if len(guess) != nullity:
         return None
     top = max(guess)
     conv = _convolution_matrix(stack, top)
@@ -428,10 +400,13 @@ def _gated_basis(stack, nullity, cap) -> MinimalBasisResult | None:
     return res if certify_minimal_basis(res, *stack)["ok"] else None
 
 
-def _sweep(stack, nullity, cap) -> list:
-    """[(degree, coefficients)] of the basis from every degree up to the last
-    index; a degree's nullity comes from its singular values, and the null
-    vectors are taken only where that nullity adds some."""
+def _sweep(stack, nullity) -> list:
+    """[(degree, coefficients)] of the pencil's right basis from every degree
+    up to the last index; a degree's nullity comes from its singular values,
+    and the null vectors are taken only where that nullity adds some.  Pencil
+    minimal indices never exceed the rank, so the dimension sum caps the
+    degree."""
+    cap = sum(stack.shape[1:])
     found = []
     prev_nullity = 0
     for delta in range(cap + 1):

@@ -80,6 +80,8 @@ class PolyMatrix:
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.ndim != 3:
             raise DimensionError(f"coefficient stack must be 3-D, got ndim={arr.ndim}")
+        if arr.shape[0] == 0:
+            raise DimensionError("coefficient stack is empty: grade 0 needs one matrix")
         arr = np.array(arr, order="C")  # private copy, then freeze
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
@@ -227,6 +229,8 @@ class PolyMatrix:
         dropped coefficients to be exactly zero."""
         if grade >= self.grade:
             return self.pad_to_grade(grade)
+        if grade < 0:
+            raise DimensionError(f"cannot truncate to grade {grade}")
         deg = self.degree()
         if deg != NEG_INF and deg > grade:
             raise DimensionError(
@@ -239,11 +243,9 @@ class PolyMatrix:
         if deg != NEG_INF and g < deg:
             raise DimensionError(
                 f"reversal grade {g} below degree {int(deg)}: result not polynomial")
-        mono = self.to_monomial().with_grade(max(g, 0))
-        rev = mono.coeffs[g::-1] if g >= 0 else mono.coeffs[:0]
-        if rev.shape[0] == 0:
-            rev = np.zeros((1, self.rows, self.cols), dtype=complex)
-        return PolyMatrix(np.array(rev), Basis.MONOMIAL)
+        if g < 0:  # only the zero matrix gets here
+            return PolyMatrix.zero(self.rows, self.cols)
+        return PolyMatrix(self.to_monomial().with_grade(g).coeffs[::-1], Basis.MONOMIAL)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -391,47 +393,3 @@ def generic_rank(p: PolyMatrix, rng=None, samples: int = 5,
     rng = make_rng(rng)
     pts = unit_circle_points(rng, samples)
     return int(numerical_rank(p.eval(pts), rank_scale).max())
-
-
-def poly_adjugate(p: PolyMatrix) -> tuple:
-    """Adjugate and determinant of a square polynomial matrix as polynomial
-    objects, via the Faddeev-LeVerrier recurrence.
-
-    Purely polynomial arithmetic: exact zero structure in products is
-    preserved bit for bit, unlike evaluation-interpolation.
-    """
-    if p.rows != p.cols:
-        raise DimensionError("adjugate needs a square polynomial matrix")
-    n = p.rows
-    a = p.to_monomial()
-    eye = PolyMatrix.identity(n)
-    m_k = eye
-    c_k = _poly_trace(a) * (-1.0)
-    for k in range(2, n + 1):
-        m_k = (a @ m_k) + _scalar_blowup(c_k, n)
-        c_k = _poly_trace(a @ m_k) * (-1.0 / k)
-    det = c_k * ((-1.0) ** n)
-    adj = m_k * ((-1.0) ** (n - 1))
-    return adj, det
-
-
-def _poly_trace(p: PolyMatrix) -> PolyMatrix:
-    tr = np.trace(p.coeffs, axis1=1, axis2=2)
-    return PolyMatrix(tr.reshape(-1, 1, 1), Basis.MONOMIAL)
-
-
-def scalar_multiply(c: PolyMatrix, p: PolyMatrix) -> PolyMatrix:
-    """Entrywise product of a matrix with a 1x1 polynomial (monomial basis)."""
-    if c.shape != (1, 1):
-        raise DimensionError("scalar_multiply needs a 1x1 first operand")
-    a = c.to_monomial()
-    b = p.to_monomial()
-    out = np.zeros((a.grade + b.grade + 1, b.rows, b.cols), dtype=complex)
-    for i in range(a.grade + 1):
-        out[i:i + b.grade + 1] += a.coeffs[i, 0, 0] * b.coeffs
-    return PolyMatrix(out, Basis.MONOMIAL)
-
-
-def _scalar_blowup(c: PolyMatrix, n: int) -> PolyMatrix:
-    stack = c.coeffs[:, 0, 0][:, None, None] * np.eye(n)[None, :, :]
-    return PolyMatrix(stack, Basis.MONOMIAL)

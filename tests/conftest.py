@@ -77,6 +77,41 @@ def planted_kronecker(rng, eps, eta, t) -> tuple:
     return p @ l0 @ q, p @ l1 @ q
 
 
+def prescribed_realization(rng, eps, eta, k, grade_a, grade_d,
+                           basis_a=Basis.MONOMIAL,
+                           basis_d=Basis.MONOMIAL) -> Realization:
+    """Realization of R = U diag(L_eps_1, ..., L_eta^T, d_i + c_i b_i / a_i) V
+    with constant random U and V, so that R has exactly the right minimal
+    indices eps and the left minimal index eta (De Terán, Dopico & Van
+    Dooren, SIMAX 36, 2015).  A = diag(a_i), C = U E diag(c_i),
+    B = diag(b_i) F V and D = U blockdiag(L blocks, diag(d_i)) V, with E and
+    F placing the k scalar entries last; a_i and c_i have grade_a in basis_a,
+    b_i and d_i grade_d >= 1 in basis_d.  The L blocks have the same
+    coefficients in both bases, as T_1 = lambda."""
+    if grade_d < 1:
+        raise ValueError("the L blocks need grade_d >= 1")
+    blocks = [l_block(e) for e in eps] + [tuple(x.T for x in l_block(eta))]
+    p = sum(b[0].shape[0] for b in blocks) + k
+    m = sum(b[0].shape[1] for b in blocks) + k
+    u = random_polymatrix(rng, 0, p, p).coeffs[0]
+    v = random_polymatrix(rng, 0, m, m).coeffs[0]
+    a, c = (random_polymatrix(rng, grade_a, 1, k).coeffs[:, 0] for _ in range(2))
+    b, d = (random_polymatrix(rng, grade_d, 1, k).coeffs[:, 0] for _ in range(2))
+    middle = np.zeros((grade_d + 1, p, m), dtype=complex)
+    row = col = 0
+    for block in blocks:
+        rows, cols = block[0].shape
+        middle[:2, row:row + rows, col:col + cols] = block
+        row, col = row + rows, col + cols
+    middle[:, row:, col:] = d[:, :, None] * np.eye(k)
+    diag = np.eye(k)[None]
+    return Realization(
+        A=PolyMatrix(a[:, :, None] * diag, basis_a),
+        B=PolyMatrix(b[:, :, None] * diag @ v[col:], basis_d),
+        C=PolyMatrix(u[:, row:] @ (c[:, :, None] * diag), basis_a),
+        D=PolyMatrix(u @ middle @ v, basis_d))
+
+
 # -- test oracles: computed apart from the library's own spectral path -----
 
 def poly_det_coeffs(p: PolyMatrix) -> np.ndarray:

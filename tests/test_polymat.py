@@ -105,6 +105,22 @@ def test_to_monomial_matches_cheb2poly(grade):
     assert np.max(np.abs(p.to_monomial().coeffs - want)) <= 1e-13 * 2.0 ** grade
 
 
+class TestEmptyStack:
+    def test_empty_stack_rejected(self):
+        with pytest.raises(DimensionError):
+            PolyMatrix(np.zeros((0, 2, 2)))
+
+    def test_with_grade_never_empties(self):
+        with pytest.raises(DimensionError):
+            PolyMatrix.zero(2, 2, grade=2).with_grade(-1)
+
+    @pytest.mark.parametrize("g", [-1, 0])
+    def test_zero_matrix_reversal_keeps_one_coefficient(self, g):
+        q = PolyMatrix.zero(2, 3, grade=2, basis=Basis.CHEBYSHEV1).reversal(g)
+        assert q.coeffs.shape == (1, 2, 3) and q.is_zero()
+        assert q.basis is Basis.MONOMIAL
+
+
 class TestReversal:
     def test_pencil_swap(self):
         a0, a1 = np.ones((2, 2)), np.eye(2)

@@ -5,14 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratlin import eigsolve
+from ratlin import recover, verify
 from ratlin.eigsolve import rational_rank
 from ratlin.errors import PreconditionError
 from ratlin.linbuild import Realization, build, transfer_eval
 from ratlin.polymat import Basis, PolyMatrix
 from ratlin.verify import (FixtureSpec, _check_state_pencil_spectrum,
-                           cleared_matrix, gen_fixture, preset_cross_coupled,
-                           run_all)
+                           gen_fixture, preset_cross_coupled, run_all)
 
 from conftest import random_polymatrix
 
@@ -59,6 +58,11 @@ class TestGenFixture:
         with pytest.raises(PreconditionError):
             FixtureSpec(structure="bogus")
 
+    @pytest.mark.parametrize("grades", [{"grade_a": -1}, {"grade_d": -1}])
+    def test_negative_grade_rejected(self, grades):
+        with pytest.raises(PreconditionError):
+            FixtureSpec(**grades)
+
     def test_basis_flags_respected(self):
         spec = FixtureSpec(seed=3, basis_a=Basis.CHEBYSHEV1, basis_d=Basis.MONOMIAL)
         r = gen_fixture(spec)
@@ -104,6 +108,28 @@ class TestRunAll:
         assert by_name["nullvector-degree-law"].status == "pass"
         assert rep.passed
 
+    @pytest.mark.parametrize("side, name", [
+        ("right", "right-index-shift"), ("left", "left-index-match")])
+    @pytest.mark.parametrize("key", ["ok", "degree_consistent"])
+    def test_failed_certificate_fails_the_index_check(self, monkeypatch, side,
+                                                      name, key):
+        # the fixture of test_zero_column_activates_nullspace_checks, with one
+        # diagnostic of the recovered basis turned False
+        attr = f"recover_{side}_minimal_basis"
+        recover_basis = getattr(verify, attr)
+
+        def spoiled(sl, rng=None):
+            rec = recover_basis(sl, rng=rng)
+            return dataclasses.replace(rec, diagnostics={**rec.diagnostics,
+                                                         key: False})
+
+        monkeypatch.setattr(verify, attr, spoiled)
+        spec = FixtureSpec(seed=11, n=2, p=3, m=3, structure="zero-column-b")
+        rep = run_all(gen_fixture(spec), seed=4)
+        statuses = {e.name: e.status for e in rep.entries}
+        assert statuses[name] == "fail"
+        assert not rep.passed
+
     def test_unclassifiable_state_eigenvalues_reported(self):
         # C = 0: minimality collapses exactly at the state eigenvalues, which
         # the proxy samples; the report must carry the failure
@@ -138,20 +164,16 @@ class TestRunAll:
         assert by_name["eigenvector-recovery"].status == "pass"
 
     def test_singular_battery_sweeps_the_pencil_once_per_side(self, monkeypatch):
-        # p != m, so the pencil is not square and the transposed sweep inside
-        # a left-side call is not counted
         r = gen_fixture(FixtureSpec(seed=5, n=2, p=3, m=2,
                                     structure="rank-deficient-d"))
-        shape = build(r).shape
         sweeps = []
-        sweep = eigsolve.polymatrix_nullspace
+        nullspace = recover.polynomial_nullspace
 
-        def counting(p, side="right", **kw):
-            if p.shape == shape:
-                sweeps.append(side)
-            return sweep(p, side, **kw)
+        def counting(l0, l1, side="right", **kw):
+            sweeps.append(side)
+            return nullspace(l0, l1, side, **kw)
 
-        monkeypatch.setattr(eigsolve, "polymatrix_nullspace", counting)
+        monkeypatch.setattr(recover, "polynomial_nullspace", counting)
         by_name = {e.name: e for e in run_all(r, seed=1).entries}
         assert by_name["nullvector-degree-law"].status == "pass"
         assert by_name["left-index-match"].status == "pass"
@@ -184,15 +206,13 @@ class TestRunAll:
         assert by_name["eigenvector-recovery"].worst_residual <= 1e-12
 
     def test_no_outputs_gives_a_report(self):
-        # p = 0: the block-factor and cleared-matrix scales took np.max of
-        # the empty C and D
+        # p = 0: the block-factor scales took np.max of the empty C and D
         rep = run_all(_no_output_realization(), seed=1)
         by_name = {e.name: e.status for e in rep.entries}
         assert by_name["block-factor-identities"] == "pass"
         assert by_name["nullspace-dimension"] == "pass"
         # with C empty, [A; C] = A loses rank at the poles: not minimal
         assert by_name["minimality-proxy"] == "fail"
-        assert cleared_matrix(_no_output_realization()).shape == (0, 2)
 
     def test_deterministic_given_seed(self):
         spec = FixtureSpec(seed=21, n=2, p=2, m=2)
@@ -210,9 +230,10 @@ class TestRunAll:
         assert rep.passed
         assert elapsed < 60.0
 
-    def test_oracle_sweep_stops_at_the_budget(self):
-        # the left oracle index puts the pencil's left sweep over
-        # SWEEP_BUDGET; the oracle sweep used to run to it anyway (about 70 s)
+    def test_staircase_budget_skips_the_deep_left_side(self):
+        # the staircase's left index (81) puts the gate's convolution matrix,
+        # about 1 GB, over SWEEP_BUDGET, so the left side is skipped before
+        # any basis is computed
         import time
         spec = FixtureSpec(seed=1, n=12, p=12, m=12, grade_a=4, grade_d=4,
                            structure="rank-deficient-d")
@@ -276,18 +297,6 @@ class TestRunAll:
         assert all({"name", "status", "worstResidual"} <= set(c)
                    for c in obj["checks"])
         assert "overall" in rep.table()
-
-
-def test_cleared_matrix_is_det_times_transfer():
-    r = preset_cross_coupled()
-    cm = cleared_matrix(r)
-    lam = 1.3 + 0.7j
-    det_a = np.linalg.det(r.A.eval(lam))
-    want = det_a * transfer_eval(r, lam)
-    assert np.max(np.abs(cm.eval(lam) - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
-    # degree: det A has degree 3, D = I l^2 -> cleared degree 5... the
-    # off-diagonal couplings reach degree 6
-    assert cm.degree() == 6
 
 
 SAME_RESULTS = Path(__file__).parent / "data" / "same_results_seed1_n2_g2.json"
