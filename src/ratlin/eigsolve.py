@@ -29,6 +29,10 @@ INF_BETA_TOL = 1e-12
 STAIRCASE_SCALE = 1e6
 RANK_SAMPLES = 5   # sample points of rational_rank
 DEGREE_TOL = 1e-8  # relative norm below which a coefficient row is zero
+# certificate residual above which a back-substituted basis goes to the
+# sweep: a tenth of the certificate's own 1e-10, so that the basis of R
+# sliced from it still meets 1e-10
+GATE_RESIDUAL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,8 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
     (transposed on the left side) and kept if it passes the gate of
     `_gated_basis`: its count is the nullity, the convolution matrix at the
     top degree has the nullity those degrees predict, and
-    `certify_minimal_basis` passes.  A rejected basis is replaced by the
+    `certify_minimal_basis` passes with a residual within GATE_RESIDUAL.
+    A rejected basis is replaced by the
     degree sweep: for each candidate degree the block convolution matrix of
     the pencil is formed, and new nullspace directions are those orthogonal
     to shifts of the lower-degree basis vectors, until the count matches the
@@ -388,7 +393,10 @@ def _gated_basis(stack, nullity) -> MinimalBasisResult | None:
     from above one by one, so the nullity test holds only at the indices;
     the certificate alone passes bases of the wrong degrees.  The nullity
     test needs only the indices and goes first, so a rejection by it costs
-    one values-only SVD."""
+    one values-only SVD.  The certificate's residual must also be within
+    GATE_RESIDUAL: back-substitution divides by singular values down to the
+    staircase's cutoff, and where they are small it can lose five digits
+    that the sweep keeps."""
     guess, _, steps = _staircase(*stack)
     if len(guess) != nullity:
         return None
@@ -397,7 +405,8 @@ def _gated_basis(stack, nullity) -> MinimalBasisResult | None:
     if conv.shape[1] - numerical_rank(conv) != sum(top - d + 1 for d in guess):
         return None
     res = _basis_result(_back_substitute(steps), stack.shape[2])
-    return res if certify_minimal_basis(res, *stack)["ok"] else None
+    cert = certify_minimal_basis(res, *stack)
+    return res if cert["ok"] and cert["residual"] <= GATE_RESIDUAL else None
 
 
 def _sweep(stack, nullity) -> list:

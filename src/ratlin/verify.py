@@ -287,8 +287,10 @@ def _check_nullspaces(sl, rng) -> list:
     `minimality-proxy` and `nullspace-dimension` check the hypotheses.
     SWEEP_BUDGET bounds the gate's convolution matrix at the top pencil
     index, whose column count is pencil width x (index + 1): a side is
-    skipped (not failed) when `_staircase` finds no index on it or when
-    width x (top index + 2) is over the budget.
+    skipped (not failed) when the indices `_staircase` finds on it do not
+    number its nullity or when width x (top index + 2) is over the budget.
+    The budget takes the staircase's top index on trust, so a side whose
+    indices number the nullity but fail the gate can still sweep past it.
     """
     r = sl.realization
     # loosened like the pencil sweep's own rank (see polynomial_nullspace)
@@ -320,7 +322,8 @@ def _check_index_side(sl, side, nullity, rng) -> list:
         return skipped
     l0, l1 = (sl.L0, sl.L1) if right else (sl.L0.T, sl.L1.T)
     indices = _staircase(l0, l1)[0]
-    if not indices or l0.shape[1] * (max(indices) + 2) > SWEEP_BUDGET:
+    if (len(indices) != nullity
+            or l0.shape[1] * (max(indices) + 2) > SWEEP_BUDGET):
         return skipped
     recover_basis = (recover_right_minimal_basis if right
                      else recover_left_minimal_basis)

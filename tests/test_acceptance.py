@@ -277,25 +277,35 @@ def prescribed_fixture_pool():
 
 
 def test_criterion_6_minimal_index_shift_law():
+    # the prescribed pool is checked against its indices; both pools are
+    # certified, with no independent reference needed for the singular one
     for j, eps, eta, r, sl in prescribed_fixture_pool():
         rng = np.random.default_rng(j)
         right = recover_right_minimal_basis(sl, rng=rng)
         assert right.basis_r.indices == eps, (j, right.basis_r.indices, eps)
-        assert right.basis_l.indices == [e + sl.rho_d for e in eps]
-
         left = recover_left_minimal_basis(sl, rng=rng)
-        assert left.basis_r.indices == left.basis_l.indices == [eta], \
-            (j, left.basis_r.indices, eta)
-
-        for rec in (right, left):
-            # the pencil basis is held to the certificate's 1e-10; the sliced
-            # basis of R to the library's own gate, 1e-8 (the accepted left
-            # basis of input 11 has residual 2.5e-10 there)
-            d = rec.diagnostics
-            assert d["ok"] and d["degree_consistent"], d
-            cert = certify_minimal_basis(rec.basis_l, sl.L0, sl.L1, rng=rng)
-            assert cert["residual"] <= 1e-10 and cert["ok"], cert
+        assert left.basis_r.indices == [eta], (j, left.basis_r.indices, eta)
+        _assert_index_shift_certified(right, left, sl, rng)
+    for spec, r, sl in singular_fixture_pool():
+        rng = np.random.default_rng(spec.seed)
+        right = recover_right_minimal_basis(sl, rng=rng)
+        left = recover_left_minimal_basis(sl, rng=rng)
+        _assert_index_shift_certified(right, left, sl, rng)
     report(6, "minimal index shift law")
+
+
+def _assert_index_shift_certified(right, left, sl, rng):
+    """The index shifts between the bases of R and of the pencil, and the
+    certificates of all four bases at 1e-10."""
+    assert right.basis_l.indices == [e + sl.rho_d for e in right.basis_r.indices]
+    assert left.basis_l.indices == left.basis_r.indices
+    for rec in (right, left):
+        d = rec.diagnostics
+        assert d["nullspace_residual"] <= 1e-10, d
+        assert d["pointwise_full_rank"] and d["reduced_full_rank"], d
+        assert d["degree_consistent"], d
+        cert = certify_minimal_basis(rec.basis_l, sl.L0, sl.L1, rng=rng)
+        assert cert["residual"] <= 1e-10 and cert["ok"], cert
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)

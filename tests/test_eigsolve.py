@@ -461,6 +461,23 @@ class TestPolynomialNullspace:
                 sides += 1
         assert sides
 
+    @pytest.mark.parametrize("residual, swept", [
+        (eigsolve.GATE_RESIDUAL, False), (2 * eigsolve.GATE_RESIDUAL, True)])
+    def test_certified_basis_over_the_gate_residual_is_swept(
+            self, monkeypatch, residual, swept):
+        # a certificate that passes at its own 1e-10 with a residual over
+        # GATE_RESIDUAL sends the side to the sweep
+        l0, l1 = _kronecker_pencil()
+        certify = eigsolve.certify_minimal_basis
+        monkeypatch.setattr(eigsolve, "certify_minimal_basis", lambda *args: {
+            **certify(*args), "residual": residual})
+        calls = []
+        sweep = eigsolve._sweep
+        monkeypatch.setattr(eigsolve, "_sweep",
+                            lambda *args: calls.append(1) or sweep(*args))
+        assert polynomial_nullspace(l0, l1, "right").indices == [0, 1, 3]
+        assert bool(calls) == swept
+
     @pytest.mark.parametrize("structure", STRUCTURES[1:])
     @pytest.mark.parametrize("basis_a, basis_d", list(product(Basis, Basis)))
     def test_seed1_pencil_sides_need_no_sweep(self, monkeypatch, structure,

@@ -130,6 +130,37 @@ class TestRunAll:
         assert statuses[name] == "fail"
         assert not rep.passed
 
+    @pytest.mark.parametrize("side, names, other", [
+        ("right", ["right-index-shift", "nullvector-degree-law"],
+         "left-index-match"),
+        ("left", ["left-index-match"], "right-index-shift")])
+    def test_staircase_count_off_the_nullity_skips_the_side(
+            self, monkeypatch, side, names, other):
+        # with one index more than the nullity the staircase's top index says
+        # nothing of the sweep's depth, so the side is skipped before any
+        # basis is recovered; run_all asks for the right side's staircase first
+        staircase = verify._staircase
+        calls = []
+
+        def spoiled(l0, l1):
+            indices, *rest = staircase(l0, l1)
+            calls.append(side)
+            if len(calls) == (1 if side == "right" else 2):
+                indices = indices + [0]
+            return (indices, *rest)
+
+        def refuse(sl, rng=None):
+            raise AssertionError(f"{side} basis recovered")
+
+        monkeypatch.setattr(verify, "_staircase", spoiled)
+        monkeypatch.setattr(verify, f"recover_{side}_minimal_basis", refuse)
+        spec = FixtureSpec(seed=11, n=2, p=3, m=3, structure="zero-column-b")
+        statuses = {e.name: e.status
+                    for e in run_all(gen_fixture(spec), seed=4).entries}
+        assert len(calls) == 2
+        assert all(statuses[name] == "skipped" for name in names), statuses
+        assert statuses[other] == "pass", statuses
+
     def test_unclassifiable_state_eigenvalues_reported(self):
         # C = 0: minimality collapses exactly at the state eigenvalues, which
         # the proxy samples; the report must carry the failure
