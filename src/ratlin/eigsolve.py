@@ -312,11 +312,11 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
     `_gated_basis`: its count is the nullity, the convolution matrix at the
     top degree has the nullity those degrees predict, and
     `certify_minimal_basis` passes with a residual within GATE_RESIDUAL.
-    A rejected basis is replaced by the
-    degree sweep: for each candidate degree the block convolution matrix of
-    the pencil is formed, and new nullspace directions are those orthogonal
-    to shifts of the lower-degree basis vectors, until the count matches the
-    nullity of the pencil over the rational functions.  Either way the
+    A rejected basis is replaced by the degree sweep: for each candidate
+    degree the block convolution matrix of the pencil is formed, and new
+    nullspace directions are those orthogonal to shifts of the lower-degree
+    basis vectors, until the count matches the nullity of the pencil over
+    the rational functions.  Either way the
     output is deterministic.
     """
     if side not in ("right", "left"):

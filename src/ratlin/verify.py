@@ -290,7 +290,7 @@ def _check_nullspaces(sl, rng) -> list:
     skipped (not failed) when the indices `_staircase` finds on it do not
     number its nullity or when width x (top index + 2) is over the budget.
     The budget takes the staircase's top index on trust, so a side whose
-    indices number the nullity but fail the gate can still sweep past it.
+    indices number the nullity but are wrong can still sweep past it.
     """
     r = sl.realization
     # loosened like the pencil sweep's own rank (see polynomial_nullspace)
