@@ -6,11 +6,13 @@ minimal bases.  One column-compression staircase gives a pencil's right
 minimal indices, a basis of those degrees by back-substitution through its
 own transforms, and its Jordan block sizes at 0, which are the local
 partial multiplicities and, on reversed pencils, the invariant orders at
-infinity.  A back-substituted basis is kept only when it passes a gate
-(count, the nullity of one convolution matrix, and the certificate);
-otherwise a degree-sweep convolution method gives the basis.  Only pencils
-are handled: a polynomial matrix of higher grade gets its nullspace through
-a linearization.
+infinity.  A back-substituted basis is kept only when it passes a gate: its
+count, a second staircase at the fixed shift lambda -> lambda + SHIFT that
+reads the same indices and a basis differing from it by a unimodular factor,
+and the certificate.  Where the two readings differ, the nullity of one
+convolution matrix decides as before; a rejected basis is replaced by a
+degree-sweep convolution method.  Only pencils are handled: a polynomial
+matrix of higher grade gets its nullspace through a linearization.
 """
 
 import math
@@ -33,6 +35,12 @@ DEGREE_TOL = 1e-8  # relative norm below which a coefficient row is zero
 # sweep: a tenth of the certificate's own 1e-10, so that the basis of R
 # sliced from it still meets 1e-10
 GATE_RESIDUAL = 1e-11
+# the gate's second staircase reads lambda L1 + L0 at lambda + SHIFT; minimal
+# indices do not change under the shift (Van Dooren, LAA 27, 1979)
+SHIFT = np.exp(2j)
+# relative gap between det U(0) and det U(SHIFT), U the transition between the
+# two readings' bases, above which the transition is taken as not unimodular
+MODULE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -304,30 +312,32 @@ def rational_rank(sl: StructuredLinearization, rng=None) -> int:
 
 
 def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
-                         rng=None) -> MinimalBasisResult:
+                         rng=None, reading=None) -> MinimalBasisResult:
     """Minimal polynomial nullspace basis of a pencil.
 
-    The basis is back-substituted through the pencil's `_staircase`
-    (transposed on the left side) and kept if it passes the gate of
-    `_gated_basis`: its count is the nullity, the convolution matrix at the
-    top degree has the nullity those degrees predict, and
-    `certify_minimal_basis` passes with a residual within GATE_RESIDUAL.
-    A rejected basis is replaced by the degree sweep: for each candidate
-    degree the block convolution matrix of the pencil is formed, and new
-    nullspace directions are those orthogonal to shifts of the lower-degree
-    basis vectors, until the count matches the nullity of the pencil over
-    the rational functions.  Either way the
+    The basis is back-substituted through `reading`, the pencil's
+    `_staircase` at 0 on the stack of `side_stack` (run here when not given;
+    a linearization keeps one per side), and kept if it passes the gate of
+    `_gated_basis`: its count is the nullity, a second staircase at the shift
+    SHIFT reads the same indices and a basis that spans the same polynomial
+    module (or else the convolution matrix at the top degree has the nullity
+    those degrees predict), and `certify_minimal_basis` passes with a
+    residual within GATE_RESIDUAL.  A rejected basis is replaced by the
+    degree sweep: for each candidate degree the block convolution matrix of
+    the pencil is formed, and new nullspace directions are those orthogonal
+    to shifts of the lower-degree basis vectors, until the count matches the
+    nullity of the pencil over the rational functions.  Either way the
     output is deterministic.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
-    stack = np.stack([np.asarray(l0, dtype=complex), np.asarray(l1, dtype=complex)])
+    stack = side_stack(l0, l1, "right")
     # the cutoff is loosened a couple of orders beyond machine epsilon so
     # pencils assembled from computed data (structural zeros only exact to
     # roundoff) are still judged correctly
     rank = generic_rank(PolyMatrix(stack), rng, rank_scale=100.0)
     if side == "left":
-        stack = np.ascontiguousarray(stack.transpose(0, 2, 1))
+        stack = side_stack(l0, l1, side)
     cols = stack.shape[2]
     nullity = cols - rank
     if nullity == 0:
@@ -335,13 +345,21 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
             vectors=PolyMatrix(np.zeros((1, cols, 0), dtype=complex)),
             indices=[], side="right")
     else:
-        res = _gated_basis(stack, nullity)
+        res = _gated_basis(stack, nullity, _staircase(*stack) if reading is None
+                           else reading)
         if res is None:
             res = _basis_result(_sweep(stack, nullity), cols)
     if side == "left":
         return MinimalBasisResult(vectors=res.vectors.T, indices=res.indices,
                                   side="left")
     return res
+
+
+def side_stack(l0: np.ndarray, l1: np.ndarray, side: str) -> np.ndarray:
+    """The contiguous (2, rows, cols) coefficient stack whose right nullspace
+    is the pencil's nullspace on `side`: the pencil, or its transpose."""
+    stack = np.stack([np.asarray(l0, dtype=complex), np.asarray(l1, dtype=complex)])
+    return stack if side == "right" else np.ascontiguousarray(stack.transpose(0, 2, 1))
 
 
 def _basis_result(found, cols) -> MinimalBasisResult:
@@ -384,29 +402,49 @@ def _back_substitute(steps) -> list:
     return [(d, vecs[: d + 1, :, j]) for j, d in enumerate(degrees)]
 
 
-def _gated_basis(stack, nullity) -> MinimalBasisResult | None:
-    """The pencil's right basis back-substituted through its `_staircase`,
-    or None unless the gate passes: the staircase's indices number the
-    nullity; the convolution matrix at the top index D has nullity
-    sum(D - d_i + 1); and `certify_minimal_basis` passes with its own
-    generator.  A certified basis has degrees bounding the minimal indices
-    from above one by one, so the nullity test holds only at the indices;
-    the certificate alone passes bases of the wrong degrees.  The nullity
-    test needs only the indices and goes first, so a rejection by it costs
-    one values-only SVD.  The certificate's residual must also be within
-    GATE_RESIDUAL: back-substitution divides by singular values down to the
-    staircase's cutoff, and where they are small it can lose five digits
-    that the sweep keeps."""
-    guess, _, steps = _staircase(*stack)
+def _gated_basis(stack, nullity, reading) -> MinimalBasisResult | None:
+    """The pencil's right basis back-substituted through `reading`, its
+    `_staircase` at 0, or None unless the gate passes: the reading's indices
+    number the nullity; the staircase of the pencil shifted to lambda + SHIFT
+    reads the same indices and a basis differing from this one by a
+    unimodular factor (`_same_module`), or else the convolution matrix at the
+    top index D has nullity sum(D - d_i + 1); and `certify_minimal_basis`
+    passes with its own generator.  A reading at a point can take
+    eigenvalues near that point for higher indices, with vectors that still
+    pass the certificate; the second reading is misled only by eigenvalues
+    near SHIFT, and where both are misled their bases vanish at different
+    points.  A certified basis has degrees bounding the minimal indices from
+    above one by one, so the convolution nullity holds only at the indices.
+    The certificate's residual must also be within GATE_RESIDUAL:
+    back-substitution divides by singular values down to the staircase's
+    cutoff, and where they are small it can lose five digits that the sweep
+    keeps."""
+    guess, _, steps = reading
     if len(guess) != nullity:
         return None
-    top = max(guess)
-    conv = _convolution_matrix(stack, top)
-    if conv.shape[1] - numerical_rank(conv) != sum(top - d + 1 for d in guess):
-        return None
     res = _basis_result(_back_substitute(steps), stack.shape[2])
+    shifted, _, shifted_steps = _staircase(stack[0] + SHIFT * stack[1], stack[1])
+    if shifted != guess or not _same_module(res, shifted_steps):
+        top = max(guess)
+        conv = _convolution_matrix(stack, top)
+        if conv.shape[1] - numerical_rank(conv) != sum(top - d + 1 for d in guess):
+            return None
     cert = certify_minimal_basis(res, *stack)
     return res if cert["ok"] and cert["residual"] <= GATE_RESIDUAL else None
+
+
+def _same_module(res: MinimalBasisResult, shifted_steps) -> bool:
+    """Whether the basis V of `res` and the basis W(lambda - SHIFT)
+    back-substituted through `shifted_steps`, of the same degrees, differ by
+    a unimodular factor: V = W U with det U constant, tested as det U(0) =
+    det U(SHIFT) within MODULE_TOL.  Two minimal bases always do; a basis
+    that vanishes at a point z, where the readings took an eigenvalue for a
+    higher index, puts a factor (lambda - z) in det U."""
+    w = _basis_result(_back_substitute(shifted_steps), res.vectors.rows).vectors
+    pts = np.array([0.0, SHIFT])
+    u = np.linalg.pinv(w.eval(pts - SHIFT)) @ res.vectors.eval(pts)
+    at0, at_shift = np.linalg.det(u)
+    return bool(abs(at0 - at_shift) <= MODULE_TOL * abs(at_shift))
 
 
 def _sweep(stack, nullity) -> list:

@@ -170,6 +170,19 @@ class StructuredLinearization:
                                  self.grade_a, self.grade_d)
 
     @cached_property
+    def _staircases(self) -> dict:
+        return {}
+
+    def staircase(self, side: str) -> tuple:
+        """`eigsolve._staircase` at 0 of the pencil's coefficient stack on
+        `side` ("right", or "left" for the transpose), run once per side on
+        first use."""
+        if side not in self._staircases:
+            from .eigsolve import _staircase, side_stack  # eigsolve imports this module
+            self._staircases[side] = _staircase(*side_stack(self.L0, self.L1, side))
+        return self._staircases[side]
+
+    @cached_property
     def eigenpairs(self) -> dict:
         """Recovered pair at each finite eigenvalue of `spectrum` off the
         poles whose slice is nonzero, keyed by the eigenvalue; built once on
@@ -400,19 +413,22 @@ def sample_points(r: Realization, rng, count: int, step: float,
     Try k draws one point on the unit circle and scales it by 1 + step * k,
     so repeated misses move outward; a point is kept when cond(A(z)) is at
     most `cond_max` (if given) and A(z) passes `require_invertible`, so R(z)
-    can be evaluated there.  At most `max_tries` points are drawn.
+    can be evaluated there.  At most `max_tries` points are drawn.  The
+    tries go in batches of as many as points are still missing, each from
+    one stacked evaluation and SVD, so no try is drawn that a try-by-try
+    loop would not draw.
     """
     out = []
-    for k in range(max_tries):
-        if len(out) == count:
-            break
-        z = unit_circle_points(rng, 1)[0] * (1.0 + step * k)
-        try:
-            sv = require_invertible(r.A.eval(z), z)
-        except PoleError:
-            continue  # sampled a pole; try another radius
-        if cond_max is None or sv[0] / sv[-1] <= cond_max:
-            out.append(z)
+    k = 0
+    while len(out) < count and k < max_tries:
+        tries = np.arange(k, min(k + count - len(out), max_tries))
+        zs = unit_circle_points(rng, tries.size) * (1.0 + step * tries)
+        sv = np.linalg.svd(r.A.eval(zs), compute_uv=False)
+        ok = ~_singular(sv)
+        if cond_max is not None:
+            ok[ok] = sv[ok, 0] / sv[ok, -1] <= cond_max
+        out.extend(zs[ok])
+        k += tries.size
     return out
 
 

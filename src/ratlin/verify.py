@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import RESIDUAL_TOL, make_rng
 from .errors import PreconditionError, RatlinError
-from .eigsolve import (MinimalBasisResult, _staircase, classify, rational_rank,
+from .eigsolve import (MinimalBasisResult, classify, rational_rank,
                        vector_degree)
 from .linbuild import (Realization, StructuredLinearization, build,
                        sample_points, system_eval)
@@ -285,12 +285,13 @@ def _check_nullspaces(sl, rng) -> list:
     those points and at 0.  The pencil's indices are certified in turn, by
     the gate of `polynomial_nullspace` or by its sweep, and
     `minimality-proxy` and `nullspace-dimension` check the hypotheses.
-    SWEEP_BUDGET bounds the gate's convolution matrix at the top pencil
-    index, whose column count is pencil width x (index + 1): a side is
-    skipped (not failed) when the indices `_staircase` finds on it do not
-    number its nullity or when width x (top index + 2) is over the budget.
-    The budget takes the staircase's top index on trust, so a side whose
-    indices number the nullity but are wrong can still sweep past it.
+    SWEEP_BUDGET bounds the convolution matrices of the gate's fallback and
+    of the sweep, whose column count at the top pencil index is pencil
+    width x (index + 1): a side is skipped (not failed) when the indices of
+    its staircase at 0, `sl.staircase(side)`, which the gate reads as well,
+    do not number its nullity or when width x (top index + 2) is over the
+    budget.  The budget takes the staircase's top index on trust, so a side
+    whose indices number the nullity but are wrong can still sweep past it.
     """
     r = sl.realization
     # loosened like the pencil sweep's own rank (see polynomial_nullspace)
@@ -320,10 +321,9 @@ def _check_index_side(sl, side, nullity, rng) -> list:
     skipped = [_skip(name)] + ([_skip("nullvector-degree-law")] if right else [])
     if nullity <= 0:
         return skipped
-    l0, l1 = (sl.L0, sl.L1) if right else (sl.L0.T, sl.L1.T)
-    indices = _staircase(l0, l1)[0]
-    if (len(indices) != nullity
-            or l0.shape[1] * (max(indices) + 2) > SWEEP_BUDGET):
+    indices = sl.staircase(side)[0]
+    width = sl.shape[1 if right else 0]
+    if len(indices) != nullity or width * (max(indices) + 2) > SWEEP_BUDGET:
         return skipped
     recover_basis = (recover_right_minimal_basis if right
                      else recover_left_minimal_basis)

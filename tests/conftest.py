@@ -60,16 +60,18 @@ def l_block(eps: int) -> tuple:
     return np.roll(eye, 1, axis=1), eye
 
 
-def planted_kronecker(rng, eps, eta, t) -> tuple:
+def planted_kronecker(rng, eps, eta, t, centres=(0.0,)) -> tuple:
     """(L0, L1) of lambda L1 + L0 with right minimal indices eps, left
-    minimal index eta and three 1 x 1 blocks lambda - t_j, t_j = +-t, under
-    a random orthogonal equivalence drawn from rng.  Small |t| puts finite
-    eigenvalues next to the 0 that the staircase compresses at."""
+    minimal index eta and, for each centre c, three 1 x 1 blocks
+    lambda - c - t_j, t_j = +-t, under a random orthogonal equivalence drawn
+    from rng.  Small |t| puts finite eigenvalues next to the centres; a
+    staircase at 0 compresses at the centre 0."""
     blocks = [l_block(e) for e in eps]
     l0, l1 = l_block(eta)
     blocks.append((l0.T, l1.T))
-    blocks += [(np.array([[-t * s]]), np.ones((1, 1)))
-               for s in rng.choice([-1.0, 1.0], size=3)]
+    for c in centres:
+        blocks += [(np.array([[-c - t * s]]), np.ones((1, 1)))
+                   for s in rng.choice([-1.0, 1.0], size=3)]
     l0 = scipy.linalg.block_diag(*[b[0] for b in blocks])
     l1 = scipy.linalg.block_diag(*[b[1] for b in blocks])
     p, _ = np.linalg.qr(rng.standard_normal((l0.shape[0],) * 2))

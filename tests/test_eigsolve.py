@@ -493,21 +493,69 @@ class TestPolynomialNullspace:
                   for side in ("right", "left")]
         assert sum(counts) > 0
 
-    @pytest.mark.parametrize("t", [1.0, 0.12, 1e-3])
+    @pytest.mark.parametrize("t, near_shift", [
+        (1.0, False), (0.12, False), (1e-3, False), (0.03, True), (1e-3, True)])
     @settings(derandomize=True, max_examples=20, deadline=None, database=None)
     @given(eps=st.lists(st.integers(0, 5), min_size=3, max_size=3).filter(
                lambda eps: sum(eps) <= 14),
            eta=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
-    def test_planted_indices_on_both_sides(self, t, eps, eta, seed):
+    def test_planted_indices_on_both_sides(self, t, near_shift, eps, eta, seed):
         # at |t| = 1e-3 the staircase's indices are mostly wrong while its
-        # vectors still pass the certificate; the convolution nullity test
-        # sends those sides to the sweep
+        # vectors still pass the certificate; the shifted reading differs and
+        # the convolution nullity test sends those sides to the sweep.  With
+        # eigenvalues next to SHIFT as well both readings can be wrong alike,
+        # and the transition between their bases is not unimodular
         eta = min(eta, 14 - sum(eps))  # at most 20 x 20
-        l0, l1 = planted_kronecker(np.random.default_rng(seed), eps, eta, t)
+        centres = (0.0, eigsolve.SHIFT) if near_shift else (0.0,)
+        l0, l1 = planted_kronecker(np.random.default_rng(seed), eps, eta, t,
+                                   centres)
         for side, want in (("right", sorted(eps)), ("left", [eta])):
             res = polynomial_nullspace(l0, l1, side)
             assert res.indices == want
             assert certify_minimal_basis(res, l0, l1)["ok"]
+
+    @pytest.mark.parametrize("module_test", [True, False])
+    def test_agreeing_misread_is_caught_by_the_transition(self, monkeypatch,
+                                                          module_test):
+        # both readings give 5 for the planted left index 4, and the
+        # certificate passes that basis; only the transition test refuses it
+        l0, l1 = planted_kronecker(np.random.default_rng(0), [2, 3, 4], 4,
+                                   1e-3, centres=(0.0, eigsolve.SHIFT))
+        stack = _pencil_stack(l0, l1, "left")
+        reading = eigsolve._staircase(*stack)
+        shifted = eigsolve._staircase(stack[0] + eigsolve.SHIFT * stack[1], stack[1])
+        assert reading[0] == shifted[0] == [5]
+        if not module_test:
+            monkeypatch.setattr(eigsolve, "_same_module", lambda *args: True)
+        res = polynomial_nullspace(l0, l1, "left")
+        assert res.indices == ([4] if module_test else [5])
+
+    @pytest.mark.parametrize("spoil_reading", [False, True])
+    def test_disagreeing_shifted_reading_runs_the_convolution_test(
+            self, monkeypatch, spoil_reading):
+        # a shifted reading that disagrees sends the side to the convolution
+        # nullity test: it keeps the true reading's basis and refutes a
+        # reading one degree too high, whose side then gets the sweep's basis
+        sl = build(gen_fixture(FixtureSpec(seed=4, structure="zero-column-b")))
+        stack = _pencil_stack(sl.L0, sl.L1, "right")
+        guess, sizes, steps = reading = eigsolve._staircase(*stack)
+        kept = polynomial_nullspace(sl.L0, sl.L1, "right", rng=2)
+        if spoil_reading:
+            reading = (guess[:-1] + [guess[-1] + 1], sizes, steps)
+            want = eigsolve._basis_result(
+                eigsolve._sweep(stack, len(guess)), stack.shape[2])
+        else:
+            want = kept
+        # the shifted reading finds no index, as on the deep sides
+        monkeypatch.setattr(eigsolve, "_staircase", lambda l0, l1: ([], [], []))
+        conv = eigsolve._convolution_matrix
+        tops = []
+        monkeypatch.setattr(eigsolve, "_convolution_matrix",
+                            lambda st, delta: tops.append(delta) or conv(st, delta))
+        got = polynomial_nullspace(sl.L0, sl.L1, "right", rng=2, reading=reading)
+        assert tops[0] == max(reading[0])
+        assert got.indices == want.indices == guess
+        assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
 
 
 def _pencil_stack(l0, l1, side) -> np.ndarray:

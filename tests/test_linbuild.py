@@ -360,6 +360,46 @@ class TestSamplePoints:
             unit_circle_points(ref, 1)
         assert rng.uniform() == ref.uniform()
 
+    @pytest.mark.parametrize("case, count, step, tries, cond_max", [
+        ("pole-first", 5, 0.07, 60, 1e6), ("pole-first", 3, 0.11, 50, None),
+        (4, 3, 0.07, 50, 6.0), (5, 5, 0.11, 50, 1e7), (6, 5, 0.05, 40, 1.0),
+        (7, 10, 0.07, 12, 2.0)])
+    def test_batches_match_the_try_by_try_loop(self, case, count, step, tries,
+                                               cond_max):
+        # the same points, and the generator left in the same state
+        seed = 11 if case == "pole-first" else case
+        if case == "pole-first":
+            # A(z) = diag(z - z0, z + 3), z0 the first try's point (radius 1)
+            z0 = unit_circle_points(np.random.default_rng(seed), 1)[0]
+            eye = PolyMatrix.identity(2)
+            r = Realization(A=PolyMatrix(np.array([np.diag([-z0, 3.0]), np.eye(2)])),
+                            B=eye, C=eye, D=eye)
+            with pytest.raises(PoleError):
+                require_invertible(r.A.eval(z0), z0)
+        else:
+            r = random_realization(case, n=3, grade_a=3)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_points(r, rng, count, step, tries, cond_max)
+        assert got == _pointwise_sample_points(r, ref, count, step, tries, cond_max)
+        assert rng.random() == ref.random()
+        if case == "pole-first":
+            assert got and z0 not in got
+
+
+def _pointwise_sample_points(r, rng, count, step, max_tries, cond_max):
+    """sample_points as one evaluation and one SVD per try."""
+    out = []
+    for k in range(max_tries):
+        if len(out) == count:
+            break
+        z = unit_circle_points(rng, 1)[0] * (1.0 + step * k)
+        try:
+            sv = require_invertible(r.A.eval(z), z)
+        except PoleError:
+            continue
+        if cond_max is None or sv[0] / sv[-1] <= cond_max:
+            out.append(z)
+    return out
 
 def test_system_matrix_schur_complement_is_transfer():
     r = random_realization(7, n=3, p=2, m=4, grade_a=2, grade_d=3)

@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratlin import recover, verify
+from ratlin import eigsolve, recover, verify
 from ratlin.eigsolve import rational_rank
 from ratlin.errors import PreconditionError
-from ratlin.linbuild import Realization, build, transfer_eval
+from ratlin.linbuild import (Realization, StructuredLinearization, build,
+                             transfer_eval)
 from ratlin.polymat import Basis, PolyMatrix
-from ratlin.verify import (FixtureSpec, _check_state_pencil_spectrum,
+from ratlin.verify import (STRUCTURES, FixtureSpec, _check_state_pencil_spectrum,
                            gen_fixture, preset_cross_coupled, run_all)
 
 from conftest import random_polymatrix
@@ -139,27 +140,50 @@ class TestRunAll:
         # with one index more than the nullity the staircase's top index says
         # nothing of the sweep's depth, so the side is skipped before any
         # basis is recovered; run_all asks for the right side's staircase first
-        staircase = verify._staircase
+        staircase = StructuredLinearization.staircase
         calls = []
 
-        def spoiled(l0, l1):
-            indices, *rest = staircase(l0, l1)
-            calls.append(side)
-            if len(calls) == (1 if side == "right" else 2):
-                indices = indices + [0]
-            return (indices, *rest)
+        def spoiled(sl, asked):
+            indices, *rest = staircase(sl, asked)
+            calls.append(asked)
+            return (indices + [0] if asked == side else indices, *rest)
 
         def refuse(sl, rng=None):
             raise AssertionError(f"{side} basis recovered")
 
-        monkeypatch.setattr(verify, "_staircase", spoiled)
+        monkeypatch.setattr(StructuredLinearization, "staircase", spoiled)
         monkeypatch.setattr(verify, f"recover_{side}_minimal_basis", refuse)
         spec = FixtureSpec(seed=11, n=2, p=3, m=3, structure="zero-column-b")
         statuses = {e.name: e.status
                     for e in run_all(gen_fixture(spec), seed=4).entries}
-        assert len(calls) == 2
+        assert calls[0] == "right" and "left" in calls
         assert all(statuses[name] == "skipped" for name in names), statuses
         assert statuses[other] == "pass", statuses
+
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_one_staircase_per_side_at_0_and_one_shifted(self, monkeypatch,
+                                                        structure):
+        # the budget and the gate share the linearization's staircase at 0;
+        # the gate adds the one at the shift, and nothing else runs one
+        staircase = eigsolve._staircase
+        calls = []
+
+        def counting(l0, l1):
+            calls.append((l0, l1))
+            return staircase(l0, l1)
+
+        monkeypatch.setattr(eigsolve, "_staircase", counting)
+        r = gen_fixture(FixtureSpec(seed=1, structure=structure))
+        statuses = {e.name: e.status for e in run_all(r, seed=1).entries}
+        assert statuses["right-index-shift"] == "pass", statuses
+        assert statuses["left-index-match"] == "pass", statuses
+        sl = build(r)
+        for side in ("right", "left"):
+            a, b = eigsolve.side_stack(sl.L0, sl.L1, side)
+            for origin in (a, a + eigsolve.SHIFT * b):
+                assert sum(np.array_equal(l0, origin) and np.array_equal(l1, b)
+                           for l0, l1 in calls) == 1, (side, len(calls))
+        assert len(calls) == 4
 
     def test_unclassifiable_state_eigenvalues_reported(self):
         # C = 0: minimality collapses exactly at the state eigenvalues, which
@@ -344,7 +368,6 @@ def same_results_record() -> dict:
     from ratlin.errors import RatlinError
     from ratlin.recover import (recover_left_minimal_basis,
                                 recover_right_minimal_basis)
-    from ratlin.verify import STRUCTURES
     out = {}
     for structure, ba, bd in product(STRUCTURES, Basis, Basis):
         r = gen_fixture(FixtureSpec(seed=1, structure=structure,

@@ -20,17 +20,21 @@ Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
   again, with the first column of the leading coefficient of A, or of B
   and D, zeroed: a rank-deficient leading coefficient gives orders at
   infinity other than -grade on 48 of these 64 inputs;
-- 40 seeded `scalar` equations.
+- 40 seeded `scalar` equations;
+- the 28 inputs of cycle 0 of the benchmark's `battery` workload at seeds 1
+  and 7919, from `perfbench/inputs.py` (imported, not copied).
 
-Each realization goes through `eigs`, `infinity`, `nullspace --side left`,
-`nullspace --side right`, `check` (all with `--json`), `linearize` and
-`linearize --output`.  Every run writes OUTDIR/<input>.<command>.txt with its
-exit code, stdout and stderr; `linearize --output` also writes its file to
-OUTDIR/<input>.pencil.json, named by a path relative to OUTDIR so that the
-`wrote ...` line is the same in every OUTDIR.  The inputs themselves go to
-OUTDIR/inputs/.  Two checkouts are at parity when `diff -r` of their output
-directories is empty.  BLAS is pinned to one thread unless the environment
-already says otherwise.  A run takes about a minute.
+Each realization except the `battery` ones goes through `eigs`, `infinity`,
+`nullspace --side left`, `nullspace --side right`, `check` (all with
+`--json`), `linearize` and `linearize --output`; the `battery` ones go
+through `check` and both `nullspace` runs.  Every run writes
+OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
+`linearize --output` also writes its file to OUTDIR/<input>.pencil.json,
+named by a path relative to OUTDIR so that the `wrote ...` line is the same
+in every OUTDIR.  The inputs themselves go to OUTDIR/inputs/.  Two checkouts
+are at parity when `diff -r` of their output directories is empty.  BLAS is
+pinned to one thread unless the environment already says otherwise.  A run
+takes 20 s to a minute on a 2-vCPU VM.
 """
 
 import contextlib
@@ -55,6 +59,8 @@ COMMANDS = {
     "check": ["check", "--json"],
 }
 SCALAR_COUNT = 40
+BATTERY_SEEDS = (1, 7919)
+BATTERY_COMMANDS = ("check", "nullspace-left", "nullspace-right")
 
 
 def realizations(verify, basis):
@@ -82,6 +88,16 @@ def realizations(verify, basis):
         spec = verify.FixtureSpec(seed=2, grade_a=grade, grade_d=grade,
                                   basis_a=cheb, basis_d=cheb)
         yield f"regular-n2-g{grade}-s2-{cheb.value}-{cheb.value}", verify.gen_fixture(spec)
+
+
+def battery_inputs():
+    """(name, realization as its JSON object) of cycle 0 of the benchmark's
+    battery workload at each of BATTERY_SEEDS."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+    for seed in BATTERY_SEEDS:
+        for i, case in enumerate(inputs.cycle_cases("battery", seed, 0)):
+            yield f"battery-s{seed}-c0-{i:02d}", inputs.realization_json(case)
 
 
 def deficient_leading(r, blocks: str):
@@ -128,6 +144,7 @@ def main(argv=None) -> int:
     from ratlin import cli, verify
     from ratlin.polymat import Basis
 
+    battery = list(battery_inputs())
     (out / "inputs").mkdir(parents=True, exist_ok=True)
     os.chdir(out)  # every path below is relative to OUTDIR
     cases = [("preset", ["--preset", "cross-coupled"])]
@@ -139,6 +156,11 @@ def main(argv=None) -> int:
         for name, cmd in COMMANDS.items():
             run(cli, [a.format(case=case) for a in cmd] + source,
                 Path(f"{case}.{name}.txt"))
+    for case, obj in battery:
+        src = Path("inputs") / f"{case}.json"
+        src.write_text(json.dumps(obj, sort_keys=True) + "\n")
+        for name in BATTERY_COMMANDS:
+            run(cli, COMMANDS[name] + ["--input", str(src)], Path(f"{case}.{name}.txt"))
     for seed in range(1, SCALAR_COUNT + 1):
         run(cli, ["scalar", "--json"] + scalar_args(seed), Path(f"scalar-{seed}.txt"))
     return 0
