@@ -318,16 +318,13 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
     The basis is back-substituted through `reading`, the pencil's
     `_staircase` at 0 on the stack of `side_stack` (run here when not given;
     a linearization keeps one per side), and kept if it passes the gate of
-    `_gated_basis`: its count is the nullity, a second staircase at the shift
-    SHIFT reads the same indices and a basis that spans the same polynomial
-    module (or else the convolution matrix at the top degree has the nullity
-    those degrees predict), and `certify_minimal_basis` passes with a
-    residual within GATE_RESIDUAL.  A rejected basis is replaced by the
-    degree sweep: for each candidate degree the block convolution matrix of
-    the pencil is formed, and new nullspace directions are those orthogonal
-    to shifts of the lower-degree basis vectors, until the count matches the
-    nullity of the pencil over the rational functions.  Either way the
-    output is deterministic.
+    `_gated_basis`: the count, a second staircase at the shift SHIFT (or
+    else one convolution nullity), and the certificate.  A rejected basis is
+    replaced by the degree sweep: for each candidate degree the block
+    convolution matrix of the pencil is formed, and new nullspace directions
+    are those orthogonal to shifts of the lower-degree basis vectors, until
+    the count matches the nullity of the pencil over the rational functions.
+    Either way the output is deterministic.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
@@ -444,7 +441,7 @@ def _same_module(res: MinimalBasisResult, shifted_steps) -> bool:
     pts = np.array([0.0, SHIFT])
     u = np.linalg.pinv(w.eval(pts - SHIFT)) @ res.vectors.eval(pts)
     at0, at_shift = np.linalg.det(u)
-    return bool(abs(at0 - at_shift) <= MODULE_TOL * abs(at_shift))
+    return bool(abs(at0 - at_shift) < MODULE_TOL * abs(at_shift))
 
 
 def _sweep(stack, nullity) -> list:
