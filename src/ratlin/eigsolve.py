@@ -1,8 +1,10 @@
 """Dense pencil spectral computations.
 
-Covers the generalized eigensolver contract (QZ via scipy), pole/zero
-classification of a structured linearization, and polynomial nullspace
-minimal bases.  One column-compression staircase gives a pencil's right
+Covers the generalized eigensolver contract (QZ as one LAPACK zggev call,
+bit for bit what scipy.linalg.eig returns, with the vectors left
+unnormalized until a pair is asked for), pole/zero classification of a
+structured linearization off its one full-pencil QZ, and polynomial
+nullspace minimal bases.  One column-compression staircase gives a pencil's right
 minimal indices, a basis of those degrees by back-substitution through its
 own transforms, and its Jordan block sizes at 0, which are the local
 partial multiplicities and, on reversed pencils, the invariant orders at
@@ -49,6 +51,8 @@ class PencilEig:
 
     A pair with |beta| below tolerance is an eigenvalue at infinity.  For a
     singular pencil `regular` is False and the pairs must not be interpreted.
+    The vectors are kept as LAPACK returns them, unnormalized; `pair` scales
+    the one pair a caller asks for.
     """
 
     alphas: np.ndarray
@@ -70,13 +74,21 @@ class PencilEig:
     def infinite_count(self) -> int:
         return int(np.sum(~self._finite_mask()))
 
+    def pair(self, i: int) -> tuple:
+        """(x, y) of pair i, L(lam) x = 0 = y^T L(lam), each column scaled to
+        unit norm by BLAS nrm2 as scipy.linalg.eig scales it, bit for bit."""
+        from scipy.linalg.blas import get_blas_funcs  # loaded with the QZ
+        nrm2 = get_blas_funcs("nrm2", dtype=complex, ilp64="preferred")
+        x, y = self.right_vectors[:, i], self.left_vectors[:, i]
+        return x / nrm2(x), (y / nrm2(y)).conj()  # vl^H L = 0
+
     def vectors_near(self, lam: complex) -> tuple:
-        """(x, y) of the finite pair nearest lam: L(lam) x = 0 = y^T L(lam)."""
+        """`pair` of the finite pair nearest lam."""
         idx = np.flatnonzero(self._finite_mask())
         if self.right_vectors is None or idx.size == 0:
             raise RatlinError("no finite eigenpair with vectors to match")
         i = idx[np.argmin(np.abs(self.alphas[idx] / self.betas[idx] - lam))]
-        return self.right_vectors[:, i], self.left_vectors[:, i].conj()  # vl^H L = 0
+        return self.pair(i)
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,9 @@ class MinimalBasisResult:
 
 def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
                 rng=None) -> PencilEig:
-    """All (alpha, beta) pairs of a square pencil via the QZ backend.
+    """All (alpha, beta) pairs of a square pencil from one LAPACK zggev run
+    on (-L0, L1), after the workspace query scipy.linalg.eig makes, so that
+    the pairs are scipy's bit for bit; the vectors stay unnormalized.
 
     Regularity is detected by rank sampling at 3 seeded random points; a
     singular pencil is flagged and its pairs left empty.
@@ -153,24 +167,25 @@ def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
     l1 = np.asarray(l1, dtype=complex)
     if l0.shape != l1.shape or l0.ndim != 2 or l0.shape[0] != l0.shape[1]:
         raise RatlinError(f"pencil must be square, got {l0.shape} and {l1.shape}")
+    if not (np.isfinite(l0).all() and np.isfinite(l1).all()):
+        raise RatlinError("pencil has non-finite entries")
+    empty = np.zeros(0, dtype=complex)
     if not pencil_is_regular(l0, l1, rng=rng):
-        empty = np.zeros(0, dtype=complex)
         return PencilEig(empty, empty, None, None, regular=False)
-    import scipy.linalg  # here, not at the top: it is most of the import time
-    try:
-        if vectors:
-            w, vl, vr = scipy.linalg.eig(-l0, l1, left=True, right=True,
-                                         homogeneous_eigvals=True)
-        else:
-            w = scipy.linalg.eig(-l0, l1, left=False, right=False,
-                                 homogeneous_eigvals=True)
-            vl = vr = None
-        alpha, beta = w[0], w[1]
-    except Exception as exc:  # surface backend failure, never silent NaN
-        raise RatlinError(f"QZ backend failed: {exc}") from exc
+    if l0.size == 0:  # LAPACK rejects the workspace query of an empty pencil
+        vecs = l0 if vectors else None
+        return PencilEig(empty, empty, vecs, vecs, regular=True)
+    from scipy.linalg import lapack  # here, not at the top: most of the import time
+    a = -l0
+    lwork = int(lapack.zggev(a, l1, lwork=-1)[-2][0].real)
+    alpha, beta, vl, vr, _, info = lapack.zggev(a, l1, vectors, vectors, lwork)
+    if info != 0:  # surface backend failure, never silent NaN
+        raise RatlinError(f"QZ backend failed: zggev info = {info}")
     if np.any(np.isnan(alpha)) or np.any(np.isnan(beta)):
         raise RatlinError("QZ backend returned NaN eigenvalue data")
-    return PencilEig(np.asarray(alpha), np.asarray(beta), vr, vl, regular=True)
+    if not vectors:
+        vl = vr = None
+    return PencilEig(alpha, beta, vr, vl, regular=True)
 
 
 def pencil_is_regular(l0: np.ndarray, l1: np.ndarray, rng=None) -> bool:
@@ -203,12 +218,15 @@ def cluster_eigenvalues(values) -> list:
 def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
     """Pole/zero classification of the rational matrix behind a linearization.
 
-    Poles come from the state pencil, zeros from the full pencil.  A zero
-    within matching tolerance of a pole is flagged and tagged with the
-    pointwise minimality checks of `sl.minimality` at the nearest pole; any
-    other zero passes both, since [A; C] and [A, B] have full rank wherever
-    A is invertible.  Zeros failing either check are reported unclassified
-    (the spectral characterization does not certify them).
+    Poles come from `sl.state_spectrum`, zeros and the full pencil's
+    regularity from `sl.spectrum`, the one full-pencil QZ of a linearization,
+    whose vectors `eigenpair` reads; `rng` is kept for callers' signatures
+    and no longer drawn from.  A zero within matching tolerance of a pole is
+    flagged and tagged with the pointwise minimality checks of
+    `sl.minimality` at the nearest pole; any other zero passes both, since
+    [A; C] and [A, B] have full rank wherever A is invertible.  Zeros failing
+    either check are reported unclassified (the spectral characterization
+    does not certify them).
     """
     r = sl.realization
     if r.p != r.m:
@@ -216,7 +234,7 @@ def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
     state = sl.state_spectrum
     if not state.regular:
         raise PreconditionError("state pencil is singular; realization invalid")
-    full = pencil_eigs(sl.L0, sl.L1, rng=rng)
+    full = sl.spectrum
     if not full.regular:
         raise PreconditionError(
             "the pencil is singular; eigenvalues are meaningless — "

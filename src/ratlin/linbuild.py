@@ -150,7 +150,10 @@ class StructuredLinearization:
 
     @cached_property
     def spectrum(self):
-        """Full-pencil QZ with left and right vectors, run once on first use."""
+        """Full-pencil QZ with left and right vectors, run once on first use;
+        the only QZ of the full pencil: `classify` reads its eigenvalues and
+        regularity, sampled here with the default seed, and `eigenpair` its
+        vectors."""
         from .eigsolve import pencil_eigs  # eigsolve imports this module
         return pencil_eigs(self.L0, self.L1, vectors=True)
 

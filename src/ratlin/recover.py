@@ -200,8 +200,7 @@ def _spectrum_eigenpairs(sl: StructuredLinearization) -> dict:
     for lam, rv, phi, scale in zip(lams, rvs, phis, scales):
         i = first[lam]
         with suppress(RatlinError):
-            out[lam] = _eigenpair_from(sl, lam, spec.right_vectors[:, i],
-                                       spec.left_vectors[:, i].conj(), rv, phi, scale)
+            out[lam] = _eigenpair_from(sl, lam, *spec.pair(i), rv, phi, scale)
     return out
 
 

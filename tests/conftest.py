@@ -26,6 +26,23 @@ def preset() -> Realization:
     return preset_cross_coupled()
 
 
+@pytest.fixture
+def qz_runs(monkeypatch) -> list:
+    """(shape, with vectors) of every LAPACK zggev run from here on, the
+    workspace queries left out."""
+    zggev = scipy.linalg.lapack.zggev
+    runs = []
+
+    def counting(a, b, *args, **kwargs):
+        if kwargs.get("lwork") != -1:
+            vectors = args[0] if args else kwargs.get("compute_vl", 1)
+            runs.append((a.shape, bool(vectors)))
+        return zggev(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zggev", counting)
+    return runs
+
+
 def random_polymatrix(rng, grade, rows, cols, basis=Basis.MONOMIAL) -> PolyMatrix:
     stack = rng.standard_normal((grade + 1, rows, cols)) \
         + 1j * rng.standard_normal((grade + 1, rows, cols))

@@ -121,6 +121,68 @@ class TestPencilEigs:
         assert pencil_is_regular(np.eye(3), np.zeros((3, 3)))
         assert not pencil_is_regular(np.zeros((2, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("kind, arg", [
+        ("random", 1), ("random", 5), ("random", 12), ("fixture", Basis.MONOMIAL),
+        ("fixture", Basis.CHEBYSHEV1), ("rank-deficient-l1", None), ("scalar", None),
+        ("empty", None)])
+    def test_matches_scipy_eig_bit_for_bit(self, kind, arg):
+        l0, l1 = (np.asarray(c, dtype=complex) for c in _oracle_pencil(kind, arg))
+        w, vl, vr = scipy.linalg.eig(-l0, l1, left=True, right=True,
+                                     homogeneous_eigvals=True)
+        pe = pencil_eigs(l0, l1, vectors=True)
+        bare = pencil_eigs(l0, l1)
+        for got in (pe, bare):
+            assert got.alphas.tobytes() == w[0].tobytes()
+            assert got.betas.tobytes() == w[1].tobytes()
+        assert bare.right_vectors is None and bare.left_vectors is None
+        for i in range(l0.shape[0]):
+            x, y = pe.pair(i)
+            assert x.tobytes() == vr[:, i].tobytes()
+            assert y.tobytes() == vl[:, i].conj().tobytes()
+        if kind == "rank-deficient-l1":
+            assert pe.infinite_count() == 2
+
+    def test_non_finite_input_rejected(self):
+        for bad in (np.nan, np.inf):
+            l0 = np.eye(2)
+            l0[1, 0] = bad
+            with pytest.raises(RatlinError, match="non-finite"):
+                pencil_eigs(l0, np.eye(2))
+            with pytest.raises(RatlinError, match="non-finite"):
+                pencil_eigs(np.eye(2), l0, vectors=True)
+
+    def test_backend_failure_raises(self, monkeypatch):
+        zggev = scipy.linalg.lapack.zggev
+
+        def failing(a, b, *args, **kwargs):
+            out = zggev(a, b, *args, **kwargs)
+            return out if kwargs.get("lwork") == -1 else out[:-1] + (1,)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zggev", failing)
+        with pytest.raises(RatlinError, match="info = 1"):
+            pencil_eigs(-np.diag([1.0, 2.0]), np.eye(2), vectors=True)
+
+
+def _oracle_pencil(kind: str, arg) -> tuple:
+    """(L0, L1) of a pencil for the scipy.linalg.eig oracle: random of size
+    `arg`, a fixture's in basis `arg`, one whose L1 has rank 3 of 5 (so two
+    eigenvalues are infinite), 1 x 1, or empty."""
+    rng = np.random.default_rng(17)
+    if kind == "random":
+        return tuple(rng.standard_normal((2, arg, arg))
+                     + 1j * rng.standard_normal((2, arg, arg)))
+    if kind == "fixture":
+        sl = build(gen_fixture(FixtureSpec(seed=3, n=3, p=3, m=3, basis_a=arg,
+                                           basis_d=arg)))
+        return sl.L0, sl.L1
+    if kind == "rank-deficient-l1":
+        l0 = rng.standard_normal((5, 5))
+        l1 = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5))
+        return l0, l1
+    if kind == "scalar":
+        return np.array([[2.0 - 1.0j]]), np.array([[0.5j]])
+    return np.zeros((0, 0)), np.zeros((0, 0))
+
 
 class TestClassify:
     def test_preset_poles_and_zeros(self, preset):
@@ -135,6 +197,17 @@ class TestClassify:
         assert all(z.classified for z in rep.zeros)
         near = sorted(z.value.real for z in rep.zeros if z.near_pole)
         assert np.allclose(near, [-2, -1], atol=1e-6)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_zeros_are_the_finite_eigenvalues_of_the_qz_without_vectors(self, basis):
+        # classify reads sl.spectrum, the QZ with vectors; its eigenvalues
+        # are those of the QZ without vectors bit for bit
+        sl = build(gen_fixture(FixtureSpec(seed=5, n=3, p=3, m=3, grade_a=3,
+                                           grade_d=3, basis_a=basis, basis_d=basis)))
+        zeros = np.array([z.value for z in classify(sl, rng=1).zeros])
+        bare = pencil_eigs(sl.L0, sl.L1).finite()
+        assert zeros.size == bare.size > 0
+        assert zeros.tobytes() == bare.tobytes()
 
     def test_identity_transfer_all_unclassified(self):
         # B = 0, C = 0, D = I: R = I has no zeros; every pencil eigenvalue

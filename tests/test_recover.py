@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from ratlin.errors import PoleError, PreconditionError, RatlinError
 from ratlin.eigsolve import classify
@@ -100,17 +99,11 @@ class TestEigvecMaps:
 
 
 class TestEigenpair:
-    def test_one_qz_per_linearization(self, monkeypatch):
+    def test_one_qz_per_linearization(self, monkeypatch, qz_runs):
+        # classify and every eigenpair share the full pencil's one QZ
         sl = build(gen_fixture(FixtureSpec(seed=2, grade_a=4, grade_d=4)))
-        zeros = [z.value for z in classify(sl).zeros if z.classified]
-        assert len(zeros) == 16
-        runs, svds = [], []
-        eig, svd = scipy.linalg.eig, np.linalg.svd
-
-        def counting_eig(a, *args, **kwargs):
-            if a.shape == sl.shape:
-                runs.append(kwargs.get("right"))
-            return eig(a, *args, **kwargs)
+        svds, solves = [], []
+        svd, solve = np.linalg.svd, np.linalg.solve
 
         def counting_svd(a, *args, **kwargs):
             # the regularity test before the QZ takes singular values only
@@ -118,20 +111,19 @@ class TestEigenpair:
                 svds.append(a.shape)
             return svd(a, *args, **kwargs)
 
-        solves = []
-        solve = np.linalg.solve
-
         def counting_solve(a, b):
             solves.append(a.shape)
             return solve(a, b)
 
-        monkeypatch.setattr(scipy.linalg, "eig", counting_eig)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        zeros = [z.value for z in classify(sl).zeros if z.classified]
+        assert len(zeros) == 16
         for lam in zeros:
             ep = eigenpair(sl, lam)
             assert max(ep.residual_right, ep.residual_left) <= 1e-8
-        assert runs == [True]
+        # the state pencil's QZ for the poles, and one full-pencil QZ
+        assert qz_runs == [(sl.state_pencil()[0].shape, False), (sl.shape, True)]
         assert svds == []  # every pair came from the QZ vectors, no SVD of L(lambda)
         # one stacked solve, over every finite eigenvalue of the pencil
         assert solves == [(len(sl.spectrum.finite()), 2, 2)]
@@ -169,8 +161,8 @@ class TestEigenpair:
             assert _bits(memo[lam]) == _bits(recover._eigenpair_at(sl, lam))
             assert eigenpair(sl, lam) is memo[lam]
             assert not memo[lam].x.flags.writeable  # shared by every caller
-        # classify's QZ without vectors finds the eigenvalues of sl.spectrum
-        # bit for bit, so every zero it certifies is answered from the memo
+        # classify reads its zeros off sl.spectrum, so every zero it
+        # certifies is answered from the memo
         zeros = [z.value for z in classify(sl).zeros
                  if z.classified and not z.near_pole]
         assert zeros and all(lam in memo for lam in zeros)

@@ -21,13 +21,15 @@ Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
   and D, zeroed: a rank-deficient leading coefficient gives orders at
   infinity other than -grade on 48 of these 64 inputs;
 - 40 seeded `scalar` equations;
-- the 28 inputs of cycle 0 of the benchmark's `battery` workload at seeds 1
-  and 7919, from `perfbench/inputs.py` (imported, not copied).
+- the 28 inputs of cycle 0 of the benchmark's `battery` workload and the 18
+  of cycle 0 of its `spectral` workload (n <= 12, grade <= 6) at seeds 1 and
+  7919, from `perfbench/inputs.py` (imported, not copied).
 
-Each realization except the `battery` ones goes through `eigs`, `infinity`,
+Each realization except the benchmark's goes through `eigs`, `infinity`,
 `nullspace --side left`, `nullspace --side right`, `check` (all with
 `--json`), `linearize` and `linearize --output`; the `battery` ones go
-through `check` and both `nullspace` runs.  Every run writes
+through `check` and both `nullspace` runs, the `spectral` ones through
+`eigs` and `infinity`.  Every run writes
 OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
 `linearize --output` also writes its file to OUTDIR/<input>.pencil.json,
 named by a path relative to OUTDIR so that the `wrote ...` line is the same
@@ -59,8 +61,9 @@ COMMANDS = {
     "check": ["check", "--json"],
 }
 SCALAR_COUNT = 40
-BATTERY_SEEDS = (1, 7919)
-BATTERY_COMMANDS = ("check", "nullspace-left", "nullspace-right")
+BENCH_SEEDS = (1, 7919)
+BENCH_COMMANDS = {"battery": ("check", "nullspace-left", "nullspace-right"),
+                  "spectral": ("eigs", "infinity")}
 
 
 def realizations(verify, basis):
@@ -90,14 +93,16 @@ def realizations(verify, basis):
         yield f"regular-n2-g{grade}-s2-{cheb.value}-{cheb.value}", verify.gen_fixture(spec)
 
 
-def battery_inputs():
-    """(name, realization as its JSON object) of cycle 0 of the benchmark's
-    battery workload at each of BATTERY_SEEDS."""
+def bench_inputs():
+    """(workload, name, realization as its JSON object) of cycle 0 of each
+    benchmark workload of BENCH_COMMANDS at each of BENCH_SEEDS."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     import inputs
-    for seed in BATTERY_SEEDS:
-        for i, case in enumerate(inputs.cycle_cases("battery", seed, 0)):
-            yield f"battery-s{seed}-c0-{i:02d}", inputs.realization_json(case)
+    for workload in BENCH_COMMANDS:
+        for seed in BENCH_SEEDS:
+            for i, case in enumerate(inputs.cycle_cases(workload, seed, 0)):
+                yield (workload, f"{workload}-s{seed}-c0-{i:02d}",
+                       inputs.realization_json(case))
 
 
 def deficient_leading(r, blocks: str):
@@ -144,7 +149,7 @@ def main(argv=None) -> int:
     from ratlin import cli, verify
     from ratlin.polymat import Basis
 
-    battery = list(battery_inputs())
+    bench = list(bench_inputs())
     (out / "inputs").mkdir(parents=True, exist_ok=True)
     os.chdir(out)  # every path below is relative to OUTDIR
     cases = [("preset", ["--preset", "cross-coupled"])]
@@ -156,10 +161,10 @@ def main(argv=None) -> int:
         for name, cmd in COMMANDS.items():
             run(cli, [a.format(case=case) for a in cmd] + source,
                 Path(f"{case}.{name}.txt"))
-    for case, obj in battery:
+    for workload, case, obj in bench:
         src = Path("inputs") / f"{case}.json"
         src.write_text(json.dumps(obj, sort_keys=True) + "\n")
-        for name in BATTERY_COMMANDS:
+        for name in BENCH_COMMANDS[workload]:
             run(cli, COMMANDS[name] + ["--input", str(src)], Path(f"{case}.{name}.txt"))
     for seed in range(1, SCALAR_COUNT + 1):
         run(cli, ["scalar", "--json"] + scalar_args(seed), Path(f"scalar-{seed}.txt"))
