@@ -196,7 +196,7 @@ def _cmd_linearize(args) -> int:
 def _cmd_eigs(args) -> int:
     r = _load_realization(args)
     sl = build(r, rng=args.seed)
-    rep = classify(sl, rng=args.seed)
+    rep = classify(sl, vectors=False)
     if args.json:
         _emit(rep.to_dict())
         return 0

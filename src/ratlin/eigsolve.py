@@ -3,9 +3,10 @@
 Covers the generalized eigensolver contract (QZ as one LAPACK zggev call,
 bit for bit what scipy.linalg.eig returns, with the vectors left
 unnormalized until a pair is asked for), pole/zero classification of a
-structured linearization off its one full-pencil QZ, and polynomial
-nullspace minimal bases.  One column-compression staircase gives a pencil's right
-minimal indices, a basis of those degrees by back-substitution through its
+structured linearization off its one full-pencil QZ (or, for a caller that
+reads no eigenpair, a QZ without vectors), and polynomial nullspace minimal
+bases.  One column-compression staircase gives a pencil's right minimal
+indices, a basis of those degrees by back-substitution through its
 own transforms, and its Jordan block sizes at 0, which are the local
 partial multiplicities and, on reversed pencils, the invariant orders at
 infinity.  A back-substituted basis is kept only when it passes a gate: its
@@ -215,18 +216,21 @@ def cluster_eigenvalues(values) -> list:
     return [(complex(v), int(c)) for v, c in out]
 
 
-def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
+def classify(sl: StructuredLinearization, rng=None,
+             vectors: bool = True) -> SpectralReport:
     """Pole/zero classification of the rational matrix behind a linearization.
 
     Poles come from `sl.state_spectrum`, zeros and the full pencil's
     regularity from `sl.spectrum`, the one full-pencil QZ of a linearization,
-    whose vectors `eigenpair` reads; `rng` is kept for callers' signatures
-    and no longer drawn from.  A zero within matching tolerance of a pole is
-    flagged and tagged with the pointwise minimality checks of
-    `sl.minimality` at the nearest pole; any other zero passes both, since
-    [A; C] and [A, B] have full rank wherever A is invertible.  Zeros failing
-    either check are reported unclassified (the spectral characterization
-    does not certify them).
+    whose vectors `eigenpair` reads.  A caller that reads no eigenpair passes
+    vectors=False and gets the same zeros, bit for bit, from a QZ without
+    vectors, which runs in about half the time on large pencils.  `rng` is
+    kept for callers' signatures and not drawn from.  A zero within matching
+    tolerance of a pole is flagged and tagged with the pointwise minimality
+    checks of `sl.minimality` at the nearest pole; any other zero passes
+    both, since [A; C] and [A, B] have full rank wherever A is invertible.
+    Zeros failing either check are reported unclassified (the spectral
+    characterization does not certify them).
     """
     r = sl.realization
     if r.p != r.m:
@@ -234,7 +238,7 @@ def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
     state = sl.state_spectrum
     if not state.regular:
         raise PreconditionError("state pencil is singular; realization invalid")
-    full = sl.spectrum
+    full = sl.spectrum if vectors else pencil_eigs(sl.L0, sl.L1)
     if not full.regular:
         raise PreconditionError(
             "the pencil is singular; eigenvalues are meaningless — "

@@ -150,10 +150,12 @@ class StructuredLinearization:
 
     @cached_property
     def spectrum(self):
-        """Full-pencil QZ with left and right vectors, run once on first use;
-        the only QZ of the full pencil: `classify` reads its eigenvalues and
-        regularity, sampled here with the default seed, and `eigenpair` its
-        vectors."""
+        """Full-pencil QZ with left and right vectors, run once on first use:
+        `classify` reads its eigenvalues and regularity, sampled here with
+        the default seed, and `eigenpair` its vectors, so a linearization
+        that is classified and has eigenpairs recovered runs one full-pencil
+        QZ.  `classify(sl, vectors=False)` runs its own QZ without vectors
+        instead."""
         from .eigsolve import pencil_eigs  # eigsolve imports this module
         return pencil_eigs(self.L0, self.L1, vectors=True)
 

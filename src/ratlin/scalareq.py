@@ -117,7 +117,7 @@ def solve_scalar(eq: ScalarEquation, rng=None) -> RootReport:
     if _near_root(eq.c, sl.state_spectrum.finite()).any():
         raise PreconditionError("c/a is not irreducible: a and c share a root")
     try:
-        report = classify(sl, rng=rng)
+        report = classify(sl, vectors=False)
     except PreconditionError as exc:  # with p = m = 1 only a singular pencil
         raise PreconditionError(
             "the equation holds identically (r == 0); no discrete root set") from exc
@@ -136,25 +136,11 @@ def _near_root(p: PolyMatrix, pts: np.ndarray) -> np.ndarray:
     the step is the distance to it over k, so a k-fold root counts within
     k * MATCH_TOL * max(1, |z|).  The step is free of p's scale and of zero
     leading coefficients; the zero polynomial has no roots."""
+    if p.basis is Basis.MONOMIAL:  # np.polynomial is loaded on first use
+        val, der = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
+    else:
+        val, der = np.polynomial.chebyshev.chebval, np.polynomial.chebyshev.chebder
     coeffs = p.coeffs.ravel()
-    val, der = _value_and_derivative(coeffs, pts, p.basis)
-    step = np.abs(val) <= MATCH_TOL * np.maximum(1.0, np.abs(pts)) * np.abs(der)
+    step = np.abs(val(pts, coeffs)) <= MATCH_TOL * np.maximum(
+        1.0, np.abs(pts)) * np.abs(val(pts, der(coeffs)))
     return step & coeffs.any()
-
-
-def _value_and_derivative(coeffs: np.ndarray, z: np.ndarray, basis: Basis) -> tuple:
-    """p(z) and p'(z) of the coefficient vector `coeffs` in `basis` at a 1-D
-    array of points, from one Horner pass (monomial) or one Clenshaw pass
-    (Chebyshev) that carries the derivative of its recurrence along."""
-    zero = np.zeros_like(z)
-    if basis is Basis.MONOMIAL:
-        val, der = zero + coeffs[-1], zero
-        for c in coeffs[-2::-1]:
-            val, der = val * z + c, der * z + val
-        return val, der
-    # b_k = c_k + 2 z b_{k+1} - b_{k+2}, p = c_0 + z b_1 - b_2, and h = b' / 2
-    z2 = 2 * z
-    b1 = b2 = h1 = h2 = zero
-    for c in coeffs[:0:-1]:
-        b1, b2, h1, h2 = c + z2 * b1 - b2, b1, b1 + z2 * h1 - h2, h1
-    return coeffs[0] + z * b1 - b2, b1 + z2 * h1 - 2 * h2

@@ -360,7 +360,7 @@ def _check_eigenvector_recovery(sl, rng) -> CheckEntry:
     if r.p != r.m:
         return _skip("eigenvector-recovery")
     try:
-        report = classify(sl, rng=rng)
+        report = classify(sl)
     except PreconditionError:
         return _skip("eigenvector-recovery")
     worst = 0.0

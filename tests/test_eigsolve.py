@@ -209,6 +209,18 @@ class TestClassify:
         assert zeros.size == bare.size > 0
         assert zeros.tobytes() == bare.tobytes()
 
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_without_vectors_same_report_and_no_vector_work(self, qz_runs, basis):
+        # a caller that reads no eigenpair runs the full pencil's QZ without
+        # vectors and leaves sl.spectrum unrun; the report is the same
+        spec = FixtureSpec(seed=5, n=3, p=3, m=3, grade_a=3, grade_d=3,
+                           basis_a=basis, basis_d=basis)
+        sl = build(gen_fixture(spec))
+        bare = classify(sl, vectors=False).to_dict()
+        assert qz_runs == [(sl.state_pencil()[0].shape, False), (sl.shape, False)]
+        assert "spectrum" not in vars(sl)
+        assert bare == classify(build(gen_fixture(spec))).to_dict()
+
     def test_identity_transfer_all_unclassified(self):
         # B = 0, C = 0, D = I: R = I has no zeros; every pencil eigenvalue
         # sits at a state eigenvalue and must fail the minimality checks

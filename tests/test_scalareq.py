@@ -4,9 +4,7 @@ import pytest
 from ratlin.config import MATCH_TOL
 from ratlin.errors import PreconditionError
 from ratlin.linbuild import Realization, build, transfer_eval
-from ratlin.polymat import Basis
-from ratlin.scalareq import (ScalarEquation, _value_and_derivative, cleared_form,
-                             solve_scalar)
+from ratlin.scalareq import ScalarEquation, cleared_form, solve_scalar
 
 from conftest import match_multisets, poly_roots
 
@@ -230,18 +228,3 @@ def test_report_json():
     obj = rep.to_dict()
     assert len(obj["roots"]) == 2
     assert {"lambda", "residual"} <= set(obj["roots"][0])
-
-
-@pytest.mark.parametrize("basis, evals, ders", [
-    (Basis.MONOMIAL, np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder),
-    (Basis.CHEBYSHEV1, np.polynomial.chebyshev.chebval, np.polynomial.chebyshev.chebder)])
-@pytest.mark.parametrize("degree", [0, 1, 2, 7, 12])
-def test_value_and_derivative_in_one_pass(basis, evals, ders, degree):
-    # one Horner or Clenshaw pass gives what np.polynomial's value of the
-    # series and of its derivative series give, to roundoff
-    rng = np.random.default_rng(degree)
-    coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-    z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    val, der = _value_and_derivative(coeffs, z, basis)
-    assert np.allclose(val, evals(z, coeffs), rtol=1e-13, atol=0)
-    assert np.allclose(der, evals(z, ders(coeffs)), rtol=1e-13, atol=1e-300)
