@@ -10,12 +10,11 @@ indices, a basis of those degrees by back-substitution through its
 own transforms, and its Jordan block sizes at 0, which are the local
 partial multiplicities and, on reversed pencils, the invariant orders at
 infinity.  A back-substituted basis is kept only when it passes a gate: its
-count, a second staircase at the fixed shift lambda -> lambda + SHIFT that
-reads the same indices and a basis differing from it by a unimodular factor,
-and the certificate.  Where the two readings differ, the nullity of one
-convolution matrix decides as before; a rejected basis is replaced by a
-degree-sweep convolution method.  Only pencils are handled: a polynomial
-matrix of higher grade gets its nullspace through a linearization.
+count, the index sum of the Kronecker form, whose regular-part size one
+rank-completing QZ counts, and the certificate; a rejected basis is
+replaced by a degree-sweep convolution method.  Only pencils are handled: a
+polynomial matrix of higher grade gets its nullspace through a
+linearization.
 """
 
 import math
@@ -25,7 +24,7 @@ import numpy as np
 
 from .config import MATCH_TOL, make_rng, unit_circle_points
 from .errors import BreakdownError, PreconditionError, RatlinError
-from .linbuild import (StructuredLinearization, block_pencil,
+from .linbuild import (PencilReadings, StructuredLinearization, block_pencil,
                        check_infinity_minimality, sample_points, system_eval)
 from .polymat import NEG_INF, PolyMatrix, generic_rank, numerical_rank
 
@@ -38,12 +37,9 @@ DEGREE_TOL = 1e-8  # relative norm below which a coefficient row is zero
 # sweep: a tenth of the certificate's own 1e-10, so that the basis of R
 # sliced from it still meets 1e-10
 GATE_RESIDUAL = 1e-11
-# the gate's second staircase reads lambda L1 + L0 at lambda + SHIFT; minimal
-# indices do not change under the shift (Van Dooren, LAA 27, 1979)
-SHIFT = np.exp(2j)
-# relative gap between det U(0) and det U(SHIFT), U the transition between the
-# two readings' bases, above which the transition is taken as not unimodular
-MODULE_TOL = 1e-6
+# max(||V^H x||, ||U^H y||) of unit vectors of the rank-completed pencil of
+# `regular_part_size` at or below which an eigenvalue is the pencil's own
+TRUE_SCORE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -334,19 +330,19 @@ def rational_rank(sl: StructuredLinearization, rng=None) -> int:
 
 
 def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
-                         rng=None, reading=None) -> MinimalBasisResult:
+                         rng=None, readings=None) -> MinimalBasisResult:
     """Minimal polynomial nullspace basis of a pencil.
 
-    The basis is back-substituted through `reading`, the pencil's
-    `_staircase` at 0 on the stack of `side_stack` (run here when not given;
-    a linearization keeps one per side), and kept if it passes the gate of
-    `_gated_basis`: the count, a second staircase at the shift SHIFT (or
-    else one convolution nullity), and the certificate.  A rejected basis is
-    replaced by the degree sweep: for each candidate degree the block
-    convolution matrix of the pencil is formed, and new nullspace directions
-    are those orthogonal to shifts of the lower-degree basis vectors, until
-    the count matches the nullity of the pencil over the rational functions.
-    Either way the output is deterministic.
+    The basis is back-substituted through the pencil's `_staircase` at 0 on
+    `side`, read from `readings`, the pencil's `PencilReadings` (made here
+    when not given; a linearization is its own), and kept if it passes the
+    gate of `_gated_basis`: the count, the index sum with the regular-part
+    size, and the certificate.  A rejected basis is replaced by the degree
+    sweep: for each candidate degree the block convolution matrix of the
+    pencil is formed, and new nullspace directions are those orthogonal to
+    shifts of the lower-degree basis vectors, until the count matches the
+    nullity of the pencil over the rational functions.  Either way the
+    output is deterministic.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
@@ -364,8 +360,8 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
             vectors=PolyMatrix(np.zeros((1, cols, 0), dtype=complex)),
             indices=[], side="right")
     else:
-        res = _gated_basis(stack, nullity, _staircase(*stack) if reading is None
-                           else reading)
+        res = _gated_basis(stack, nullity, side, PencilReadings(l0, l1)
+                           if readings is None else readings)
         if res is None:
             res = _basis_result(_sweep(stack, nullity), cols)
     if side == "left":
@@ -421,49 +417,60 @@ def _back_substitute(steps) -> list:
     return [(d, vecs[: d + 1, :, j]) for j, d in enumerate(degrees)]
 
 
-def _gated_basis(stack, nullity, reading) -> MinimalBasisResult | None:
-    """The pencil's right basis back-substituted through `reading`, its
-    `_staircase` at 0, or None unless the gate passes: the reading's indices
-    number the nullity; the staircase of the pencil shifted to lambda + SHIFT
-    reads the same indices and a basis differing from this one by a
-    unimodular factor (`_same_module`), or else the convolution matrix at the
-    top index D has nullity sum(D - d_i + 1); and `certify_minimal_basis`
-    passes with its own generator.  A reading at a point can take
-    eigenvalues near that point for higher indices, with vectors that still
-    pass the certificate; the second reading is misled only by eigenvalues
-    near SHIFT, and where both are misled their bases vanish at different
-    points.  A certified basis has degrees bounding the minimal indices from
-    above one by one, so the convolution nullity holds only at the indices.
-    The certificate's residual must also be within GATE_RESIDUAL:
+def _gated_basis(stack, nullity, side, readings) -> MinimalBasisResult | None:
+    """The pencil's right basis back-substituted through its `_staircase` at
+    0 on `side`, read from `readings`, or None unless the gate passes: the
+    reading's indices number the nullity; so do the other side's, and the
+    index sum of the Kronecker form holds, the right and left indices and
+    the regular-part size adding up to the normal rank (Gantmacher 1959;
+    Verghese, Van Dooren & Kailath, IJC 30, 1979); and
+    `certify_minimal_basis` passes with its own generator.  A reading at 0
+    can take eigenvalues near 0 for higher indices, with vectors that still
+    pass the certificate; the regular-part size counts them at no
+    privileged point.  A side that does not number its nullity can cancel
+    the other's error in the sum, hence the count on both sides.  The
+    certificate's residual must also be within GATE_RESIDUAL:
     back-substitution divides by singular values down to the staircase's
     cutoff, and where they are small it can lose five digits that the sweep
     keeps."""
-    guess, _, steps = reading
-    if len(guess) != nullity:
+    guess, _, steps = readings.staircase(side)
+    other = readings.staircase("left" if side == "right" else "right")[0]
+    rank = stack.shape[2] - nullity
+    size = readings.regular_size
+    if (len(guess) != nullity or len(other) != stack.shape[1] - rank or size is None
+            or sum(guess) + sum(other) + size != rank):
         return None
     res = _basis_result(_back_substitute(steps), stack.shape[2])
-    shifted, _, shifted_steps = _staircase(stack[0] + SHIFT * stack[1], stack[1])
-    if shifted != guess or not _same_module(res, shifted_steps):
-        top = max(guess)
-        conv = _convolution_matrix(stack, top)
-        if conv.shape[1] - numerical_rank(conv) != sum(top - d + 1 for d in guess):
-            return None
     cert = certify_minimal_basis(res, *stack)
     return res if cert["ok"] and cert["residual"] <= GATE_RESIDUAL else None
 
 
-def _same_module(res: MinimalBasisResult, shifted_steps) -> bool:
-    """Whether the basis V of `res` and the basis W(lambda - SHIFT)
-    back-substituted through `shifted_steps`, of the same degrees, differ by
-    a unimodular factor: V = W U with det U constant, tested as det U(0) =
-    det U(SHIFT) within MODULE_TOL.  Two minimal bases always do; a basis
-    that vanishes at a point z, where the readings took an eigenvalue for a
-    higher index, puts a factor (lambda - z) in det U."""
-    w = _basis_result(_back_substitute(shifted_steps), res.vectors.rows).vectors
-    pts = np.array([0.0, SHIFT])
-    u = np.linalg.pinv(w.eval(pts - SHIFT)) @ res.vectors.eval(pts)
-    at0, at_shift = np.linalg.det(u)
-    return bool(abs(at0 - at_shift) < MODULE_TOL * abs(at_shift))
+def regular_part_size(l0: np.ndarray, l1: np.ndarray) -> int | None:
+    """Size of the regular part of lambda L1 + L0 (finite and infinite
+    eigenvalues with multiplicity), or None where the completion stays
+    singular.  The pencil, padded to K x K and of normal rank r, gets
+    tau U diag(d_j) V^H added to its coefficient j, with U and V of K - r
+    random orthonormal columns and tau = ||[L0 L1]||_2; its own eigenvalues
+    are those of the completed pencil whose unit vectors have V^H x = 0 and
+    U^H y = 0, within TRUE_SCORE (Hochstenbach, Mehl & Plestenjak, SIMAX 40,
+    2019).  Every draw comes from a generator of the default seed, never
+    from a caller's, so that no later draw moves."""
+    size = max(l0.shape)
+    rng = make_rng()
+    k = size - generic_rank(PolyMatrix(side_stack(l0, l1, "right")), rng,
+                            rank_scale=100.0)
+    u, v = (np.linalg.qr(rng.standard_normal((size, k))
+                         + 1j * rng.standard_normal((size, k)))[0] for _ in "uv")
+    d = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    tau = np.linalg.norm(np.hstack([l0, l1]), 2)
+    pad = ((0, size - l0.shape[0]), (0, size - l0.shape[1]))
+    eig = pencil_eigs(*(np.pad(c, pad) + tau * (u * dj) @ v.conj().T
+                        for c, dj in zip((l0, l1), d)), vectors=True, rng=rng)
+    if not eig.regular:
+        return None
+    score = np.maximum(*(np.linalg.norm(w.conj().T @ z, axis=0) / np.linalg.norm(z, axis=0)
+                         for w, z in ((v, eig.right_vectors), (u, eig.left_vectors))))
+    return int(np.sum(score <= TRUE_SCORE))
 
 
 def _sweep(stack, nullity) -> list:
@@ -565,15 +572,15 @@ def _deflate_shifts(ns, found, delta, cols, new_count):
     return u[:, :new_count]
 
 
-def vector_degree(stack: np.ndarray):
-    """Numerical degree of a coefficient stack: its highest row with norm
-    above DEGREE_TOL relative to the largest."""
-    norms = np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
-    top = norms.max()
-    if top == 0.0:
-        return NEG_INF
-    idx = np.nonzero(norms > DEGREE_TOL * top)[0]
-    return int(idx[-1])
+def block_degree(vector: np.ndarray, rows=slice(None)):
+    """Numerical degree of the block `rows` of a basis vector whose stack
+    (degree, entries) ends at the degree it was built with: its highest row
+    with norm above DEGREE_TOL times that of the vector's last row, or
+    NEG_INF.  The gate certifies the built degree, and at degree 100 and
+    more an exact top coefficient can be 1e-11 of the largest one."""
+    norms = np.linalg.norm(vector[:, rows].reshape(vector.shape[0], -1), axis=1)
+    idx = np.flatnonzero(norms > DEGREE_TOL * np.linalg.norm(vector[-1]))
+    return int(idx[-1]) if idx.size else NEG_INF
 
 
 def certify_minimal_basis(res: MinimalBasisResult, l0: np.ndarray,

@@ -104,11 +104,37 @@ def _deg(p: PolyMatrix) -> int:
 
 
 @dataclass(frozen=True)
-class StructuredLinearization:
-    """Constant pencil L(lambda) = L1 lambda + L0 with block metadata."""
+class PencilReadings:
+    """The staircase at 0 of each side of lambda L1 + L0 and the size of its
+    regular part, each computed once on first use."""
 
     L0: np.ndarray
     L1: np.ndarray
+
+    @cached_property
+    def _staircases(self) -> dict:
+        return {}
+
+    def staircase(self, side: str) -> tuple:
+        """`eigsolve._staircase` at 0 of the pencil's coefficient stack on
+        `side` ("right", or "left" for the transpose), run once per side on
+        first use."""
+        if side not in self._staircases:
+            from .eigsolve import _staircase, side_stack  # eigsolve imports this module
+            self._staircases[side] = _staircase(*side_stack(self.L0, self.L1, side))
+        return self._staircases[side]
+
+    @cached_property
+    def regular_size(self) -> int | None:
+        """`eigsolve.regular_part_size`, shared by both sides."""
+        from .eigsolve import regular_part_size  # eigsolve imports this module
+        return regular_part_size(self.L0, self.L1)
+
+
+@dataclass(frozen=True)
+class StructuredLinearization(PencilReadings):
+    """Constant pencil L(lambda) = L1 lambda + L0 with block metadata."""
+
     grade_a: int
     grade_d: int
     blocks: dict
@@ -173,19 +199,6 @@ class StructuredLinearization:
         checks can fail only at the poles."""
         return minimality_report(self.realization, self.state_spectrum.finite(),
                                  self.grade_a, self.grade_d)
-
-    @cached_property
-    def _staircases(self) -> dict:
-        return {}
-
-    def staircase(self, side: str) -> tuple:
-        """`eigsolve._staircase` at 0 of the pencil's coefficient stack on
-        `side` ("right", or "left" for the transpose), run once per side on
-        first use."""
-        if side not in self._staircases:
-            from .eigsolve import _staircase, side_stack  # eigsolve imports this module
-            self._staircases[side] = _staircase(*side_stack(self.L0, self.L1, side))
-        return self._staircases[side]
 
     @cached_property
     def eigenpairs(self) -> dict:

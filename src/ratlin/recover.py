@@ -14,11 +14,11 @@ import numpy as np
 
 from .config import make_rng
 from .errors import PreconditionError, RatlinError
-from .eigsolve import MinimalBasisResult, polynomial_nullspace, vector_degree
+from .eigsolve import MinimalBasisResult, block_degree, polynomial_nullspace
 from .linbuild import (StructuredLinearization, _state_stack, _state_terms,
                        hat_transfer_eval, require_invertible, sample_points,
                        transfer_eval)
-from .polymat import NEG_INF, PolyMatrix
+from .polymat import PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -289,8 +289,7 @@ def _recover_minimal_basis(sl: StructuredLinearization, side: str,
     through its transpose, whose columns are the basis rows."""
     rng = make_rng(rng)
     _require_minimality(sl, side)
-    basis_l = polynomial_nullspace(sl.L0, sl.L1, side, rng=rng,
-                                   reading=sl.staircase(side))
+    basis_l = polynomial_nullspace(sl.L0, sl.L1, side, rng=rng, readings=sl)
     r = sl.realization
     if side == "right":
         first, size, shift = sl.shape[1] - r.m, r.m, sl.rho_d
@@ -308,22 +307,14 @@ def _recover_minimal_basis(sl: StructuredLinearization, side: str,
             "ok": True, "degree_consistent": True, "nullspace_residual": 0.0,
             "pointwise_full_rank": True, "reduced_full_rank": True})
 
-    stack = orient(basis_l.vectors.coeffs)[:, first:first + size, :]
-    cols = []
-    degrees = []
-    ok_deg = True
-    for j, index in enumerate(basis_l.indices):
-        want = index - shift
-        col = np.array(stack[:, :, j])
-        deg = vector_degree(col)
-        if deg == NEG_INF or deg != want:
-            ok_deg = False
-        cols.append(_normalize_column(col, want))
-        degrees.append(want)
+    vectors = orient(basis_l.vectors.coeffs)
+    rows = slice(first, first + size)
+    degrees = [index - shift for index in basis_l.indices]
+    ok_deg = all(block_degree(vectors[:index + 1, :, j], rows) == index - shift
+                 for j, index in enumerate(basis_l.indices))
     gmax = max(degrees)
-    out = np.zeros((gmax + 1, size, len(cols)), dtype=complex)
-    for j, col in enumerate(cols):
-        out[:, :, j] = col[: gmax + 1]
+    out = np.stack([_normalize_column(np.array(vectors[:, rows, j]), want)[: gmax + 1]
+                    for j, want in enumerate(degrees)], axis=2)
     basis_r = MinimalBasisResult(vectors=PolyMatrix(orient(out)),
                                  indices=sorted(degrees), side=side)
     diag = _nullspace_diagnostics(sl, basis_r, side, rng)

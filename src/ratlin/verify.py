@@ -14,8 +14,7 @@ import numpy as np
 
 from .config import RESIDUAL_TOL, make_rng
 from .errors import PreconditionError, RatlinError
-from .eigsolve import (MinimalBasisResult, classify, rational_rank,
-                       vector_degree)
+from .eigsolve import MinimalBasisResult, block_degree, classify, rational_rank
 from .linbuild import (Realization, StructuredLinearization, build,
                        sample_points, system_eval)
 from .polymat import (RECURRENCE, Basis, PolyMatrix, generic_rank, hstack,
@@ -271,9 +270,6 @@ def _check_minimality_proxy(sl) -> CheckEntry:
                   complex(bad[-1]) if bad else None)
 
 
-SWEEP_BUDGET = 600  # run_all cap on pencil width x (top pencil index + 2)
-
-
 def _check_nullspaces(sl, rng) -> list:
     """Certificates of the recovered minimal bases, the degree law, and the
     nullspace dimension rule; skipped for regular fixtures.
@@ -283,15 +279,12 @@ def _check_nullspaces(sl, rng) -> list:
     rho_D on the right and the pencil's indices on the left, it annihilates
     R at the sample points, it is column reduced, and it has full rank at
     those points and at 0.  The pencil's indices are certified in turn, by
-    the gate of `polynomial_nullspace` or by its sweep, and
-    `minimality-proxy` and `nullspace-dimension` check the hypotheses.
-    SWEEP_BUDGET bounds the convolution matrices of the gate's fallback and
-    of the sweep, whose column count at the top pencil index is pencil
-    width x (index + 1): a side is skipped (not failed) when the indices of
-    its staircase at 0, `sl.staircase(side)`, which the gate reads as well,
-    do not number its nullity or when width x (top index + 2) is over the
-    budget.  The budget takes the staircase's top index on trust, so a side
-    whose indices number the nullity but are wrong can still sweep past it.
+    the gate of `polynomial_nullspace` (the count, the index sum with the
+    linearization's `regular_size`, and the certificate) or by its sweep,
+    and `minimality-proxy` and `nullspace-dimension` check the hypotheses.
+    A side is skipped (not failed) when the indices of its staircase at 0,
+    `sl.staircase(side)`, which the gate reads as well, do not number its
+    nullity.
     """
     r = sl.realization
     # loosened like the pencil sweep's own rank (see polynomial_nullspace)
@@ -319,11 +312,7 @@ def _check_index_side(sl, side, nullity, rng) -> list:
     right = side == "right"
     name = "right-index-shift" if right else "left-index-match"
     skipped = [_skip(name)] + ([_skip("nullvector-degree-law")] if right else [])
-    if nullity <= 0:
-        return skipped
-    indices = sl.staircase(side)[0]
-    width = sl.shape[1 if right else 0]
-    if len(indices) != nullity or width * (max(indices) + 2) > SWEEP_BUDGET:
+    if nullity <= 0 or len(sl.staircase(side)[0]) != nullity:
         return skipped
     recover_basis = (recover_right_minimal_basis if right
                      else recover_left_minimal_basis)
@@ -343,12 +332,9 @@ def _degree_law(sl, basis: MinimalBasisResult) -> CheckEntry:
     which right-basis recovery has already required of `sl.minimality`."""
     r = sl.realization
     low = sl.shape[1] - r.m * (sl.rho_d + 1)
-    ok = True
-    for j, eps in enumerate(basis.indices):
-        full_deg = vector_degree(basis.vectors.coeffs[:, :, j])
-        lower_deg = vector_degree(basis.vectors.coeffs[:, low:, j])
-        if full_deg != eps or lower_deg != eps:
-            ok = False
+    ok = all(block_degree(basis.vectors.coeffs[:eps + 1, :, j], rows) == eps
+             for j, eps in enumerate(basis.indices)
+             for rows in (slice(None), slice(low, None)))
     return _entry("nullvector-degree-law", ok, 0.0 if ok else 1.0)
 
 

@@ -13,13 +13,15 @@ from ratlin.eigsolve import (certify_minimal_basis, classify,
                              invariant_orders_at_infinity,
                              partial_multiplicities_at, pencil_eigs,
                              pencil_is_regular,
-                             polynomial_nullspace, rational_rank, vector_degree)
-from ratlin.linbuild import Realization, build
+                             polynomial_nullspace, rational_rank,
+                             regular_part_size)
+from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis, PolyMatrix, generic_rank, hstack, vstack
 from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
 from conftest import (l_block, match_multisets, planted_kronecker,
-                      poly_det_coeffs, random_polymatrix, random_realization)
+                      poly_det_coeffs, prescribed_realization,
+                      random_polymatrix, random_realization)
 
 
 ORDERS = Path(__file__).parent / "data" / "infinity_orders_deficient_leading.json"
@@ -528,7 +530,7 @@ class TestPolynomialNullspace:
     @pytest.mark.parametrize("structure", ["zero-column-b", "zero-row-c",
                                            "rank-deficient-d"])
     def test_rejected_basis_gives_the_sweep_basis(self, monkeypatch, structure):
-        # the staircase's indices and the convolution nullity pass; only the
+        # the staircase's indices pass the count and the index sum; only the
         # certificate is made to reject
         sl = build(gen_fixture(FixtureSpec(seed=4, structure=structure)))
         monkeypatch.setattr(eigsolve, "certify_minimal_basis",
@@ -587,12 +589,12 @@ class TestPolynomialNullspace:
            eta=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
     def test_planted_indices_on_both_sides(self, t, near_shift, eps, eta, seed):
         # at |t| = 1e-3 the staircase's indices are mostly wrong while its
-        # vectors still pass the certificate; the shifted reading differs and
-        # the convolution nullity test sends those sides to the sweep.  With
-        # eigenvalues next to SHIFT as well both readings can be wrong alike,
-        # and the transition between their bases is not unimodular
+        # vectors still pass the certificate; the index sum with the
+        # regular-part size sends those sides to the sweep.  The second
+        # centre puts eigenvalues next to e^{2i} as well, which no reading
+        # privileges
         eta = min(eta, 14 - sum(eps))  # at most 20 x 20
-        centres = (0.0, eigsolve.SHIFT) if near_shift else (0.0,)
+        centres = (0.0, np.exp(2j)) if near_shift else (0.0,)
         l0, l1 = planted_kronecker(np.random.default_rng(seed), eps, eta, t,
                                    centres)
         for side, want in (("right", sorted(eps)), ("left", [eta])):
@@ -600,48 +602,93 @@ class TestPolynomialNullspace:
             assert res.indices == want
             assert certify_minimal_basis(res, l0, l1)["ok"]
 
-    @pytest.mark.parametrize("module_test", [True, False])
-    def test_agreeing_misread_is_caught_by_the_transition(self, monkeypatch,
-                                                          module_test):
-        # both readings give 5 for the planted left index 4, and the
-        # certificate passes that basis; only the transition test refuses it
+    @pytest.mark.parametrize("index_sum", [True, False])
+    def test_agreeing_misread_is_caught_by_the_index_sum(self, monkeypatch,
+                                                         index_sum):
+        # the reading at 0 gives 5 for the planted left index 4 and the
+        # certificate passes that basis; the regular-part size, 6 as planted,
+        # breaks the index sum.  Given the size that would close the sum
+        # with that reading, the gate keeps the misread basis
         l0, l1 = planted_kronecker(np.random.default_rng(0), [2, 3, 4], 4,
-                                   1e-3, centres=(0.0, eigsolve.SHIFT))
-        stack = _pencil_stack(l0, l1, "left")
-        reading = eigsolve._staircase(*stack)
-        shifted = eigsolve._staircase(stack[0] + eigsolve.SHIFT * stack[1], stack[1])
-        assert reading[0] == shifted[0] == [5]
-        if not module_test:
-            monkeypatch.setattr(eigsolve, "_same_module", lambda *args: True)
+                                   1e-3, centres=(0.0, np.exp(2j)))
+        readings = PencilReadings(l0, l1)
+        right, left = (readings.staircase(side)[0] for side in ("right", "left"))
+        assert left == [5]
+        assert regular_part_size(l0, l1) == 6
+        rank = l0.shape[1] - 3
+        assert sum(right) + 5 + 6 != rank
+        if not index_sum:
+            monkeypatch.setattr(eigsolve, "regular_part_size",
+                                lambda *args: rank - sum(right) - 5)
         res = polynomial_nullspace(l0, l1, "left")
-        assert res.indices == ([4] if module_test else [5])
+        assert res.indices == ([4] if index_sum else [5])
 
     @pytest.mark.parametrize("spoil_reading", [False, True])
-    def test_disagreeing_shifted_reading_runs_the_convolution_test(
-            self, monkeypatch, spoil_reading):
-        # a shifted reading that disagrees sends the side to the convolution
-        # nullity test: it keeps the true reading's basis and refutes a
-        # reading one degree too high, whose side then gets the sweep's basis
+    def test_reading_one_degree_too_high_fails_the_index_sum(self, spoil_reading):
+        # a reading whose last index is one too high, with the staircase's
+        # own transforms: the back-substituted basis passes the certificate,
+        # and only the index sum refutes it, so the side gets the sweep's
+        # basis; the true reading's basis is kept
         sl = build(gen_fixture(FixtureSpec(seed=4, structure="zero-column-b")))
         stack = _pencil_stack(sl.L0, sl.L1, "right")
-        guess, sizes, steps = reading = eigsolve._staircase(*stack)
+        readings = PencilReadings(sl.L0, sl.L1)
+        guess, sizes, steps = readings.staircase("right")
+        basis = eigsolve._basis_result(eigsolve._back_substitute(steps),
+                                       stack.shape[2])
+        assert certify_minimal_basis(basis, *stack)["ok"]
+        want = basis
         if spoil_reading:
-            reading = (guess[:-1] + [guess[-1] + 1], sizes, steps)
+            readings._staircases["right"] = (guess[:-1] + [guess[-1] + 1],
+                                             sizes, steps)
             want = eigsolve._basis_result(
                 eigsolve._sweep(stack, len(guess)), stack.shape[2])
-        else:
-            want = eigsolve._basis_result(eigsolve._back_substitute(steps),
-                                          stack.shape[2])
-        # the shifted reading finds no index, as on the deep sides
-        monkeypatch.setattr(eigsolve, "_staircase", lambda l0, l1: ([], [], []))
-        conv = eigsolve._convolution_matrix
-        tops = []
-        monkeypatch.setattr(eigsolve, "_convolution_matrix",
-                            lambda st, delta: tops.append(delta) or conv(st, delta))
-        got = polynomial_nullspace(sl.L0, sl.L1, "right", rng=2, reading=reading)
-        assert tops[0] == max(reading[0])
+        got = polynomial_nullspace(sl.L0, sl.L1, "right", rng=2,
+                                   readings=readings)
         assert got.indices == want.indices == guess
         assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
+
+
+class TestRegularPartSize:
+    @pytest.mark.parametrize("t", [1.0, 1e-3])
+    @pytest.mark.parametrize("centres", [(0.0,), (0.0, np.exp(2j))],
+                             ids=["0", "0-and-e2i"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_regular_part(self, t, centres, seed):
+        # three 1 x 1 blocks per centre; at t = 1e-3 the reading at 0 takes
+        # some of those eigenvalues for higher indices, and the count does not
+        l0, l1 = planted_kronecker(np.random.default_rng(seed), [1, 2, 3], 2,
+                                   t, centres)
+        assert regular_part_size(l0, l1) == 3 * len(centres)
+        if t == 1e-3 and seed == 0:
+            readings = PencilReadings(l0, l1)
+            assert [readings.staircase(side)[0] for side in ("right", "left")] \
+                != [[1, 2, 3], [2]]
+
+    def test_infinite_eigenvalue_is_counted(self):
+        # an extra 1 x 1 block lambda 0 + 1 is an eigenvalue at infinity
+        l0, l1 = planted_kronecker(np.random.default_rng(1), [1, 2], 3, 0.5)
+        l0, l1 = (scipy.linalg.block_diag(a, [[b]]) for a, b in ((l0, 1.0), (l1, 0.0)))
+        assert regular_part_size(l0, l1) == 4
+
+    @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+    @given(eps=st.lists(st.integers(0, 2), min_size=1, max_size=2),
+           eta=st.integers(0, 2), k=st.integers(1, 2),
+           grade_a=st.integers(1, 3), grade_d=st.integers(1, 3),
+           basis_a=st.sampled_from(Basis), basis_d=st.sampled_from(Basis),
+           seed=st.integers(0, 2**32 - 1))
+    def test_index_sum_closes_on_prescribed_realizations(
+            self, eps, eta, k, grade_a, grade_d, basis_a, basis_d, seed):
+        # the pencil's right indices are eps + rho_D and its left index eta,
+        # by construction and the shift law; with the pencil's normal rank,
+        # its width less the number of right indices, the regular part must
+        # make up the rest
+        r = prescribed_realization(np.random.default_rng(seed), eps, eta, k,
+                                   grade_a, grade_d, basis_a, basis_d)
+        sl = build(r)
+        rank = sl.shape[1] - len(eps)
+        size = rank - sum(e + sl.rho_d for e in eps) - eta
+        assert regular_part_size(sl.L0, sl.L1) == size
+        assert sl.regular_size == size
 
 
 def _pencil_stack(l0, l1, side) -> np.ndarray:
@@ -660,10 +707,19 @@ def test_rational_rank(preset):
     assert rational_rank(build(preset)) == 2
 
 
-def test_vector_degree_threshold():
-    stack = np.zeros((4, 3))
-    stack[0, 0] = 1.0
-    stack[2, 1] = 1e-3
-    assert vector_degree(stack) == 2
-    stack[2, 1] = 1e-12
-    assert vector_degree(stack) == 0
+def test_block_degree_on_the_scale_of_the_built_degree():
+    vector = np.zeros((4, 3))
+    vector[0, 0] = 1.0
+    vector[3, 2] = 1e-11  # top coefficient of a deep vector, still exact
+    vector[3, 1] = 1e-12
+    assert eigsolve.block_degree(vector) == 3
+    assert eigsolve.block_degree(vector, slice(1, 2)) == 3
+    assert eigsolve.block_degree(vector, slice(0, 1)) == 0
+    vector[2, 1] = 1e-3
+    vector[3, 1] = 1e-20  # roundoff next to the top coefficient
+    assert eigsolve.block_degree(vector, slice(1, 2)) == 2
+    vector[3, 1] = 0.0  # exactly zero at the built degree
+    assert eigsolve.block_degree(vector, slice(1, 2)) == 2
+    assert eigsolve.block_degree(vector, slice(0, 1)) == 0
+    vector[:, 0] = 0.0
+    assert eigsolve.block_degree(vector, slice(0, 1)) == eigsolve.NEG_INF

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -310,6 +311,31 @@ class TestMinimalBases:
         assert abs(vec[0] + vec[1]) < 1e-10
         assert rec.diagnostics["ok"]
         assert rec.diagnostics["degree_consistent"]
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_slice_zero_at_its_degree_is_not_degree_consistent(self, monkeypatch,
+                                                              side):
+        # the pencil basis with the slice of R's basis zeroed at its
+        # theoretical degree, as when the theorem's degree does not hold
+        sl = build(gen_fixture(FixtureSpec(seed=11, n=2, p=3, m=3,
+                                           structure="zero-column-b")))
+        nullspace = recover.polynomial_nullspace
+
+        def spoiled(*args, **kwargs):
+            res = nullspace(*args, **kwargs)
+            coeffs = np.array(res.vectors.coeffs)
+            d = res.indices[-1]
+            if side == "right":
+                coeffs[d - sl.rho_d, sl.shape[1] - sl.realization.m:, -1] = 0.0
+            else:
+                na = sl.blocks["L_A"][1]
+                coeffs[d, -1, na:na + sl.realization.p] = 0.0
+            return dataclasses.replace(res, vectors=PolyMatrix(coeffs))
+
+        recover_basis = getattr(recover, f"recover_{side}_minimal_basis")
+        assert recover_basis(sl, rng=1).diagnostics["degree_consistent"]
+        monkeypatch.setattr(recover, "polynomial_nullspace", spoiled)
+        assert not recover_basis(sl, rng=1).diagnostics["degree_consistent"]
 
     def test_left_transpose_of_wide(self):
         base = one_over_lambda_minus_one_wide()

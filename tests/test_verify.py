@@ -137,9 +137,10 @@ class TestRunAll:
         ("left", ["left-index-match"], "right-index-shift")])
     def test_staircase_count_off_the_nullity_skips_the_side(
             self, monkeypatch, side, names, other):
-        # with one index more than the nullity the staircase's top index says
-        # nothing of the sweep's depth, so the side is skipped before any
-        # basis is recovered; run_all asks for the right side's staircase first
+        # a reading with one index more than the nullity is skipped before
+        # any basis is recovered; the other side, whose gate cannot apply the
+        # index sum, passes on the sweep's basis.  run_all asks for the right
+        # side's staircase first
         staircase = StructuredLinearization.staircase
         calls = []
 
@@ -161,10 +162,11 @@ class TestRunAll:
         assert statuses[other] == "pass", statuses
 
     @pytest.mark.parametrize("structure", STRUCTURES[1:])
-    def test_one_staircase_per_side_at_0_and_one_shifted(self, monkeypatch,
-                                                        structure):
-        # the budget and the gate share the linearization's staircase at 0;
-        # the gate adds the one at the shift, and nothing else runs one
+    def test_one_staircase_per_side_and_one_rank_completing_qz(
+            self, monkeypatch, qz_runs, structure):
+        # the skip test and the gate share the linearization's staircase at
+        # 0 on each side, and its one rank-completing QZ with vectors; no
+        # other staircase runs, and no other QZ but the state pencil's
         staircase = eigsolve._staircase
         calls = []
 
@@ -180,10 +182,11 @@ class TestRunAll:
         sl = build(r)
         for side in ("right", "left"):
             a, b = eigsolve.side_stack(sl.L0, sl.L1, side)
-            for origin in (a, a + eigsolve.SHIFT * b):
-                assert sum(np.array_equal(l0, origin) and np.array_equal(l1, b)
-                           for l0, l1 in calls) == 1, (side, len(calls))
-        assert len(calls) == 4
+            assert sum(np.array_equal(l0, a) and np.array_equal(l1, b)
+                       for l0, l1 in calls) == 1, (side, len(calls))
+        assert len(calls) == 2
+        assert qz_runs == [(sl.state_pencil()[0].shape, False),
+                           ((max(sl.shape),) * 2, True)]
 
     def test_unclassifiable_state_eigenvalues_reported(self):
         # C = 0: minimality collapses exactly at the state eigenvalues, which
@@ -235,11 +238,13 @@ class TestRunAll:
         assert sweeps == ["right", "left"]
 
     @pytest.mark.parametrize("structure, calls", [
-        ("zero-column-b", [False]), ("regular", [False, True])])
+        ("zero-column-b", [False, True]), ("regular", [False, True])])
     def test_qz_runs_per_battery(self, qz_runs, structure, calls):
         # one state-pencil QZ without vectors serves classify and every
         # minimality check; a regular input adds the full pencil's one QZ,
-        # with vectors, which serves both classify and eigenpair
+        # with vectors, which serves both classify and eigenpair, and a
+        # singular one the rank-completing QZ, with vectors, of its
+        # regular-part size
         run_all(gen_fixture(FixtureSpec(seed=1, structure=structure)), seed=1)
         assert [vectors for _, vectors in qz_runs] == calls
 
@@ -276,10 +281,9 @@ class TestRunAll:
         assert rep.passed
         assert elapsed < 60.0
 
-    def test_staircase_budget_skips_the_deep_left_side(self):
-        # the staircase's left index (81) puts the gate's convolution matrix,
-        # about 1 GB, over SWEEP_BUDGET, so the left side is skipped before
-        # any basis is computed
+    def test_deep_left_side_passes(self):
+        # the staircase's left index is 81: the index sum certifies it, and
+        # the basis's degree is read on the scale of its top coefficient
         import time
         spec = FixtureSpec(seed=1, n=12, p=12, m=12, grade_a=4, grade_d=4,
                            structure="rank-deficient-d")
@@ -289,8 +293,22 @@ class TestRunAll:
         elapsed = time.monotonic() - start
         assert by_name["right-index-shift"] == "pass"
         assert by_name["nullvector-degree-law"] == "pass"
-        assert by_name["left-index-match"] == "skipped"
+        assert by_name["left-index-match"] == "pass"
+        assert build(r).staircase("left")[0] == [81]
         assert elapsed < 20.0
+
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_deep_monomial_sides_pass(self, structure):
+        # pencil indices 127-143, whose top coefficients are 2e-11 to
+        # 1.4e-10 of the largest: certified bases that a degree read on the
+        # scale of the largest coefficient put 3-4 degrees low
+        r = gen_fixture(FixtureSpec(seed=1, n=12, p=12, m=12, grade_a=6,
+                                    grade_d=6, structure=structure))
+        rep = run_all(r)
+        statuses = {e.name: e.status for e in rep.entries}
+        assert statuses["right-index-shift"] == "pass", statuses
+        assert statuses["left-index-match"] == "pass", statuses
+        assert statuses["nullvector-degree-law"] == "pass", statuses
 
     @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
     def test_grade10_eigenvector_recovery(self, basis):

@@ -1,0 +1,177 @@
+"""Run the identity battery on the size ladder and write its record.
+
+    python3 tools/ladder.py OUT.json [CHECKOUT]
+
+Imports ratlin from CHECKOUT/src (default: the checkout this file lives in)
+and runs `run_all(gen_fixture(spec))` on every rung: seed 1,
+n = p = m in {2, 6, 12, 20}, grade in {2, 4, 6, 8} on both sides, both sides
+monomial or both Chebyshev, and each of the four STRUCTURES, 128 rungs.
+
+Each rung runs in a child process of its own whose address space is capped
+at LIMIT_GB (RLIMIT_AS, set by the child on itself), so a rung that runs
+out of memory is recorded with status "oom" and the ladder goes on.  For
+each rung the record holds the wall time of `run_all`, the status of each
+check, and the reason of each skipped index check:
+
+- "nullity 0": the side has no nullspace (every side of a regular input);
+- "count": the side's staircase at 0 reads a number of indices other than
+  its nullity;
+- "budget": pencil width x (top index + 2) is over the checkout's
+  `verify.SWEEP_BUDGET` (only checkouts that have one skip for it);
+- "precondition": basis recovery refused the side's minimality hypotheses.
+
+The readings are those `run_all` itself took, recorded as it asks for them;
+the nullity is the pencil's sampled rank at seed 0.  The record also holds
+the BLAS thread count, the environment and a summary: index-side coverage
+of the singular rungs (the right-index-shift and left-index-match checks)
+with the reasons of its skips, failed checks, out-of-memory rungs and the
+slowest rung of the regular and of the singular rungs.
+BLAS is pinned to one thread unless the environment already says otherwise.
+The full ladder takes several minutes on a 2-vCPU VM.
+"""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+LIMIT_GB = 3
+SIZES = (2, 6, 12, 20)
+GRADES = (2, 4, 6, 8)
+BASES = ("monomial", "chebyshev1")
+INDEX_CHECKS = {"right-index-shift": "right", "nullvector-degree-law": "right",
+                "left-index-match": "left"}
+
+
+def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
+    """One rung in this process: the statuses, the wall time and the skip
+    reasons of `run_all`."""
+    sys.path.insert(0, str(Path(checkout).resolve() / "src"))
+    import numpy as np
+    from ratlin import verify
+    from ratlin.linbuild import StructuredLinearization
+    from ratlin.polymat import Basis, PolyMatrix, generic_rank
+
+    readings = {}
+    staircase = StructuredLinearization.staircase
+
+    def recording(sl, side):
+        out = staircase(sl, side)
+        readings[side] = (sl, out[0])
+        return out
+
+    StructuredLinearization.staircase = recording
+    spec = verify.FixtureSpec(seed=1, n=n, p=n, m=n, grade_a=grade, grade_d=grade,
+                              basis_a=Basis(basis), basis_d=Basis(basis),
+                              structure=structure)
+    r = verify.gen_fixture(spec)
+    start = time.perf_counter()
+    report = verify.run_all(r, seed=1)
+    seconds = time.perf_counter() - start
+    checks = {e.name: e.status for e in report.entries}
+    skips = {}
+    for name, side in INDEX_CHECKS.items():
+        if checks[name] != "skipped":
+            continue
+        if side not in readings:
+            skips[name] = "nullity 0"
+            continue
+        sl, indices = readings[side]
+        stack = np.stack([sl.L0, sl.L1])
+        nullity = sl.shape[1 if side == "right" else 0] - generic_rank(
+            PolyMatrix(stack), 0, rank_scale=100.0)
+        width = sl.shape[1 if side == "right" else 0]
+        budget = getattr(verify, "SWEEP_BUDGET", None)
+        if nullity == 0:
+            skips[name] = "nullity 0"
+        elif len(indices) != nullity:
+            skips[name] = "count"
+        elif budget is not None and width * (max(indices) + 2) > budget:
+            skips[name] = "budget"
+        else:
+            skips[name] = "precondition"
+    return {"seconds": round(seconds, 3), "checks": checks, "skips": skips}
+
+
+def run_rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
+    """`rung` in a child process under the address-space cap."""
+    args = [sys.executable, __file__, "--rung", checkout, str(n), str(grade),
+            basis, structure]
+    proc = subprocess.run(args, capture_output=True, text=True)
+    out = {"n": n, "grade": grade, "basis": basis, "structure": structure}
+    if proc.returncode == 0:
+        return {**out, "status": "ok", **json.loads(proc.stdout)}
+    status = "oom" if "MemoryError" in proc.stderr else "error"
+    return {**out, "status": status, "exit": proc.returncode,
+            "stderr": proc.stderr.strip().splitlines()[-1:]}
+
+
+def summary(rungs: list) -> dict:
+    sides = Counter()
+    reasons = Counter()
+    slowest = {}
+    for rec in rungs:
+        kind = "regular" if rec["structure"] == "regular" else "singular"
+        if rec["status"] != "ok":
+            continue
+        if kind == "singular":
+            for name in ("right-index-shift", "left-index-match"):
+                sides[rec["checks"][name]] += 1
+                if name in rec["skips"]:
+                    reasons[rec["skips"][name]] += 1
+        if rec["seconds"] > slowest.get(kind, {}).get("seconds", -1.0):
+            slowest[kind] = {k: rec[k] for k in ("n", "grade", "basis", "structure",
+                                                  "seconds")}
+    return {"index_sides": dict(sides), "index_side_skips": dict(reasons),
+            "failed_checks": sum(s == "fail" for rec in rungs if rec["status"] == "ok"
+                                 for s in rec["checks"].values()),
+            "oom": sum(rec["status"] == "oom" for rec in rungs),
+            "errors": sum(rec["status"] == "error" for rec in rungs),
+            "slowest": slowest}
+
+
+def environment() -> dict:
+    import numpy
+    import scipy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+            "address_space_cap_gb": LIMIT_GB}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--rung"]:
+        cap = LIMIT_GB << 30
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        checkout, n, grade, basis, structure = argv[1:]
+        print(json.dumps(rung(checkout, int(n), int(grade), basis, structure)))
+        return 0
+    if len(argv) not in (1, 2):
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout = argv[1] if len(argv) == 2 else str(Path(__file__).resolve().parents[1])
+    rungs = []
+    for structure in ("regular", "zero-column-b", "zero-row-c", "rank-deficient-d"):
+        for basis in BASES:
+            for n in SIZES:
+                for grade in GRADES:
+                    rec = run_rung(checkout, n, grade, basis, structure)
+                    print(json.dumps(rec), file=sys.stderr, flush=True)
+                    rungs.append(rec)
+    record = {"environment": environment(), "summary": summary(rungs), "rungs": rungs}
+    Path(argv[0]).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

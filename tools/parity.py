@@ -23,13 +23,17 @@ Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
 - 40 seeded `scalar` equations;
 - the 28 inputs of cycle 0 of the benchmark's `battery` workload and the 18
   of cycle 0 of its `spectral` workload (n <= 12, grade <= 6) at seeds 1 and
-  7919, from `perfbench/inputs.py` (imported, not copied).
+  7919, from `perfbench/inputs.py` (imported, not copied);
+- the 3 singular STRUCTURES at n = p = m = 12, grade 4, seed 1, both sides
+  monomial: 96 x 96 pencils with one deep index each (81-95).
 
 Each realization except the benchmark's goes through `eigs`, `infinity`,
 `nullspace --side left`, `nullspace --side right`, `check` (all with
 `--json`), `linearize` and `linearize --output`; the `battery` ones go
 through `check` and both `nullspace` runs, the `spectral` ones through
-`eigs` and `infinity`.  Every run writes
+`eigs` and `infinity`, and the n = 12 singular ones through `check` only
+(a `nullspace` run that refutes the reading of a deep side sweeps it, which
+can take gigabytes).  Every run writes
 OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
 `linearize --output` also writes its file to OUTDIR/<input>.pencil.json,
 named by a path relative to OUTDIR so that the `wrote ...` line is the same
@@ -166,6 +170,13 @@ def main(argv=None) -> int:
         src.write_text(json.dumps(obj, sort_keys=True) + "\n")
         for name in BENCH_COMMANDS[workload]:
             run(cli, COMMANDS[name] + ["--input", str(src)], Path(f"{case}.{name}.txt"))
+    for structure in verify.STRUCTURES[1:]:
+        spec = verify.FixtureSpec(seed=1, n=12, p=12, m=12, grade_a=4,
+                                  grade_d=4, structure=structure)
+        case = f"{structure}-n12-g4-s1-monomial-monomial"
+        src = Path("inputs") / f"{case}.json"
+        src.write_text(json.dumps(verify.gen_fixture(spec).to_dict(), sort_keys=True) + "\n")
+        run(cli, COMMANDS["check"] + ["--input", str(src)], Path(f"{case}.check.txt"))
     for seed in range(1, SCALAR_COUNT + 1):
         run(cli, ["scalar", "--json"] + scalar_args(seed), Path(f"scalar-{seed}.txt"))
     return 0
