@@ -17,6 +17,7 @@ polynomial matrix of higher grade gets its nullspace through a
 linearization.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,17 @@ GATE_RESIDUAL = 1e-11
 # max(||V^H x||, ||U^H y||) of unit vectors of the rank-completed pencil of
 # `regular_part_size` at or below which an eigenvalue is the pencil's own
 TRUE_SCORE = 1e-8
+
+
+@functools.cache
+def _nrm2():
+    from scipy.linalg.blas import get_blas_funcs  # loaded with the QZ
+    return get_blas_funcs("nrm2", dtype=complex, ilp64="preferred")
+
+
+@functools.cache
+def _default_points() -> tuple:  # `pencil_is_regular`'s, drawn on first use
+    return tuple(unit_circle_points(make_rng(), 3).tolist())
 
 
 @dataclass(frozen=True)
@@ -71,13 +83,17 @@ class PencilEig:
     def infinite_count(self) -> int:
         return int(np.sum(~self._finite_mask()))
 
+    def pairs(self, idx) -> tuple:
+        """(X, Y) of the pairs idx, L(lam) x = 0 = y^T L(lam), each column
+        scaled to unit norm by BLAS nrm2 as scipy.linalg.eig scales it."""
+        x, y = (v[:, idx] / [_nrm2()(v[:, i]) for i in idx]
+                for v in (self.right_vectors, self.left_vectors))
+        return x, y.conj()  # vl^H L = 0
+
     def pair(self, i: int) -> tuple:
-        """(x, y) of pair i, L(lam) x = 0 = y^T L(lam), each column scaled to
-        unit norm by BLAS nrm2 as scipy.linalg.eig scales it, bit for bit."""
-        from scipy.linalg.blas import get_blas_funcs  # loaded with the QZ
-        nrm2 = get_blas_funcs("nrm2", dtype=complex, ilp64="preferred")
-        x, y = self.right_vectors[:, i], self.left_vectors[:, i]
-        return x / nrm2(x), (y / nrm2(y)).conj()  # vl^H L = 0
+        """(x, y) of pair i, as `pairs` gives it."""
+        x, y = self.pairs([i])
+        return x[:, 0], y[:, 0]
 
     def vectors_near(self, lam: complex) -> tuple:
         """`pair` of the finite pair nearest lam."""
@@ -192,8 +208,7 @@ def pencil_is_regular(l0: np.ndarray, l1: np.ndarray, rng=None) -> bool:
     n = l0.shape[0]
     if n == 0:
         return True
-    rng = make_rng(rng)
-    for z in unit_circle_points(rng, 3):
+    for z in _default_points() if rng is None else unit_circle_points(make_rng(rng), 3):
         if numerical_rank(l1 * z + l0) == n:
             return True
     return False
@@ -445,16 +460,16 @@ def _gated_basis(stack, nullity, side, readings) -> MinimalBasisResult | None:
     return res if cert["ok"] and cert["residual"] <= GATE_RESIDUAL else None
 
 
-def regular_part_size(l0: np.ndarray, l1: np.ndarray) -> int | None:
+def regular_part_size(l0: np.ndarray, l1: np.ndarray, norm=None) -> int | None:
     """Size of the regular part of lambda L1 + L0 (finite and infinite
     eigenvalues with multiplicity), or None where the completion stays
     singular.  The pencil, padded to K x K and of normal rank r, gets
     tau U diag(d_j) V^H added to its coefficient j, with U and V of K - r
-    random orthonormal columns and tau = ||[L0 L1]||_2; its own eigenvalues
-    are those of the completed pencil whose unit vectors have V^H x = 0 and
-    U^H y = 0, within TRUE_SCORE (Hochstenbach, Mehl & Plestenjak, SIMAX 40,
-    2019).  Every draw comes from a generator of the default seed, never
-    from a caller's, so that no later draw moves."""
+    random orthonormal columns and tau = ||[L0 L1]||_2 (`norm`, if given);
+    its own eigenvalues are those of the completed pencil whose unit vectors
+    have V^H x = 0 and U^H y = 0, within TRUE_SCORE (Hochstenbach, Mehl &
+    Plestenjak, SIMAX 40, 2019).  Every draw comes from a generator of the
+    default seed, never from a caller's, so that no later draw moves."""
     size = max(l0.shape)
     rng = make_rng()
     k = size - generic_rank(PolyMatrix(side_stack(l0, l1, "right")), rng,
@@ -462,7 +477,7 @@ def regular_part_size(l0: np.ndarray, l1: np.ndarray) -> int | None:
     u, v = (np.linalg.qr(rng.standard_normal((size, k))
                          + 1j * rng.standard_normal((size, k)))[0] for _ in "uv")
     d = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
-    tau = np.linalg.norm(np.hstack([l0, l1]), 2)
+    tau = np.linalg.norm(np.hstack([l0, l1]), 2) if norm is None else norm
     pad = ((0, size - l0.shape[0]), (0, size - l0.shape[1]))
     eig = pencil_eigs(*(np.pad(c, pad) + tau * (u * dj) @ v.conj().T
                         for c, dj in zip((l0, l1), d)), vectors=True, rng=rng)
@@ -501,7 +516,7 @@ def _take(found, ns, delta, cols, new_count):
     found.extend((delta, vec.reshape(delta + 1, cols)) for vec in fresh.T)
 
 
-def _staircase(l0: np.ndarray, l1: np.ndarray) -> tuple:
+def _staircase(l0: np.ndarray, l1: np.ndarray, norm=None) -> tuple:
     """(right minimal indices, Jordan block sizes at 0, steps) of
     lambda * l1 + l0, the lists sorted, from Van Dooren's column-compression
     staircase (LAA 1979; Demmel & Kagstrom, ACM TOMS 1993).
@@ -510,13 +525,19 @@ def _staircase(l0: np.ndarray, l1: np.ndarray) -> tuple:
     row-compresses the matching columns of l1 to their rank rho_k, and drops
     both.  mu_k - rho_k right minimal indices equal k, and rho_k - mu_{k+1}
     Jordan blocks at 0 have size k + 1, with mu = 0 at the last step.  Ranks
-    use the absolute cutoff max(M, N) * eps * ||[l0 l1]||_2 * STAIRCASE_SCALE.
-    Each step keeps what it computed, (a, b, V, rank, U_top, sigma_top, W^H)
-    for the blocks a, b of the step, a = U S V^H and b V2 = U sigma W^H with
+    use the absolute cutoff max(M, N) * eps * ||[l0 l1]||_2 (`norm`, if
+    given) * STAIRCASE_SCALE.  Step 0 first reads l0's singular values alone,
+    against 2 ||[l0 l1]||_F >= ||[l0 l1]||_2 if no `norm` is given, and takes
+    vectors and the 2-norm only if they do not show full column rank.  Each
+    step keeps what it computed, (a, b, V, rank, U_top, sigma_top, W^H) for
+    the blocks a, b of the step, a = U S V^H and b V2 = U sigma W^H with
     V = [V1 V2] split at the rank, for `_back_substitute`.
     """
-    cutoff = (max(l0.shape) * np.finfo(float).eps * STAIRCASE_SCALE
-              * np.linalg.norm(np.hstack([l0, l1]), 2))
+    scale = max(l0.shape) * np.finfo(float).eps * STAIRCASE_SCALE
+    bound = norm or 2.0 * math.hypot(np.linalg.norm(l0), np.linalg.norm(l1))
+    if np.sum(np.linalg.svd(l0, compute_uv=False) > scale * bound) == l0.shape[1]:
+        return [], [], []
+    cutoff = scale * (np.linalg.norm(np.hstack([l0, l1]), 2) if norm is None else norm)
     a, b = l0, l1
     indices, sizes, steps = [], [], []
     rho = 0

@@ -12,6 +12,7 @@ together with the dual-basis pairs and full block-partition metadata.  The
 state pencil L_A = [M_A; K_A] occupies the leading n(1+rho_A) rows/columns.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,8 +106,8 @@ def _deg(p: PolyMatrix) -> int:
 
 @dataclass(frozen=True)
 class PencilReadings:
-    """The staircase at 0 of each side of lambda L1 + L0 and the size of its
-    regular part, each computed once on first use."""
+    """The staircase at 0 of each side of lambda L1 + L0, the size of its
+    regular part and ||[L0 L1]||_2, each computed once on first use."""
 
     L0: np.ndarray
     L1: np.ndarray
@@ -115,20 +116,26 @@ class PencilReadings:
     def _staircases(self) -> dict:
         return {}
 
+    @cached_property
+    def norm(self) -> float:
+        """||[L0 L1]||_2: the right staircase's cutoff scale, `regular_size`'s tau."""
+        return np.linalg.norm(np.hstack([self.L0, self.L1]).astype(complex, copy=False), 2)
+
     def staircase(self, side: str) -> tuple:
         """`eigsolve._staircase` at 0 of the pencil's coefficient stack on
         `side` ("right", or "left" for the transpose), run once per side on
         first use."""
         if side not in self._staircases:
             from .eigsolve import _staircase, side_stack  # eigsolve imports this module
-            self._staircases[side] = _staircase(*side_stack(self.L0, self.L1, side))
+            self._staircases[side] = _staircase(*side_stack(self.L0, self.L1, side),
+                                                self.norm if side == "right" else None)
         return self._staircases[side]
 
     @cached_property
     def regular_size(self) -> int | None:
         """`eigsolve.regular_part_size`, shared by both sides."""
         from .eigsolve import regular_part_size  # eigsolve imports this module
-        return regular_part_size(self.L0, self.L1)
+        return regular_part_size(self.L0, self.L1, self.norm)
 
 
 @dataclass(frozen=True)
@@ -279,7 +286,7 @@ def row_pencil(p: PolyMatrix, pair: DualBasisPair) -> PolyMatrix:
     if p.basis is not pair.basis:
         raise BasisError("row_pencil: matrix and pair bases differ")
     d, deg = pair.d, p.degree()
-    if d < max(1, _deg(p)):
+    if d < max(1, deg):
         raise DimensionError(f"target grade {d} below degree {deg}")
     if pair.s != p.cols:
         raise DimensionError("pair does not match the block size")
@@ -318,11 +325,6 @@ def build(r: Realization, grade_a: int | None = None,
     rows = n * da + p + m * (dd - 1)
     cols = n * da + m * dd
     ca = n * da  # column split between the two sides
-    stack = np.block([[m_a.coeffs, m_b.coeffs],
-                      [pair_a.K.coeffs, np.zeros((2, ca - n, cols - ca))],
-                      [-m_c.coeffs, m_d.coeffs],
-                      [np.zeros((2, rows - ca - p, ca)), pair_d.K.coeffs]])
-
     blocks = {
         "M_A": (0, n, 0, ca),
         "K_A": (n, ca, 0, ca),
@@ -332,6 +334,10 @@ def build(r: Realization, grade_a: int | None = None,
         "K_D": (ca + p, rows, ca, cols),
         "L_A": (0, ca, 0, ca),
     }
+    stack = np.zeros((2, rows, cols), dtype=complex)
+    for (r0, r1, c0, c1), coeffs in zip(blocks.values(), (
+            m_a.coeffs, pair_a.K.coeffs, m_b.coeffs, -m_c.coeffs, m_d.coeffs, pair_d.K.coeffs)):
+        stack[:, r0:r1, c0:c1] = coeffs
     return StructuredLinearization(
         L0=stack[0], L1=stack[1], grade_a=da, grade_d=dd, blocks=blocks,
         pair_a=pair_a, pair_d=pair_d, realization=r,
@@ -364,10 +370,9 @@ def check_finite_minimality(r: Realization, lam):
 def check_infinity_minimality(r: Realization, grade_a: int | None = None,
                               grade_d: int | None = None) -> tuple:
     """Rank tests on the reversed blocks at 0, with the build grades."""
-    da, dd = r.grade_sides(grade_a, grade_d)
-    a0 = r.A.reversal(da).eval(0.0)
-    c0 = r.C.reversal(da).eval(0.0)
-    b0 = r.B.reversal(dd).eval(0.0)
+    da, dd = r.grade_sides(grade_a, grade_d)  # a grade-g reversal at 0 is P_g / prod alpha_k
+    a0, c0, b0 = (p.coeff(g) / math.prod(RECURRENCE[p.basis](k)[0] for k in range(g))
+                  for p, g in ((r.A, da), (r.C, da), (r.B, dd)))
     left = numerical_rank(np.vstack([a0, c0])) == r.n
     right = numerical_rank(np.hstack([a0, b0])) == r.n
     return left, right
@@ -377,14 +382,15 @@ _POLE_HINT = (": pole or state eigenvalue; "
               "use reversal/limit-based routines instead")
 
 
-def _state_stack(r: Realization, lams: np.ndarray, *pairs) -> tuple:
+def _state_stack(r: Realization, lams: np.ndarray, *pairs, tested=False) -> tuple:
     """([P + C A^{-1} Q for each (P, Q) in pairs], ok) at a 1-D array of
     points, from one stacked evaluation of each block, one stacked
     invertibility test of A and one stacked solve with every Q side by side.
     ok marks the points where A passes `require_invertible`'s test; the
-    stacks hold those points only, so a pole never fails the others."""
+    stacks hold those points only, so a pole never fails the others.  Points
+    of `sample_points` are `tested` there, by the same test on the same bits."""
     av = r.A.eval(lams)
-    ok = ~_singular(np.linalg.svd(av, compute_uv=False))
+    ok = np.full(lams.size, True) if tested else ~_singular(np.linalg.svd(av, compute_uv=False))
     pts = lams[ok]
     cv = r.C.eval(pts)
     qs = [q.eval(pts) for _, q in pairs]
@@ -393,11 +399,11 @@ def _state_stack(r: Realization, lams: np.ndarray, *pairs) -> tuple:
     return [p.eval(pts) + cv @ x for (p, _), x in zip(pairs, sols)], ok
 
 
-def _state_terms(r: Realization, lam, *pairs) -> list:
+def _state_terms(r: Realization, lam, *pairs, tested=False) -> list:
     """`_state_stack` at one point, or at a 1-D array of points, raising
     PoleError at the first point where A(lam) is singular."""
     pts = np.atleast_1d(np.asarray(lam, dtype=complex))
-    terms, ok = _state_stack(r, pts, *pairs)
+    terms, ok = _state_stack(r, pts, *pairs, tested=tested)
     if not ok.all():
         at = lam if np.ndim(lam) == 0 else pts[np.argmin(ok)]
         raise PoleError(f"state matrix singular at lambda={at}{_POLE_HINT}")
@@ -420,8 +426,8 @@ def hat_transfer_eval(sl: StructuredLinearization, lam: complex) -> np.ndarray:
 def system_eval(r: Realization, lam) -> np.ndarray:
     """System matrix [A B; -C D](lam), of rank n + rank R(lam) off the poles;
     the stack of them at a 1-D array of points."""
-    return np.block([[r.A.eval(lam), r.B.eval(lam)],
-                     [-r.C.eval(lam), r.D.eval(lam)]])
+    return np.concatenate([np.concatenate([r.A.eval(lam), r.B.eval(lam)], axis=-1),
+                           np.concatenate([-r.C.eval(lam), r.D.eval(lam)], axis=-1)], axis=-2)
 
 
 def sample_points(r: Realization, rng, count: int, step: float,

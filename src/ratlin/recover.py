@@ -7,7 +7,7 @@ one-sided factorization residuals provide an executable certificate that a
 built pencil really carries the transfer function around with it.
 """
 
-from contextlib import suppress
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,34 +174,53 @@ def _eigenpair_at(sl: StructuredLinearization, lam: complex) -> EigenpairR:
     `sl.spectrum`."""
     rv = transfer_eval(sl.realization, lam)
     (phis,), (scale,) = _pair_terms(sl, np.array([lam], dtype=complex), rv[None])
-    return _eigenpair_from(sl, lam, *sl.spectrum.vectors_near(lam), rv, phis, scale)
+    x_tilde, y_tilde = sl.spectrum.vectors_near(lam)
+    x, y = _right_block(sl, phis, x_tilde), recover_left_eigvec(sl, lam, y_tilde)
+    res_r = float(np.linalg.norm(rv @ x) / np.linalg.norm(x))
+    res_l = float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
+    return EigenpairR(complex(lam), x, y, res_r, res_l, res_r / float(scale),
+                      res_l / float(scale))
 
 
 def _spectrum_eigenpairs(sl: StructuredLinearization) -> dict:
     """`_eigenpair_at` at every finite eigenvalue of `sl.spectrum`, keyed by
-    the eigenvalue, from one stacked evaluation of each block, one
-    invertibility test, one solve and one 2-norm.  Equal eigenvalues take the
-    first pair, as `vectors_near` does; poles and the pairs whose slice is
-    numerically zero are left out.  No residual is judged here: callers
-    judge eta."""
+    the eigenvalue, bit for bit, in stacked operations over the spectrum but
+    the four norms of eta (`_norm`, per pair: a stacked norm sums in another
+    order).  Equal eigenvalues take the first pair, as `vectors_near` does;
+    poles and the pairs whose slice is numerically zero are left out.  No
+    residual is judged here: callers judge eta."""
     try:
         spec = sl.spectrum
     except RatlinError:
         return {}
     fin = np.flatnonzero(spec._finite_mask())
-    first = {}
-    for lam, i in zip((spec.alphas[fin] / spec.betas[fin]).tolist(), fin):
-        first.setdefault(lam, i)
+    vals = spec.alphas[fin] / spec.betas[fin]
+    first = np.sort(np.unique(vals, return_index=True)[1])
     r = sl.realization
-    (rvs,), ok = _state_stack(r, np.array(list(first), dtype=complex), (r.D, r.B))
-    lams = [lam for lam, keep in zip(first, ok) if keep]
-    phis, scales = _pair_terms(sl, np.array(lams, dtype=complex), rvs)
+    (rvs,), ok = _state_stack(r, vals[first], (r.D, r.B))
+    lams = vals[first][ok]
+    phis, scales = _pair_terms(sl, lams, rvs)
+    xt, yt = spec.pairs(fin[first][ok])
+    at, k = np.arange(lams.size), np.argmax(np.abs(phis), axis=1)  # ties: lowest degree
+    rows = xt.shape[0] - (k[:, None] + 1) * r.m + np.arange(r.m)
+    xs = xt[rows, at[:, None]] / phis[at, k][:, None]
+    na = sl.blocks["L_A"][1]
+    ys = np.ascontiguousarray(yt[na:na + r.p].T)
+    keep = ((np.linalg.norm(xs, axis=1) > 1e-12 * np.linalg.norm(xt, axis=0))
+            & (np.linalg.norm(ys, axis=1) > 1e-12 * np.linalg.norm(yt, axis=0)))
+    lams, xs, ys, rvs, scales = (v[keep] for v in (lams, xs, ys, rvs, scales))
     out = {}
-    for lam, rv, phi, scale in zip(lams, rvs, phis, scales):
-        i = first[lam]
-        with suppress(RatlinError):
-            out[lam] = _eigenpair_from(sl, lam, *spec.pair(i), rv, phi, scale)
+    for lam, x, y, rx, yr, scale in zip(lams.tolist(), xs, ys, (rvs @ xs[:, :, None])[:, :, 0],
+                                        (ys[:, None] @ rvs)[:, 0], scales.tolist()):
+        res_r, res_l = _norm(rx) / _norm(x), _norm(yr) / _norm(y)
+        out[lam] = EigenpairR(lam, x, y, res_r, res_l, res_r / scale, res_l / scale)
     return out
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a complex vector, bit for bit, by its formula."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _pair_terms(sl, lams, rvs) -> tuple:
@@ -217,31 +236,24 @@ def _pair_terms(sl, lams, rvs) -> tuple:
     return _phis(sl, lams), np.where(zero, 1.0, scales)
 
 
-def _eigenpair_from(sl, lam, x_tilde, y_tilde, rv, phis, scale) -> EigenpairR:
-    x = _right_block(sl, phis, x_tilde)
-    y = recover_left_eigvec(sl, lam, y_tilde)
-    res_r = float(np.linalg.norm(rv @ x) / np.linalg.norm(x))
-    res_l = float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
-    scale = float(scale)
-    return EigenpairR(complex(lam), x, y, res_r, res_l, res_r / scale, res_l / scale)
-
-
 # ---------------------------------------------------------------------------
 # one-sided factorization residuals
 # ---------------------------------------------------------------------------
 
-def factorization_residuals(sl: StructuredLinearization, lam) -> tuple | list:
+def factorization_residuals(sl: StructuredLinearization, lam, *,
+                            tested=False) -> tuple | list:
     """Residual norms of the two one-sided factorizations at a point, relative
     to max(1, ||Rhat(lam)|| max(1, ||N_D(lam)||)); at a 1-D array of points,
-    the list of these pairs, from one evaluation of each block and one solve.
+    the list of these pairs, from one evaluation of each block and one solve
+    (and no invertibility test of A at points `tested` by `sample_points`).
 
     right: Rhat(lam) N_D(lam)^T - [R(lam); 0]
     left:  [I_p, -M_R(lam) Nhat_D(lam)^T] Rhat(lam) - R(lam) Khat_D(lam)
     """
     r = sl.realization
     pts = np.atleast_1d(np.asarray(lam, dtype=complex))
-    top, rv = (t.reshape((pts.size,) + t.shape[-2:])
-               for t in _state_terms(r, lam, (sl.m_d, sl.m_b), (r.D, r.B)))
+    top, rv = (t.reshape((pts.size,) + t.shape[-2:]) for t in _state_terms(
+        r, lam, (sl.m_d, sl.m_b), (r.D, r.B), tested=tested))
     rhat = np.concatenate([top, sl.pair_d.K.eval(pts)], axis=1)
     nd = sl.pair_d.N.eval(pts)
     target = np.concatenate(
@@ -364,7 +376,8 @@ def _nullspace_diagnostics(sl: StructuredLinearization, basis: MinimalBasisResul
     pointwise full rank (including 0), and reducedness."""
     pts = sample_points(sl.realization, rng, 5, 0.05, 40)
     zs = np.array(pts, dtype=complex)
-    rvs, vvs = transfer_eval(sl.realization, zs), basis.vectors.eval(zs)
+    r = sl.realization
+    (rvs,), vvs = _state_terms(r, zs, (r.D, r.B), tested=True), basis.vectors.eval(zs)
     worst = 0.0
     for rv, vv, res in zip(rvs, vvs, rvs @ vvs if side == "right" else vvs @ rvs):
         scale = max(1.0, np.linalg.norm(rv)) * max(1.0, np.linalg.norm(vv))

@@ -377,7 +377,55 @@ class TestPartialMultiplicities:
         assert total == len(roots) == 4
 
 
+def _staircase_with_vectors(l0, l1) -> tuple:
+    """`eigsolve._staircase` as it was before its first step read singular
+    values alone: every step takes the SVD with vectors, and the cutoff's
+    norm is formed from the stacked pencil."""
+    cutoff = (max(l0.shape) * np.finfo(float).eps * eigsolve.STAIRCASE_SCALE
+              * np.linalg.norm(np.hstack([l0, l1]), 2))
+    a, b = l0, l1
+    indices, sizes, steps = [], [], []
+    rho = 0
+    for k in range(l0.shape[1] + 1):
+        _, sv, vh = np.linalg.svd(a)
+        rank = int(np.sum(sv > cutoff))
+        mu = a.shape[1] - rank
+        sizes += [k] * (rho - mu)
+        if mu == 0:
+            break
+        v = vh.conj().T
+        u, sb, wh = np.linalg.svd(b @ v[:, rank:])
+        rho = int(np.sum(sb > cutoff))
+        indices += [k] * (mu - rho)
+        steps.append((a, b, v, rank, u[:, :rho].copy(), sb[:rho], wh))
+        uh = u.conj().T[rho:]
+        a, b = uh @ a @ v[:, :rank], uh @ b @ v[:, :rank]
+    return indices, sizes, steps
+
+
 class TestInvariantOrders:
+    def test_staircase_on_reversed_pencils_matches_the_vector_path(self):
+        # the reversed state and full pencils of the orders record's
+        # fixtures: a generic one takes the shortcut (l0 invertible, no
+        # vectors); a rank-deficient leading coefficient or a raised grade
+        # makes l0 singular, and every step matches the vector path bitwise
+        paths = {True: 0, False: 0}
+        for (n, g, seed), ba, bd, (blocks, raise_d) in product(
+                [(2, 2, 1), (3, 3, 4)], Basis, Basis,
+                [("", 0), ("A", 0), ("BD", 0), ("", 1)]):
+            r = gen_fixture(FixtureSpec(seed=seed, n=n, p=n, m=n, grade_a=g,
+                                        grade_d=g, basis_a=ba, basis_d=bd))
+            sl = build(deficient_leading(r, blocks), grade_d=g + raise_d, rng=1)
+            la0, la1 = sl.state_pencil()
+            for l0, l1 in ((la1, la0), (sl.L1, sl.L0)):
+                got, want = eigsolve._staircase(l0, l1), _staircase_with_vectors(l0, l1)
+                assert got[:2] == want[:2]
+                assert len(got[2]) == len(want[2])
+                for step, ref in zip(got[2], want[2]):
+                    assert all(np.array_equal(x, y) for x, y in zip(step, ref))
+                paths[not got[2]] += 1
+        assert paths[True] and paths[False], paths
+
     def test_identity_rational_matrix(self):
         # R = 1 via a = l, b = 1, c = 0, d = 1: order list [0]
         r = scalar_realization([0, 1], [1], [0], [1])
@@ -489,7 +537,7 @@ class TestPolynomialNullspace:
         stack = _pencil_stack(l0, l1, "right")
         want = eigsolve._basis_result(
             eigsolve._sweep(stack, 3), l0.shape[1])
-        monkeypatch.setattr(eigsolve, "_staircase", lambda a, b: ([0, 1], [], []))
+        monkeypatch.setattr(eigsolve, "_staircase", lambda a, b, norm=None: ([0, 1], [], []))
         got = polynomial_nullspace(l0, l1, "right")
         assert got.indices == want.indices == [0, 1, 3]
         assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
@@ -513,8 +561,8 @@ class TestPolynomialNullspace:
                     eigsolve._sweep(stack, nullity), stack.shape[2])
         staircase = eigsolve._staircase
 
-        def spoiled(l0, l1):
-            guess, sizes, _ = staircase(l0, l1)
+        def spoiled(l0, l1, norm=None):
+            guess, sizes, _ = staircase(l0, l1, norm)
             last = {"raise-last": [guess[-1] + 1],
                     "lower-last": [abs(guess[-1] - 1)],  # 0 goes up to 1
                     "drop-last": []}[spoil]

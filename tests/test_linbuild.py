@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,6 +8,7 @@ from ratlin.config import unit_circle_points
 from ratlin.dualbases import chebyshev_pair, monomial_pair
 from ratlin.eigsolve import pencil_eigs
 from ratlin.errors import BasisError, DimensionError, PoleError, PreconditionError
+from ratlin import linbuild
 from ratlin.linbuild import (Realization, block_pencil, build,
                              check_finite_minimality, check_infinity_minimality,
                              hat_transfer_eval, require_invertible, row_pencil,
@@ -201,6 +204,37 @@ class TestMinimality:
                         B=PolyMatrix.identity(n), C=PolyMatrix.identity(n),
                         D=PolyMatrix.identity(n))
         assert check_infinity_minimality(r) == (True, True)
+
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_infinity_closed_form_matches_reversal_and_evaluation(self, basis,
+                                                                 monkeypatch):
+        # the stacked top coefficients, taken in closed form, against the
+        # grade-g reversal of each block evaluated at 0, at the degree and
+        # above it (a raised grade, whose reversal vanishes at 0), with
+        # full-rank and rank-deficient leading coefficients
+        ranked = []
+        monkeypatch.setattr(linbuild, "numerical_rank",
+                            lambda mat: ranked.append(mat) or numerical_rank(mat))
+        verdicts = set()
+        for seed, raise_a, raise_d, drop in product(range(3), (0, 1), (0, 2), "-ABC"):
+            r = random_realization(seed, n=2, p=3, m=2, grade_a=2, grade_d=3,
+                                   basis_a=basis, basis_d=basis)
+            if drop != "-":
+                coeffs = getattr(r, drop).coeffs.copy()
+                coeffs[-1][:, 0] = 0.0
+                r = Realization(**{k: getattr(r, k) for k in "ABCD" if k != drop},
+                                **{drop: PolyMatrix(coeffs, basis)})
+            da, dd = 2 + raise_a, 3 + raise_d
+            a0, c0, b0 = (p.reversal(g).eval(0.0)
+                          for p, g in ((r.A, da), (r.C, da), (r.B, dd)))
+            want = [np.vstack([a0, c0]), np.hstack([a0, b0])]
+            ranked.clear()
+            got = check_infinity_minimality(r, da, dd)
+            assert len(ranked) == 2
+            assert all(np.array_equal(x, y) for x, y in zip(ranked, want))
+            assert got == tuple(numerical_rank(mat) == r.n for mat in want)
+            verdicts.add(got)
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_infinity_monic_state_ignores_c(self):
         rng = np.random.default_rng(3)

@@ -99,6 +99,21 @@ class TestRunAll:
                 "one-sided-factorizations", "state-pencil-spectrum",
                 "minimality-proxy", "eigenvector-recovery"} <= names
 
+    def test_one_sided_factorizations_decompose_each_sample_once(self, monkeypatch):
+        # sample_points decomposes each A(z) for its invertibility and
+        # condition tests; the residuals at the kept points test none again
+        svd, matrices = np.linalg.svd, []
+
+        def counting(a, *args, **kwargs):
+            matrices.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        sl = build(preset_cross_coupled())
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        entry = verify._check_one_sided_factorizations(sl, np.random.default_rng(2))
+        assert entry.status == "pass"
+        assert sum(matrices) == 10
+
     def test_zero_column_activates_nullspace_checks(self):
         spec = FixtureSpec(seed=11, n=2, p=3, m=3, structure="zero-column-b")
         rep = run_all(gen_fixture(spec), seed=4)
@@ -170,9 +185,9 @@ class TestRunAll:
         staircase = eigsolve._staircase
         calls = []
 
-        def counting(l0, l1):
+        def counting(l0, l1, norm=None):
             calls.append((l0, l1))
-            return staircase(l0, l1)
+            return staircase(l0, l1, norm)
 
         monkeypatch.setattr(eigsolve, "_staircase", counting)
         r = gen_fixture(FixtureSpec(seed=1, structure=structure))

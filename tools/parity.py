@@ -31,7 +31,9 @@ Each realization except the benchmark's goes through `eigs`, `infinity`,
 `nullspace --side left`, `nullspace --side right`, `check` (all with
 `--json`), `linearize` and `linearize --output`; the `battery` ones go
 through `check` and both `nullspace` runs, the `spectral` ones through
-`eigs` and `infinity`, and the n = 12 singular ones through `check` only
+`eigs`, `infinity` and `check`, whose `eigenvector-recovery` entry pins the
+worst eta of the eigenpairs recovered off the whole spectrum on regular
+inputs up to n = 12, and the n = 12 singular ones through `check` only
 (a `nullspace` run that refutes the reading of a deep side sweeps it, which
 can take gigabytes).  Every run writes
 OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
@@ -67,7 +69,7 @@ COMMANDS = {
 SCALAR_COUNT = 40
 BENCH_SEEDS = (1, 7919)
 BENCH_COMMANDS = {"battery": ("check", "nullspace-left", "nullspace-right"),
-                  "spectral": ("eigs", "infinity")}
+                  "spectral": ("eigs", "infinity", "check")}
 
 
 def realizations(verify, basis):
