@@ -373,14 +373,18 @@ def _require_minimality(sl: StructuredLinearization, side: str):
 def _nullspace_diagnostics(sl: StructuredLinearization, basis: MinimalBasisResult,
                            side: str, rng) -> dict:
     """Re-verify a recovered basis: nullspace residual at sample points,
-    pointwise full rank (including 0), and reducedness."""
+    pointwise full rank (including 0), and reducedness.  The residual of
+    R(z) v(z) is relative to max(1, ||R(z)||) max(1, sum_k ||v_k|| |z|^k),
+    a bound on v(z) that also bounds the roundoff of evaluating it: where
+    the monomial coefficients of a deep basis cancel, ||v(z)|| does not."""
     pts = sample_points(sl.realization, rng, 5, 0.05, 40)
     zs = np.array(pts, dtype=complex)
-    r = sl.realization
-    (rvs,), vvs = _state_terms(r, zs, (r.D, r.B), tested=True), basis.vectors.eval(zs)
+    r, v = sl.realization, basis.vectors
+    (rvs,), vvs = _state_terms(r, zs, (r.D, r.B), tested=True), v.eval(zs)
+    sizes = np.abs(zs)[:, None] ** np.arange(v.grade + 1) @ np.linalg.norm(v.coeffs, axis=(1, 2))
     worst = 0.0
-    for rv, vv, res in zip(rvs, vvs, rvs @ vvs if side == "right" else vvs @ rvs):
-        scale = max(1.0, np.linalg.norm(rv)) * max(1.0, np.linalg.norm(vv))
+    for rv, size, res in zip(rvs, sizes, rvs @ vvs if side == "right" else vvs @ rvs):
+        scale = max(1.0, np.linalg.norm(rv)) * max(1.0, size)
         worst = max(worst, float(np.linalg.norm(res)) / scale)
 
     full = basis.full_rank_at(pts + [0.0])

@@ -325,6 +325,18 @@ class TestRunAll:
         assert statuses["left-index-match"] == "pass", statuses
         assert statuses["nullvector-degree-law"] == "pass", statuses
 
+    @pytest.mark.parametrize("structure, name", [("zero-column-b", "left-index-match"),
+                                                 ("zero-row-c", "right-index-shift")])
+    def test_deep_chebyshev_sides_pass(self, structure, name):
+        # pencil indices 78 and 79, whose monomial coefficients cancel by
+        # about 1e10 near z = 1: scaled by ||v(z)||, the residual of a basis
+        # right to working precision read 2.1e-8 and 5.2e-7
+        cheb = Basis.CHEBYSHEV1
+        r = gen_fixture(FixtureSpec(seed=1, n=20, p=20, m=20, grade_a=2, grade_d=2,
+                                    basis_a=cheb, basis_d=cheb, structure=structure))
+        entry = {e.name: e for e in run_all(r, seed=1).entries}[name]
+        assert entry.status == "pass" and entry.worst_residual <= 1e-14
+
     @pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
     def test_grade10_eigenvector_recovery(self, basis):
         # zeros well outside the unit disc, where phi_{d-1} dominates phi_0
