@@ -202,7 +202,8 @@ def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
 
 
 def pencil_is_regular(l0: np.ndarray, l1: np.ndarray, rng=None) -> bool:
-    """Determinant sampling: full rank at any of 3 random points."""
+    """Determinant sampling: full rank at any of 3 random points, from `rng`
+    or, by default, the default seed's 3, drawn once per process."""
     if l0.shape[0] != l0.shape[1]:
         return False
     n = l0.shape[0]

@@ -336,7 +336,8 @@ def build(r: Realization, grade_a: int | None = None,
     }
     stack = np.zeros((2, rows, cols), dtype=complex)
     for (r0, r1, c0, c1), coeffs in zip(blocks.values(), (
-            m_a.coeffs, pair_a.K.coeffs, m_b.coeffs, -m_c.coeffs, m_d.coeffs, pair_d.K.coeffs)):
+            m_a.coeffs, pair_a.K.coeffs, m_b.coeffs, -m_c.coeffs, m_d.coeffs,
+            pair_d.K.coeffs)):
         stack[:, r0:r1, c0:c1] = coeffs
     return StructuredLinearization(
         L0=stack[0], L1=stack[1], grade_a=da, grade_d=dd, blocks=blocks,
@@ -369,8 +370,10 @@ def check_finite_minimality(r: Realization, lam):
 
 def check_infinity_minimality(r: Realization, grade_a: int | None = None,
                               grade_d: int | None = None) -> tuple:
-    """Rank tests on the reversed blocks at 0, with the build grades."""
-    da, dd = r.grade_sides(grade_a, grade_d)  # a grade-g reversal at 0 is P_g / prod alpha_k
+    """Rank tests on the reversed blocks at 0, with the build grades, in
+    closed form: the grade-g reversal of P at 0 is its coefficient of lambda^g,
+    P_g / (alpha_0 ... alpha_{g-1}) in a basis of recurrence (alpha, beta, gamma)."""
+    da, dd = r.grade_sides(grade_a, grade_d)
     a0, c0, b0 = (p.coeff(g) / math.prod(RECURRENCE[p.basis](k)[0] for k in range(g))
                   for p, g in ((r.A, da), (r.C, da), (r.B, dd)))
     left = numerical_rank(np.vstack([a0, c0])) == r.n
@@ -390,7 +393,8 @@ def _state_stack(r: Realization, lams: np.ndarray, *pairs, tested=False) -> tupl
     stacks hold those points only, so a pole never fails the others.  Points
     of `sample_points` are `tested` there, by the same test on the same bits."""
     av = r.A.eval(lams)
-    ok = np.full(lams.size, True) if tested else ~_singular(np.linalg.svd(av, compute_uv=False))
+    ok = (np.full(lams.size, True) if tested
+          else ~_singular(np.linalg.svd(av, compute_uv=False)))
     pts = lams[ok]
     cv = r.C.eval(pts)
     qs = [q.eval(pts) for _, q in pairs]
@@ -426,8 +430,8 @@ def hat_transfer_eval(sl: StructuredLinearization, lam: complex) -> np.ndarray:
 def system_eval(r: Realization, lam) -> np.ndarray:
     """System matrix [A B; -C D](lam), of rank n + rank R(lam) off the poles;
     the stack of them at a 1-D array of points."""
-    return np.concatenate([np.concatenate([r.A.eval(lam), r.B.eval(lam)], axis=-1),
-                           np.concatenate([-r.C.eval(lam), r.D.eval(lam)], axis=-1)], axis=-2)
+    rows = ([r.A.eval(lam), r.B.eval(lam)], [-r.C.eval(lam), r.D.eval(lam)])
+    return np.concatenate([np.concatenate(row, axis=-1) for row in rows], axis=-2)
 
 
 def sample_points(r: Realization, rng, count: int, step: float,

@@ -210,8 +210,8 @@ def _spectrum_eigenpairs(sl: StructuredLinearization) -> dict:
             & (np.linalg.norm(ys, axis=1) > 1e-12 * np.linalg.norm(yt, axis=0)))
     lams, xs, ys, rvs, scales = (v[keep] for v in (lams, xs, ys, rvs, scales))
     out = {}
-    for lam, x, y, rx, yr, scale in zip(lams.tolist(), xs, ys, (rvs @ xs[:, :, None])[:, :, 0],
-                                        (ys[:, None] @ rvs)[:, 0], scales.tolist()):
+    rxs, yrs = (rvs @ xs[:, :, None])[:, :, 0], (ys[:, None] @ rvs)[:, 0]
+    for lam, x, y, rx, yr, scale in zip(lams.tolist(), xs, ys, rxs, yrs, scales.tolist()):
         res_r, res_l = _norm(rx) / _norm(x), _norm(yr) / _norm(y)
         out[lam] = EigenpairR(lam, x, y, res_r, res_l, res_r / scale, res_l / scale)
     return out
@@ -381,7 +381,8 @@ def _nullspace_diagnostics(sl: StructuredLinearization, basis: MinimalBasisResul
     zs = np.array(pts, dtype=complex)
     r, v = sl.realization, basis.vectors
     (rvs,), vvs = _state_terms(r, zs, (r.D, r.B), tested=True), v.eval(zs)
-    sizes = np.abs(zs)[:, None] ** np.arange(v.grade + 1) @ np.linalg.norm(v.coeffs, axis=(1, 2))
+    sizes = np.abs(zs)[:, None] ** np.arange(v.grade + 1) @ np.linalg.norm(
+        v.coeffs, axis=(1, 2))
     worst = 0.0
     for rv, size, res in zip(rvs, sizes, rvs @ vvs if side == "right" else vvs @ rvs):
         scale = max(1.0, np.linalg.norm(rv)) * max(1.0, size)

@@ -231,10 +231,13 @@ def _check_rank_additivity(sl, rng) -> CheckEntry:
 
 def _check_one_sided_factorizations(sl, rng) -> CheckEntry:
     pts = sample_points(sl.realization, rng, 10, 0.07, 60, cond_max=1e6)
-    vals = [max(pair) for pair in factorization_residuals(
-        sl, np.array(pts, dtype=complex), tested=True)]
-    worst = max(vals, default=0.0)
-    loc = complex(pts[vals.index(worst)]) if worst > 0.0 else None
+    worst = 0.0
+    loc = None
+    for z, pair in zip(pts, factorization_residuals(sl, np.array(pts, dtype=complex),
+                                                    tested=True)):
+        val = max(pair)
+        if val > worst:
+            worst, loc = val, complex(z)
     return _entry("one-sided-factorizations", len(pts) == 10 and worst <= 1e-10,
                   worst, loc)
 
