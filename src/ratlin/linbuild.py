@@ -370,9 +370,8 @@ def check_finite_minimality(r: Realization, lam):
 
 def check_infinity_minimality(r: Realization, grade_a: int | None = None,
                               grade_d: int | None = None) -> tuple:
-    """Rank tests on the reversed blocks at 0, with the build grades, in
-    closed form: the grade-g reversal of P at 0 is its coefficient of lambda^g,
-    P_g / (alpha_0 ... alpha_{g-1}) in a basis of recurrence (alpha, beta, gamma)."""
+    """Rank tests on the reversed blocks at 0, with the build grades; the
+    grade-g reversal of P at 0 is, in closed form, P_g / (alpha_0 ... alpha_{g-1})."""
     da, dd = r.grade_sides(grade_a, grade_d)
     a0, c0, b0 = (p.coeff(g) / math.prod(RECURRENCE[p.basis](k)[0] for k in range(g))
                   for p, g in ((r.A, da), (r.C, da), (r.B, dd)))

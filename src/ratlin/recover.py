@@ -373,10 +373,9 @@ def _require_minimality(sl: StructuredLinearization, side: str):
 def _nullspace_diagnostics(sl: StructuredLinearization, basis: MinimalBasisResult,
                            side: str, rng) -> dict:
     """Re-verify a recovered basis: nullspace residual at sample points,
-    pointwise full rank (including 0), and reducedness.  The residual of
-    R(z) v(z) is relative to max(1, ||R(z)||) max(1, sum_k ||v_k|| |z|^k),
-    a bound on v(z) that also bounds the roundoff of evaluating it: where
-    the monomial coefficients of a deep basis cancel, ||v(z)|| does not."""
+    pointwise full rank (including 0), and reducedness.  The residual is
+    relative to max(1, ||R(z)||) max(1, sum_k ||v_k|| |z|^k), which bounds
+    the roundoff of v(z) where its coefficients cancel, as ||v(z)|| does not."""
     pts = sample_points(sl.realization, rng, 5, 0.05, 40)
     zs = np.array(pts, dtype=complex)
     r, v = sl.realization, basis.vectors
