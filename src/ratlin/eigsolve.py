@@ -9,11 +9,12 @@ bases.  One column-compression staircase gives a pencil's right minimal
 indices, a basis of those degrees by back-substitution through its
 own transforms, and its Jordan block sizes at 0, which are the local
 partial multiplicities and, on reversed pencils, the invariant orders at
-infinity.  A back-substituted basis is kept only when it passes a gate: its
-count, the index sum of the Kronecker form, whose regular-part size one
-rank-completing QZ counts, and the certificate; a rejected basis is
-replaced by a degree-sweep convolution method.  Only pencils are handled: a
-polynomial matrix of higher grade gets its nullspace through a
+infinity.  A basis is read at 0 and, where that reading is refused, on the
+reversed pencil, at infinity; a reading is kept only when it passes a gate:
+its count, the index sum of the Kronecker form, whose regular-part size one
+rank-completing QZ counts, and the certificate.  Indices that pass with no
+basis that does are solved for at those degrees alone.  Only pencils are
+handled: a polynomial matrix of higher grade gets its nullspace through a
 linearization.
 """
 
@@ -34,9 +35,9 @@ INF_BETA_TOL = 1e-12
 STAIRCASE_SCALE = 1e6
 RANK_SAMPLES = 5   # sample points of rational_rank
 DEGREE_TOL = 1e-8  # relative norm below which a coefficient row is zero
-# certificate residual above which a back-substituted basis goes to the
-# sweep: a tenth of the certificate's own 1e-10, so that the basis of R
-# sliced from it still meets 1e-10
+# certificate residual above which a basis is refused: a tenth of the
+# certificate's own 1e-10, so that the basis of R sliced from it still
+# meets 1e-10
 GATE_RESIDUAL = 1e-11
 # max(||V^H x||, ||U^H y||) of unit vectors of the rank-completed pencil of
 # `regular_part_size` at or below which an eigenvalue is the pencil's own
@@ -349,16 +350,14 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
                          rng=None, readings=None) -> MinimalBasisResult:
     """Minimal polynomial nullspace basis of a pencil.
 
-    The basis is back-substituted through the pencil's `_staircase` at 0 on
-    `side`, read from `readings`, the pencil's `PencilReadings` (made here
-    when not given; a linearization is its own), and kept if it passes the
-    gate of `_gated_basis`: the count, the index sum with the regular-part
-    size, and the certificate.  A rejected basis is replaced by the degree
-    sweep: for each candidate degree the block convolution matrix of the
-    pencil is formed, and new nullspace directions are those orthogonal to
-    shifts of the lower-degree basis vectors, until the count matches the
-    nullity of the pencil over the rational functions.  Either way the
-    output is deterministic.
+    The basis is back-substituted through the pencil's `_staircase` on
+    `side`, at 0 and, where that reading is refused, at infinity, read from
+    `readings`, the pencil's `PencilReadings` (made here when not given; a
+    linearization is its own), and kept if it passes the gate of
+    `_gated_basis`: the count, the index sum with the regular-part size, and
+    the certificate.  Indices that pass the gate with no basis that does get
+    a basis solved at those degrees (`_solve_at`); a side no reading numbers
+    raises BreakdownError.  The output is deterministic.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
@@ -378,8 +377,6 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
     else:
         res = _gated_basis(stack, nullity, side, PencilReadings(l0, l1)
                            if readings is None else readings)
-        if res is None:
-            res = _basis_result(_sweep(stack, nullity), cols)
     if side == "left":
         return MinimalBasisResult(vectors=res.vectors.T, indices=res.indices,
                                   side="left")
@@ -433,32 +430,65 @@ def _back_substitute(steps) -> list:
     return [(d, vecs[: d + 1, :, j]) for j, d in enumerate(degrees)]
 
 
-def _gated_basis(stack, nullity, side, readings) -> MinimalBasisResult | None:
-    """The pencil's right basis back-substituted through its `_staircase` at
-    0 on `side`, read from `readings`, or None unless the gate passes: the
-    reading's indices number the nullity; so do the other side's, and the
-    index sum of the Kronecker form holds, the right and left indices and
-    the regular-part size adding up to the normal rank (Gantmacher 1959;
-    Verghese, Van Dooren & Kailath, IJC 30, 1979); and
-    `certify_minimal_basis` passes with its own generator.  A reading at 0
-    can take eigenvalues near 0 for higher indices, with vectors that still
-    pass the certificate; the regular-part size counts them at no
-    privileged point.  A side that does not number its nullity can cancel
-    the other's error in the sum, hence the count on both sides.  The
-    certificate's residual must also be within GATE_RESIDUAL:
-    back-substitution divides by singular values down to the staircase's
-    cutoff, and where they are small it can lose five digits that the sweep
-    keeps."""
-    guess, _, steps = readings.staircase(side)
-    other = readings.staircase("left" if side == "right" else "right")[0]
-    rank = stack.shape[2] - nullity
-    size = readings.regular_size
-    if (len(guess) != nullity or len(other) != stack.shape[1] - rank or size is None
-            or sum(guess) + sum(other) + size != rank):
-        return None
-    res = _basis_result(_back_substitute(steps), stack.shape[2])
+def _gated_basis(stack, nullity, side, readings) -> MinimalBasisResult:
+    """The pencil's right basis on `side` from the staircase at 0 of
+    `readings` or, if the gate refuses it, from that of `readings.reversal`,
+    which reads the pencil at infinity (Van Dooren, LAA 1979): its vectors,
+    coefficients reversed, are the pencil's.  The gate: the indices number
+    the nullity; some reading of the other side numbers its own and closes
+    the index sum, right and left indices and regular-part size adding up to
+    the normal rank (Gantmacher 1959; Verghese, Van Dooren & Kailath, IJC
+    30, 1979), which a reading that takes eigenvalues near 0 for higher
+    indices breaks; and the basis passes `certify_minimal_basis` within
+    GATE_RESIDUAL, as back-substitution can lose digits.  Indices that pass
+    with no basis that does are solved at (`_solve_at`); with none that
+    pass, BreakdownError."""
+    other = "left" if side == "right" else "right"
+    rank, size = stack.shape[2] - nullity, readings.regular_size
+
+    def reading(infinity):
+        return readings.reversal if infinity else readings
+
+    def closes(indices):
+        return len(indices) == nullity and size is not None and any(
+            len(o) == stack.shape[1] - rank and sum(indices) + sum(o) + size == rank
+            for o in (reading(inf).staircase(other)[0] for inf in (False, True)))
+
+    degrees = None
+    for infinity in (False, True):
+        indices, _, steps = reading(infinity).staircase(side)
+        if closes(indices):
+            degrees = degrees or indices
+            found = [(d, cf[::-1] if infinity else cf) for d, cf in _back_substitute(steps)]
+            res = _basis_result(found, stack.shape[2])
+            if _certified(res, stack):
+                return res
+    if degrees is None:
+        raise BreakdownError(f"no {side} reading, at 0 or at infinity, numbers the "
+                             f"nullity {nullity} and closes the index sum")
+    res = _solve_at(stack, degrees)
+    if not _certified(res, stack):
+        raise BreakdownError(f"the {side} basis of degrees {degrees} is not certified")
+    return res
+
+
+def _certified(res, stack) -> bool:
     cert = certify_minimal_basis(res, *stack)
-    return res if cert["ok"] and cert["residual"] <= GATE_RESIDUAL else None
+    return cert["ok"] and cert["residual"] <= GATE_RESIDUAL
+
+
+def _solve_at(stack, indices) -> MinimalBasisResult:
+    """The pencil's right basis of the given minimal indices: at each
+    distinct degree, the null space of the block convolution matrix, whose
+    dimension the indices fix, less the shifts of the lower-degree vectors
+    (`_deflate_shifts`)."""
+    cols, found = stack.shape[2], []
+    for delta in sorted(set(indices)):
+        nu = sum(delta - d + 1 for d in indices if d <= delta)
+        ns = np.linalg.svd(_convolution_matrix(stack, delta))[2][-nu:].conj().T
+        fresh = _deflate_shifts(ns, found, delta, indices.count(delta))
+        found.extend((delta, vec.reshape(delta + 1, cols)) for vec in fresh.T)
+    return _basis_result(found, cols)
 
 
 def regular_part_size(l0: np.ndarray, l1: np.ndarray, norm=None) -> int | None:
@@ -487,34 +517,6 @@ def regular_part_size(l0: np.ndarray, l1: np.ndarray, norm=None) -> int | None:
     score = np.maximum(*(np.linalg.norm(w.conj().T @ z, axis=0) / np.linalg.norm(z, axis=0)
                          for w, z in ((v, eig.right_vectors), (u, eig.left_vectors))))
     return int(np.sum(score <= TRUE_SCORE))
-
-
-def _sweep(stack, nullity) -> list:
-    """[(degree, coefficients)] of the pencil's right basis from every degree
-    up to the last index; a degree's nullity comes from its singular values,
-    and the null vectors are taken only where that nullity adds some.  Pencil
-    minimal indices never exceed the rank, so the dimension sum caps the
-    degree."""
-    cap = sum(stack.shape[1:])
-    found = []
-    prev_nullity = 0
-    for delta in range(cap + 1):
-        conv = _convolution_matrix(stack, delta)
-        nu = conv.shape[1] - numerical_rank(conv)
-        new_count = nu - prev_nullity - len(found)
-        prev_nullity = nu
-        if new_count > 0:
-            _take(found, _null_basis(conv), delta, stack.shape[2], new_count)
-        if len(found) == nullity:
-            return found
-    raise BreakdownError(
-        f"nullspace sweep exceeded degree cap {cap} (numerical breakdown)")
-
-
-def _take(found, ns, delta, cols, new_count):
-    """Append the new degree-delta vectors of null basis ns to found."""
-    fresh = _deflate_shifts(ns, found, delta, cols, new_count)
-    found.extend((delta, vec.reshape(delta + 1, cols)) for vec in fresh.T)
 
 
 def _staircase(l0: np.ndarray, l1: np.ndarray, norm=None) -> tuple:
@@ -570,28 +572,15 @@ def _convolution_matrix(stack: np.ndarray, delta: int):
     return conv
 
 
-def _null_basis(mat):
-    u, sv, vh = np.linalg.svd(mat)
-    if sv.size == 0:
-        return np.eye(mat.shape[1], dtype=complex)
-    cutoff = max(mat.shape) * np.finfo(float).eps * sv[0]
-    rank = int(np.sum(sv > cutoff))
-    return vh[rank:].conj().T
-
-
-def _deflate_shifts(ns, found, delta, cols, new_count):
-    """Remove the span of lambda-shifted lower-degree vectors from ns."""
-    shifts = []
-    for d, cf in found:
-        for j in range(delta - d + 1):
-            emb = np.zeros(((delta + 1), cols), dtype=complex)
-            emb[j:j + d + 1] = cf
-            shifts.append(emb.ravel())
+def _deflate_shifts(ns, found, delta, count):
+    """The `count` leading directions of the columns of ns orthogonal to the
+    lambda-shifts of the lower-degree vectors of found, at degree delta."""
+    shifts = [np.pad(cf, ((j, delta - d - j), (0, 0))).ravel()
+              for d, cf in found for j in range(delta - d + 1)]
     if shifts:
-        q, _ = np.linalg.qr(np.array(shifts).T)
+        q = np.linalg.qr(np.array(shifts).T)[0]
         ns = ns - q @ (q.conj().T @ ns)
-    u, sv, _ = np.linalg.svd(ns, full_matrices=False)
-    return u[:, :new_count]
+    return np.linalg.svd(ns, full_matrices=False)[0][:, :count]
 
 
 def block_degree(vector: np.ndarray, rows=slice(None)):

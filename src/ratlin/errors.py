@@ -22,4 +22,4 @@ class PreconditionError(RatlinError):
 
 
 class BreakdownError(RatlinError):
-    """A numerical procedure exceeded its iteration/degree cap."""
+    """A numerical procedure could not reach or certify its result."""

@@ -107,7 +107,8 @@ def _deg(p: PolyMatrix) -> int:
 @dataclass(frozen=True)
 class PencilReadings:
     """The staircase at 0 of each side of lambda L1 + L0, the size of its
-    regular part and ||[L0 L1]||_2, each computed once on first use."""
+    regular part, ||[L0 L1]||_2 and the readings of its reversal, each
+    computed once on first use."""
 
     L0: np.ndarray
     L1: np.ndarray
@@ -136,6 +137,14 @@ class PencilReadings:
         """`eigsolve.regular_part_size`, shared by both sides."""
         from .eigsolve import regular_part_size  # eigsolve imports this module
         return regular_part_size(self.L0, self.L1, self.norm)
+
+    @cached_property
+    def reversal(self) -> "PencilReadings":
+        """The readings of lambda L0 + L1, which read this pencil at infinity,
+        sharing the norm and the regular-part size, which reversal keeps."""
+        rev = PencilReadings(self.L1, self.L0)
+        rev.__dict__.update(norm=self.norm, regular_size=self.regular_size)
+        return rev
 
 
 @dataclass(frozen=True)

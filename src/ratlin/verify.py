@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RESIDUAL_TOL, make_rng
-from .errors import PreconditionError, RatlinError
+from .errors import BreakdownError, PreconditionError, RatlinError
 from .eigsolve import MinimalBasisResult, block_degree, classify, rational_rank
 from .linbuild import (Realization, StructuredLinearization, build,
                        sample_points, system_eval)
@@ -281,14 +281,14 @@ def _check_nullspaces(sl, rng) -> list:
     R at the sample points, it is column reduced, and it has full rank at
     those points and at 0.  The pencil's indices are certified in turn, by
     the gate of `polynomial_nullspace` (the count, the index sum with the
-    linearization's `regular_size`, and the certificate) or by its sweep,
-    and `minimality-proxy` and `nullspace-dimension` check the hypotheses.
-    A side is skipped (not failed) when the indices of its staircase at 0,
-    `sl.staircase(side)`, which the gate reads as well, do not number its
-    nullity.
+    linearization's `regular_size`, and the certificate), and
+    `minimality-proxy` and `nullspace-dimension` check the hypotheses.  A
+    side is skipped (not failed) when recovery refuses its hypotheses or
+    raises BreakdownError, as the gate does when no reading of the side, at
+    0 or at infinity, passes its count and index sum.
     """
     r = sl.realization
-    # loosened like the pencil sweep's own rank (see polynomial_nullspace)
+    # loosened like the pencil's own rank in polynomial_nullspace
     rank_pencil = generic_rank(PolyMatrix(np.stack([sl.L0, sl.L1])), rng,
                                rank_scale=100.0)
     right_nullity = sl.shape[1] - rank_pencil
@@ -313,13 +313,13 @@ def _check_index_side(sl, side, nullity, rng) -> list:
     right = side == "right"
     name = "right-index-shift" if right else "left-index-match"
     skipped = [_skip(name)] + ([_skip("nullvector-degree-law")] if right else [])
-    if nullity <= 0 or len(sl.staircase(side)[0]) != nullity:
+    if nullity <= 0:
         return skipped
     recover_basis = (recover_right_minimal_basis if right
                      else recover_left_minimal_basis)
     try:
         rec = recover_basis(sl, rng=rng)
-    except PreconditionError:
+    except (PreconditionError, BreakdownError):
         return skipped
     diag = rec.diagnostics
     entry = _entry(name, diag["ok"] and diag["degree_consistent"],

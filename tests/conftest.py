@@ -14,7 +14,7 @@ import scipy.optimize  # noqa: E402
 from ratlin.config import MATCH_TOL  # noqa: E402
 from ratlin.errors import DimensionError  # noqa: E402
 from ratlin.polymat import Basis, PolyMatrix  # noqa: E402
-from ratlin.linbuild import Realization  # noqa: E402
+from ratlin.linbuild import PencilReadings, Realization  # noqa: E402
 from ratlin.verify import preset_cross_coupled  # noqa: E402
 
 DET_RADIUS = 1.15  # sample circle of poly_det_coeffs
@@ -41,6 +41,17 @@ def qz_runs(monkeypatch) -> list:
 
     monkeypatch.setattr(scipy.linalg.lapack, "zggev", counting)
     return runs
+
+
+def count_off(side):
+    """`PencilReadings.staircase` with one index more on `side`, at 0 and at
+    infinity alike: no reading of that side numbers its nullity."""
+    staircase = PencilReadings.staircase
+
+    def spoiled(readings, asked):
+        indices, *rest = staircase(readings, asked)
+        return (indices + [0] if asked == side else indices, *rest)
+    return spoiled
 
 
 def random_polymatrix(rng, grade, rows, cols, basis=Basis.MONOMIAL) -> PolyMatrix:

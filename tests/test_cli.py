@@ -10,11 +10,11 @@ from hypothesis.extra import numpy as hnp
 
 import ratlin
 from ratlin.cli import main, _build_parser, _dumps, _parse_coeffs
-from ratlin.linbuild import Realization, build
+from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis
 from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled
 
-from conftest import random_polymatrix
+from conftest import count_off, random_polymatrix
 
 
 @pytest.fixture
@@ -104,6 +104,17 @@ class TestNullspace:
                                "--json")
         assert code == 0
         assert json.loads(out)["indices"] == []
+
+    def test_side_no_reading_numbers_exits_1(self, capsys, monkeypatch, tmp_path):
+        # both readings of the right side are one index off its nullity
+        monkeypatch.setattr(PencilReadings, "staircase", count_off("right"))
+        path = tmp_path / "singular.json"
+        spec = FixtureSpec(seed=11, n=2, p=3, m=3, structure="zero-column-b")
+        path.write_text(json.dumps(gen_fixture(spec).to_dict()))
+        code, out, err = run_cli(capsys, "nullspace", "--input", str(path),
+                                 "--side", "right", "--json")
+        assert code == 1 and out == ""
+        assert "no right reading, at 0 or at infinity, numbers the nullity 1" in err
 
 
 class TestScalar:

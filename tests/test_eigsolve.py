@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from ratlin import eigsolve
-from ratlin.errors import PreconditionError, RatlinError
+from ratlin.errors import BreakdownError, PreconditionError, RatlinError
 from ratlin.eigsolve import (certify_minimal_basis, classify,
                              invariant_orders_at_infinity,
                              partial_multiplicities_at, pencil_eigs,
@@ -19,7 +19,7 @@ from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis, PolyMatrix, generic_rank, hstack, vstack
 from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
-from conftest import (l_block, match_multisets, planted_kronecker,
+from conftest import (count_off, l_block, match_multisets, planted_kronecker,
                       poly_det_coeffs, prescribed_realization,
                       random_polymatrix, random_realization)
 
@@ -531,102 +531,138 @@ class TestPolynomialNullspace:
         assert polynomial_nullspace(l0, l1, "right").indices == [0, 1, 3]
         assert polynomial_nullspace(l0, l1, "left").indices == [2]
 
-    def test_short_staircase_guess_falls_back(self, monkeypatch):
-        # the guess's own degrees all check out; only its length is short
+    def test_short_reading_at_0_gives_the_reading_at_infinity(self):
+        # the reading's own degrees all check out; only its length is short
         l0, l1 = _kronecker_pencil()
-        stack = _pencil_stack(l0, l1, "right")
-        want = eigsolve._basis_result(
-            eigsolve._sweep(stack, 3), l0.shape[1])
-        monkeypatch.setattr(eigsolve, "_staircase", lambda a, b, norm=None: ([0, 1], [], []))
-        got = polynomial_nullspace(l0, l1, "right")
+        readings = PencilReadings(l0, l1)
+        readings._staircases["right"] = ([0, 1], [], [])
+        want = _basis_at_infinity(readings, "right", l0.shape[1])
+        got = polynomial_nullspace(l0, l1, "right", readings=readings)
         assert got.indices == want.indices == [0, 1, 3]
         assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
+        assert certify_minimal_basis(got, l0, l1)["ok"]
 
     @pytest.mark.parametrize("structure", ["zero-column-b", "zero-row-c",
                                            "rank-deficient-d"])
     @pytest.mark.parametrize("spoil", ["raise-last", "lower-last", "drop-last"])
-    def test_refuted_staircase_guess_falls_back_to_the_same_basis(
-            self, monkeypatch, structure, spoil):
-        # the spoiled staircase's transforms are those of the pencil with its
+    def test_refuted_reading_at_0_gives_the_reading_at_infinity(self, structure,
+                                                                spoil):
+        # the spoiled reading's transforms are those of the pencil with its
         # columns reversed: the same indices, but vectors that fail the
-        # certificate when read in the original order
+        # certificate when read in the original order.  Only the reading at
+        # 0 of the side is spoiled, and the side gets the reversed pencil's
+        # basis, coefficients reversed
         sl = build(gen_fixture(FixtureSpec(seed=4, structure=structure)))
-        want = {}
+        sides = 0
         for side in ("right", "left"):
-            stack = _pencil_stack(sl.L0, sl.L1, side)
-            nullity = stack.shape[2] - generic_rank(PolyMatrix(stack), 2,
-                                                    rank_scale=100.0)
-            if nullity:
-                want[side] = eigsolve._basis_result(
-                    eigsolve._sweep(stack, nullity), stack.shape[2])
-        staircase = eigsolve._staircase
-
-        def spoiled(l0, l1, norm=None):
-            guess, sizes, _ = staircase(l0, l1, norm)
+            readings = PencilReadings(sl.L0, sl.L1)
+            guess, sizes, _ = readings.staircase(side)
+            if not guess:
+                continue
+            a, b = eigsolve.side_stack(sl.L0, sl.L1, side)
             last = {"raise-last": [guess[-1] + 1],
                     "lower-last": [abs(guess[-1] - 1)],  # 0 goes up to 1
                     "drop-last": []}[spoil]
-            return guess[:-1] + last, sizes, staircase(l0[:, ::-1], l1[:, ::-1])[2]
-
-        monkeypatch.setattr(eigsolve, "_staircase", spoiled)
-        for side, res in want.items():
-            got = polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
-            assert got.indices == res.indices
-            assert _right_coeffs(got).tobytes() == res.vectors.coeffs.tobytes()
-        assert want
+            readings._staircases[side] = (guess[:-1] + last, sizes,
+                                          eigsolve._staircase(a[:, ::-1], b[:, ::-1])[2])
+            want = _basis_at_infinity(readings, side, a.shape[1])
+            got = polynomial_nullspace(sl.L0, sl.L1, side, rng=2, readings=readings)
+            assert got.indices == want.indices == guess
+            assert _right_coeffs(got).tobytes() == want.vectors.coeffs.tobytes()
+            assert certify_minimal_basis(got, sl.L0, sl.L1)["ok"]
+            sides += 1
+        assert sides
 
     @pytest.mark.parametrize("structure", ["zero-column-b", "zero-row-c",
                                            "rank-deficient-d"])
-    def test_rejected_basis_gives_the_sweep_basis(self, monkeypatch, structure):
-        # the staircase's indices pass the count and the index sum; only the
-        # certificate is made to reject
+    def test_rejected_bases_give_the_basis_solved_at_the_indices(
+            self, monkeypatch, structure):
+        # both readings' indices pass the count and the index sum; only the
+        # certificate is made to reject their two bases, and the side gets
+        # the basis solved at the indices, which the certificate then passes
         sl = build(gen_fixture(FixtureSpec(seed=4, structure=structure)))
-        monkeypatch.setattr(eigsolve, "certify_minimal_basis",
-                            lambda *args: {"ok": False})
+        certify = eigsolve.certify_minimal_basis
+        calls = []
+
+        def rejecting(*args):
+            calls.append(certify(*args))
+            return {"ok": False} if len(calls) <= 2 else calls[-1]
+
+        monkeypatch.setattr(eigsolve, "certify_minimal_basis", rejecting)
         sides = 0
         for side in ("right", "left"):
             stack = _pencil_stack(sl.L0, sl.L1, side)
             guess = eigsolve._staircase(*stack)[0]
+            calls.clear()
             got = polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
             assert got.indices == guess
             if guess:
-                want = eigsolve._basis_result(
-                    eigsolve._sweep(stack, len(guess)), stack.shape[2])
+                want = eigsolve._solve_at(stack, guess)
                 assert _right_coeffs(got).tobytes() == want.vectors.coeffs.tobytes()
+                assert len(calls) == 3 and calls[-1]["ok"]
                 sides += 1
         assert sides
 
-    @pytest.mark.parametrize("residual, swept", [
-        (eigsolve.GATE_RESIDUAL, False), (2 * eigsolve.GATE_RESIDUAL, True)])
-    def test_certified_basis_over_the_gate_residual_is_swept(
-            self, monkeypatch, residual, swept):
+    @pytest.mark.parametrize("misses", [0, 1, 2])
+    def test_solve_at_runs_only_when_both_bases_miss_the_gate_residual(
+            self, monkeypatch, misses):
         # a certificate that passes at its own 1e-10 with a residual over
-        # GATE_RESIDUAL sends the side to the sweep
+        # GATE_RESIDUAL refuses a basis, and one at GATE_RESIDUAL keeps it:
+        # the first `misses` bases asked for miss it
         l0, l1 = _kronecker_pencil()
         certify = eigsolve.certify_minimal_basis
-        monkeypatch.setattr(eigsolve, "certify_minimal_basis", lambda *args: {
-            **certify(*args), "residual": residual})
-        calls = []
-        sweep = eigsolve._sweep
-        monkeypatch.setattr(eigsolve, "_sweep",
-                            lambda *args: calls.append(1) or sweep(*args))
-        assert polynomial_nullspace(l0, l1, "right").indices == [0, 1, 3]
-        assert bool(calls) == swept
+        calls, solved = [], []
+
+        def residual(*args):
+            calls.append(1)
+            scale = 2 if len(calls) <= misses else 1
+            return {**certify(*args), "residual": scale * eigsolve.GATE_RESIDUAL}
+
+        solve_at = eigsolve._solve_at
+        monkeypatch.setattr(eigsolve, "certify_minimal_basis", residual)
+        monkeypatch.setattr(eigsolve, "_solve_at",
+                            lambda *args: solved.append(1) or solve_at(*args))
+        readings = PencilReadings(l0, l1)
+        got = polynomial_nullspace(l0, l1, "right", readings=readings)
+        assert got.indices == [0, 1, 3]
+        assert len(calls) == misses + 1
+        assert bool(solved) == (misses == 2)
+        assert ("reversal" in vars(readings)) == (misses > 0)
+
+    def test_solve_at_gives_a_certified_basis_of_the_indices(self):
+        # one null space per distinct degree, each deflated of the shifts of
+        # the vectors of lower degree
+        l0, l1 = _kronecker_pencil()
+        res = eigsolve._solve_at(_pencil_stack(l0, l1, "right"), [0, 1, 3])
+        assert res.indices == [0, 1, 3]
+        cert = certify_minimal_basis(res, l0, l1)
+        assert cert["ok"] and cert["residual"] <= eigsolve.GATE_RESIDUAL, cert
 
     @pytest.mark.parametrize("structure", STRUCTURES[1:])
     @pytest.mark.parametrize("basis_a, basis_d", list(product(Basis, Basis)))
-    def test_seed1_pencil_sides_need_no_sweep(self, monkeypatch, structure,
-                                              basis_a, basis_d):
-        # every side of these pencils takes the back-substituted basis
+    def test_seed1_pencil_sides_need_neither_the_reversal_nor_solve_at(
+            self, monkeypatch, structure, basis_a, basis_d):
+        # every side of these pencils takes the basis read at 0
         def refuse(*args):
-            raise AssertionError("the back-substituted basis was rejected")
-        monkeypatch.setattr(eigsolve, "_sweep", refuse)
+            raise AssertionError("the basis read at 0 was rejected")
+        monkeypatch.setattr(eigsolve, "_solve_at", refuse)
+        monkeypatch.setattr(PencilReadings, "reversal", property(refuse))
         sl = build(gen_fixture(FixtureSpec(seed=1, structure=structure,
                                            basis_a=basis_a, basis_d=basis_d)),
                    rng=1)
         counts = [polynomial_nullspace(sl.L0, sl.L1, side, rng=1).count
                   for side in ("right", "left")]
         assert sum(counts) > 0
+
+    def test_side_no_reading_numbers_raises_breakdown(self, monkeypatch):
+        # both readings of the right side read one index more than its
+        # nullity: no basis is taken and none is solved for, on the right
+        # or on the left, whose index sum needs a right reading
+        l0, l1 = _kronecker_pencil()
+        monkeypatch.setattr(PencilReadings, "staircase", count_off("right"))
+        for side in ("right", "left"):
+            with pytest.raises(BreakdownError, match=f"no {side} reading"):
+                polynomial_nullspace(l0, l1, side)
 
     @pytest.mark.parametrize("t, near_shift", [
         (1.0, False), (0.12, False), (1e-3, False), (0.03, True), (1e-3, True)],
@@ -638,9 +674,9 @@ class TestPolynomialNullspace:
     def test_planted_indices_on_both_sides(self, t, near_shift, eps, eta, seed):
         # at |t| = 1e-3 the staircase's indices are mostly wrong while its
         # vectors still pass the certificate; the index sum with the
-        # regular-part size sends those sides to the sweep.  The second
-        # centre puts eigenvalues next to e^{2i} as well, which no reading
-        # privileges
+        # regular-part size sends those sides to the reading at infinity.
+        # The second centre puts eigenvalues next to e^{2i} as well, which
+        # no reading privileges
         eta = min(eta, 14 - sum(eps))  # at most 20 x 20
         centres = (0.0, np.exp(2j)) if near_shift else (0.0,)
         l0, l1 = planted_kronecker(np.random.default_rng(seed), eps, eta, t,
@@ -673,10 +709,10 @@ class TestPolynomialNullspace:
 
     @pytest.mark.parametrize("spoil_reading", [False, True])
     def test_reading_one_degree_too_high_fails_the_index_sum(self, spoil_reading):
-        # a reading whose last index is one too high, with the staircase's
-        # own transforms: the back-substituted basis passes the certificate,
-        # and only the index sum refutes it, so the side gets the sweep's
-        # basis; the true reading's basis is kept
+        # a reading at 0 whose last index is one too high, with the
+        # staircase's own transforms: the back-substituted basis passes the
+        # certificate, and only the index sum refutes it, so the side gets
+        # the basis read at infinity; the true reading's basis is kept
         sl = build(gen_fixture(FixtureSpec(seed=4, structure="zero-column-b")))
         stack = _pencil_stack(sl.L0, sl.L1, "right")
         readings = PencilReadings(sl.L0, sl.L1)
@@ -688,8 +724,7 @@ class TestPolynomialNullspace:
         if spoil_reading:
             readings._staircases["right"] = (guess[:-1] + [guess[-1] + 1],
                                              sizes, steps)
-            want = eigsolve._basis_result(
-                eigsolve._sweep(stack, len(guess)), stack.shape[2])
+            want = _basis_at_infinity(readings, "right", stack.shape[2])
         got = polynomial_nullspace(sl.L0, sl.L1, "right", rng=2,
                                    readings=readings)
         assert got.indices == want.indices == guess
@@ -740,10 +775,17 @@ class TestRegularPartSize:
 
 
 def _pencil_stack(l0, l1, side) -> np.ndarray:
-    """The coefficient stack polynomial_nullspace sweeps for one side."""
+    """The coefficient stack polynomial_nullspace reads for one side."""
     pencil = PolyMatrix(np.stack([np.asarray(l0, dtype=complex),
                                   np.asarray(l1, dtype=complex)]))
     return (pencil if side == "right" else pencil.T).coeffs
+
+
+def _basis_at_infinity(readings, side, cols):
+    """The right basis on `side` back-substituted through the staircase of
+    the reversed pencil, each vector's coefficients reversed."""
+    found = eigsolve._back_substitute(readings.reversal.staircase(side)[2])
+    return eigsolve._basis_result([(d, cf[::-1]) for d, cf in found], cols)
 
 
 def _right_coeffs(res) -> np.ndarray:

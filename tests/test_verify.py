@@ -8,13 +8,13 @@ import pytest
 from ratlin import eigsolve, recover, verify
 from ratlin.eigsolve import rational_rank
 from ratlin.errors import PreconditionError
-from ratlin.linbuild import (Realization, StructuredLinearization, build,
+from ratlin.linbuild import (PencilReadings, Realization, build,
                              transfer_eval)
 from ratlin.polymat import Basis, PolyMatrix
 from ratlin.verify import (STRUCTURES, FixtureSpec, _check_state_pencil_spectrum,
                            gen_fixture, preset_cross_coupled, run_all)
 
-from conftest import random_polymatrix
+from conftest import count_off, random_polymatrix
 
 
 def _no_output_realization() -> Realization:
@@ -146,35 +146,65 @@ class TestRunAll:
         assert statuses[name] == "fail"
         assert not rep.passed
 
-    @pytest.mark.parametrize("side, names, other", [
-        ("right", ["right-index-shift", "nullvector-degree-law"],
-         "left-index-match"),
-        ("left", ["left-index-match"], "right-index-shift")])
-    def test_staircase_count_off_the_nullity_skips_the_side(
-            self, monkeypatch, side, names, other):
-        # a reading with one index more than the nullity is skipped before
-        # any basis is recovered; the other side, whose gate cannot apply the
-        # index sum, passes on the sweep's basis.  run_all asks for the right
-        # side's staircase first
-        staircase = StructuredLinearization.staircase
-        calls = []
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_staircase_count_off_the_nullity_reads_the_side_at_infinity(
+            self, monkeypatch, side):
+        # the linearization's reading at 0 of one side is given one index
+        # more than the nullity, through its cache: that side is read on the
+        # reversed pencil, and both sides pass
+        built = []
 
-        def spoiled(sl, asked):
-            indices, *rest = staircase(sl, asked)
-            calls.append(asked)
-            return (indices + [0] if asked == side else indices, *rest)
+        def spoiled_build(r, rng=None):
+            sl = build(r, rng=rng)
+            indices, *rest = sl.staircase(side)
+            sl._staircases[side] = (indices + [0], *rest)
+            built.append(sl)
+            return sl
 
-        def refuse(sl, rng=None):
-            raise AssertionError(f"{side} basis recovered")
-
-        monkeypatch.setattr(StructuredLinearization, "staircase", spoiled)
-        monkeypatch.setattr(verify, f"recover_{side}_minimal_basis", refuse)
+        monkeypatch.setattr(verify, "build", spoiled_build)
         spec = FixtureSpec(seed=11, n=2, p=3, m=3, structure="zero-column-b")
         statuses = {e.name: e.status
                     for e in run_all(gen_fixture(spec), seed=4).entries}
-        assert calls[0] == "right" and "left" in calls
-        assert all(statuses[name] == "skipped" for name in names), statuses
-        assert statuses[other] == "pass", statuses
+        for name in ("right-index-shift", "left-index-match",
+                     "nullvector-degree-law"):
+            assert statuses[name] == "pass", statuses
+        assert "reversal" in vars(built[0])
+
+    def test_side_no_reading_numbers_is_skipped(self, monkeypatch):
+        # both readings of the right side are one index off its nullity, so
+        # neither side's index sum can close: recovery raises BreakdownError
+        # on both, and run_all skips them instead of stopping
+        monkeypatch.setattr(PencilReadings, "staircase", count_off("right"))
+        spec = FixtureSpec(seed=11, n=2, p=3, m=3, structure="zero-column-b")
+        statuses = {e.name: e.status
+                    for e in run_all(gen_fixture(spec), seed=4).entries}
+        for name in ("right-index-shift", "left-index-match",
+                     "nullvector-degree-law"):
+            assert statuses[name] == "skipped", statuses
+        assert statuses["nullspace-dimension"] == "pass"
+
+    @pytest.mark.parametrize("n, grade, structure", [
+        (2, 8, "rank-deficient-d"), (6, 6, "zero-column-b")])
+    def test_ladder_sides_read_at_infinity_pass(self, n, grade, structure):
+        # rungs of the seed-1 size ladder, both sides Chebyshev, with a side
+        # the staircase at 0 reads no index on: the right index 8 of the
+        # first and the left index 66 of the second read only at infinity,
+        # and the first's left index 23 only at 0, so its index sum closes
+        # only across the two readings
+        cheb = Basis.CHEBYSHEV1
+        r = gen_fixture(FixtureSpec(seed=1, n=n, p=n, m=n, grade_a=grade,
+                                    grade_d=grade, basis_a=cheb, basis_d=cheb,
+                                    structure=structure))
+        statuses = {e.name: e.status for e in run_all(r, seed=1).entries}
+        assert "fail" not in statuses.values(), statuses
+        for name in ("right-index-shift", "left-index-match",
+                     "nullvector-degree-law"):
+            assert statuses[name] == "pass", statuses
+        sl = build(r, rng=1)
+        readings = {side: (sl.staircase(side)[0], sl.reversal.staircase(side)[0])
+                    for side in ("right", "left")}
+        assert readings == ({"right": ([], [8]), "left": ([23], [])} if n == 2 else
+                            {"right": ([5], [5]), "left": ([], [66])})
 
     @pytest.mark.parametrize("structure", STRUCTURES[1:])
     def test_one_staircase_per_side_and_one_rank_completing_qz(

@@ -14,14 +14,16 @@ each rung the record holds the wall time of `run_all`, the status of each
 check, and the reason of each skipped index check:
 
 - "nullity 0": the side has no nullspace (every side of a regular input);
+- "uncertified": basis recovery raised `BreakdownError`, as the gate does
+  when no reading of the side passes the count and the index sum;
+- "precondition": basis recovery refused the side's minimality hypotheses;
 - "count": the side's staircase at 0 reads a number of indices other than
-  its nullity;
-- "budget": pencil width x (top index + 2) is over the checkout's
-  `verify.SWEEP_BUDGET` (only checkouts that have one skip for it);
-- "precondition": basis recovery refused the side's minimality hypotheses.
+  its nullity (checkouts whose `run_all` skips such a side before any
+  recovery).
 
-The readings are those `run_all` itself took, recorded as it asks for them;
-the nullity is the pencil's sampled rank at seed 0.  The record also holds
+The linearization is the one `run_all` itself built, recorded as its side's
+staircase at 0 is read, and the nullity is the pencil's sampled rank at seed
+0; a recovery's error is recorded as it passes.  The record also holds
 the BLAS thread count, the environment and a summary: index-side coverage
 of the singular rungs (the right-index-shift and left-index-match checks)
 with the reasons of its skips, failed checks, out-of-memory rungs and the
@@ -59,15 +61,26 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
     from ratlin.linbuild import StructuredLinearization
     from ratlin.polymat import Basis, PolyMatrix, generic_rank
 
-    readings = {}
+    readings, errors = {}, {}
     staircase = StructuredLinearization.staircase
 
     def recording(sl, side):
-        out = staircase(sl, side)
-        readings[side] = (sl, out[0])
-        return out
+        readings[side] = sl
+        return staircase(sl, side)
+
+    def noting_errors(side, recover):
+        def recorded(sl, rng=None):
+            try:
+                return recover(sl, rng=rng)
+            except Exception as exc:
+                errors[side] = type(exc).__name__
+                raise
+        return recorded
 
     StructuredLinearization.staircase = recording
+    for side in ("right", "left"):
+        name = f"recover_{side}_minimal_basis"
+        setattr(verify, name, noting_errors(side, getattr(verify, name)))
     spec = verify.FixtureSpec(seed=1, n=n, p=n, m=n, grade_a=grade, grade_d=grade,
                               basis_a=Basis(basis), basis_d=Basis(basis),
                               structure=structure)
@@ -83,20 +96,16 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
         if side not in readings:
             skips[name] = "nullity 0"
             continue
-        sl, indices = readings[side]
+        sl = readings[side]
         stack = np.stack([sl.L0, sl.L1])
         nullity = sl.shape[1 if side == "right" else 0] - generic_rank(
             PolyMatrix(stack), 0, rank_scale=100.0)
-        width = sl.shape[1 if side == "right" else 0]
-        budget = getattr(verify, "SWEEP_BUDGET", None)
         if nullity == 0:
             skips[name] = "nullity 0"
-        elif len(indices) != nullity:
-            skips[name] = "count"
-        elif budget is not None and width * (max(indices) + 2) > budget:
-            skips[name] = "budget"
         else:
-            skips[name] = "precondition"
+            skips[name] = {"BreakdownError": "uncertified",
+                           "PreconditionError": "precondition"}.get(errors.get(side),
+                                                                    "count")
     return {"seconds": round(seconds, 3), "checks": checks, "skips": skips}
 
 

@@ -13,7 +13,7 @@ Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
   seed 6 (a 256 x 256 pencil);
 - the 3 singular STRUCTURES x 4 basis pairs at n = p = m = 4, grade 2,
   seed 7: 16 x 16 pencils with minimal indices 11-15, as deep as the
-  nullspace sweeps of the benchmark's battery go;
+  indices of the benchmark's battery go;
 - the regular seed-2 n = p = m = 2 inputs of grades 10 and 12 with both
   sides Chebyshev, the highest grades `run_all` is tested at;
 - the seed-1 n = p = m = 2 grade-2 and seed-4 n = p = m = 3 grade-3 inputs
@@ -33,9 +33,8 @@ Each realization except the benchmark's goes through `eigs`, `infinity`,
 through `check` and both `nullspace` runs, the `spectral` ones through
 `eigs`, `infinity` and `check`, whose `eigenvector-recovery` entry pins the
 worst eta of the eigenpairs recovered off the whole spectrum on regular
-inputs up to n = 12, and the n = 12 singular ones through `check` only
-(a `nullspace` run that refutes the reading of a deep side sweeps it, which
-can take gigabytes).  Every run writes
+inputs up to n = 12, and the n = 12 singular ones through `check` and
+both `nullspace` runs.  Every run writes
 OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
 `linearize --output` also writes its file to OUTDIR/<input>.pencil.json,
 named by a path relative to OUTDIR so that the `wrote ...` line is the same
@@ -178,7 +177,8 @@ def main(argv=None) -> int:
         case = f"{structure}-n12-g4-s1-monomial-monomial"
         src = Path("inputs") / f"{case}.json"
         src.write_text(json.dumps(verify.gen_fixture(spec).to_dict(), sort_keys=True) + "\n")
-        run(cli, COMMANDS["check"] + ["--input", str(src)], Path(f"{case}.check.txt"))
+        for name in BENCH_COMMANDS["battery"]:
+            run(cli, COMMANDS[name] + ["--input", str(src)], Path(f"{case}.{name}.txt"))
     for seed in range(1, SCALAR_COUNT + 1):
         run(cli, ["scalar", "--json"] + scalar_args(seed), Path(f"scalar-{seed}.txt"))
     return 0
