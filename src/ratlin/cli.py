@@ -4,11 +4,11 @@ Commands: linearize, eigs, infinity, nullspace, scalar, check.  Options are
 the input (--input or --preset), --seed and --json, plus each command's own;
 no threshold is settable and nothing is read from the environment.  Exit
 codes: 0 success, 1 mathematical precondition failure, 2 I/O or parse failure.
-JSON output writes each double exactly (its shortest round-tripping repr);
-tables print 17 significant digits.  Output is byte-stable for a fixed seed,
-input and BLAS thread count: the last digits of computed results can differ
-between thread counts, so the tests and tools/parity.py pin BLAS to one
-thread.
+JSON output writes each double exactly (its shortest round-tripping repr),
+streamed one piece per array row; tables print 17 significant digits.
+Output is byte-stable for a fixed seed, input and BLAS thread count: the last
+digits of computed results can differ between thread counts, so the tests
+and tools/parity.py pin BLAS to one thread.
 """
 
 import argparse
@@ -112,31 +112,47 @@ def _load_realization(args) -> Realization:
         return Realization.from_dict(json.load(fh))
 
 
-def _dumps(obj, ind="\n") -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True) for obj made of
-    str-keyed dicts, lists, tuples and JSON leaves, which may also hold numpy
-    scalars and arrays (a complex entry as [re, im]).  A float or complex
-    array costs what its nonzeros cost: an exact zero is the constant "0.0"
-    or "-0.0", a complex entry zero in both parts is one of four constant
-    cells, and the nonzero doubles (NaN and infinities included) are spelled
-    by json in one call; cells, then rows, are joined axis by axis outward.
-    A list or tuple of plain floats and ints also takes one json.dumps call;
-    int, bool, 0-d and empty arrays are written as their lists.  `ind` is the
-    newline and indent of obj's own line."""
+def _dumps(obj) -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True): _chunks joined."""
+    return "".join(_chunks(obj))
+
+
+def _chunks(obj, ind="\n"):
+    """Yield the text of json.dumps(obj, indent=2, sort_keys=True) in pieces,
+    for obj made of str-keyed dicts, lists, tuples and JSON leaves, which may
+    also hold numpy scalars and arrays (a complex entry as [re, im]).  A
+    float or complex array is spelled whole by _words and yielded one piece
+    per row, its lines along the last axis, so a writer of the pieces holds
+    about the array's nonzeros plus one row, not the whole document.  A list
+    or tuple of plain floats and ints takes one json.dumps call; int, bool,
+    0-d and empty arrays are written as their lists.  `ind` is the newline
+    and indent of obj's own line."""
     sub = ind + "  "
     if isinstance(obj, np.ndarray):
         if obj.ndim == 0 or obj.size == 0 or obj.dtype.kind not in "fc":
-            return _dumps(obj.tolist(), ind)
-        return _dumps_array(obj, ind)
-    if isinstance(obj, dict) and obj:
-        items = (f"{json.dumps(k)}: {_dumps(v, sub)}" for k, v in sorted(obj.items()))
-        return "{" + sub + ("," + sub).join(items) + ind + "}"
-    if isinstance(obj, (list, tuple)) and obj:
+            yield from _chunks(obj.tolist(), ind)
+        else:
+            yield from _rows(_words(obj, ind), ind)
+    elif isinstance(obj, dict) and obj:
+        head = "{"
+        for k, v in sorted(obj.items()):
+            yield f"{head}{sub}{json.dumps(k)}: "
+            yield from _chunks(v, sub)
+            head = ","
+        yield ind + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
         if all(type(v) in (float, int) for v in obj):  # bools stay leaves
             flat = json.dumps(obj, separators=("," + sub, ""))
-            return "[" + sub + flat[1:-1] + ind + "]"
-        return "[" + sub + ("," + sub).join(_dumps(v, sub) for v in obj) + ind + "]"
-    return json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
+            yield "[" + sub + flat[1:-1] + ind + "]"
+        else:
+            head = "["
+            for v in obj:
+                yield head + sub
+                yield from _chunks(v, sub)
+                head = ","
+            yield ind + "]"
+    else:
+        yield json.dumps(obj.item() if isinstance(obj, np.generic) else obj)
 
 
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)  # indexed by np.signbit
@@ -152,30 +168,43 @@ def _spell(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def _dumps_array(a: np.ndarray, ind: str) -> str:
-    """_dumps of a nonempty float or complex array of ndim >= 1."""
-    if np.iscomplexobj(a):
-        pad, end = ind + "  " * (a.ndim + 1), ind + "  " * a.ndim
-        cell = "[" + pad + "%s," + pad + "%s" + end + "]"
-        real, imag = a.real, a.imag
-        words = np.array([cell % (r, i) for r in _ZEROS for i in _ZEROS],
-                         dtype=object)[2 * np.signbit(real) + np.signbit(imag)]
-        live = (real != 0) | (imag != 0)
-        if live.any():
-            parts = _spell(np.stack([real[live], imag[live]], axis=-1)).tolist()
-            words[live] = [cell % (r, i) for r, i in parts]
-    else:
-        words = _spell(a)
-    rows = words.ravel().tolist()
-    for k in range(a.ndim - 1, -1, -1):
-        pad, n = ind + "  " * (k + 1), a.shape[k]
-        head, sep, tail = "[" + pad, "," + pad, pad[:-2] + "]"
-        rows = [head + sep.join(rows[i:i + n]) + tail for i in range(0, len(rows), n)]
-    return rows[0]
+def _words(a: np.ndarray, ind: str) -> np.ndarray:
+    """The text of each cell of a nonempty float or complex array of ndim
+    >= 1 written at indent `ind`, as an object array of a's shape.  It costs
+    what the nonzeros cost: an exact zero is "0.0" or "-0.0", a complex cell
+    zero in both parts is one of four constant cells, and the nonzero
+    doubles (NaN and infinities included) are spelled by one json.dumps."""
+    if not np.iscomplexobj(a):
+        return _spell(a)
+    pad, end = ind + "  " * (a.ndim + 1), ind + "  " * a.ndim
+    cell = "[" + pad + "%s," + pad + "%s" + end + "]"
+    real, imag = a.real, a.imag
+    words = np.array([cell % (r, i) for r in _ZEROS for i in _ZEROS],
+                     dtype=object)[2 * np.signbit(real) + np.signbit(imag)]
+    live = (real != 0) | (imag != 0)
+    if live.any():
+        parts = _spell(np.stack([real[live], imag[live]], axis=-1)).tolist()
+        words[live] = [cell % (r, i) for r, i in parts]
+    return words
+
+
+def _rows(words: np.ndarray, ind: str):
+    """Yield the cell texts `words` as nested JSON lists at indent `ind`,
+    one piece per line along the last axis and one per bracket between."""
+    pad = ind + "  "
+    if words.ndim == 1:
+        yield "[" + pad + ("," + pad).join(words.tolist()) + ind + "]"
+        return
+    head = "["
+    for sub in words:
+        yield head + pad
+        yield from _rows(sub, pad)
+        head = ","
+    yield ind + "]"
 
 
 def _emit(payload: dict):
-    sys.stdout.write(_dumps(payload))
+    sys.stdout.writelines(_chunks(payload))
     sys.stdout.write("\n")
 
 
@@ -184,7 +213,7 @@ def _cmd_linearize(args) -> int:
     sl = build(r, grade_a=args.grade_a, grade_d=args.grade_d, rng=args.seed)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(_dumps(sl.to_dict()))
+            fh.writelines(_chunks(sl.to_dict()))
             fh.write("\n")
         print(f"wrote {args.output} "
               f"(pencil {sl.shape[0]}x{sl.shape[1]}, rhoA={sl.rho_a}, rhoD={sl.rho_d})")

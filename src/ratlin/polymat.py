@@ -314,23 +314,36 @@ class PolyMatrix:
 
     @staticmethod
     def from_dict(obj: dict) -> "PolyMatrix":
+        """Read to_dict's form: rows, cols and grade are JSON integers, and
+        coeffs holds grade + 1 lists of rows * cols [re, im] pairs of
+        numbers, converted by one array conversion after the counts."""
         try:
-            rows, cols = int(obj["rows"]), int(obj["cols"])
+            rows, cols, grade = (obj[key] for key in ("rows", "cols", "grade"))
+            for key, value in (("rows", rows), ("cols", cols), ("grade", grade)):
+                if type(value) is not int or value < 0:  # not True, 2.5 or "2"
+                    raise ValueError(f"{key} must be a non-negative integer, "
+                                     f"got {value!r}")
             basis = Basis(obj["basis"])
-            grade = int(obj["grade"])
             raw = obj["coeffs"]
-            if grade < 0 or len(raw) != grade + 1:
+            if len(raw) != grade + 1:
                 raise ValueError(f"grade {grade} does not match "
                                  f"{len(raw)} coefficient matrices")
-            stack = np.zeros((grade + 1, rows, cols), dtype=complex)
-            for k, flat in enumerate(raw):
-                if len(flat) != rows * cols:
-                    raise ValueError("coefficient entry count mismatch")
-                stack[k] = np.reshape([complex(re, im) for re, im in flat],
-                                      (rows, cols))
-        except TypeError as exc:  # a list where a number belongs, or the reverse
+            if any(len(flat) != rows * cols for flat in raw):
+                raise ValueError("coefficient entry count mismatch")
+            try:
+                parts = np.array(raw)
+            except ValueError:  # entries of different lengths
+                parts = np.empty(0)
+            if rows * cols and parts.shape != (grade + 1, rows * cols, 2):
+                raise ValueError("a coefficient entry is not a pair [re, im]")
+            if parts.dtype.kind not in "biuf" and not (
+                    parts.dtype.kind == "O"  # ints past int64
+                    and all(isinstance(v, (int, float)) for v in parts.flat)):
+                raise ValueError("a coefficient part is not a number")
+            parts = np.ascontiguousarray(parts, dtype=float).reshape(-1, 2)
+        except (TypeError, OverflowError) as exc:  # a number where a list belongs, or an int past a double
             raise ValueError(f"malformed polynomial matrix: {exc}") from exc
-        return PolyMatrix(stack, basis)
+        return PolyMatrix(parts.view(complex).reshape(grade + 1, rows, cols), basis)
 
 
 def hstack(*mats: PolyMatrix) -> PolyMatrix:

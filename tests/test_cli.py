@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ratlin
-from ratlin.cli import main, _build_parser, _dumps, _parse_coeffs
+from ratlin.cli import main, _build_parser, _chunks, _dumps, _parse_coeffs
 from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis
 from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled
@@ -253,8 +254,24 @@ class TestErrors:
                   "coeffs": []}, "D"),
         (("A", "grade"), 3, "A"),
         (("B", "rows"), 1, "B"),
+        (("C", "coeffs", 1, 1), ["1.5", "2"], "C"),
+        (("C", "coeffs", 1, 1), [None, 0.5], "C"),
+        (("C", "coeffs", 1, 1), [1.5], "C"),
+        (("C", "coeffs", 1, 1), [1.0, 2.0, 3.0], "C"),
+        (("D",), {"rows": 1, "cols": 1, "basis": "monomial", "grade": 0,
+                  "coeffs": [[[1.5]]]}, "D"),
+        (("D",), {"rows": 1, "cols": 1, "basis": "monomial", "grade": 0,
+                  "coeffs": [[[1.0, 2.0, 3.0]]]}, "D"),
+        (("A", "rows"), 2.5, "A"),
+        (("B", "cols"), "2", "B"),
+        (("D",), {"rows": True, "cols": 1, "basis": "monomial", "grade": 0,
+                  "coeffs": [[[1.0, 0.0]]]}, "D"),
+        (("C", "grade"), 2.0, "C"),
     ], ids=["top-level-list", "number-entry", "string-entry", "list-rows",
-            "negative-grade", "grade-past-coeffs", "entry-count"])
+            "negative-grade", "grade-past-coeffs", "entry-count",
+            "numeric-string-entry", "null-part", "one-number-entry",
+            "three-number-entry", "one-number-entries", "three-number-entries",
+            "fractional-rows", "string-cols", "boolean-rows", "float-grade"])
     def test_malformed_input_file_is_input_error(self, capsys, tmp_path,
                                                  where, value, block):
         obj = preset_cross_coupled().to_dict()
@@ -270,6 +287,7 @@ class TestErrors:
         code, _, err = run_cli(capsys, "eigs", "--input", str(path))
         assert code == 2
         assert err.startswith("input error: ")
+        assert "non-finite" not in err  # a null is malformed, not a NaN
         if block:
             assert f"block {block}: " in err
 
@@ -323,9 +341,16 @@ def test_linearize_json_is_bit_exact(capsys, tmp_path):
             assert got.tobytes() == np.stack([want.real, want.imag], axis=-1).tobytes()
 
 
-def test_linearize_output_file_matches_stdout(capsys, tmp_path):
+MONOMIAL_N16_G8 = FixtureSpec(seed=1, n=16, p=16, m=16, grade_a=8, grade_d=8)
+
+
+@pytest.mark.parametrize("spec", [CHEBYSHEV_N3_G4, MONOMIAL_N16_G8],
+                         ids=["chebyshev-n3-g4", "monomial-n16-g8"])
+def test_linearize_output_file_matches_stdout(capsys, tmp_path, spec):
+    """Both sinks write the same bytes, also for a 256 x 256 pencil written
+    in many pieces."""
     path = tmp_path / "realz.json"
-    path.write_text(json.dumps(gen_fixture(CHEBYSHEV_N3_G4).to_dict()))
+    path.write_text(json.dumps(gen_fixture(spec).to_dict()))
     _, printed, _ = run_cli(capsys, "linearize", "--input", str(path))
     out_path = tmp_path / "lin.json"
     code, _, _ = run_cli(capsys, "linearize", "--input", str(path),
@@ -435,16 +460,48 @@ def test_dumps_flat_path_spellings():
 def test_dumps_fixed_cases():
     """Shapes the property test reaches only by chance (1 x 1, empty axes in
     any position, 0-d), a complex array inside a dict next to plain values,
-    a string array, whose text may hold the ", " that separates numbers, and
-    a complex array with every sign pattern of a zero cell, every place and
-    sign of a single zero part, and an all-zero row."""
+    a string array, whose text may hold the ", " that separates numbers, a
+    complex array with every sign pattern of a zero cell, every place and
+    sign of a single zero part, and an all-zero row, and arrays larger than
+    the property tests draw, each written in many pieces: a sparse complex
+    300 x 40 array with signed zeros, NaN, +-inf and subnormals, a complex
+    3 x 70 x 70 stack, a float64 257 x 3 array and a 1-D array of 5,000
+    entries."""
     signed = np.array([[complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
                         complex(-0.0, -0.0)],
                        [complex(0.0, 2.5), complex(-0.0, -2.5), complex(2.5, 0.0),
                         complex(-2.5, -0.0)],
                        [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
                         complex(0.0, 0.0)]])
+    rng = np.random.default_rng(0)
+    parts = np.where(rng.random((300, 40, 2)) < 0.5, 0.0, -0.0)
+    special = [float("nan"), float("inf"), float("-inf"), 5e-324, -2.5e-310, 0.1]
+    flat = parts.reshape(-1)
+    flat[rng.choice(flat.size, 600, replace=False)] = rng.choice(special, 600)
+    sparse = np.empty((300, 40), dtype=complex)
+    sparse.real, sparse.imag = parts[..., 0], parts[..., 1]
     for obj in (signed, {"z": signed[None]}, np.ones((1, 1), dtype=complex),
                 np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((2, 0, 3), dtype=complex), np.array(1.5), np.array(["a, b", 'q"']),
-                {"z": np.array([[-0.0 + 1j]]), "a": [], "m": {}, "n": np.int64(7)}):
+                {"z": np.array([[-0.0 + 1j]]), "a": [], "m": {}, "n": np.int64(7)},
+                sparse, {"L0": sparse, "rhoA": 1},
+                rng.standard_normal((3, 70, 70)) + 1j * rng.standard_normal((3, 70, 70)),
+                rng.standard_normal((257, 3)), rng.standard_normal(5000)):
         assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
+
+
+def test_writing_the_pencil_holds_less_than_the_document():
+    """Writing the pieces of an n = p = m = 16, grade 8 pencil (256 x 256)
+    to a sink that keeps only their length peaks, as traced by tracemalloc,
+    below the length of the document."""
+    pencil = build(gen_fixture(MONOMIAL_N16_G8)).to_dict()
+    length = len(_dumps(pencil))
+    written = 0
+    tracemalloc.start()
+    try:
+        for piece in _chunks(pencil):
+            written += len(piece)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == length
+    assert peak < length

@@ -9,9 +9,13 @@ monomial or both Chebyshev, and each of the four STRUCTURES, 128 rungs.
 
 Each rung runs in a child process of its own whose address space is capped
 at LIMIT_GB (RLIMIT_AS, set by the child on itself), so a rung that runs
-out of memory is recorded with status "oom" and the ladder goes on.  For
-each rung the record holds the wall time of `run_all`, the status of each
-check, and the reason of each skipped index check:
+out of memory is recorded with status "oom" and the ladder goes on.  The
+child first writes the rung's realization to a file and runs
+`ratlin linearize --input F --output G` on it through `cli.main`, and
+records that command's exit code, wall time and the child's peak resident
+set (ru_maxrss) after it; then it runs `run_all`.  For each rung the record
+holds these, the wall time of `run_all`, the status of each check, and the
+reason of each skipped index check:
 
 - "nullity 0": the side has no nullspace (every side of a regular input);
 - "uncertified": basis recovery raised `BreakdownError`, as the gate does
@@ -26,17 +30,26 @@ staircase at 0 is read, and the nullity is the pencil's sampled rank at seed
 0; a recovery's error is recorded as it passes.  The record also holds
 the BLAS thread count, the environment and a summary: index-side coverage
 of the singular rungs (the right-index-shift and left-index-match checks)
-with the reasons of its skips, failed checks, out-of-memory rungs and the
-slowest rung of the regular and of the singular rungs.
+with the reasons of its skips, failed checks, failed `linearize` runs,
+out-of-memory rungs and the slowest rung of the regular and of the singular
+rungs.  One rung alone is
+
+    python3 tools/ladder.py --rung CHECKOUT N GRADE BASIS STRUCTURE
+
+which prints its record as one JSON line.
 BLAS is pinned to one thread unless the environment already says otherwise.
 The full ladder takes several minutes on a 2-vCPU VM.
 """
 
+import contextlib
+import io
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
@@ -53,11 +66,12 @@ INDEX_CHECKS = {"right-index-shift": "right", "nullvector-degree-law": "right",
 
 
 def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
-    """One rung in this process: the statuses, the wall time and the skip
-    reasons of `run_all`."""
+    """One rung in this process: the exit code, wall time and peak resident
+    set of `linearize --output`, then the statuses, the wall time and the
+    skip reasons of `run_all`."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     import numpy as np
-    from ratlin import verify
+    from ratlin import cli, verify
     from ratlin.linbuild import StructuredLinearization
     from ratlin.polymat import Basis, PolyMatrix, generic_rank
 
@@ -85,6 +99,17 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
                               basis_a=Basis(basis), basis_d=Basis(basis),
                               structure=structure)
     r = verify.gen_fixture(spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, dst = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
+        with open(src, "w") as fh:
+            json.dump(r.to_dict(), fh)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["linearize", "--input", src, "--output", dst,
+                             "--seed", "1"])
+        linearize = {"exit": code, "seconds": round(time.perf_counter() - start, 3),
+                     "maxrss_mb": round(resource.getrusage(
+                         resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
     start = time.perf_counter()
     report = verify.run_all(r, seed=1)
     seconds = time.perf_counter() - start
@@ -106,7 +131,8 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
             skips[name] = {"BreakdownError": "uncertified",
                            "PreconditionError": "precondition"}.get(errors.get(side),
                                                                     "count")
-    return {"seconds": round(seconds, 3), "checks": checks, "skips": skips}
+    return {"seconds": round(seconds, 3), "checks": checks, "skips": skips,
+            "linearize": linearize}
 
 
 def run_rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
@@ -141,6 +167,8 @@ def summary(rungs: list) -> dict:
     return {"index_sides": dict(sides), "index_side_skips": dict(reasons),
             "failed_checks": sum(s == "fail" for rec in rungs if rec["status"] == "ok"
                                  for s in rec["checks"].values()),
+            "failed_linearize": sum(rec["linearize"]["exit"] != 0 for rec in rungs
+                                    if rec["status"] == "ok"),
             "oom": sum(rec["status"] == "oom" for rec in rungs),
             "errors": sum(rec["status"] == "error" for rec in rungs),
             "slowest": slowest}
@@ -160,7 +188,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--rung"]:
         cap = LIMIT_GB << 30
-        import resource
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         checkout, n, grade, basis, structure = argv[1:]
         print(json.dumps(rung(checkout, int(n), int(grade), basis, structure)))
