@@ -28,7 +28,7 @@ from .config import MATCH_TOL, make_rng, unit_circle_points
 from .errors import BreakdownError, PreconditionError, RatlinError
 from .linbuild import (PencilReadings, StructuredLinearization, block_pencil,
                        check_infinity_minimality, sample_points, system_eval)
-from .polymat import NEG_INF, PolyMatrix, generic_rank, numerical_rank
+from .polymat import NEG_INF, PolyMatrix, numerical_rank
 
 INF_BETA_TOL = 1e-12
 # multiplier on the staircase rank cutoff max(M, N) * eps * ||[L0 L1]||_2
@@ -168,14 +168,13 @@ class MinimalBasisResult:
         return numerical_rank(hcd) == self.count
 
 
-def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
-                rng=None) -> PencilEig:
+def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False) -> PencilEig:
     """All (alpha, beta) pairs of a square pencil from one LAPACK zggev run
     on (-L0, L1), after the workspace query scipy.linalg.eig makes, so that
     the pairs are scipy's bit for bit; the vectors stay unnormalized.
 
-    Regularity is detected by rank sampling at 3 seeded random points; a
-    singular pencil is flagged and its pairs left empty.
+    Regularity is detected by rank sampling at the default seed's 3 random
+    points; a singular pencil is flagged and its pairs left empty.
     """
     l0 = np.asarray(l0, dtype=complex)
     l1 = np.asarray(l1, dtype=complex)
@@ -184,7 +183,7 @@ def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
     if not (np.isfinite(l0).all() and np.isfinite(l1).all()):
         raise RatlinError("pencil has non-finite entries")
     empty = np.zeros(0, dtype=complex)
-    if not pencil_is_regular(l0, l1, rng=rng):
+    if not pencil_is_regular(l0, l1):
         return PencilEig(empty, empty, None, None, regular=False)
     if l0.size == 0:  # LAPACK rejects the workspace query of an empty pencil
         vecs = l0 if vectors else None
@@ -202,18 +201,13 @@ def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False,
     return PencilEig(alpha, beta, vr, vl, regular=True)
 
 
-def pencil_is_regular(l0: np.ndarray, l1: np.ndarray, rng=None) -> bool:
-    """Determinant sampling: full rank at any of 3 random points, from `rng`
-    or, by default, the default seed's 3, drawn once per process."""
-    if l0.shape[0] != l0.shape[1]:
-        return False
+def pencil_is_regular(l0: np.ndarray, l1: np.ndarray) -> bool:
+    """Determinant sampling: full rank at any of the default seed's 3 random
+    points, drawn once per process."""
     n = l0.shape[0]
-    if n == 0:
-        return True
-    for z in _default_points() if rng is None else unit_circle_points(make_rng(rng), 3):
-        if numerical_rank(l1 * z + l0) == n:
-            return True
-    return False
+    if n != l0.shape[1]:
+        return False
+    return n == 0 or any(numerical_rank(l1 * z + l0) == n for z in _default_points())
 
 
 def cluster_eigenvalues(values) -> list:
@@ -347,36 +341,30 @@ def rational_rank(sl: StructuredLinearization, rng=None) -> int:
 
 
 def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
-                         rng=None, readings=None) -> MinimalBasisResult:
+                         readings=None) -> MinimalBasisResult:
     """Minimal polynomial nullspace basis of a pencil.
 
-    The basis is back-substituted through the pencil's `_staircase` on
-    `side`, at 0 and, where that reading is refused, at infinity, read from
-    `readings`, the pencil's `PencilReadings` (made here when not given; a
-    linearization is its own), and kept if it passes the gate of
-    `_gated_basis`: the count, the index sum with the regular-part size, and
-    the certificate.  Indices that pass the gate with no basis that does get
-    a basis solved at those degrees (`_solve_at`); a side no reading numbers
-    raises BreakdownError.  The output is deterministic.
+    The nullity is read off `readings`, the pencil's `PencilReadings` (made
+    here when not given; a linearization is its own), as `rank`, and the
+    basis is back-substituted through its `_staircase` on `side`, at 0 and,
+    where that reading is refused, at infinity, and kept if it passes the
+    gate of `_gated_basis`: the count, the index sum with the regular-part
+    size, and the certificate.  Indices that pass the gate with no basis
+    that does get a basis solved at those degrees (`_solve_at`); a side no
+    reading numbers raises BreakdownError.  The output is deterministic.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
-    stack = side_stack(l0, l1, "right")
-    # the cutoff is loosened a couple of orders beyond machine epsilon so
-    # pencils assembled from computed data (structural zeros only exact to
-    # roundoff) are still judged correctly
-    rank = generic_rank(PolyMatrix(stack), rng, rank_scale=100.0)
-    if side == "left":
-        stack = side_stack(l0, l1, side)
+    readings = PencilReadings(l0, l1) if readings is None else readings
+    stack = side_stack(l0, l1, side)
     cols = stack.shape[2]
-    nullity = cols - rank
+    nullity = cols - readings.rank
     if nullity == 0:
         res = MinimalBasisResult(
             vectors=PolyMatrix(np.zeros((1, cols, 0), dtype=complex)),
             indices=[], side="right")
     else:
-        res = _gated_basis(stack, nullity, side, PencilReadings(l0, l1)
-                           if readings is None else readings)
+        res = _gated_basis(stack, nullity, side, readings)
     if side == "left":
         return MinimalBasisResult(vectors=res.vectors.T, indices=res.indices,
                                   side="left")
@@ -491,27 +479,27 @@ def _solve_at(stack, indices) -> MinimalBasisResult:
     return _basis_result(found, cols)
 
 
-def regular_part_size(l0: np.ndarray, l1: np.ndarray, norm=None) -> int | None:
-    """Size of the regular part of lambda L1 + L0 (finite and infinite
-    eigenvalues with multiplicity), or None where the completion stays
-    singular.  The pencil, padded to K x K and of normal rank r, gets
-    tau U diag(d_j) V^H added to its coefficient j, with U and V of K - r
-    random orthonormal columns and tau = ||[L0 L1]||_2 (`norm`, if given);
-    its own eigenvalues are those of the completed pencil whose unit vectors
-    have V^H x = 0 and U^H y = 0, within TRUE_SCORE (Hochstenbach, Mehl &
-    Plestenjak, SIMAX 40, 2019).  Every draw comes from a generator of the
-    default seed, never from a caller's, so that no later draw moves."""
+def regular_part_size(readings: PencilReadings) -> int | None:
+    """Size of the regular part of the pencil of `readings` (finite and
+    infinite eigenvalues with multiplicity), or None where the completion
+    stays singular.  The pencil, padded to K x K and of normal rank r
+    (`readings.rank`), gets tau U diag(d_j) V^H added to its coefficient j,
+    with U and V of K - r random orthonormal columns and tau = ||[L0 L1]||_2
+    (`readings.norm`); its own eigenvalues are those of the completed pencil
+    whose unit vectors have V^H x = 0 and U^H y = 0, within TRUE_SCORE
+    (Hochstenbach, Mehl & Plestenjak, SIMAX 40, 2019).  Every draw comes
+    from a generator of the default seed, never from a caller's, so that no
+    later draw moves."""
+    l0, l1 = readings.L0, readings.L1
     size = max(l0.shape)
+    k = size - readings.rank
     rng = make_rng()
-    k = size - generic_rank(PolyMatrix(side_stack(l0, l1, "right")), rng,
-                            rank_scale=100.0)
     u, v = (np.linalg.qr(rng.standard_normal((size, k))
                          + 1j * rng.standard_normal((size, k)))[0] for _ in "uv")
     d = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
-    tau = np.linalg.norm(np.hstack([l0, l1]), 2) if norm is None else norm
     pad = ((0, size - l0.shape[0]), (0, size - l0.shape[1]))
-    eig = pencil_eigs(*(np.pad(c, pad) + tau * (u * dj) @ v.conj().T
-                        for c, dj in zip((l0, l1), d)), vectors=True, rng=rng)
+    eig = pencil_eigs(*(np.pad(c, pad) + readings.norm * (u * dj) @ v.conj().T
+                        for c, dj in zip((l0, l1), d)), vectors=True)
     if not eig.regular:
         return None
     score = np.maximum(*(np.linalg.norm(w.conj().T @ z, axis=0) / np.linalg.norm(z, axis=0)

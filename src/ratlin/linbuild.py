@@ -92,6 +92,8 @@ class Realization:
             raise ValueError("a realization is a JSON object with blocks A, B, C, D")
         blocks = {}
         for key in "ABCD":
+            if key not in obj:
+                raise ValueError(f"block {key}: missing")
             try:
                 blocks[key] = PolyMatrix.from_dict(obj[key])
             except ValueError as exc:
@@ -106,9 +108,9 @@ def _deg(p: PolyMatrix) -> int:
 
 @dataclass(frozen=True)
 class PencilReadings:
-    """The staircase at 0 of each side of lambda L1 + L0, the size of its
-    regular part, ||[L0 L1]||_2 and the readings of its reversal, each
-    computed once on first use."""
+    """The staircase at 0 of each side of lambda L1 + L0, its normal rank,
+    the size of its regular part, ||[L0 L1]||_2 and the readings of its
+    reversal, each computed once on first use."""
 
     L0: np.ndarray
     L1: np.ndarray
@@ -121,6 +123,13 @@ class PencilReadings:
     def norm(self) -> float:
         """||[L0 L1]||_2: the right staircase's cutoff scale, `regular_size`'s tau."""
         return np.linalg.norm(np.hstack([self.L0, self.L1]).astype(complex, copy=False), 2)
+
+    @cached_property
+    def rank(self) -> int:
+        """Normal rank, read by every rank decision about the pencil: sampled
+        at the default seed's points, the cutoff loosened for structural
+        zeros that are exact only to roundoff."""
+        return generic_rank(PolyMatrix(np.stack([self.L0, self.L1])), rank_scale=100.0)
 
     def staircase(self, side: str) -> tuple:
         """`eigsolve._staircase` at 0 of the pencil's coefficient stack on
@@ -136,14 +145,14 @@ class PencilReadings:
     def regular_size(self) -> int | None:
         """`eigsolve.regular_part_size`, shared by both sides."""
         from .eigsolve import regular_part_size  # eigsolve imports this module
-        return regular_part_size(self.L0, self.L1, self.norm)
+        return regular_part_size(self)
 
     @cached_property
     def reversal(self) -> "PencilReadings":
         """The readings of lambda L0 + L1, which read this pencil at infinity,
-        sharing the norm and the regular-part size, which reversal keeps."""
+        sharing the norm, rank and regular-part size, which reversal keeps."""
         rev = PencilReadings(self.L1, self.L0)
-        rev.__dict__.update(norm=self.norm, regular_size=self.regular_size)
+        rev.__dict__.update(norm=self.norm, rank=self.rank, regular_size=self.regular_size)
         return rev
 
 

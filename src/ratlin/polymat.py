@@ -341,6 +341,8 @@ class PolyMatrix:
                     and all(isinstance(v, (int, float)) for v in parts.flat)):
                 raise ValueError("a coefficient part is not a number")
             parts = np.ascontiguousarray(parts, dtype=float).reshape(-1, 2)
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from exc
         except (TypeError, OverflowError) as exc:  # a number where a list belongs, or an int past a double
             raise ValueError(f"malformed polynomial matrix: {exc}") from exc
         return PolyMatrix(parts.view(complex).reshape(grade + 1, rows, cols), basis)

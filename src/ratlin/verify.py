@@ -17,8 +17,7 @@ from .errors import BreakdownError, PreconditionError, RatlinError
 from .eigsolve import MinimalBasisResult, block_degree, classify, rational_rank
 from .linbuild import (Realization, StructuredLinearization, build,
                        sample_points, system_eval)
-from .polymat import (RECURRENCE, Basis, PolyMatrix, generic_rank, hstack,
-                      numerical_rank)
+from .polymat import RECURRENCE, Basis, PolyMatrix, hstack, numerical_rank
 from .recover import (eigenpair, factorization_residuals,
                       recover_left_minimal_basis, recover_right_minimal_basis)
 
@@ -288,11 +287,8 @@ def _check_nullspaces(sl, rng) -> list:
     0 or at infinity, passes its count and index sum.
     """
     r = sl.realization
-    # loosened like the pencil's own rank in polynomial_nullspace
-    rank_pencil = generic_rank(PolyMatrix(np.stack([sl.L0, sl.L1])), rng,
-                               rank_scale=100.0)
-    right_nullity = sl.shape[1] - rank_pencil
-    left_nullity = sl.shape[0] - rank_pencil
+    right_nullity = sl.shape[1] - sl.rank
+    left_nullity = sl.shape[0] - sl.rank
     if right_nullity == 0 and left_nullity == 0:
         return [_skip("right-index-shift"), _skip("left-index-match"),
                 _skip("nullvector-degree-law"), _skip("nullspace-dimension")]

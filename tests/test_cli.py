@@ -17,6 +17,8 @@ from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled
 
 from conftest import count_off, random_polymatrix
 
+DELETE = object()  # a malformed-input value that deletes its key
+
 
 @pytest.fixture
 def realization_file(tmp_path):
@@ -267,11 +269,16 @@ class TestErrors:
         (("D",), {"rows": True, "cols": 1, "basis": "monomial", "grade": 0,
                   "coeffs": [[[1.0, 0.0]]]}, "D"),
         (("C", "grade"), 2.0, "C"),
+        (("A", "rows"), DELETE, "A"),
+        (("B", "coeffs"), DELETE, "B"),
+        (("D", "basis"), DELETE, "D"),
+        (("C",), DELETE, "C"),
     ], ids=["top-level-list", "number-entry", "string-entry", "list-rows",
             "negative-grade", "grade-past-coeffs", "entry-count",
             "numeric-string-entry", "null-part", "one-number-entry",
             "three-number-entry", "one-number-entries", "three-number-entries",
-            "fractional-rows", "string-cols", "boolean-rows", "float-grade"])
+            "fractional-rows", "string-cols", "boolean-rows", "float-grade",
+            "missing-rows", "missing-coeffs", "missing-basis", "missing-block"])
     def test_malformed_input_file_is_input_error(self, capsys, tmp_path,
                                                  where, value, block):
         obj = preset_cross_coupled().to_dict()
@@ -279,7 +286,10 @@ class TestErrors:
             parent = obj
             for key in where[:-1]:
                 parent = parent[key]
-            parent[where[-1]] = value
+            if value is DELETE:
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = value
         else:
             obj = value
         path = tmp_path / "malformed.json"
@@ -290,6 +300,8 @@ class TestErrors:
         assert "non-finite" not in err  # a null is malformed, not a NaN
         if block:
             assert f"block {block}: " in err
+        if value is DELETE:
+            assert "missing" in err and where[-1] in err
 
 
 def test_scipy_is_imported_on_first_use():

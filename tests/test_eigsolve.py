@@ -566,7 +566,7 @@ class TestPolynomialNullspace:
             readings._staircases[side] = (guess[:-1] + last, sizes,
                                           eigsolve._staircase(a[:, ::-1], b[:, ::-1])[2])
             want = _basis_at_infinity(readings, side, a.shape[1])
-            got = polynomial_nullspace(sl.L0, sl.L1, side, rng=2, readings=readings)
+            got = polynomial_nullspace(sl.L0, sl.L1, side, readings=readings)
             assert got.indices == want.indices == guess
             assert _right_coeffs(got).tobytes() == want.vectors.coeffs.tobytes()
             assert certify_minimal_basis(got, sl.L0, sl.L1)["ok"]
@@ -594,7 +594,7 @@ class TestPolynomialNullspace:
             stack = _pencil_stack(sl.L0, sl.L1, side)
             guess = eigsolve._staircase(*stack)[0]
             calls.clear()
-            got = polynomial_nullspace(sl.L0, sl.L1, side, rng=2)
+            got = polynomial_nullspace(sl.L0, sl.L1, side)
             assert got.indices == guess
             if guess:
                 want = eigsolve._solve_at(stack, guess)
@@ -650,7 +650,7 @@ class TestPolynomialNullspace:
         sl = build(gen_fixture(FixtureSpec(seed=1, structure=structure,
                                            basis_a=basis_a, basis_d=basis_d)),
                    rng=1)
-        counts = [polynomial_nullspace(sl.L0, sl.L1, side, rng=1).count
+        counts = [polynomial_nullspace(sl.L0, sl.L1, side).count
                   for side in ("right", "left")]
         assert sum(counts) > 0
 
@@ -698,7 +698,7 @@ class TestPolynomialNullspace:
         readings = PencilReadings(l0, l1)
         right, left = (readings.staircase(side)[0] for side in ("right", "left"))
         assert left == [5]
-        assert regular_part_size(l0, l1) == 6
+        assert regular_part_size(PencilReadings(l0, l1)) == 6
         rank = l0.shape[1] - 3
         assert sum(right) + 5 + 6 != rank
         if not index_sum:
@@ -725,8 +725,7 @@ class TestPolynomialNullspace:
             readings._staircases["right"] = (guess[:-1] + [guess[-1] + 1],
                                              sizes, steps)
             want = _basis_at_infinity(readings, "right", stack.shape[2])
-        got = polynomial_nullspace(sl.L0, sl.L1, "right", rng=2,
-                                   readings=readings)
+        got = polynomial_nullspace(sl.L0, sl.L1, "right", readings=readings)
         assert got.indices == want.indices == guess
         assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
 
@@ -741,7 +740,7 @@ class TestRegularPartSize:
         # some of those eigenvalues for higher indices, and the count does not
         l0, l1 = planted_kronecker(np.random.default_rng(seed), [1, 2, 3], 2,
                                    t, centres)
-        assert regular_part_size(l0, l1) == 3 * len(centres)
+        assert regular_part_size(PencilReadings(l0, l1)) == 3 * len(centres)
         if t == 1e-3 and seed == 0:
             readings = PencilReadings(l0, l1)
             assert [readings.staircase(side)[0] for side in ("right", "left")] \
@@ -751,7 +750,7 @@ class TestRegularPartSize:
         # an extra 1 x 1 block lambda 0 + 1 is an eigenvalue at infinity
         l0, l1 = planted_kronecker(np.random.default_rng(1), [1, 2], 3, 0.5)
         l0, l1 = (scipy.linalg.block_diag(a, [[b]]) for a, b in ((l0, 1.0), (l1, 0.0)))
-        assert regular_part_size(l0, l1) == 4
+        assert regular_part_size(PencilReadings(l0, l1)) == 4
 
     @settings(derandomize=True, max_examples=12, deadline=None, database=None)
     @given(eps=st.lists(st.integers(0, 2), min_size=1, max_size=2),
@@ -770,7 +769,7 @@ class TestRegularPartSize:
         sl = build(r)
         rank = sl.shape[1] - len(eps)
         size = rank - sum(e + sl.rho_d for e in eps) - eta
-        assert regular_part_size(sl.L0, sl.L1) == size
+        assert regular_part_size(PencilReadings(sl.L0, sl.L1)) == size
         assert sl.regular_size == size
 
 

@@ -138,6 +138,21 @@ class TestBuild:
                 C=random_polymatrix(rng, 1, 2, 2, Basis.CHEBYSHEV1),
                 D=random_polymatrix(rng, 1, 2, 2, Basis.MONOMIAL))
 
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_reversal_shares_the_rank(self, monkeypatch, structure):
+        # reversal keeps the normal rank: the reversed readings, and the
+        # regular-part size they share, take it without sampling again
+        sl = build(gen_fixture(FixtureSpec(seed=1, structure=structure)))
+        rank = sl.rank
+        assert rank < min(sl.shape)
+
+        def refuse(*args, **kw):
+            raise AssertionError("the pencil's rank was sampled again")
+
+        monkeypatch.setattr(linbuild, "generic_rank", refuse)
+        assert sl.reversal.rank == rank
+        assert sl.reversal.regular_size == sl.regular_size
+
     @pytest.mark.parametrize("key, value, message", [
         ("B", np.nan, "block B: non-finite coefficient (nan+0j) of degree 1 at entry (0, 1)"),
         ("A", np.inf, "block A: non-finite coefficient (inf+0j) of degree 1 at entry (0, 1)")],

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ratlin import eigsolve, recover, verify
+from ratlin import eigsolve, polymat, recover, verify
 from ratlin.eigsolve import rational_rank
 from ratlin.errors import PreconditionError
 from ratlin.linbuild import (PencilReadings, Realization, build,
@@ -281,6 +282,27 @@ class TestRunAll:
         assert by_name["nullvector-degree-law"].status == "pass"
         assert by_name["left-index-match"].status == "pass"
         assert sweeps == ["right", "left"]
+
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_singular_battery_samples_the_pencil_rank_once(self, monkeypatch,
+                                                            structure):
+        # the battery's nullities, both recoveries' nullities and the
+        # regular-part size read the linearization's one `rank`
+        r = gen_fixture(FixtureSpec(seed=1, structure=structure))
+        shape = build(r).shape
+        generic_rank, shapes = polymat.generic_rank, []
+
+        def counting(p, *args, **kw):
+            shapes.append(p.shape)
+            return generic_rank(p, *args, **kw)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ratlin" \
+                    and getattr(module, "generic_rank", None) is generic_rank:
+                monkeypatch.setattr(module, "generic_rank", counting)
+        by_name = {e.name: e for e in run_all(r, seed=1).entries}
+        assert by_name["right-index-shift"].status == "pass"
+        assert shapes.count(shape) == 1
 
     @pytest.mark.parametrize("structure, calls", [
         ("zero-column-b", [False, True]), ("regular", [False, True])])

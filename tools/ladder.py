@@ -14,8 +14,10 @@ child first writes the rung's realization to a file and runs
 `ratlin linearize --input F --output G` on it through `cli.main`, and
 records that command's exit code, wall time and the child's peak resident
 set (ru_maxrss) after it; then it runs `run_all`.  For each rung the record
-holds these, the wall time of `run_all`, the status of each check, and the
-reason of each skipped index check:
+holds these, the wall time of `run_all`, the child's peak resident set
+after it, the status of each check, the minimal indices of the rational
+matrix that each side's basis recovery returned, and the reason of each
+skipped index check:
 
 - "nullity 0": the side has no nullspace (every side of a regular input);
 - "uncertified": basis recovery raised `BreakdownError`, as the gate does
@@ -26,13 +28,13 @@ reason of each skipped index check:
   recovery).
 
 The linearization is the one `run_all` itself built, recorded as its side's
-staircase at 0 is read, and the nullity is the pencil's sampled rank at seed
-0; a recovery's error is recorded as it passes.  The record also holds
-the BLAS thread count, the environment and a summary: index-side coverage
-of the singular rungs (the right-index-shift and left-index-match checks)
-with the reasons of its skips, failed checks, failed `linearize` runs,
-out-of-memory rungs and the slowest rung of the regular and of the singular
-rungs.  One rung alone is
+staircase at 0 is read, and the nullity is read off its `rank`, the normal
+rank the gate read; a recovery's result or error is recorded as it passes.
+The record also holds the BLAS thread count, the environment and a
+summary: index-side coverage of the singular rungs (the right-index-shift
+and left-index-match checks) with the reasons of its skips, failed checks,
+failed `linearize` runs, out-of-memory rungs and the slowest rung of the
+regular and of the singular rungs.  One rung alone is
 
     python3 tools/ladder.py --rung CHECKOUT N GRADE BASIS STRUCTURE
 
@@ -67,34 +69,35 @@ INDEX_CHECKS = {"right-index-shift": "right", "nullvector-degree-law": "right",
 
 def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
     """One rung in this process: the exit code, wall time and peak resident
-    set of `linearize --output`, then the statuses, the wall time and the
-    skip reasons of `run_all`."""
+    set of `linearize --output`, then the statuses, the wall time, the peak
+    resident set, the indices and the skip reasons of `run_all`."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
-    import numpy as np
     from ratlin import cli, verify
     from ratlin.linbuild import StructuredLinearization
-    from ratlin.polymat import Basis, PolyMatrix, generic_rank
+    from ratlin.polymat import Basis
 
-    readings, errors = {}, {}
+    readings, errors, indices = {}, {}, {}
     staircase = StructuredLinearization.staircase
 
     def recording(sl, side):
         readings[side] = sl
         return staircase(sl, side)
 
-    def noting_errors(side, recover):
+    def noting_results(side, recover):
         def recorded(sl, rng=None):
             try:
-                return recover(sl, rng=rng)
+                rec = recover(sl, rng=rng)
             except Exception as exc:
                 errors[side] = type(exc).__name__
                 raise
+            indices[side] = [int(i) for i in rec.basis_r.indices]
+            return rec
         return recorded
 
     StructuredLinearization.staircase = recording
     for side in ("right", "left"):
         name = f"recover_{side}_minimal_basis"
-        setattr(verify, name, noting_errors(side, getattr(verify, name)))
+        setattr(verify, name, noting_results(side, getattr(verify, name)))
     spec = verify.FixtureSpec(seed=1, n=n, p=n, m=n, grade_a=grade, grade_d=grade,
                               basis_a=Basis(basis), basis_d=Basis(basis),
                               structure=structure)
@@ -108,11 +111,11 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
             code = cli.main(["linearize", "--input", src, "--output", dst,
                              "--seed", "1"])
         linearize = {"exit": code, "seconds": round(time.perf_counter() - start, 3),
-                     "maxrss_mb": round(resource.getrusage(
-                         resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+                     "maxrss_mb": maxrss_mb()}
     start = time.perf_counter()
     report = verify.run_all(r, seed=1)
     seconds = time.perf_counter() - start
+    rss = maxrss_mb()
     checks = {e.name: e.status for e in report.entries}
     skips = {}
     for name, side in INDEX_CHECKS.items():
@@ -122,17 +125,19 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
             skips[name] = "nullity 0"
             continue
         sl = readings[side]
-        stack = np.stack([sl.L0, sl.L1])
-        nullity = sl.shape[1 if side == "right" else 0] - generic_rank(
-            PolyMatrix(stack), 0, rank_scale=100.0)
-        if nullity == 0:
+        if sl.shape[1 if side == "right" else 0] == sl.rank:
             skips[name] = "nullity 0"
         else:
             skips[name] = {"BreakdownError": "uncertified",
                            "PreconditionError": "precondition"}.get(errors.get(side),
                                                                     "count")
-    return {"seconds": round(seconds, 3), "checks": checks, "skips": skips,
-            "linearize": linearize}
+    return {"seconds": round(seconds, 3), "maxrss_mb": rss, "checks": checks,
+            "indices": indices, "skips": skips, "linearize": linearize}
+
+
+def maxrss_mb() -> float:
+    """This process's peak resident set so far, in MB (ru_maxrss is in kB)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def run_rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:

@@ -42,13 +42,29 @@ in every OUTDIR.  The inputs themselves go to OUTDIR/inputs/.  Two checkouts
 are at parity when `diff -r` of their output directories is empty.  BLAS is
 pinned to one thread unless the environment already says otherwise.  A run
 takes 20 s to a minute on a 2-vCPU VM.
+
+    python3 tools/parity.py --compare OLD NEW
+
+lists what moved between two output directories.  A figure is a float
+that is the value of a JSON key, such as `worstResidual` or
+`nullspace_residual`; each one that moved is printed with its file, its
+path and both values, and then counted by command and path, with the
+largest old and new value of each.  Everything else must be the same: the
+file set, exit codes, stderr, any stdout that is not JSON, key sets, list
+lengths, and every value that is not a figure: a status, an index, a flag,
+and every number inside a list, such as a basis coefficient, an
+eigenvalue or a pencil entry.  The command exits 1, listing them, if any
+of those differ, and 0 otherwise.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -143,8 +159,106 @@ def run(cli, argv: list, path: Path):
                     f"--- stderr\n{err.getvalue()}")
 
 
+def _documents(path: Path) -> dict:
+    """{part: text or JSON value} of one output file: a `run` record's exit
+    code, stdout and stderr, with stdout parsed where it is JSON, or a whole
+    JSON file."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        return {"json": json.loads(text)}
+    head, _, rest = text.partition("\n--- stdout\n")
+    out, _, err = rest.rpartition("--- stderr\n")
+    try:
+        out = json.loads(out)
+    except ValueError:
+        pass
+    return {"exit": head, "stdout": out, "stderr": err}
+
+
+def _walk(old, new, path: str, figures: list, breaks: list):
+    """Pair old and new values: a moved figure goes to `figures` as (path,
+    old, new), any other difference to `breaks`."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            breaks.append(f"{path}: key set {sorted(old)} -> {sorted(new)}")
+            return
+        for key in old:
+            a, b = old[key], new[key]
+            if type(a) is float and type(b) is float and not _same(a, b):
+                figures.append((f"{path}.{key}", a, b))
+            else:
+                _walk(a, b, f"{path}.{key}", figures, breaks)
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            breaks.append(f"{path}: length {len(old)} -> {len(new)}")
+            return
+        for i, (a, b) in enumerate(zip(old, new)):
+            name = a.get("name") if isinstance(a, dict) else None
+            _walk(a, b, f"{path}[{name if isinstance(name, str) else i}]",
+                  figures, breaks)
+    elif not _same(old, new):
+        breaks.append(f"{path}: {old!r} -> {new!r}")
+
+
+def _same(a, b) -> bool:
+    """Equal values of one type, with NaN equal to NaN."""
+    return type(a) is type(b) and (a == b or type(a) is float and math.isnan(a)
+                                   and math.isnan(b))
+
+
+def _command(name: Path) -> str:
+    """The command of an output file: <case>.<command>.txt,
+    scalar-<seed>.txt, <case>.pencil.json or inputs/<case>.json."""
+    if name.parts[0] == "inputs":
+        return "inputs"
+    parts = name.name.split(".")
+    return parts[-2] if len(parts) > 2 else parts[0].rstrip("0123456789-")
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    """Print the figures that moved from old_dir to new_dir, with a count
+    per command and path, and every other difference; 1 if there is one."""
+    names = {p.relative_to(d) for d in (old_dir, new_dir)
+             for p in d.rglob("*") if p.is_file()}
+    breaks, moved = [], defaultdict(list)
+    files = defaultdict(lambda: [0, 0])  # command -> [files, files that moved]
+    for name in sorted(names):
+        command = _command(name)
+        files[command][0] += 1
+        old, new = old_dir / name, new_dir / name
+        if not (old.is_file() and new.is_file()):
+            breaks.append(f"{name} only in {old_dir if old.is_file() else new_dir}")
+            continue
+        if old.read_bytes() == new.read_bytes():
+            continue
+        files[command][1] += 1
+        figures, found, parts = [], [], _documents(new)
+        for part, value in _documents(old).items():
+            if isinstance(value, str) or isinstance(parts[part], str):
+                if value != parts[part]:
+                    found.append(f"{part} differs")
+            else:
+                _walk(value, parts[part], part, figures, found)
+        breaks += [f"{name} {line}" for line in found]
+        for path, a, b in figures:
+            print(f"{name} {path}: {a!r} -> {b!r}")
+            moved[command, re.sub(r"\[\d+\]", "[]", path)].append((a, b))
+    print("\nfiles per command (all, moved):")
+    for command, (total, changed) in sorted(files.items()):
+        print(f"  {command}: {total}, {changed}")
+    print("\nmoved figures per command and path (count, largest |old|, largest |new|):")
+    for (command, path), pairs in sorted(moved.items()):
+        print(f"  {command} {path}: {len(pairs)}, "
+              f"{max(abs(a) for a, _ in pairs):.3g}, {max(abs(b) for _, b in pairs):.3g}")
+    for line in breaks:
+        print(f"NOT A FIGURE: {line}")
+    return 1 if breaks else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--compare"] and len(argv) == 3:
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) not in (1, 2):
         print(__doc__, file=sys.stderr)
         return 2
