@@ -5,17 +5,17 @@ bit for bit what scipy.linalg.eig returns, with the vectors left
 unnormalized until a pair is asked for), pole/zero classification of a
 structured linearization off its one full-pencil QZ (or, for a caller that
 reads no eigenpair, a QZ without vectors), and polynomial nullspace minimal
-bases.  One column-compression staircase gives a pencil's right minimal
-indices, a basis of those degrees by back-substitution through its
-own transforms, and its Jordan block sizes at 0, which are the local
-partial multiplicities and, on reversed pencils, the invariant orders at
-infinity.  A basis is read at 0 and, where that reading is refused, on the
-reversed pencil, at infinity; a reading is kept only when it passes a gate:
-its count, the index sum of the Kronecker form, whose regular-part size one
-rank-completing QZ counts, and the certificate.  Indices that pass with no
-basis that does are solved for at those degrees alone.  Only pencils are
-handled: a polynomial matrix of higher grade gets its nullspace through a
-linearization.
+bases.  One column-compression staircase, run in place on one working
+pencil, gives a pencil's right minimal indices, a basis of those degrees
+back-substituted through the form it leaves, and its Jordan block sizes at
+0, which are the local partial multiplicities and, on reversed pencils, the
+invariant orders at infinity.  A basis is read at 0 and, where that reading
+is refused, on the reversed pencil, at infinity; a reading is kept only when
+it passes a gate: its count, the index sum of the Kronecker form, whose
+regular-part size one rank-completing QZ counts, and the certificate.
+Indices that pass with no basis that does are solved for at those degrees
+alone.  Only pencils are handled: a polynomial matrix of higher grade gets
+its nullspace through a linearization.
 """
 
 import functools
@@ -389,32 +389,31 @@ def _basis_result(found, cols) -> MinimalBasisResult:
                               side="right")
 
 
-def _back_substitute(steps) -> list:
-    """[(degree, coefficients)] of a right basis of the pencil from the
-    transforms of its `_staircase`, by ascending degree.
+def _back_substitute(form) -> list:
+    """[(degree, coefficients)] of a right basis of the pencil from its
+    `_staircase` form (a, b, p, levels), by ascending degree.
 
-    The null vectors z of S = U_top^H b V2 give V2 z, the degree-0 vectors of
-    a step's pencil, which are degree-k vectors of the pencil for step k.  A
-    vector w of the next step's pencil lifts to x = V1 lambda w + V2 u, with
-    S u = -U_top^H (a + lambda b) V1 w solved by u = W_rho sigma^-1 (...):
-    so x = (M0 + lambda M1) w, one degree up.  Vectors are scaled to unit
-    norm at each step; whether the result is a minimal basis is left to
-    `_gated_basis`.
+    From the deepest level up: the rows of W^H past rho give new degree-0
+    vectors in the level's mu columns, and each deeper vector w, shifted up
+    one degree, gets u = -W_rho sigma^-1 (a + lambda b)[rows] w there, solved
+    from the level's rho rows alone (its a columns vanish, its b columns are
+    sigma W^H there).  p maps the form's vectors to the pencil's, once.
+    Vectors are scaled to unit norm at each level; whether the result is a
+    minimal basis is left to `_gated_basis`.
     """
-    vecs = np.zeros((1, steps[-1][3], 0), dtype=complex)  # (rows, columns, count)
-    degrees = []
-    for a, b, v, rank, ut, sb, wh in reversed(steps):
-        v1, v2 = v[:, :rank], v[:, rank:]
-        solve = -v2 @ (wh[:sb.size].conj().T / sb) @ ut.conj().T
-        new = v2 @ wh[sb.size:].conj().T
-        k = new.shape[1]
-        lifted = np.zeros((vecs.shape[0] + 1, v.shape[0], k + len(degrees)),
-                          dtype=complex)
-        lifted[0, :, :k] = new
-        lifted[:-1, :, k:] = (solve @ a @ v1) @ vecs
-        lifted[1:, :, k:] += (v1 + solve @ b @ v1) @ vecs
+    a, b, p, levels = form
+    vecs, degrees = np.zeros((1, p.shape[1], 0), dtype=complex), []  # (degree, column, count)
+    for r, c, rho, mu, sigma, wh in reversed(levels):
+        k, rows, cols = mu - rho, slice(r, r + rho), slice(c, c + mu)
+        solve, w = -wh[:rho].conj().T / sigma, vecs[:, c + mu:]
+        lifted = np.zeros((len(vecs) + 1, p.shape[1], k + len(degrees)), dtype=complex)
+        lifted[0, cols, :k] = wh[rho:].conj().T
+        lifted[1:, :, k:] = vecs  # w, one degree up
+        lifted[:-1, cols, k:] += solve @ a[rows, c + mu:] @ w
+        lifted[1:, cols, k:] += solve @ b[rows, c + mu:] @ w
         vecs = lifted / np.linalg.norm(lifted, axis=(0, 1))
         degrees = [0] * k + [d + 1 for d in degrees]
+    vecs = p @ vecs
     return [(d, vecs[: d + 1, :, j]) for j, d in enumerate(degrees)]
 
 
@@ -444,10 +443,10 @@ def _gated_basis(stack, nullity, side, readings) -> MinimalBasisResult:
 
     degrees = None
     for infinity in (False, True):
-        indices, _, steps = reading(infinity).staircase(side)
+        indices, _, form = reading(infinity).staircase(side)
         if closes(indices):
             degrees = degrees or indices
-            found = [(d, cf[::-1] if infinity else cf) for d, cf in _back_substitute(steps)]
+            found = [(d, cf[::-1] if infinity else cf) for d, cf in _back_substitute(form)]
             res = _basis_result(found, stack.shape[2])
             if _certified(res, stack):
                 return res
@@ -508,45 +507,46 @@ def regular_part_size(readings: PencilReadings) -> int | None:
 
 
 def _staircase(l0: np.ndarray, l1: np.ndarray, norm=None) -> tuple:
-    """(right minimal indices, Jordan block sizes at 0, steps) of
+    """(right minimal indices, Jordan block sizes at 0, form) of
     lambda * l1 + l0, the lists sorted, from Van Dooren's column-compression
-    staircase (LAA 1979; Demmel & Kagstrom, ACM TOMS 1993).
+    staircase (LAA 1979; Demmel & Kagstrom, ACM TOMS 1993), run in place.
 
-    Step k compresses the mu_k null columns of the current l0 block,
-    row-compresses the matching columns of l1 to their rank rho_k, and drops
-    both.  mu_k - rho_k right minimal indices equal k, and rho_k - mu_{k+1}
-    Jordan blocks at 0 have size k + 1, with mu = 0 at the last step.  Ranks
-    use the absolute cutoff max(M, N) * eps * ||[l0 l1]||_2 (`norm`, if
-    given) * STAIRCASE_SCALE.  Step 0 first reads l0's singular values alone,
-    against 2 ||[l0 l1]||_F >= ||[l0 l1]||_2 if no `norm` is given, and takes
-    vectors and the 2-norm only if they do not show full column rank.  Each
-    step keeps what it computed, (a, b, V, rank, U_top, sigma_top, W^H) for
-    the blocks a, b of the step, a = U S V^H and b V2 = U sigma W^H with
-    V = [V1 V2] split at the rank, for `_back_substitute`.
+    Level k takes the mu_k null columns V2 of the active block a[r:, c:] of
+    a working copy (a, b) of the pencil and b's rank rho_k on them,
+    b[r:, c:] V2 = U sigma W^H; U^H then acts on rows r:, and V, null columns
+    first, on columns c: of a, b and the column transform p.  mu_k - rho_k
+    right minimal indices equal k, and rho_k - mu_{k+1} Jordan blocks at 0
+    have size k + 1, with mu = 0 at the last level.  Ranks use the absolute
+    cutoff max(M, N) * eps * ||[l0 l1]||_2 (`norm`, if given) *
+    STAIRCASE_SCALE.  Step 0 first reads l0's singular values alone, against
+    2 ||[l0 l1]||_F >= ||[l0 l1]||_2 if no `norm` is given, and takes vectors
+    and the 2-norm only if they do not show full column rank.  The form is
+    (a, b, p, levels), (r, c, rho, mu, sigma_top, W^H) per level, or ().
     """
     scale = max(l0.shape) * np.finfo(float).eps * STAIRCASE_SCALE
     bound = norm or 2.0 * math.hypot(np.linalg.norm(l0), np.linalg.norm(l1))
     if np.sum(np.linalg.svd(l0, compute_uv=False) > scale * bound) == l0.shape[1]:
-        return [], [], []
+        return [], [], ()
     cutoff = scale * (np.linalg.norm(np.hstack([l0, l1]), 2) if norm is None else norm)
-    a, b = l0, l1
-    indices, sizes, steps = [], [], []
-    rho = 0
+    a, b, p = (np.array(x, dtype=complex) for x in (l0, l1, np.eye(l0.shape[1])))
+    indices, sizes, levels = [], [], []
+    r = c = rho = 0
     for k in range(l0.shape[1] + 1):
-        _, sv, vh = np.linalg.svd(a)
+        _, sv, vh = np.linalg.svd(a[r:, c:])
         rank = int(np.sum(sv > cutoff))
-        mu = a.shape[1] - rank
+        mu = vh.shape[0] - rank
         sizes += [k] * (rho - mu)
         if mu == 0:
             break
-        v = vh.conj().T
-        u, sb, wh = np.linalg.svd(b @ v[:, rank:])
+        v = vh[np.arange(-mu, rank)].conj().T  # null columns first
+        u, sb, wh = np.linalg.svd(b[r:, c:] @ v[:, :mu])
         rho = int(np.sum(sb > cutoff))
         indices += [k] * (mu - rho)
-        steps.append((a, b, v, rank, u[:, :rho].copy(), sb[:rho], wh))
-        uh = u.conj().T[rho:]
-        a, b = uh @ a @ v[:, :rank], uh @ b @ v[:, :rank]
-    return indices, sizes, steps
+        levels.append((r, c, rho, mu, sb[:rho], wh))
+        a[r:, c:], b[r:, c:] = u.conj().T @ a[r:, c:], u.conj().T @ b[r:, c:]
+        a[:, c:], b[:, c:], p[:, c:] = a[:, c:] @ v, b[:, c:] @ v, p[:, c:] @ v
+        r, c = r + rho, c + mu
+    return indices, sizes, (a, b, p, levels) if levels else ()
 
 
 def _convolution_matrix(stack: np.ndarray, delta: int):

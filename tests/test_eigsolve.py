@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import product
 from pathlib import Path
 
@@ -377,30 +378,100 @@ class TestPartialMultiplicities:
         assert total == len(roots) == 4
 
 
-def _staircase_with_vectors(l0, l1) -> tuple:
-    """`eigsolve._staircase` as it was before its first step read singular
-    values alone: every step takes the SVD with vectors, and the cutoff's
-    norm is formed from the stacked pencil."""
-    cutoff = (max(l0.shape) * np.finfo(float).eps * eigsolve.STAIRCASE_SCALE
-              * np.linalg.norm(np.hstack([l0, l1]), 2))
+def _step_list_staircase(l0, l1, norm=None) -> tuple:
+    """(indices, Jordan sizes at 0, margin) of `eigsolve._staircase` as it
+    was before it ran in place: each step's pencil is a new product of the
+    last one with its transforms, uh @ a @ v1.  The reference the in-place
+    staircase's indices and sizes are held to.  The margin is the factor by
+    which the singular value nearest the cutoff clears it, on either side."""
+    scale = max(l0.shape) * np.finfo(float).eps * eigsolve.STAIRCASE_SCALE
+    bound = norm or 2.0 * math.hypot(np.linalg.norm(l0), np.linalg.norm(l1))
+    sv = np.linalg.svd(l0, compute_uv=False)
+    if np.sum(sv > scale * bound) == l0.shape[1]:
+        return [], [], np.min(sv, initial=np.inf) / (scale * bound)
+    cutoff = scale * (np.linalg.norm(np.hstack([l0, l1]), 2) if norm is None else norm)
     a, b = l0, l1
-    indices, sizes, steps = [], [], []
+    indices, sizes, read = [], [], []
     rho = 0
     for k in range(l0.shape[1] + 1):
         _, sv, vh = np.linalg.svd(a)
         rank = int(np.sum(sv > cutoff))
         mu = a.shape[1] - rank
         sizes += [k] * (rho - mu)
+        read.append(sv)
         if mu == 0:
             break
         v = vh.conj().T
-        u, sb, wh = np.linalg.svd(b @ v[:, rank:])
+        u, sb, _ = np.linalg.svd(b @ v[:, rank:])
         rho = int(np.sum(sb > cutoff))
         indices += [k] * (mu - rho)
-        steps.append((a, b, v, rank, u[:, :rho].copy(), sb[:rho], wh))
+        read.append(sb)
         uh = u.conj().T[rho:]
         a, b = uh @ a @ v[:, :rank], uh @ b @ v[:, :rank]
-    return indices, sizes, steps
+    ratios = np.concatenate(read) / cutoff
+    ratios = ratios[ratios > 0]  # an exact zero clears any cutoff
+    return indices, sizes, np.min(np.maximum(ratios, 1 / ratios), initial=np.inf)
+
+
+def _staircase_with_vectors(l0, l1) -> tuple:
+    """`eigsolve._staircase` without its first-step shortcut: every level
+    takes the SVD with vectors, and the cutoff's norm is formed from the
+    stacked pencil."""
+    cutoff = (max(l0.shape) * np.finfo(float).eps * eigsolve.STAIRCASE_SCALE
+              * np.linalg.norm(np.hstack([l0, l1]), 2))
+    a, b, p = (np.array(x, dtype=complex) for x in (l0, l1, np.eye(l0.shape[1])))
+    indices, sizes, levels = [], [], []
+    r = c = rho = 0
+    for k in range(l0.shape[1] + 1):
+        _, sv, vh = np.linalg.svd(a[r:, c:])
+        rank = int(np.sum(sv > cutoff))
+        mu = vh.shape[0] - rank
+        sizes += [k] * (rho - mu)
+        if mu == 0:
+            break
+        v = vh[np.arange(-mu, rank)].conj().T
+        u, sb, wh = np.linalg.svd(b[r:, c:] @ v[:, :mu])
+        rho = int(np.sum(sb > cutoff))
+        indices += [k] * (mu - rho)
+        levels.append((r, c, rho, mu, sb[:rho], wh))
+        a[r:, c:], b[r:, c:] = u.conj().T @ a[r:, c:], u.conj().T @ b[r:, c:]
+        a[:, c:], b[:, c:], p[:, c:] = a[:, c:] @ v, b[:, c:] @ v, p[:, c:] @ v
+        r, c = r + rho, c + mu
+    return indices, sizes, (a, b, p, levels) if levels else ()
+
+
+def _form_items(form) -> list:
+    """The arrays and integers of a staircase form, in order."""
+    if not form:
+        return []
+    a, b, p, levels = form
+    return [a, b, p, *(x for level in levels for x in level)]
+
+
+def _entries(obj) -> int:
+    """Entries of the arrays held in nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    return sum(map(_entries, obj)) if isinstance(obj, (tuple, list)) else 0
+
+
+def _assert_step_list_readings(readings) -> int:
+    """Each side's staircase at 0 and at infinity of `readings` reads the
+    indices and Jordan sizes of `_step_list_staircase` wherever every
+    decision of the step list clears the cutoff by a factor of 10; the
+    number of readings so compared.  Nearer the cutoff, roundoff in the
+    order of the products, amplified by small singular-value gaps, can
+    move a decision either way."""
+    compared = 0
+    for pencil in (readings, readings.reversal):
+        for side in ("right", "left"):
+            a, b = eigsolve.side_stack(pencil.L0, pencil.L1, side)
+            *want, margin = _step_list_staircase(
+                a, b, pencil.norm if side == "right" else None)
+            if margin >= 10.0:
+                assert list(pencil.staircase(side)[:2]) == want, side
+                compared += 1
+    return compared
 
 
 class TestInvariantOrders:
@@ -408,7 +479,8 @@ class TestInvariantOrders:
         # the reversed state and full pencils of the orders record's
         # fixtures: a generic one takes the shortcut (l0 invertible, no
         # vectors); a rank-deficient leading coefficient or a raised grade
-        # makes l0 singular, and every step matches the vector path bitwise
+        # makes l0 singular, and every array of the form matches the vector
+        # path bitwise
         paths = {True: 0, False: 0}
         for (n, g, seed), ba, bd, (blocks, raise_d) in product(
                 [(2, 2, 1), (3, 3, 4)], Basis, Basis,
@@ -420,9 +492,9 @@ class TestInvariantOrders:
             for l0, l1 in ((la1, la0), (sl.L1, sl.L0)):
                 got, want = eigsolve._staircase(l0, l1), _staircase_with_vectors(l0, l1)
                 assert got[:2] == want[:2]
-                assert len(got[2]) == len(want[2])
-                for step, ref in zip(got[2], want[2]):
-                    assert all(np.array_equal(x, y) for x, y in zip(step, ref))
+                items, ref = _form_items(got[2]), _form_items(want[2])
+                assert len(items) == len(ref)
+                assert all(np.array_equal(x, y) for x, y in zip(items, ref))
                 paths[not got[2]] += 1
         assert paths[True] and paths[False], paths
 
@@ -530,6 +602,37 @@ class TestPolynomialNullspace:
         assert eigsolve._staircase(l0.T, l1.T)[:2] == ([2], [])
         assert polynomial_nullspace(l0, l1, "right").indices == [0, 1, 3]
         assert polynomial_nullspace(l0, l1, "left").indices == [2]
+
+    @pytest.mark.parametrize("t", [1.0, 1e-3])
+    @pytest.mark.parametrize("centres", [(0.0,), (0.0, np.exp(2j))],
+                             ids=["0", "0-and-e2i"])
+    @pytest.mark.parametrize("eta", [0, 1, 2])
+    def test_staircase_reads_the_step_list_indices_and_sizes(self, t, centres, eta):
+        # on both sides, at 0 and at infinity.  At t = 1 every decision
+        # clears the cutoff by orders of magnitude; at t = 1e-3 some readings
+        # are wrong, the step list reads the same wrong ones, and the
+        # readings with a singular value near the cutoff are left out
+        eps_lists = [[0], [1, 2], [0, 3, 3], [2, 4, 5], [7]]
+        compared = sum(_assert_step_list_readings(PencilReadings(*planted_kronecker(
+            np.random.default_rng(seed), eps, eta, t, centres)))
+            for seed, eps in enumerate(eps_lists))
+        assert compared == 4 * len(eps_lists) if t == 1.0 else compared >= 10
+
+    def test_a_reading_holds_its_form_in_place(self):
+        # a 40-level chain of a 44 x 44 pencil: the form holds the working
+        # pencil, its column transform and each level's sigma and W^H, where
+        # per-level copies of the active blocks would hold 46 N^2 entries
+        l0, l1 = planted_kronecker(np.random.default_rng(0), [40], 0, 1.0)
+        n = l0.shape[1]
+        assert l0.shape == (n, n) == (44, 44)
+        readings = PencilReadings(l0, l1)
+        indices, _, form = readings.staircase("right")
+        assert indices == [40]
+        assert _entries(form) <= 4 * n ** 2
+        stack = eigsolve.side_stack(l0, l1, "right")
+        basis = eigsolve._basis_result(eigsolve._back_substitute(form), n)
+        assert basis.indices == [40]
+        assert eigsolve._certified(basis, stack)
 
     def test_short_reading_at_0_gives_the_reading_at_infinity(self):
         # the reading's own degrees all check out; only its length is short
@@ -716,14 +819,14 @@ class TestPolynomialNullspace:
         sl = build(gen_fixture(FixtureSpec(seed=4, structure="zero-column-b")))
         stack = _pencil_stack(sl.L0, sl.L1, "right")
         readings = PencilReadings(sl.L0, sl.L1)
-        guess, sizes, steps = readings.staircase("right")
-        basis = eigsolve._basis_result(eigsolve._back_substitute(steps),
+        guess, sizes, form = readings.staircase("right")
+        basis = eigsolve._basis_result(eigsolve._back_substitute(form),
                                        stack.shape[2])
         assert certify_minimal_basis(basis, *stack)["ok"]
         want = basis
         if spoil_reading:
             readings._staircases["right"] = (guess[:-1] + [guess[-1] + 1],
-                                             sizes, steps)
+                                             sizes, form)
             want = _basis_at_infinity(readings, "right", stack.shape[2])
         got = polynomial_nullspace(sl.L0, sl.L1, "right", readings=readings)
         assert got.indices == want.indices == guess
@@ -771,6 +874,7 @@ class TestRegularPartSize:
         size = rank - sum(e + sl.rho_d for e in eps) - eta
         assert regular_part_size(PencilReadings(sl.L0, sl.L1)) == size
         assert sl.regular_size == size
+        _assert_step_list_readings(sl)
 
 
 def _pencil_stack(l0, l1, side) -> np.ndarray:

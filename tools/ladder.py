@@ -13,11 +13,13 @@ out of memory is recorded with status "oom" and the ladder goes on.  The
 child first writes the rung's realization to a file and runs
 `ratlin linearize --input F --output G` on it through `cli.main`, and
 records that command's exit code, wall time and the child's peak resident
-set (ru_maxrss) after it; then it runs `run_all`.  For each rung the record
-holds these, the wall time of `run_all`, the child's peak resident set
-after it, the status of each check, the minimal indices of the rational
-matrix that each side's basis recovery returned, and the reason of each
-skipped index check:
+set (ru_maxrss) after it; then it runs `run_all`, and after it `eigs`,
+`infinity`, `nullspace --side right` and `nullspace --side left` (each
+with `--json`) through `cli.main`, recording each one's exit code and wall
+time.  For each rung the record holds these, the wall time of `run_all`,
+the child's peak resident set after it, the status of each check, the
+minimal indices of the rational matrix that each side's basis recovery
+returned, and the reason of each skipped index check:
 
 - "nullity 0": the side has no nullspace (every side of a regular input);
 - "uncertified": basis recovery raised `BreakdownError`, as the gate does
@@ -33,8 +35,9 @@ rank the gate read; a recovery's result or error is recorded as it passes.
 The record also holds the BLAS thread count, the environment and a
 summary: index-side coverage of the singular rungs (the right-index-shift
 and left-index-match checks) with the reasons of its skips, failed checks,
-failed `linearize` runs, out-of-memory rungs and the slowest rung of the
-regular and of the singular rungs.  One rung alone is
+failed `linearize` runs, the exit codes of each other command, counted,
+out-of-memory rungs and the slowest rung of the regular and of the singular
+rungs.  One rung alone is
 
     python3 tools/ladder.py --rung CHECKOUT N GRADE BASIS STRUCTURE
 
@@ -65,12 +68,14 @@ GRADES = (2, 4, 6, 8)
 BASES = ("monomial", "chebyshev1")
 INDEX_CHECKS = {"right-index-shift": "right", "nullvector-degree-law": "right",
                 "left-index-match": "left"}
+COMMANDS = ("eigs", "infinity", "nullspace --side right", "nullspace --side left")
 
 
 def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
     """One rung in this process: the exit code, wall time and peak resident
     set of `linearize --output`, then the statuses, the wall time, the peak
-    resident set, the indices and the skip reasons of `run_all`."""
+    resident set, the indices and the skip reasons of `run_all`, then the
+    exit code and wall time of each of COMMANDS."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from ratlin import cli, verify
     from ratlin.linbuild import StructuredLinearization
@@ -106,16 +111,21 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
         src, dst = os.path.join(tmp, "in.json"), os.path.join(tmp, "out.json")
         with open(src, "w") as fh:
             json.dump(r.to_dict(), fh)
+
+        def command(*argv):
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([*argv, "--input", src, "--seed", "1"])
+            return {"exit": code, "seconds": round(time.perf_counter() - start, 3)}
+
+        linearize = {**command("linearize", "--output", dst), "maxrss_mb": maxrss_mb()}
         start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["linearize", "--input", src, "--output", dst,
-                             "--seed", "1"])
-        linearize = {"exit": code, "seconds": round(time.perf_counter() - start, 3),
-                     "maxrss_mb": maxrss_mb()}
-    start = time.perf_counter()
-    report = verify.run_all(r, seed=1)
-    seconds = time.perf_counter() - start
-    rss = maxrss_mb()
+        report = verify.run_all(r, seed=1)
+        seconds = time.perf_counter() - start
+        rss = maxrss_mb()
+        StructuredLinearization.staircase = staircase  # the commands build their own
+        commands = {name: command(*name.split(), "--json") for name in COMMANDS}
     checks = {e.name: e.status for e in report.entries}
     skips = {}
     for name, side in INDEX_CHECKS.items():
@@ -132,7 +142,8 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
                            "PreconditionError": "precondition"}.get(errors.get(side),
                                                                     "count")
     return {"seconds": round(seconds, 3), "maxrss_mb": rss, "checks": checks,
-            "indices": indices, "skips": skips, "linearize": linearize}
+            "indices": indices, "skips": skips, "linearize": linearize,
+            "commands": commands}
 
 
 def maxrss_mb() -> float:
@@ -174,6 +185,9 @@ def summary(rungs: list) -> dict:
                                  for s in rec["checks"].values()),
             "failed_linearize": sum(rec["linearize"]["exit"] != 0 for rec in rungs
                                     if rec["status"] == "ok"),
+            "command_exits": {name: dict(Counter(str(rec["commands"][name]["exit"])
+                                                 for rec in rungs if rec["status"] == "ok"))
+                              for name in COMMANDS},
             "oom": sum(rec["status"] == "oom" for rec in rungs),
             "errors": sum(rec["status"] == "error" for rec in rungs),
             "slowest": slowest}
