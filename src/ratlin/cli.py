@@ -244,7 +244,7 @@ def _cmd_eigs(args) -> int:
 def _cmd_infinity(args) -> int:
     r = _load_realization(args)
     sl = build(r, rng=args.seed)
-    orders = invariant_orders_at_infinity(sl, rng=args.seed)
+    orders = invariant_orders_at_infinity(sl)
     if args.json:
         _emit({"infinityOrders": orders, "grade": sl.rho_d + 1})
     else:

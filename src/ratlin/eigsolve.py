@@ -27,13 +27,12 @@ import numpy as np
 from .config import MATCH_TOL, make_rng, unit_circle_points
 from .errors import BreakdownError, PreconditionError, RatlinError
 from .linbuild import (PencilReadings, StructuredLinearization, block_pencil,
-                       check_infinity_minimality, sample_points, system_eval)
+                       check_infinity_minimality)
 from .polymat import NEG_INF, PolyMatrix, numerical_rank
 
 INF_BETA_TOL = 1e-12
 # multiplier on the staircase rank cutoff max(M, N) * eps * ||[L0 L1]||_2
 STAIRCASE_SCALE = 1e6
-RANK_SAMPLES = 5   # sample points of rational_rank
 DEGREE_TOL = 1e-8  # relative norm below which a coefficient row is zero
 # certificate residual above which a basis is refused: a tenth of the
 # certificate's own 1e-10, so that the basis of R sliced from it still
@@ -301,7 +300,10 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
     of the reversed full pencil, padded with zeros up to the generic rank of
     the rational matrix, then shifts everything down by the grade.  The
     reversal of lambda L1 + L0 is the pencil lambda L0 + L1, its own Taylor
-    expansion at 0, so `_staircase` reads the multiplicities off it directly.
+    expansion at 0, so `_staircase` reads the multiplicities off it directly,
+    and its right minimal indices with them: the pencil has n + m + s
+    columns and rank L = rank R + n + s, so rank R is m less their count.
+    `rng` is kept for callers' signatures and not drawn from.
     """
     r = sl.realization
     okl, okr = check_infinity_minimality(r, sl.grade_a, sl.grade_d)
@@ -313,31 +315,15 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
 
     la0, la1 = sl.state_pencil()
     e_list = _staircase(la1, la0)[1]
-    e_tilde = _staircase(sl.L1, sl.L0)[1]
+    right, e_tilde, _ = _staircase(sl.L1, sl.L0)
 
-    rank_r = rational_rank(sl, rng=rng)
+    rank_r = r.m - len(right)
     t, u = len(e_list), len(e_tilde)
     if t + u > rank_r:
         raise PreconditionError(
             f"inconsistent rank estimate: {t} + {u} multiplicities for rank {rank_r}")
     body = [-e for e in reversed(e_list)] + [0] * (rank_r - t - u) + list(e_tilde)
     return [q - g for q in body]
-
-
-def rational_rank(sl: StructuredLinearization, rng=None) -> int:
-    """Generic rank of the rational matrix, as max rank P(z) - n over
-    RANK_SAMPLES sampled points, where P = [A B; -C D] holds input data only,
-    free of the cancellation in forming D + C A^{-1} B.  Points with cond(A)
-    above 1e6 are skipped and the cutoff is scaled up, keeping
-    exact-by-construction rank drops (residual singular values ~1e-13
-    relative) on the zero side.
-    """
-    r = sl.realization
-    pts = sample_points(r, make_rng(rng), RANK_SAMPLES, 0.07, 10 * RANK_SAMPLES,
-                        cond_max=1e6)
-    if not pts:
-        raise RatlinError("could not find well-conditioned sample points")
-    return int(numerical_rank(system_eval(r, np.array(pts)), 1e6).max()) - r.n
 
 
 def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",

@@ -350,36 +350,27 @@ class PolyMatrix:
 
 def hstack(*mats: PolyMatrix) -> PolyMatrix:
     """Concatenate horizontally; grades padded to the common maximum."""
-    mats = list(mats)
-    _common_basis(mats)
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise DimensionError("hstack: row counts differ")
-    g = max(m.grade for m in mats)
-    stacked = np.concatenate([m.pad_to_grade(g).coeffs for m in mats], axis=2)
-    return PolyMatrix(stacked, mats[0].basis)
+    return _stack(mats, 2, "hstack: row counts differ")
 
 
 def vstack(*mats: PolyMatrix) -> PolyMatrix:
     """Concatenate vertically; grades padded to the common maximum."""
-    mats = list(mats)
-    _common_basis(mats)
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise DimensionError("vstack: column counts differ")
-    g = max(m.grade for m in mats)
-    stacked = np.concatenate([m.pad_to_grade(g).coeffs for m in mats], axis=1)
-    return PolyMatrix(stacked, mats[0].basis)
+    return _stack(mats, 1, "vstack: column counts differ")
 
 
-def _common_basis(mats):
+def _stack(mats, axis, mismatch) -> PolyMatrix:
+    """Join coefficient stacks of one basis on `axis` (1 rows, 2 columns),
+    the other dimension equal."""
     if not mats:
         raise DimensionError("need at least one operand")
     basis = mats[0].basis
-    for m in mats[1:]:
-        if m.basis is not basis:
-            raise BasisError("stack: mixed bases")
-    return basis
+    if any(m.basis is not basis for m in mats):
+        raise BasisError("stack: mixed bases")
+    if len({m.coeffs.shape[3 - axis] for m in mats}) > 1:
+        raise DimensionError(mismatch)
+    g = max(m.grade for m in mats)
+    return PolyMatrix(np.concatenate([m.pad_to_grade(g).coeffs for m in mats],
+                                     axis=axis), basis)
 
 
 def numerical_rank(mat: np.ndarray, rank_scale: float = 1.0):

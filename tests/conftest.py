@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 
 # one BLAS thread, as in perfbench/run.py and tools/parity.py: timings and
 # the last digits of computed results depend on the thread count
@@ -52,6 +53,34 @@ def count_off(side):
         indices, *rest = staircase(readings, asked)
         return (indices + [0] if asked == side else indices, *rest)
     return spoiled
+
+
+def count_calls(monkeypatch, func) -> list:
+    """The positional arguments of every call of the ratlin function `func`
+    from here on, wrapped in every ratlin module namespace that binds it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ratlin" \
+                and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counting)
+    return calls
+
+
+def stiff_state_realization(singular: bool = False) -> Realization:
+    """A = (1 + lambda / 2) diag(1, 1e-8), of condition number 1e8 at every
+    point, with real grade-1 2 x 2 blocks B, C and D drawn in that order
+    from seed 3; `singular` zeroes the last column of B and of D."""
+    rng = np.random.default_rng(3)
+    a = PolyMatrix(np.array([np.diag([1.0, 1e-8]), np.diag([0.5, 0.5e-8])]))
+    b, c, d = (rng.standard_normal((2, 2, 2)) for _ in "BCD")
+    if singular:
+        b[:, :, -1] = d[:, :, -1] = 0.0
+    return Realization(A=a, B=PolyMatrix(b), C=PolyMatrix(c), D=PolyMatrix(d))
 
 
 def random_polymatrix(rng, grade, rows, cols, basis=Basis.MONOMIAL) -> PolyMatrix:

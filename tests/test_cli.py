@@ -15,7 +15,7 @@ from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis
 from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled
 
-from conftest import count_off, random_polymatrix
+from conftest import count_off, random_polymatrix, stiff_state_realization
 
 DELETE = object()  # a malformed-input value that deletes its key
 
@@ -99,6 +99,14 @@ class TestInfinity:
         obj = json.loads(out)
         assert obj["infinityOrders"] == [-3, 0]
         assert obj["grade"] == 2
+
+    def test_no_well_conditioned_point(self, capsys, tmp_path):
+        # cond A(z) = 1e8 everywhere: sampling rank R found no point
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(stiff_state_realization().to_dict()))
+        code, out, _ = run_cli(capsys, "infinity", "--input", str(path))
+        assert code == 0
+        assert out == "invariant orders at infinity: [-1, -1] (grade 1)\n"
 
 
 class TestNullspace:

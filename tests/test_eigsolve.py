@@ -8,21 +8,21 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from ratlin import eigsolve
+from ratlin import eigsolve, linbuild
 from ratlin.errors import BreakdownError, PreconditionError, RatlinError
 from ratlin.eigsolve import (certify_minimal_basis, classify,
                              invariant_orders_at_infinity,
                              partial_multiplicities_at, pencil_eigs,
                              pencil_is_regular,
-                             polynomial_nullspace, rational_rank,
-                             regular_part_size)
+                             polynomial_nullspace, regular_part_size)
 from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis, PolyMatrix, generic_rank, hstack, vstack
 from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
-from conftest import (count_off, l_block, match_multisets, planted_kronecker,
-                      poly_det_coeffs, prescribed_realization,
-                      random_polymatrix, random_realization)
+from conftest import (count_calls, count_off, l_block, match_multisets,
+                      planted_kronecker, poly_det_coeffs, prescribed_realization,
+                      random_polymatrix, random_realization,
+                      stiff_state_realization)
 
 
 ORDERS = Path(__file__).parent / "data" / "infinity_orders_deficient_leading.json"
@@ -516,6 +516,44 @@ class TestInvariantOrders:
     def test_preset_orders(self, preset):
         assert invariant_orders_at_infinity(build(preset)) == [-3, 0]
 
+    def test_orders_draw_no_sample_points(self, monkeypatch, preset):
+        # rank R is read off the reversed pencil's staircase, not sampled
+        sls = [build(preset)] + [build(gen_fixture(FixtureSpec(seed=1, structure=s)))
+                                 for s in STRUCTURES]
+        calls = count_calls(monkeypatch, linbuild.sample_points)
+        for sl in sls:
+            invariant_orders_at_infinity(sl, rng=1)
+        assert calls == []
+
+    def test_orders_where_no_point_is_well_conditioned(self):
+        # cond A(z) = 1e8 everywhere: sampling rank R found no point
+        assert invariant_orders_at_infinity(build(stiff_state_realization())) \
+            == [-1, -1]
+
+    @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+    @given(eps=st.lists(st.integers(0, 2), min_size=1, max_size=2),
+           eta=st.integers(0, 2), k=st.integers(1, 2),
+           grade_a=st.integers(1, 3), grade_d=st.integers(1, 3),
+           basis_a=st.sampled_from(Basis), basis_d=st.sampled_from(Basis),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rank_read_at_infinity_on_prescribed_realizations(
+            self, eps, eta, k, grade_a, grade_d, basis_a, basis_d, seed):
+        # R = U diag(L_eps, L_eta^T, k scalars) V has rank sum(eps) + eta + k,
+        # and rank L = rank R + n + s
+        r = prescribed_realization(np.random.default_rng(seed), eps, eta, k,
+                                   grade_a, grade_d, basis_a, basis_d)
+        sl = build(r)
+        assert _rank_read_at_infinity(sl) == sl.rank - r.n - sl.s == sum(eps) + eta + k
+
+    @pytest.mark.parametrize("basis_a, basis_d", list(product(Basis, Basis)))
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_rank_read_at_infinity_on_singular_fixtures(self, structure, basis_a,
+                                                        basis_d):
+        r = gen_fixture(FixtureSpec(seed=1, basis_a=basis_a, basis_d=basis_d,
+                                    structure=structure))
+        sl = build(r)
+        assert _rank_read_at_infinity(sl) == sl.rank - r.n - sl.s
+
     def test_precondition_failure_raises(self):
         # constant A: the reversed state block vanishes at 0
         r = scalar_realization([1], [1], [1], [0, 1])
@@ -896,8 +934,14 @@ def _right_coeffs(res) -> np.ndarray:
     return (res.vectors if res.side == "right" else res.vectors.T).coeffs
 
 
+def _rank_read_at_infinity(sl) -> int:
+    """rank R as `invariant_orders_at_infinity` reads it: m less the number
+    of right minimal indices of the reversed pencil's staircase."""
+    return sl.realization.m - len(eigsolve._staircase(sl.L1, sl.L0)[0])
+
+
 def test_rational_rank(preset):
-    assert rational_rank(build(preset)) == 2
+    assert _rank_read_at_infinity(build(preset)) == 2
 
 
 def test_block_degree_on_the_scale_of_the_built_degree():

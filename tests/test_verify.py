@@ -1,13 +1,11 @@
 import dataclasses
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ratlin import eigsolve, polymat, recover, verify
-from ratlin.eigsolve import rational_rank
+from ratlin import eigsolve, linbuild, polymat, recover, verify
 from ratlin.errors import PreconditionError
 from ratlin.linbuild import (PencilReadings, Realization, build,
                              transfer_eval)
@@ -15,7 +13,8 @@ from ratlin.polymat import Basis, PolyMatrix
 from ratlin.verify import (STRUCTURES, FixtureSpec, _check_state_pencil_spectrum,
                            gen_fixture, preset_cross_coupled, run_all)
 
-from conftest import count_off, random_polymatrix
+from conftest import (count_calls, count_off, random_polymatrix,
+                      stiff_state_realization)
 
 
 def _no_output_realization() -> Realization:
@@ -51,10 +50,10 @@ class TestGenFixture:
         spec = FixtureSpec(seed=9, n=2, p=3, m=3, structure="rank-deficient-d")
         r = gen_fixture(spec)
         # [B; D] last column = first columns * w(lambda) by construction,
-        # so R has a degree-1 right null vector; verify via evaluation
-        from ratlin.linbuild import build
-        from ratlin.eigsolve import rational_rank
-        assert rational_rank(build(r)) == 2
+        # so R has a degree-1 right null vector: rank R is m - 1, read off
+        # the reversed pencil's staircase as the orders at infinity read it
+        sl = build(r)
+        assert r.m - len(eigsolve._staircase(sl.L1, sl.L0)[0]) == 2
 
     def test_bad_structure_rejected(self):
         with pytest.raises(PreconditionError):
@@ -256,7 +255,10 @@ class TestRunAll:
         r = Realization.from_dict(json.loads(path.read_text()))
         by_name = {e.name: e for e in run_all(r, seed=1).entries}
         assert by_name["transfer-rank-additivity"].status == "pass"
-        assert rational_rank(build(r)) == 1
+        # the sampled rank R, m less the pencil's right nullity when it passes
+        assert by_name["nullspace-dimension"].status == "pass"
+        sl = build(r)
+        assert r.m - (sl.shape[1] - sl.rank) == 1
 
     def test_eigenvector_recovery_far_from_the_origin(self):
         # a zero at |lambda| about 78.6 with ||R(lambda)||_2 about 2.7e7: the
@@ -290,19 +292,28 @@ class TestRunAll:
         # regular-part size read the linearization's one `rank`
         r = gen_fixture(FixtureSpec(seed=1, structure=structure))
         shape = build(r).shape
-        generic_rank, shapes = polymat.generic_rank, []
-
-        def counting(p, *args, **kw):
-            shapes.append(p.shape)
-            return generic_rank(p, *args, **kw)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "ratlin" \
-                    and getattr(module, "generic_rank", None) is generic_rank:
-                monkeypatch.setattr(module, "generic_rank", counting)
+        calls = count_calls(monkeypatch, polymat.generic_rank)
         by_name = {e.name: e for e in run_all(r, seed=1).entries}
         assert by_name["right-index-shift"].status == "pass"
-        assert shapes.count(shape) == 1
+        assert [p.shape for p, *_ in calls].count(shape) == 1
+
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_singular_battery_evaluates_the_system_matrix_once(self, monkeypatch,
+                                                                structure):
+        # transfer-rank-additivity and nullspace-dimension read one sample
+        r = gen_fixture(FixtureSpec(seed=1, structure=structure))
+        calls = count_calls(monkeypatch, linbuild.system_eval)
+        by_name = {e.name: e for e in run_all(r, seed=1).entries}
+        assert by_name["nullspace-dimension"].status == "pass"
+        assert len(calls) == 1
+
+    def test_no_well_conditioned_point_gives_a_report(self):
+        # cond A(z) = 1e8 everywhere: no point is sampled, and the checks
+        # that read the sample fail where sampling rank R raised
+        by_name = {e.name: e.status
+                   for e in run_all(stiff_state_realization(singular=True)).entries}
+        assert by_name["transfer-rank-additivity"] == "fail"
+        assert by_name["nullspace-dimension"] == "fail"
 
     @pytest.mark.parametrize("structure, calls", [
         ("zero-column-b", [False, True]), ("regular", [False, True])])

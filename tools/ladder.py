@@ -16,10 +16,11 @@ records that command's exit code, wall time and the child's peak resident
 set (ru_maxrss) after it; then it runs `run_all`, and after it `eigs`,
 `infinity`, `nullspace --side right` and `nullspace --side left` (each
 with `--json`) through `cli.main`, recording each one's exit code and wall
-time.  For each rung the record holds these, the wall time of `run_all`,
-the child's peak resident set after it, the status of each check, the
-minimal indices of the rational matrix that each side's basis recovery
-returned, and the reason of each skipped index check:
+time, and the orders at infinity that `infinity` prints.  For each rung
+the record holds these, the wall time of `run_all`, the child's peak
+resident set after it, the status of each check, the minimal indices of
+the rational matrix that each side's basis recovery returned, and the
+reason of each skipped index check:
 
 - "nullity 0": the side has no nullspace (every side of a regular input);
 - "uncertified": basis recovery raised `BreakdownError`, as the gate does
@@ -75,7 +76,8 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
     """One rung in this process: the exit code, wall time and peak resident
     set of `linearize --output`, then the statuses, the wall time, the peak
     resident set, the indices and the skip reasons of `run_all`, then the
-    exit code and wall time of each of COMMANDS."""
+    exit code and wall time of each of COMMANDS, with the orders that
+    `infinity` prints where it exits 0."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from ratlin import cli, verify
     from ratlin.linbuild import StructuredLinearization
@@ -114,10 +116,14 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
 
         def command(*argv):
             start = time.perf_counter()
-            with contextlib.redirect_stdout(io.StringIO()), \
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main([*argv, "--input", src, "--seed", "1"])
-            return {"exit": code, "seconds": round(time.perf_counter() - start, 3)}
+            out = {"exit": code, "seconds": round(time.perf_counter() - start, 3)}
+            if argv[0] == "infinity" and code == 0:
+                out["orders"] = json.loads(stdout.getvalue())["infinityOrders"]
+            return out
 
         linearize = {**command("linearize", "--output", dst), "maxrss_mb": maxrss_mb()}
         start = time.perf_counter()
