@@ -12,10 +12,11 @@ back-substituted through the form it leaves, and its Jordan block sizes at
 invariant orders at infinity.  A basis is read at 0 and, where that reading
 is refused, on the reversed pencil, at infinity; a reading is kept only when
 it passes a gate: its count, the index sum of the Kronecker form, whose
-regular-part size one rank-completing QZ counts, and the certificate.
-Indices that pass with no basis that does are solved for at those degrees
-alone.  Only pencils are handled: a polynomial matrix of higher grade gets
-its nullspace through a linearization.
+regular-part size one rank-completing QZ counts, and the certificate.  A
+refused basis whose indices pass is refined at those degrees by one step of
+inverse iteration through a band QR of the block convolution matrix, which
+is never formed.  Only pencils are handled: a polynomial matrix of higher
+grade gets its nullspace through a linearization.
 """
 
 import functools
@@ -159,12 +160,9 @@ class MinimalBasisResult:
         """Whether the highest-degree coefficient matrix, taken vector by
         vector, has full rank.  Vectors are stored in ascending degree order,
         so the sorted index list doubles as the per-vector degree list."""
-        v = self.vectors.coeffs
-        if self.side == "right":
-            hcd = np.stack([v[d, :, j] for j, d in enumerate(self.indices)], axis=1)
-        else:
-            hcd = np.stack([v[d, j, :] for j, d in enumerate(self.indices)], axis=0)
-        return numerical_rank(hcd) == self.count
+        v, right = self.vectors.coeffs, self.side == "right"
+        tops = [v[d, :, j] if right else v[d, j, :] for j, d in enumerate(self.indices)]
+        return numerical_rank(np.stack(tops, axis=1 if right else 0)) == self.count
 
 
 def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False) -> PencilEig:
@@ -345,15 +343,9 @@ def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
     stack = side_stack(l0, l1, side)
     cols = stack.shape[2]
     nullity = cols - readings.rank
-    if nullity == 0:
-        res = MinimalBasisResult(
-            vectors=PolyMatrix(np.zeros((1, cols, 0), dtype=complex)),
-            indices=[], side="right")
-    else:
-        res = _gated_basis(stack, nullity, side, readings)
+    res = _gated_basis(stack, nullity, side, readings) if nullity else _basis_result([], cols)
     if side == "left":
-        return MinimalBasisResult(vectors=res.vectors.T, indices=res.indices,
-                                  side="left")
+        return MinimalBasisResult(vectors=res.vectors.T, indices=res.indices, side="left")
     return res
 
 
@@ -365,14 +357,13 @@ def side_stack(l0: np.ndarray, l1: np.ndarray, side: str) -> np.ndarray:
 
 
 def _basis_result(found, cols) -> MinimalBasisResult:
-    """The right basis of [(degree, coefficients)] listed by ascending degree."""
-    gmax = max(d for d, _ in found)
-    stack = np.zeros((gmax + 1, cols, len(found)), dtype=complex)
+    """The right basis of [(degree, coefficients)] listed by ascending degree
+    (of none, a grade-0 stack of no columns)."""
+    degrees = [d for d, _ in found]
+    stack = np.zeros((max(degrees, default=0) + 1, cols, len(found)), dtype=complex)
     for j, (d, cf) in enumerate(found):
         stack[: d + 1, :, j] = cf
-    return MinimalBasisResult(vectors=PolyMatrix(stack),
-                              indices=sorted(d for d, _ in found),
-                              side="right")
+    return MinimalBasisResult(PolyMatrix(stack), sorted(degrees), "right")
 
 
 def _back_substitute(form) -> list:
@@ -413,9 +404,9 @@ def _gated_basis(stack, nullity, side, readings) -> MinimalBasisResult:
     the normal rank (Gantmacher 1959; Verghese, Van Dooren & Kailath, IJC
     30, 1979), which a reading that takes eigenvalues near 0 for higher
     indices breaks; and the basis passes `certify_minimal_basis` within
-    GATE_RESIDUAL, as back-substitution can lose digits.  Indices that pass
-    with no basis that does are solved at (`_solve_at`); with none that
-    pass, BreakdownError."""
+    GATE_RESIDUAL, as back-substitution can lose digits.  Where indices pass
+    and no basis does, the first refused basis is refined at its indices
+    (`_solve_at`); where none pass, BreakdownError."""
     other = "left" if side == "right" else "right"
     rank, size = stack.shape[2] - nullity, readings.regular_size
 
@@ -427,21 +418,21 @@ def _gated_basis(stack, nullity, side, readings) -> MinimalBasisResult:
             len(o) == stack.shape[1] - rank and sum(indices) + sum(o) + size == rank
             for o in (reading(inf).staircase(other)[0] for inf in (False, True)))
 
-    degrees = None
+    refused = None
     for infinity in (False, True):
         indices, _, form = reading(infinity).staircase(side)
         if closes(indices):
-            degrees = degrees or indices
             found = [(d, cf[::-1] if infinity else cf) for d, cf in _back_substitute(form)]
             res = _basis_result(found, stack.shape[2])
             if _certified(res, stack):
                 return res
-    if degrees is None:
+            refused = refused or res
+    if refused is None:
         raise BreakdownError(f"no {side} reading, at 0 or at infinity, numbers the "
                              f"nullity {nullity} and closes the index sum")
-    res = _solve_at(stack, degrees)
+    res = _solve_at(stack, refused)
     if not _certified(res, stack):
-        raise BreakdownError(f"the {side} basis of degrees {degrees} is not certified")
+        raise BreakdownError(f"the {side} basis of degrees {res.indices} is not certified")
     return res
 
 
@@ -450,18 +441,37 @@ def _certified(res, stack) -> bool:
     return cert["ok"] and cert["residual"] <= GATE_RESIDUAL
 
 
-def _solve_at(stack, indices) -> MinimalBasisResult:
-    """The pencil's right basis of the given minimal indices: at each
-    distinct degree, the null space of the block convolution matrix, whose
-    dimension the indices fix, less the shifts of the lower-degree vectors
-    (`_deflate_shifts`)."""
-    cols, found = stack.shape[2], []
+def _solve_at(stack, refused) -> MinimalBasisResult:
+    """The pencil's right basis of the indices of `refused`, a basis the gate
+    refused: at each distinct degree delta, its vectors of that degree after
+    one step of inverse iteration, z = (R^H R)^-1 x, which takes them into
+    the null space of the block convolution matrix C (L0 in block (i, i),
+    L1 in (i + 1, i)), less the shifts of the lower-degree vectors
+    (`_deflate_shifts`).  R is upper triangular with R^H R = C^H C + s^2 I,
+    s = eps ||[L0 L1]||_F, which lifts C's null space as one cluster, clear
+    of R's pivots; one QR per block column, of the rows it reaches, gives a
+    block row of R, the same at every degree, and C is never formed (band
+    QR; Golub & Van Loan, Matrix Computations)."""
+    from scipy.linalg import solve_triangular  # here, not at the top: most of the import time
+    (l0, l1), n, indices, found = stack, stack.shape[2], refused.indices, []
+    shift, carry, blocks = np.finfo(float).eps * np.linalg.norm(stack) * np.eye(n), l0, []
+    for _ in range(max(indices) + 1):
+        r = np.linalg.qr(np.block([[carry, 0 * carry], [l1, l0], [shift, 0 * shift]]),
+                         mode="r")
+        blocks.append((r[:n, :n], r[:n, n:]))
+        carry = r[n:, n:]
+    diag, sup = zip(*blocks)
     for delta in sorted(set(indices)):
-        nu = sum(delta - d + 1 for d in indices if d <= delta)
-        ns = np.linalg.svd(_convolution_matrix(stack, delta))[2][-nu:].conj().T
-        fresh = _deflate_shifts(ns, found, delta, indices.count(delta))
-        found.extend((delta, vec.reshape(delta + 1, cols)) for vec in fresh.T)
-    return _basis_result(found, cols)
+        z = refused.vectors.coeffs[: delta + 1, :, [d == delta for d in indices]]
+        w = np.zeros_like(z[0])  # the block past either end multiplies zeros
+        for i in range(delta + 1):  # R^H w = x, one block row at a time
+            z[i] = w = solve_triangular(diag[i], z[i] - sup[i - 1].conj().T @ w, trans="C")
+        w = 0 * w
+        for i in reversed(range(delta + 1)):  # then R z = w
+            z[i] = w = solve_triangular(diag[i], z[i] - sup[i] @ w)
+        fresh = _deflate_shifts(z.reshape(-1, w.shape[1]), found, delta)
+        found.extend((delta, vec.reshape(delta + 1, n)) for vec in fresh.T)
+    return _basis_result(found, n)
 
 
 def regular_part_size(readings: PencilReadings) -> int | None:
@@ -535,26 +545,15 @@ def _staircase(l0: np.ndarray, l1: np.ndarray, norm=None) -> tuple:
     return indices, sizes, (a, b, p, levels) if levels else ()
 
 
-def _convolution_matrix(stack: np.ndarray, delta: int):
-    g = stack.shape[0] - 1
-    rows, cols = stack.shape[1], stack.shape[2]
-    conv = np.zeros(((delta + g + 1) * rows, (delta + 1) * cols), dtype=complex)
-    for i in range(delta + 1):
-        for k in range(g + 1):
-            conv[(i + k) * rows:(i + k + 1) * rows,
-                 i * cols:(i + 1) * cols] = stack[k]
-    return conv
-
-
-def _deflate_shifts(ns, found, delta, count):
-    """The `count` leading directions of the columns of ns orthogonal to the
+def _deflate_shifts(ns, found, delta):
+    """Orthonormal directions of the columns of ns orthogonal to the
     lambda-shifts of the lower-degree vectors of found, at degree delta."""
     shifts = [np.pad(cf, ((j, delta - d - j), (0, 0))).ravel()
               for d, cf in found for j in range(delta - d + 1)]
     if shifts:
         q = np.linalg.qr(np.array(shifts).T)[0]
         ns = ns - q @ (q.conj().T @ ns)
-    return np.linalg.svd(ns, full_matrices=False)[0][:, :count]
+    return np.linalg.svd(ns, full_matrices=False)[0]
 
 
 def block_degree(vector: np.ndarray, rows=slice(None)):

@@ -373,17 +373,18 @@ def _stack(mats, axis, mismatch) -> PolyMatrix:
                                      axis=axis), basis)
 
 
-def numerical_rank(mat: np.ndarray, rank_scale: float = 1.0):
-    """Rank with the backward-stable cutoff max(dim)*eps*sigma_max; a stack
-    (..., M, N) gives the array of its ranks from one SVD call."""
+def numerical_rank(mat: np.ndarray, rank_scale=1.0):
+    """Rank with the backward-stable cutoff max(dim)*eps*sigma_max*rank_scale;
+    a stack (..., M, N) gives the array of its ranks from one SVD call, and a
+    tuple of scales the tuple of ranks at each, from the same call."""
     mat = np.atleast_2d(np.asarray(mat))
-    if mat.size == 0:
-        ranks = np.zeros(mat.shape[:-2], dtype=int)
-    else:
-        sv = np.linalg.svd(mat, compute_uv=False)
-        cutoff = max(mat.shape[-2:]) * np.finfo(float).eps * sv[..., :1] * rank_scale
-        ranks = np.sum(sv > cutoff, axis=-1)
-    return int(ranks) if mat.ndim == 2 else ranks
+    scales = rank_scale if isinstance(rank_scale, tuple) else (rank_scale,)
+    sv = (np.linalg.svd(mat, compute_uv=False) if mat.size
+          else np.zeros(mat.shape[:-2] + (0,)))  # no values: rank 0
+    cutoff = max(mat.shape[-2:]) * np.finfo(float).eps * sv[..., :1]
+    ranks = [np.sum(sv > cutoff * scale, axis=-1) for scale in scales]
+    ranks = tuple(int(k) if mat.ndim == 2 else k for k in ranks)
+    return ranks if isinstance(rank_scale, tuple) else ranks[0]
 
 
 def generic_rank(p: PolyMatrix, rng=None, samples: int = 5,

@@ -167,21 +167,21 @@ PRESETS = {"cross-coupled": preset_cross_coupled}
 
 def run_all(r: Realization, seed: int = 0) -> CheckReport:
     """Execute the full identity battery against one realization.  The
-    system matrix [A B; -C D] is evaluated once, at 5 random points off the
-    poles, and both `transfer-rank-additivity` and `nullspace-dimension`
-    read it there."""
+    system matrix [A B; -C D] is evaluated at 5 random points off the poles
+    and decomposed once: `transfer-rank-additivity` and (at a 1e6 times
+    larger cutoff) `nullspace-dimension` read its ranks."""
     rng = make_rng(seed)
     sl = build(r, rng=rng)
     pts = np.array(sample_points(r, rng, 5, 0.11, 50, cond_max=1e7), dtype=complex)
-    system = system_eval(r, pts)
+    system_ranks = numerical_rank(system_eval(r, pts), (1.0, 1e6))
     return CheckReport([
         _check_block_factors(sl),
         _check_dual_pairs(sl),
-        _check_rank_additivity(sl, pts, system),
+        _check_rank_additivity(sl, pts, system_ranks[0]),
         _check_one_sided_factorizations(sl, rng),
         _check_state_pencil_spectrum(sl, rng),
         _check_minimality_proxy(sl),
-        *_check_nullspaces(sl, system, rng),
+        *_check_nullspaces(sl, system_ranks[1], rng),
         _check_eigenvector_recovery(sl, rng),
     ])
 
@@ -222,11 +222,10 @@ def _check_dual_pairs(sl: StructuredLinearization) -> CheckEntry:
     return _entry("dual-pair-identities", worst <= 1e-13, worst)
 
 
-def _check_rank_additivity(sl, pts, system) -> CheckEntry:
+def _check_rank_additivity(sl, pts, system_ranks) -> CheckEntry:
     """rank L(z) == rank R(z) + n + s at the random non-pole points pts, with
-    rank R(z) + n read off the system matrix [A B; -C D](z) there."""
-    bad = np.flatnonzero(numerical_rank(sl.pencil_eval(pts))
-                         != numerical_rank(system) + sl.s)
+    rank R(z) + n the rank of the system matrix [A B; -C D](z) there."""
+    bad = np.flatnonzero(numerical_rank(sl.pencil_eval(pts)) != system_ranks + sl.s)
     return _entry("transfer-rank-additivity", bad.size == 0 and pts.size == 5,
                   float(bad.size > 0), complex(pts[bad[-1]]) if bad.size else None)
 
@@ -273,7 +272,7 @@ def _check_minimality_proxy(sl) -> CheckEntry:
                   complex(bad[-1]) if bad else None)
 
 
-def _check_nullspaces(sl, system, rng) -> list:
+def _check_nullspaces(sl, system_ranks, rng) -> list:
     """Certificates of the recovered minimal bases, the degree law, and the
     nullspace dimension rule; skipped for regular fixtures.
 
@@ -285,13 +284,13 @@ def _check_nullspaces(sl, system, rng) -> list:
     the gate of `polynomial_nullspace` (the count, the index sum with the
     linearization's `regular_size`, and the certificate), and
     `minimality-proxy` and `nullspace-dimension` check the hypotheses.  The
-    latter takes rank R as the largest rank of the sampled system matrices
-    `system` less n, free of the cancellation in forming D + C A^{-1} B, with
-    the cutoff scaled up by 1e6 to keep exact-by-construction rank drops on
-    the zero side; a sample with no points fails it.  A side is skipped (not
-    failed) when recovery refuses its hypotheses or raises BreakdownError,
-    as the gate does when no reading of the side, at 0 or at infinity,
-    passes its count and index sum.
+    latter takes rank R as the largest of `system_ranks`, the sampled system
+    matrices' ranks, less n, free of the cancellation in forming D + C A^-1 B,
+    with the cutoff scaled up by 1e6 to keep exact-by-construction rank
+    drops on the zero side; a sample with no points fails it.  A side is
+    skipped (not failed) when recovery refuses its hypotheses or raises
+    BreakdownError, as the gate does when no reading of the side, at 0 or at
+    infinity, passes its count and index sum.
     """
     r = sl.realization
     right_nullity = sl.shape[1] - sl.rank
@@ -300,7 +299,7 @@ def _check_nullspaces(sl, system, rng) -> list:
         return [_skip("right-index-shift"), _skip("left-index-match"),
                 _skip("nullvector-degree-law"), _skip("nullspace-dimension")]
 
-    rank_r = int(numerical_rank(system, 1e6).max(initial=0)) - r.n
+    rank_r = int(system_ranks.max(initial=0)) - r.n
     dim_ok = (right_nullity == r.m - rank_r) and (left_nullity == r.p - rank_r)
     entries_dim = _entry("nullspace-dimension", dim_ok,
                          abs(right_nullity - (r.m - rank_r))

@@ -334,6 +334,20 @@ def test_scipy_is_imported_on_first_use():
     assert proc.stdout == "False False\n0 False\n0 False\n"
 
 
+def test_import_loads_no_scipy_module():
+    """A fresh interpreter that imports ratlin and ratlin.cli has loaded no
+    scipy module: scipy is most of the import time, and each function that
+    uses it imports it where it runs."""
+    src = os.path.dirname(os.path.dirname(ratlin.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = ("import sys, ratlin, ratlin.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_parse_coeffs_complex_forms():
     got = _parse_coeffs("1.5, 2+3i, -0.5i, -1-2i")
     assert got == [1.5 + 0j, 2 + 3j, -0.5j, -1 - 2j]

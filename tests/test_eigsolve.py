@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -738,7 +739,8 @@ class TestPolynomialNullspace:
             got = polynomial_nullspace(sl.L0, sl.L1, side)
             assert got.indices == guess
             if guess:
-                want = eigsolve._solve_at(stack, guess)
+                refused = _basis_at_0(PencilReadings(sl.L0, sl.L1), side, stack.shape[2])
+                want = eigsolve._solve_at(stack, refused)
                 assert _right_coeffs(got).tobytes() == want.vectors.coeffs.tobytes()
                 assert len(calls) == 3 and calls[-1]["ok"]
                 sides += 1
@@ -772,12 +774,50 @@ class TestPolynomialNullspace:
 
     def test_solve_at_gives_a_certified_basis_of_the_indices(self):
         # one null space per distinct degree, each deflated of the shifts of
-        # the vectors of lower degree
+        # the vectors of lower degree, from a basis the gate refuses
         l0, l1 = _kronecker_pencil()
-        res = eigsolve._solve_at(_pencil_stack(l0, l1, "right"), [0, 1, 3])
+        stack = _pencil_stack(l0, l1, "right")
+        refused = _spoiled(_basis_at_0(PencilReadings(l0, l1), "right", l0.shape[1]))
+        assert refused.indices == [0, 1, 3] and not eigsolve._certified(refused, stack)
+        res = eigsolve._solve_at(stack, refused)
         assert res.indices == [0, 1, 3]
         cert = certify_minimal_basis(res, l0, l1)
         assert cert["ok"] and cert["residual"] <= eigsolve.GATE_RESIDUAL, cert
+
+    def test_solve_at_keeps_every_null_direction_of_a_wide_pencil(self):
+        # right indices [0] * 6 + [4, 4, 9] of a 21 x 29 pencil: six vectors
+        # of degree 0 and two of degree 4 are iterated together, and the null
+        # space of the convolution matrix has singular values from exactly 0
+        # up to roundoff, which the unshifted iteration scales apart until
+        # the vectors of one degree are no longer independent
+        indices = [0] * 6 + [4, 4, 9]
+        l0, l1 = planted_kronecker(np.random.default_rng(1), indices, 0, 1.0)
+        stack = _pencil_stack(l0, l1, "right")
+        refused = _spoiled(_basis_at_0(PencilReadings(l0, l1), "right", l0.shape[1]))
+        assert refused.indices == indices and not eigsolve._certified(refused, stack)
+        res = eigsolve._solve_at(stack, refused)
+        cert = certify_minimal_basis(res, l0, l1)
+        assert res.indices == indices
+        assert cert["ok"] and cert["residual"] <= eigsolve.GATE_RESIDUAL, cert
+
+    def test_solve_at_never_forms_the_convolution_matrix(self):
+        # a right index 24 of a 28 x 28 pencil: the block convolution matrix
+        # of degree 24 has 26 x 25 blocks of 28 x 28 complex entries, and
+        # solving at the index holds less than that at any one time
+        l0, l1 = planted_kronecker(np.random.default_rng(0), [24], 0, 1.0)
+        n = l0.shape[1]
+        stack = _pencil_stack(l0, l1, "right")
+        refused = _spoiled(_basis_at_0(PencilReadings(l0, l1), "right", n))
+        assert refused.indices == [24] and not eigsolve._certified(refused, stack)
+        tracemalloc.start()
+        try:
+            res = eigsolve._solve_at(stack, refused)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 * n * 25 * n * np.dtype(complex).itemsize
+        cert = certify_minimal_basis(res, l0, l1)
+        assert res.indices == [24] and cert["ok"] and cert["residual"] <= 1e-15, cert
 
     @pytest.mark.parametrize("structure", STRUCTURES[1:])
     @pytest.mark.parametrize("basis_a, basis_d", list(product(Basis, Basis)))
@@ -920,6 +960,22 @@ def _pencil_stack(l0, l1, side) -> np.ndarray:
     pencil = PolyMatrix(np.stack([np.asarray(l0, dtype=complex),
                                   np.asarray(l1, dtype=complex)]))
     return (pencil if side == "right" else pencil.T).coeffs
+
+
+def _basis_at_0(readings, side, cols):
+    """The right basis on `side` back-substituted through the staircase at 0."""
+    return eigsolve._basis_result(eigsolve._back_substitute(readings.staircase(side)[2]),
+                                  cols)
+
+
+def _spoiled(res):
+    """res with 1e-7 seeded noise on each vector's coefficients up to its
+    degree, which the gate refuses."""
+    coeffs = res.vectors.coeffs.copy()
+    noise = np.random.default_rng(5).standard_normal(coeffs.shape)
+    for j, d in enumerate(res.indices):
+        coeffs[: d + 1, :, j] += 1e-7 * noise[: d + 1, :, j]
+    return eigsolve.MinimalBasisResult(PolyMatrix(coeffs), res.indices, res.side)
 
 
 def _basis_at_infinity(readings, side, cols):

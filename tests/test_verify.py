@@ -307,6 +307,29 @@ class TestRunAll:
         assert by_name["nullspace-dimension"].status == "pass"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_singular_battery_decomposes_the_system_matrix_once(self, monkeypatch,
+                                                                 structure):
+        # transfer-rank-additivity and nullspace-dimension read its ranks at
+        # two cutoffs off one SVD
+        evaluate, svd, systems, decomposed = verify.system_eval, np.linalg.svd, [], []
+
+        def evaluating(*args):
+            systems.append(evaluate(*args))
+            return systems[-1]
+
+        def counting(a, *args, **kwargs):
+            decomposed.extend(a for s in systems if a is s)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "system_eval", evaluating)
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        r = gen_fixture(FixtureSpec(seed=1, structure=structure))
+        by_name = {e.name: e for e in run_all(r, seed=1).entries}
+        assert by_name["nullspace-dimension"].status == "pass"
+        assert by_name["transfer-rank-additivity"].status == "pass"
+        assert len(systems) == 1 and len(decomposed) == 1
+
     def test_no_well_conditioned_point_gives_a_report(self):
         # cond A(z) = 1e8 everywhere: no point is sampled, and the checks
         # that read the sample fail where sampling rank R raised

@@ -19,7 +19,9 @@ with `--json`) through `cli.main`, recording each one's exit code and wall
 time, and the orders at infinity that `infinity` prints.  For each rung
 the record holds these, the wall time of `run_all`, the child's peak
 resident set after it, the status of each check, the minimal indices of
-the rational matrix that each side's basis recovery returned, and the
+the rational matrix that each side's basis recovery returned, the side
+and wall time of each `eigsolve._solve_at` run within `run_all` (the basis
+solved at indices whose back-substituted bases the gate refused), and the
 reason of each skipped index check:
 
 - "nullity 0": the side has no nullspace (every side of a regular input);
@@ -35,7 +37,8 @@ staircase at 0 is read, and the nullity is read off its `rank`, the normal
 rank the gate read; a recovery's result or error is recorded as it passes.
 The record also holds the BLAS thread count, the environment and a
 summary: index-side coverage of the singular rungs (the right-index-shift
-and left-index-match checks) with the reasons of its skips, failed checks,
+and left-index-match checks) with the reasons of its skips, the rungs,
+sides and seconds of the `_solve_at` runs, failed checks,
 failed `linearize` runs, the exit codes of each other command, counted,
 out-of-memory rungs and the slowest rung of the regular and of the singular
 rungs.  One rung alone is
@@ -75,16 +78,17 @@ COMMANDS = ("eigs", "infinity", "nullspace --side right", "nullspace --side left
 def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
     """One rung in this process: the exit code, wall time and peak resident
     set of `linearize --output`, then the statuses, the wall time, the peak
-    resident set, the indices and the skip reasons of `run_all`, then the
-    exit code and wall time of each of COMMANDS, with the orders that
-    `infinity` prints where it exits 0."""
+    resident set, the indices, the `_solve_at` runs and the skip reasons of
+    `run_all`, then the exit code and wall time of each of COMMANDS, with
+    the orders that `infinity` prints where it exits 0."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
-    from ratlin import cli, verify
+    from ratlin import cli, eigsolve, verify
     from ratlin.linbuild import StructuredLinearization
     from ratlin.polymat import Basis
 
-    readings, errors, indices = {}, {}, {}
+    readings, errors, indices, sides, solves = {}, {}, {}, [], []
     staircase = StructuredLinearization.staircase
+    solve_at, gated_basis = eigsolve._solve_at, eigsolve._gated_basis
 
     def recording(sl, side):
         readings[side] = sl
@@ -101,7 +105,20 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
             return rec
         return recorded
 
+    def timing(*args):
+        start = time.perf_counter()
+        try:
+            return solve_at(*args)
+        finally:
+            solves.append({"side": sides[-1],
+                           "seconds": round(time.perf_counter() - start, 3)})
+
+    def siding(stack, nullity, side, *args):
+        sides.append(side)
+        return gated_basis(stack, nullity, side, *args)
+
     StructuredLinearization.staircase = recording
+    eigsolve._solve_at, eigsolve._gated_basis = timing, siding
     for side in ("right", "left"):
         name = f"recover_{side}_minimal_basis"
         setattr(verify, name, noting_results(side, getattr(verify, name)))
@@ -131,6 +148,7 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
         seconds = time.perf_counter() - start
         rss = maxrss_mb()
         StructuredLinearization.staircase = staircase  # the commands build their own
+        eigsolve._solve_at, eigsolve._gated_basis = solve_at, gated_basis
         commands = {name: command(*name.split(), "--json") for name in COMMANDS}
     checks = {e.name: e.status for e in report.entries}
     skips = {}
@@ -148,8 +166,8 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
                            "PreconditionError": "precondition"}.get(errors.get(side),
                                                                     "count")
     return {"seconds": round(seconds, 3), "maxrss_mb": rss, "checks": checks,
-            "indices": indices, "skips": skips, "linearize": linearize,
-            "commands": commands}
+            "indices": indices, "skips": skips, "solve_at": solves,
+            "linearize": linearize, "commands": commands}
 
 
 def maxrss_mb() -> float:
@@ -174,6 +192,7 @@ def summary(rungs: list) -> dict:
     sides = Counter()
     reasons = Counter()
     slowest = {}
+    solve_sides, solve_seconds = Counter(), 0.0
     for rec in rungs:
         kind = "regular" if rec["structure"] == "regular" else "singular"
         if rec["status"] != "ok":
@@ -183,10 +202,16 @@ def summary(rungs: list) -> dict:
                 sides[rec["checks"][name]] += 1
                 if name in rec["skips"]:
                     reasons[rec["skips"][name]] += 1
+        for solve in rec["solve_at"]:
+            solve_sides[solve["side"]] += 1
+            solve_seconds += solve["seconds"]
         if rec["seconds"] > slowest.get(kind, {}).get("seconds", -1.0):
             slowest[kind] = {k: rec[k] for k in ("n", "grade", "basis", "structure",
                                                   "seconds")}
     return {"index_sides": dict(sides), "index_side_skips": dict(reasons),
+            "solve_at": {"rungs": sum(bool(rec.get("solve_at")) for rec in rungs),
+                         "sides": dict(solve_sides),
+                         "seconds": round(solve_seconds, 3)},
             "failed_checks": sum(s == "fail" for rec in rungs if rec["status"] == "ok"
                                  for s in rec["checks"].values()),
             "failed_linearize": sum(rec["linearize"]["exit"] != 0 for rec in rungs
