@@ -24,7 +24,13 @@ def make_rng(seed=None) -> np.random.Generator:
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
 
 
-def unit_circle_points(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Random evaluation points on the unit circle (avoids scale blowup)."""
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    return np.exp(1j * angles)
+def unit_circle_points(rng, count: int) -> np.ndarray:
+    """Random evaluation points on the unit circle (avoids scale blowup) from
+    `make_rng(rng)`; with no generator, the first `count` of DEFAULT_POINTS."""
+    if rng is None and count <= DEFAULT_POINTS.size:
+        return DEFAULT_POINTS[:count]
+    return np.exp(1j * make_rng(rng).uniform(0.0, 2.0 * np.pi, size=count))
+
+
+DEFAULT_POINTS = unit_circle_points(DEFAULT_SEED, 5)  # drawn once per process
+DEFAULT_POINTS.flags.writeable = False

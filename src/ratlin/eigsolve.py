@@ -50,11 +50,6 @@ def _nrm2():
     return get_blas_funcs("nrm2", dtype=complex, ilp64="preferred")
 
 
-@functools.cache
-def _default_points() -> tuple:  # `pencil_is_regular`'s, drawn on first use
-    return tuple(unit_circle_points(make_rng(), 3).tolist())
-
-
 @dataclass(frozen=True)
 class PencilEig:
     """Generalized eigenvalues of L1*lambda + L0 as (alpha, beta) pairs.
@@ -165,22 +160,23 @@ class MinimalBasisResult:
         return numerical_rank(np.stack(tops, axis=1 if right else 0)) == self.count
 
 
-def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False) -> PencilEig:
-    """All (alpha, beta) pairs of a square pencil from one LAPACK zggev run
-    on (-L0, L1), after the workspace query scipy.linalg.eig makes, so that
-    the pairs are scipy's bit for bit; the vectors stay unnormalized.
+def pencil_eigs(readings: PencilReadings, vectors: bool = False) -> PencilEig:
+    """All (alpha, beta) pairs of the square pencil of `readings` from one
+    LAPACK zggev run on (-L0, L1), after the workspace query
+    scipy.linalg.eig makes, so that the pairs are scipy's bit for bit; the
+    vectors stay unnormalized.
 
-    Regularity is detected by rank sampling at the default seed's 3 random
-    points; a singular pencil is flagged and its pairs left empty.
+    The pencil is regular if `readings.rank`, the rank its nullities read,
+    is full; a singular pencil is flagged and its pairs left empty.
     """
-    l0 = np.asarray(l0, dtype=complex)
-    l1 = np.asarray(l1, dtype=complex)
+    l0 = np.asarray(readings.L0, dtype=complex)
+    l1 = np.asarray(readings.L1, dtype=complex)
     if l0.shape != l1.shape or l0.ndim != 2 or l0.shape[0] != l0.shape[1]:
         raise RatlinError(f"pencil must be square, got {l0.shape} and {l1.shape}")
     if not (np.isfinite(l0).all() and np.isfinite(l1).all()):
         raise RatlinError("pencil has non-finite entries")
     empty = np.zeros(0, dtype=complex)
-    if not pencil_is_regular(l0, l1):
+    if readings.rank < l0.shape[0]:
         return PencilEig(empty, empty, None, None, regular=False)
     if l0.size == 0:  # LAPACK rejects the workspace query of an empty pencil
         vecs = l0 if vectors else None
@@ -198,25 +194,20 @@ def pencil_eigs(l0: np.ndarray, l1: np.ndarray, vectors: bool = False) -> Pencil
     return PencilEig(alpha, beta, vr, vl, regular=True)
 
 
-def pencil_is_regular(l0: np.ndarray, l1: np.ndarray) -> bool:
-    """Determinant sampling: full rank at any of the default seed's 3 random
-    points, drawn once per process."""
-    n = l0.shape[0]
-    if n != l0.shape[1]:
-        return False
-    return n == 0 or any(numerical_rank(l1 * z + l0) == n for z in _default_points())
-
-
 def cluster_eigenvalues(values) -> list:
-    """Group a sorted eigenvalue list into (representative, count) clusters
-    of points within MATCH_TOL of each other."""
+    """Group eigenvalues into (mean, count) clusters: each value joins the
+    first earlier cluster whose mean is within MATCH_TOL * max(1, |value|),
+    or starts one, so that a double pole stays whole where the sort by real
+    part puts its conjugate between its values."""
     out = []
     for v in values:
-        if out and abs(v - out[-1][0]) <= MATCH_TOL * max(1.0, abs(v)):
-            rep, c = out[-1]
-            out[-1] = ((rep * c + v) / (c + 1), c + 1)
-        else:
+        k = next((k for k, (rep, _) in enumerate(out)
+                  if abs(v - rep) <= MATCH_TOL * max(1.0, abs(v))), None)
+        if k is None:
             out.append((v, 1))
+        else:
+            rep, c = out[k]
+            out[k] = ((rep * c + v) / (c + 1), c + 1)
     return [(complex(v), int(c)) for v, c in out]
 
 
@@ -224,12 +215,13 @@ def classify(sl: StructuredLinearization, rng=None,
              vectors: bool = True) -> SpectralReport:
     """Pole/zero classification of the rational matrix behind a linearization.
 
-    Poles come from `sl.state_spectrum`, zeros and the full pencil's
-    regularity from `sl.spectrum`, the one full-pencil QZ of a linearization,
-    whose vectors `eigenpair` reads.  A caller that reads no eigenpair passes
-    vectors=False and gets the same zeros, bit for bit, from a QZ without
-    vectors, which runs in about half the time on large pencils.  `rng` is
-    kept for callers' signatures and not drawn from.  A zero within matching
+    Poles come from `sl.state_spectrum`, zeros from `sl.spectrum`, the one
+    full-pencil QZ of a linearization, whose vectors `eigenpair` reads.  A
+    caller that reads no eigenpair passes vectors=False and gets the same
+    zeros, bit for bit, from a QZ without vectors, which runs in about half
+    the time on large pencils.  Either QZ is regular if `sl.rank`, which
+    the nullities read, is full.  `rng` is kept for callers' signatures and
+    not drawn from.  A zero within matching
     tolerance of a pole is flagged and tagged with the pointwise minimality
     checks of `sl.minimality` at the nearest pole; any other zero passes
     both, since [A; C] and [A, B] have full rank wherever A is invertible.
@@ -239,16 +231,13 @@ def classify(sl: StructuredLinearization, rng=None,
     r = sl.realization
     if r.p != r.m:
         raise PreconditionError("classification needs a square rational matrix")
-    state = sl.state_spectrum
-    if not state.regular:
-        raise PreconditionError("state pencil is singular; realization invalid")
-    full = sl.spectrum if vectors else pencil_eigs(sl.L0, sl.L1)
+    pole_vals = sl.state_spectrum.finite()
+    full = sl.spectrum if vectors else pencil_eigs(sl)
     if not full.regular:
         raise PreconditionError(
             "the pencil is singular; eigenvalues are meaningless — "
             "use polynomial_nullspace for the singular structure")
 
-    pole_vals = state.finite()
     poles = cluster_eigenvalues(pole_vals)
 
     vals = full.finite()
@@ -493,8 +482,8 @@ def regular_part_size(readings: PencilReadings) -> int | None:
                          + 1j * rng.standard_normal((size, k)))[0] for _ in "uv")
     d = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
     pad = ((0, size - l0.shape[0]), (0, size - l0.shape[1]))
-    eig = pencil_eigs(*(np.pad(c, pad) + readings.norm * (u * dj) @ v.conj().T
-                        for c, dj in zip((l0, l1), d)), vectors=True)
+    eig = pencil_eigs(PencilReadings(*(np.pad(c, pad) + readings.norm * (u * dj) @ v.conj().T
+                                       for c, dj in zip((l0, l1), d))), vectors=True)
     if not eig.regular:
         return None
     score = np.maximum(*(np.linalg.norm(w.conj().T @ z, axis=0) / np.linalg.norm(z, axis=0)
@@ -575,7 +564,6 @@ def certify_minimal_basis(res: MinimalBasisResult, l0: np.ndarray,
     random points and at 0, and full rank of the highest-degree coefficient
     matrix taken column-by-column (row-by-row on the left side).
     """
-    rng = make_rng(rng)
     if res.count == 0:
         return {"residual": 0.0, "pointwise_full_rank": True,
                 "reduced_full_rank": True, "ok": True}

@@ -126,9 +126,10 @@ class PencilReadings:
 
     @cached_property
     def rank(self) -> int:
-        """Normal rank, read by every rank decision about the pencil: sampled
-        at the default seed's points, the cutoff loosened for structural
-        zeros that are exact only to roundoff."""
+        """Normal rank, read by every rank decision about the pencil, its
+        regularity in `pencil_eigs` too: sampled at the default seed's
+        points, the cutoff loosened for structural zeros that are exact only
+        to roundoff; a regular pencil pays one SVD."""
         return generic_rank(PolyMatrix(np.stack([self.L0, self.L1])), rank_scale=100.0)
 
     def staircase(self, side: str) -> tuple:
@@ -201,20 +202,23 @@ class StructuredLinearization(PencilReadings):
 
     @cached_property
     def spectrum(self):
-        """Full-pencil QZ with left and right vectors, run once on first use:
-        `classify` reads its eigenvalues and regularity, sampled here with
-        the default seed, and `eigenpair` its vectors, so a linearization
-        that is classified and has eigenpairs recovered runs one full-pencil
-        QZ.  `classify(sl, vectors=False)` runs its own QZ without vectors
+        """Full-pencil QZ with left and right vectors, run once on first use,
+        regular if `rank` is full: `classify` reads its eigenvalues and
+        regularity and `eigenpair` its vectors, so a linearization that is
+        classified and has eigenpairs recovered runs one full-pencil QZ.
+        `classify(sl, vectors=False)` runs its own QZ without vectors
         instead."""
         from .eigsolve import pencil_eigs  # eigsolve imports this module
-        return pencil_eigs(self.L0, self.L1, vectors=True)
+        return pencil_eigs(self, vectors=True)
 
     @cached_property
     def state_spectrum(self):
-        """State-pencil QZ without vectors, run once on first use."""
+        """State-pencil QZ without vectors, run once on first use, sampling
+        no rank: L_A linearizes A, whose regularity `build` certifies."""
         from .eigsolve import pencil_eigs  # eigsolve imports this module
-        return pencil_eigs(*self.state_pencil())
+        state = PencilReadings(*self.state_pencil())
+        state.__dict__["rank"] = state.L0.shape[0]
+        return pencil_eigs(state)
 
     @cached_property
     def minimality(self) -> "MinimalityReport":

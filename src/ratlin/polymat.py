@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import make_rng, unit_circle_points
+from .config import unit_circle_points
 from .errors import BasisError, DimensionError
 
 NEG_INF = float("-inf")  # degree of the zero matrix
@@ -390,13 +390,15 @@ def numerical_rank(mat: np.ndarray, rank_scale=1.0):
 def generic_rank(p: PolyMatrix, rng=None, samples: int = 5,
                  rank_scale: float = 1.0) -> int:
     """Rank over the rational function field, estimated as the maximum
-    numerical rank at seeded random points on the unit circle.
+    numerical rank at seeded random points on the unit circle, taken point
+    by point up to the first that shows full rank, past which none can.
 
     Rank deficiency at a random point has probability zero; several samples
     guard against unlucky draws near structure points.
     """
-    if p.rows == 0 or p.cols == 0:
-        return 0
-    rng = make_rng(rng)
-    pts = unit_circle_points(rng, samples)
-    return int(numerical_rank(p.eval(pts), rank_scale).max())
+    rank = 0
+    for z in unit_circle_points(rng, samples):
+        rank = max(rank, numerical_rank(p.eval(z), rank_scale))
+        if rank == min(p.shape):
+            break
+    return rank

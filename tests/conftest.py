@@ -16,7 +16,7 @@ from ratlin.config import MATCH_TOL  # noqa: E402
 from ratlin.errors import DimensionError  # noqa: E402
 from ratlin.polymat import Basis, PolyMatrix  # noqa: E402
 from ratlin.linbuild import PencilReadings, Realization  # noqa: E402
-from ratlin.verify import preset_cross_coupled  # noqa: E402
+from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled  # noqa: E402
 
 DET_RADIUS = 1.15  # sample circle of poly_det_coeffs
 DET_TRIM = 1e-10   # relative size below which its trailing coefficients drop
@@ -42,6 +42,38 @@ def qz_runs(monkeypatch) -> list:
 
     monkeypatch.setattr(scipy.linalg.lapack, "zggev", counting)
     return runs
+
+
+@pytest.fixture
+def svd_matrices(monkeypatch) -> list:
+    """The number of matrices of every numpy.linalg.svd call from here on,
+    each matrix of a stack counted."""
+    svd, counts = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        counts.append(math.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return counts
+
+
+# (seed, k, grade, factor) of `scaled_fixture`: 36 realizations
+SCALED = [(seed, k, g, factor) for seed in range(1, 7) for k, g in ((2, 2), (3, 2), (3, 3))
+          for factor in (1e-12, 1e-13)]
+
+
+def scaled_fixture(seed, k, grade, factor) -> Realization:
+    """gen_fixture's n = p = m = k realization of grades `grade` with the
+    last column of B and of D multiplied by `factor`.  At 1e-12 and 1e-13
+    the pencil lies so near the singular one of a zero column that rank
+    cutoffs 100 times apart can disagree on its regularity."""
+    r = gen_fixture(FixtureSpec(seed=seed, n=k, p=k, m=k, grade_a=grade, grade_d=grade))
+    b, d = r.B.coeffs.copy(), r.D.coeffs.copy()
+    b[:, :, -1] *= factor
+    d[:, :, -1] *= factor
+    return Realization(A=r.A, B=PolyMatrix(b, r.B.basis), C=r.C,
+                       D=PolyMatrix(d, r.D.basis))
 
 
 def count_off(side):

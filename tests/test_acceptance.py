@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from ratlin.eigsolve import (block_degree, certify_minimal_basis, classify,
                              invariant_orders_at_infinity, pencil_eigs,
                              polynomial_nullspace)
-from ratlin.linbuild import (Realization, build,
+from ratlin.linbuild import (PencilReadings, Realization, build,
                              check_finite_minimality, check_infinity_minimality,
                              transfer_eval)
 from ratlin.polymat import Basis, PolyMatrix, numerical_rank
@@ -157,7 +157,7 @@ def test_criterion_4_coupled_pair_regression():
     det_a = (PolyMatrix.from_scalar_coeffs([-2, -1, 1])
              @ PolyMatrix.from_scalar_coeffs([2, 1]))
     pole_oracle = np.polynomial.polynomial.polyroots(det_a.coeffs.ravel())
-    state = pencil_eigs(*sl.state_pencil())
+    state = pencil_eigs(PencilReadings(*sl.state_pencil()))
     ok, worst = match_multisets(state.finite(), pole_oracle, 1e-8)
     assert ok, f"pole mismatch {worst:.3e}"
 

@@ -15,7 +15,7 @@ from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis
 from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled
 
-from conftest import count_off, random_polymatrix, stiff_state_realization
+from conftest import count_off, random_polymatrix, scaled_fixture, stiff_state_realization
 
 DELETE = object()  # a malformed-input value that deletes its key
 
@@ -89,6 +89,14 @@ class TestEigs:
         code, out, _ = run_cli(capsys, "eigs", "--preset", "cross-coupled")
         assert code == 0
         assert "poles" in out and "zeros" in out
+
+    def test_pencil_of_deficient_rank_exits_1(self, capsys, tmp_path):
+        # the QZ reads the rank the nullspace reads: the pencil is singular
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(scaled_fixture(2, 2, 2, 1e-12).to_dict()))
+        code, out, err = run_cli(capsys, "eigs", "--input", str(path), "--json")
+        assert code == 1 and out == ""
+        assert "the pencil is singular" in err
 
 
 class TestInfinity:

@@ -14,15 +14,14 @@ from ratlin.errors import BreakdownError, PreconditionError, RatlinError
 from ratlin.eigsolve import (certify_minimal_basis, classify,
                              invariant_orders_at_infinity,
                              partial_multiplicities_at, pencil_eigs,
-                             pencil_is_regular,
                              polynomial_nullspace, regular_part_size)
 from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis, PolyMatrix, generic_rank, hstack, vstack
 from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
-from conftest import (count_calls, count_off, l_block, match_multisets,
+from conftest import (SCALED, count_calls, count_off, l_block, match_multisets,
                       planted_kronecker, poly_det_coeffs, prescribed_realization,
-                      random_polymatrix, random_realization,
+                      random_polymatrix, random_realization, scaled_fixture,
                       stiff_state_realization)
 
 
@@ -92,18 +91,18 @@ def orders_record() -> dict:
 
 class TestPencilEigs:
     def test_diagonal(self):
-        pe = pencil_eigs(-np.diag([1.0, 2.0]), np.eye(2))
+        pe = pencil_eigs(PencilReadings(-np.diag([1.0, 2.0]), np.eye(2)))
         assert np.allclose(sorted(pe.finite().real), [1, 2])
         assert pe.infinite_count() == 0
 
     def test_infinite_eigenvalue(self):
-        pe = pencil_eigs(-np.eye(2), np.diag([1.0, 0.0]))
+        pe = pencil_eigs(PencilReadings(-np.eye(2), np.diag([1.0, 0.0])))
         assert np.allclose(pe.finite(), [1.0])
         assert pe.infinite_count() == 1
 
     def test_preset_state_pencil(self, preset):
         sl = build(preset)
-        pe = pencil_eigs(*sl.state_pencil())
+        pe = pencil_eigs(PencilReadings(*sl.state_pencil()))
         det = poly_det_coeffs(preset.A)
         roots = np.polynomial.polynomial.polyroots(det)
         ok, worst = match_multisets(pe.finite(), roots, 1e-8)
@@ -113,17 +112,17 @@ class TestPencilEigs:
     def test_singular_pencil_flagged(self):
         l0 = np.zeros((2, 2))
         l1 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        pe = pencil_eigs(l0, l1)
+        pe = pencil_eigs(PencilReadings(l0, l1))
         assert not pe.regular
         assert pe.alphas.size == 0
 
     def test_non_square_rejected(self):
         with pytest.raises(RatlinError):
-            pencil_eigs(np.zeros((2, 3)), np.zeros((2, 3)))
+            pencil_eigs(PencilReadings(np.zeros((2, 3)), np.zeros((2, 3))))
 
     def test_regularity_probe(self):
-        assert pencil_is_regular(np.eye(3), np.zeros((3, 3)))
-        assert not pencil_is_regular(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert pencil_eigs(PencilReadings(np.eye(3), np.zeros((3, 3)))).regular
+        assert not pencil_eigs(PencilReadings(np.zeros((2, 2)), np.zeros((2, 2)))).regular
 
     @pytest.mark.parametrize("kind, arg", [
         ("random", 1), ("random", 5), ("random", 12), ("fixture", Basis.MONOMIAL),
@@ -133,8 +132,8 @@ class TestPencilEigs:
         l0, l1 = (np.asarray(c, dtype=complex) for c in _oracle_pencil(kind, arg))
         w, vl, vr = scipy.linalg.eig(-l0, l1, left=True, right=True,
                                      homogeneous_eigvals=True)
-        pe = pencil_eigs(l0, l1, vectors=True)
-        bare = pencil_eigs(l0, l1)
+        pe = pencil_eigs(PencilReadings(l0, l1), vectors=True)
+        bare = pencil_eigs(PencilReadings(l0, l1))
         for got in (pe, bare):
             assert got.alphas.tobytes() == w[0].tobytes()
             assert got.betas.tobytes() == w[1].tobytes()
@@ -151,9 +150,9 @@ class TestPencilEigs:
             l0 = np.eye(2)
             l0[1, 0] = bad
             with pytest.raises(RatlinError, match="non-finite"):
-                pencil_eigs(l0, np.eye(2))
+                pencil_eigs(PencilReadings(l0, np.eye(2)))
             with pytest.raises(RatlinError, match="non-finite"):
-                pencil_eigs(np.eye(2), l0, vectors=True)
+                pencil_eigs(PencilReadings(np.eye(2), l0), vectors=True)
 
     def test_backend_failure_raises(self, monkeypatch):
         zggev = scipy.linalg.lapack.zggev
@@ -164,7 +163,7 @@ class TestPencilEigs:
 
         monkeypatch.setattr(scipy.linalg.lapack, "zggev", failing)
         with pytest.raises(RatlinError, match="info = 1"):
-            pencil_eigs(-np.diag([1.0, 2.0]), np.eye(2), vectors=True)
+            pencil_eigs(PencilReadings(-np.diag([1.0, 2.0]), np.eye(2)), vectors=True)
 
 
 def _oracle_pencil(kind: str, arg) -> tuple:
@@ -188,7 +187,63 @@ def _oracle_pencil(kind: str, arg) -> tuple:
     return np.zeros((0, 0)), np.zeros((0, 0))
 
 
+class TestRegularityIsFullRank:
+    # one rank decides a pencil's regularity: the QZ reads `PencilReadings.rank`
+    @pytest.mark.parametrize("seed, k, grade, factor", SCALED)
+    def test_scaled_fixture_qz_regular_iff_full_rank(self, seed, k, grade, factor):
+        sl = build(scaled_fixture(seed, k, grade, factor))
+        assert sl.spectrum.regular == (sl.rank == sl.shape[0])
+
+    def test_regular_pencil_rank_takes_one_svd(self, svd_matrices):
+        sl = build(gen_fixture(FixtureSpec(seed=1, n=3, p=3, m=3, grade_a=3, grade_d=3)))
+        svd_matrices.clear()
+        assert sl.rank == sl.shape[0]
+        assert sum(svd_matrices) == 1
+
+    @pytest.mark.parametrize("structure", STRUCTURES[1:])
+    def test_singular_pencil_rank_takes_at_most_five_svds(self, svd_matrices, structure):
+        sl = build(gen_fixture(FixtureSpec(seed=1, structure=structure)))
+        svd_matrices.clear()
+        assert sl.rank < sl.shape[0]
+        assert sum(svd_matrices) <= 5
+
+    @pytest.mark.parametrize("structure", STRUCTURES)
+    def test_state_spectrum_and_classify_take_no_svd_after_the_rank(self, svd_matrices,
+                                                                     structure):
+        # the state pencil is regular in closed form, the full pencil by `rank`
+        sl = build(gen_fixture(FixtureSpec(seed=1, structure=structure)))
+        regular = sl.rank == sl.shape[0]
+        svd_matrices.clear()
+        assert sl.state_spectrum.regular
+        assert svd_matrices == []
+        if regular:
+            assert not any(z.near_pole for z in classify(sl).zeros)
+        else:
+            with pytest.raises(PreconditionError, match="the pencil is singular"):
+                classify(sl)
+        assert svd_matrices == []
+
+
 class TestClassify:
+    @pytest.mark.parametrize("seed", [3, 5, 7])
+    def test_double_poles_split_by_the_sort_stay_whole(self, seed):
+        # A = S (lambda^2 - 2 lambda + 5) I S^-1: 1 -+ 2i are double poles,
+        # which the sort by real part can interleave
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((2, 2))
+        a = PolyMatrix(np.array([c * s @ np.linalg.inv(s) for c in (5.0, -2.0, 1.0)]))
+        b, c, d = (PolyMatrix(rng.standard_normal((1, 2, 2))) for _ in "BCD")
+        poles = sorted(classify(build(Realization(A=a, B=b, C=c, D=d))).poles,
+                       key=lambda pole: pole[0].imag)
+        assert [n for _, n in poles] == [2, 2]
+        assert np.allclose([v for v, _ in poles], [1 - 2j, 1 + 2j], atol=1e-6)
+
+    def test_cluster_joins_the_first_earlier_cluster_in_reach(self):
+        values = [1 - 2j, 1 + 2j, 1 - 2j + 1e-9, 1 + 2j - 1e-9, 3.0]
+        got = eigsolve.cluster_eigenvalues(values)
+        assert [c for _, c in got] == [2, 2, 1]
+        assert np.allclose([v for v, _ in got], [1 - 2j, 1 + 2j, 3.0])
+
     def test_preset_poles_and_zeros(self, preset):
         sl = build(preset)
         rep = classify(sl)
@@ -209,7 +264,7 @@ class TestClassify:
         sl = build(gen_fixture(FixtureSpec(seed=5, n=3, p=3, m=3, grade_a=3,
                                            grade_d=3, basis_a=basis, basis_d=basis)))
         zeros = np.array([z.value for z in classify(sl, rng=1).zeros])
-        bare = pencil_eigs(sl.L0, sl.L1).finite()
+        bare = pencil_eigs(sl).finite()
         assert zeros.size == bare.size > 0
         assert zeros.tobytes() == bare.tobytes()
 

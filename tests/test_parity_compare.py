@@ -68,6 +68,16 @@ def test_anything_but_a_figure_fails(tmp_path, capsys, change, want):
     assert "NOT A FIGURE: " in out and want in out
 
 
+def test_keys_on_both_sides_are_compared_past_a_key_set_change(tmp_path, capsys):
+    # a check that loses its location and its pass: both are listed
+    check = json.loads(json.dumps(CHECK))
+    check["checks"][0].update(status="skipped", extra=0.0)
+    code, out = _compare(tmp_path, capsys, check)
+    assert code == 1
+    assert "stdout.checks[right-index-shift]: key set" in out
+    assert "stdout.checks[right-index-shift].status: 'pass' -> 'skipped'" in out
+
+
 def test_a_file_on_one_side_fails(tmp_path, capsys):
     _write(tmp_path / "old", CHECK, NULLSPACE)
     _write(tmp_path / "new", CHECK, NULLSPACE)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ratlin.eigsolve import classify, pencil_eigs
-from ratlin.linbuild import Realization, build, transfer_eval
+from ratlin.linbuild import PencilReadings, Realization, build, transfer_eval
 from ratlin.polymat import Basis, PolyMatrix
 from ratlin.recover import eigenpair, factorization_residuals
 from ratlin.scalareq import ScalarEquation, cleared_form, solve_scalar
@@ -101,8 +101,8 @@ def test_state_pencil_eigs_stable_under_grade_override():
     r = random_realization(330, n=2, p=2, m=2, grade_a=2, grade_d=2)
     base = build(r)
     padded = build(r, grade_a=4)
-    e1 = pencil_eigs(*base.state_pencil()).finite()
-    e2 = pencil_eigs(*padded.state_pencil()).finite()
+    e1 = pencil_eigs(PencilReadings(*base.state_pencil())).finite()
+    e2 = pencil_eigs(PencilReadings(*padded.state_pencil())).finite()
     # padding adds infinite eigenvalues only; the finite spectrum is unchanged
     ok, worst = match_multisets(e2, e1, 1e-8)
     assert ok, worst

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ratlin.config import DEFAULT_POINTS, DEFAULT_SEED, unit_circle_points
 from ratlin.errors import BasisError, DimensionError
 from ratlin.polymat import (NEG_INF, Basis, PolyMatrix, generic_rank, hstack,
                             numerical_rank, vstack)
@@ -181,6 +182,21 @@ class TestGenericRank:
         left = PolyMatrix.from_list([rng.standard_normal((3, 3)) + np.eye(3) * 4])
         right = PolyMatrix.from_list([rng.standard_normal((4, 4)) + np.eye(4) * 4])
         assert generic_rank(left @ p @ right) == generic_rank(p)
+
+    @pytest.mark.parametrize("rank_scale", [1.0, 100.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stops_at_full_rank_with_the_maximum_over_the_points(self, seed, rank_scale):
+        # the default seed's points, drawn once per process; the first that
+        # shows full rank ends the sampling, as no later one can show more
+        rng = np.random.default_rng(seed)
+        p = random_polymatrix(rng, 1, 4, 3) @ random_polymatrix(rng, 1, 3, 4 + seed % 2)
+        if seed % 3 == 0:  # a rank point among the samples
+            p = p @ PolyMatrix(np.array([-DEFAULT_POINTS[0] * np.eye(p.cols), np.eye(p.cols)]))
+        fresh = unit_circle_points(np.random.default_rng(DEFAULT_SEED), 5)
+        assert fresh.tobytes() == DEFAULT_POINTS.tobytes()
+        assert unit_circle_points(None, 3).tobytes() == fresh[:3].tobytes()
+        ranks = numerical_rank(p.eval(fresh), rank_scale)
+        assert generic_rank(p, rank_scale=rank_scale) == ranks.max()
 
 
 class TestArithmetic:

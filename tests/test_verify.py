@@ -13,8 +13,8 @@ from ratlin.polymat import Basis, PolyMatrix
 from ratlin.verify import (STRUCTURES, FixtureSpec, _check_state_pencil_spectrum,
                            gen_fixture, preset_cross_coupled, run_all)
 
-from conftest import (count_calls, count_off, random_polymatrix,
-                      stiff_state_realization)
+from conftest import (SCALED, count_calls, count_off, random_polymatrix,
+                      scaled_fixture, stiff_state_realization)
 
 
 def _no_output_realization() -> Realization:
@@ -285,17 +285,27 @@ class TestRunAll:
         assert by_name["left-index-match"].status == "pass"
         assert sweeps == ["right", "left"]
 
+    @pytest.mark.parametrize("seed, k, grade, factor", SCALED)
+    def test_pencil_is_classified_or_has_minimal_bases_never_both(self, seed, k,
+                                                                  grade, factor):
+        status = {e.name: e.status for e in run_all(scaled_fixture(seed, k, grade,
+                                                                   factor)).entries}
+        indexed = {status[name] for name in ("right-index-shift", "left-index-match")}
+        assert status["eigenvector-recovery"] == "skipped" or indexed == {"skipped"}
+
     @pytest.mark.parametrize("structure", STRUCTURES[1:])
     def test_singular_battery_samples_the_pencil_rank_once(self, monkeypatch,
                                                             structure):
-        # the battery's nullities, both recoveries' nullities and the
-        # regular-part size read the linearization's one `rank`
+        # the battery's nullities, both recoveries' nullities, the
+        # regular-part size and the QZ's regularity read the linearization's
+        # one `rank`; the rank-completed pencil, of the same shape, has its own
         r = gen_fixture(FixtureSpec(seed=1, structure=structure))
-        shape = build(r).shape
+        sl = build(r)
+        pencil = np.stack([sl.L0, sl.L1])
         calls = count_calls(monkeypatch, polymat.generic_rank)
         by_name = {e.name: e for e in run_all(r, seed=1).entries}
         assert by_name["right-index-shift"].status == "pass"
-        assert [p.shape for p, *_ in calls].count(shape) == 1
+        assert [np.array_equal(p.coeffs, pencil) for p, *_ in calls].count(True) == 1
 
     @pytest.mark.parametrize("structure", STRUCTURES[1:])
     def test_singular_battery_evaluates_the_system_matrix_once(self, monkeypatch,

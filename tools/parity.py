@@ -25,7 +25,11 @@ Runs `ratlin.cli.main` in-process, importing ratlin from CHECKOUT/src
   of cycle 0 of its `spectral` workload (n <= 12, grade <= 6) at seeds 1 and
   7919, from `perfbench/inputs.py` (imported, not copied);
 - the 3 singular STRUCTURES at n = p = m = 12, grade 4, seed 1, both sides
-  monomial: 96 x 96 pencils with one deep index each (81-95).
+  monomial: 96 x 96 pencils with one deep index each (81-95);
+- the regular n = p = m = 3, grade 3 inputs of seeds 1-6, both sides
+  monomial, with the last column of B and D multiplied by 1e-12 or 1e-13:
+  18 x 18 pencils so near singular ones that rank cutoffs 100 times apart
+  can disagree on their regularity.
 
 Each realization except the benchmark's goes through `eigs`, `infinity`,
 `nullspace --side left`, `nullspace --side right`, `check` (all with
@@ -33,8 +37,9 @@ Each realization except the benchmark's goes through `eigs`, `infinity`,
 through `check` and both `nullspace` runs, the `spectral` ones through
 `eigs`, `infinity` and `check`, whose `eigenvector-recovery` entry pins the
 worst eta of the eigenpairs recovered off the whole spectrum on regular
-inputs up to n = 12, and the n = 12 singular ones through `check` and
-both `nullspace` runs.  Every run writes
+inputs up to n = 12, the n = 12 singular ones through `check` and both
+`nullspace` runs, and the scaled ones through `eigs`, both `nullspace`
+runs and `check`.  Every run writes
 OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
 `linearize --output` also writes its file to OUTDIR/<input>.pencil.json,
 named by a path relative to OUTDIR so that the `wrote ...` line is the same
@@ -85,6 +90,7 @@ SCALAR_COUNT = 40
 BENCH_SEEDS = (1, 7919)
 BENCH_COMMANDS = {"battery": ("check", "nullspace-left", "nullspace-right"),
                   "spectral": ("eigs", "infinity", "check")}
+SCALED_COMMANDS = ("eigs", "nullspace-left", "nullspace-right", "check")
 
 
 def realizations(verify, basis):
@@ -126,6 +132,16 @@ def bench_inputs():
                        inputs.realization_json(case))
 
 
+def scaled_last_column(r, factor: float):
+    """r with the last column of B and of D multiplied by factor."""
+    parts = {k: getattr(r, k) for k in "ABCD"}
+    for k in "BD":
+        coeffs = parts[k].coeffs.copy()
+        coeffs[:, :, -1] *= factor
+        parts[k] = type(parts[k])(coeffs, parts[k].basis)
+    return type(r)(**parts)
+
+
 def deficient_leading(r, blocks: str):
     """r with the first column of the leading coefficient of each named
     block zeroed."""
@@ -146,6 +162,15 @@ def scalar_args(seed: int) -> list:
         vals = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1) * (seed % 2)
         args.append(f"--{name}=" + ",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in vals))
     return args
+
+
+def run_input(cli, case: str, obj: dict, names):
+    """Write the realization JSON object obj to inputs/<case>.json and run
+    each command of names on it."""
+    src = Path("inputs") / f"{case}.json"
+    src.write_text(json.dumps(obj, sort_keys=True) + "\n")
+    for name in names:
+        run(cli, COMMANDS[name] + ["--input", str(src)], Path(f"{case}.{name}.txt"))
 
 
 def run(cli, argv: list, path: Path):
@@ -177,12 +202,12 @@ def _documents(path: Path) -> dict:
 
 def _walk(old, new, path: str, figures: list, breaks: list):
     """Pair old and new values: a moved figure goes to `figures` as (path,
-    old, new), any other difference to `breaks`."""
+    old, new), any other difference to `breaks`.  Where a key set differs,
+    the keys on both sides are still paired."""
     if isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
             breaks.append(f"{path}: key set {sorted(old)} -> {sorted(new)}")
-            return
-        for key in old:
+        for key in (k for k in old if k in new):
             a, b = old[key], new[key]
             if type(a) is float and type(b) is float and not _same(a, b):
                 figures.append((f"{path}.{key}", a, b))
@@ -281,18 +306,18 @@ def main(argv=None) -> int:
             run(cli, [a.format(case=case) for a in cmd] + source,
                 Path(f"{case}.{name}.txt"))
     for workload, case, obj in bench:
-        src = Path("inputs") / f"{case}.json"
-        src.write_text(json.dumps(obj, sort_keys=True) + "\n")
-        for name in BENCH_COMMANDS[workload]:
-            run(cli, COMMANDS[name] + ["--input", str(src)], Path(f"{case}.{name}.txt"))
+        run_input(cli, case, obj, BENCH_COMMANDS[workload])
     for structure in verify.STRUCTURES[1:]:
         spec = verify.FixtureSpec(seed=1, n=12, p=12, m=12, grade_a=4,
                                   grade_d=4, structure=structure)
-        case = f"{structure}-n12-g4-s1-monomial-monomial"
-        src = Path("inputs") / f"{case}.json"
-        src.write_text(json.dumps(verify.gen_fixture(spec).to_dict(), sort_keys=True) + "\n")
-        for name in BENCH_COMMANDS["battery"]:
-            run(cli, COMMANDS[name] + ["--input", str(src)], Path(f"{case}.{name}.txt"))
+        run_input(cli, f"{structure}-n12-g4-s1-monomial-monomial",
+                  verify.gen_fixture(spec).to_dict(), BENCH_COMMANDS["battery"])
+    for seed in range(1, 7):
+        r = verify.gen_fixture(verify.FixtureSpec(seed=seed, n=3, p=3, m=3,
+                                                  grade_a=3, grade_d=3))
+        for factor in (1e-12, 1e-13):
+            run_input(cli, f"scaled{factor:.0e}-n3-g3-s{seed}-monomial-monomial",
+                      scaled_last_column(r, factor).to_dict(), SCALED_COMMANDS)
     for seed in range(1, SCALAR_COUNT + 1):
         run(cli, ["scalar", "--json"] + scalar_args(seed), Path(f"scalar-{seed}.txt"))
     return 0
