@@ -121,18 +121,24 @@ def _chunks(obj, ind="\n"):
     """Yield the text of json.dumps(obj, indent=2, sort_keys=True) in pieces,
     for obj made of str-keyed dicts, lists, tuples and JSON leaves, which may
     also hold numpy scalars and arrays (a complex entry as [re, im]).  A
-    float or complex array is spelled whole by _words and yielded one piece
-    per row, its lines along the last axis, so a writer of the pieces holds
-    about the array's nonzeros plus one row, not the whole document.  A list
-    or tuple of plain floats and ints takes one json.dumps call; int, bool,
-    0-d and empty arrays are written as their lists.  `ind` is the newline
-    and indent of obj's own line."""
+    float or complex array is spelled by _words a block of leading-axis rows
+    at a time, at most BLOCK_CELLS cells or else one row, and written by
+    _rows, so a writer of the pieces holds the array plus about one block's
+    spelling, not the whole document.  A list or tuple of plain floats and
+    ints takes one json.dumps call; int, bool, 0-d and empty arrays are
+    written as their lists.  `ind` is the newline and indent of obj's own
+    line."""
     sub = ind + "  "
     if isinstance(obj, np.ndarray):
         if obj.ndim == 0 or obj.size == 0 or obj.dtype.kind not in "fc":
             yield from _chunks(obj.tolist(), ind)
         else:
-            yield from _rows(_words(obj, ind), ind)
+            step = max(1, BLOCK_CELLS * len(obj) // obj.size)  # leading-axis rows
+            head = "["
+            for i in range(0, len(obj), step):
+                yield from _rows(_words(obj[i:i + step], ind), ind, head)
+                head = ","
+            yield ind + "]"
     elif isinstance(obj, dict) and obj:
         head = "{"
         for k, v in sorted(obj.items()):
@@ -156,6 +162,7 @@ def _chunks(obj, ind="\n"):
 
 
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)  # indexed by np.signbit
+BLOCK_CELLS = 2048  # cells of an array that _chunks spells at a time
 
 
 def _spell(x: np.ndarray) -> np.ndarray:
@@ -183,24 +190,24 @@ def _words(a: np.ndarray, ind: str) -> np.ndarray:
                      dtype=object)[2 * np.signbit(real) + np.signbit(imag)]
     live = (real != 0) | (imag != 0)
     if live.any():
-        parts = _spell(np.stack([real[live], imag[live]], axis=-1)).tolist()
-        words[live] = [cell % (r, i) for r, i in parts]
+        words[live] = [cell % ri for ri in zip(_spell(real[live]), _spell(imag[live]))]
     return words
 
 
-def _rows(words: np.ndarray, ind: str):
-    """Yield the cell texts `words` as nested JSON lists at indent `ind`,
-    one piece per line along the last axis and one per bracket between."""
+def _rows(words: np.ndarray, ind: str, head: str = "["):
+    """Yield the cell texts `words` as the items of a JSON list at indent
+    `ind`, the first after `head` and the rest after commas, without the
+    list's closing bracket: a 1-D `words` in one piece, a deeper one's rows
+    as nested lists, one piece per line along the last axis."""
     pad = ind + "  "
     if words.ndim == 1:
-        yield "[" + pad + ("," + pad).join(words.tolist()) + ind + "]"
+        yield head + pad + ("," + pad).join(words.tolist())
         return
-    head = "["
     for sub in words:
         yield head + pad
         yield from _rows(sub, pad)
+        yield pad + "]"
         head = ","
-    yield ind + "]"
 
 
 def _emit(payload: dict):

@@ -20,21 +20,47 @@ from .polymat import RECURRENCE, Basis, PolyMatrix, times_lambda
 
 @dataclass(frozen=True)
 class DualBasisPair:
+    """The pair of block size s and grade d in `basis`, and its completion:
+    each of K, N, Khat and Nhat is built on first read from its scalar
+    (s = 1) pattern."""
+
     s: int
     d: int
     basis: Basis
-    K: PolyMatrix      # (d-1)s x ds, row degrees all 1
-    N: PolyMatrix      # s x ds, row degrees all d-1
 
     @property
     def rho(self) -> int:
         """Degree of N."""
         return self.d - 1
 
+    @property
+    def k_pattern(self) -> np.ndarray:
+        """K's scalar coefficient stack, (2, d-1, d): row i is the recurrence
+        at k = d-2-i, -alpha_k e_i + (lambda - beta_k) e_{i+1} - gamma_k e_{i+2},
+        so the last row is [-alpha_0, lambda - beta_0]."""
+        rec = RECURRENCE[self.basis]
+        k = np.zeros((2, self.d - 1, self.d))
+        for i in range(self.d - 1):
+            # subtracting from +0.0 keeps a zero coefficient's block at +0.0
+            k[0, i, i:i + 3] -= rec(self.d - 2 - i)[:self.d - i]
+            k[1, i, i + 1] = 1.0
+        return k
+
+    @cached_property
+    def K(self) -> PolyMatrix:
+        """(d-1)s x ds, row degrees all 1; `build` writes its blocks into the
+        pencil through `kron_eye` and does not read it."""
+        return _blocks(self.k_pattern, self.s, self.basis)
+
+    @cached_property
+    def N(self) -> PolyMatrix:
+        """s x ds, row degrees all d-1: degree k carries I in block d-1-k."""
+        return _blocks(np.eye(self.d)[::-1, None, :], self.s, self.basis)
+
     @cached_property
     def Khat(self) -> PolyMatrix:
         """s x ds constant selector of the last block column, where N^T
-        holds phi_0 I = I; built on first read, like Nhat."""
+        holds phi_0 I = I."""
         return _blocks(np.eye(self.d)[None, -1:, :], self.s, self.basis)
 
     @cached_property
@@ -44,24 +70,11 @@ class DualBasisPair:
 
 
 def pair_for(basis: Basis, s: int, d: int) -> DualBasisPair:
-    """The pair dual to N = [phi_{d-1} I, ..., phi_1 I, phi_0 I].
-
-    Row i of K is the recurrence at k = d-2-i,
-    -alpha_k e_i + (lambda - beta_k) e_{i+1} - gamma_k e_{i+2}, so the last
-    row is [-alpha_0 I, (lambda - beta_0) I].  The completion Khat, Nhat is
-    built when it is first read: build and block_pencil read only K and N.
-    """
+    """The pair dual to N = [phi_{d-1} I, ..., phi_1 I, phi_0 I], with K the
+    block recurrence of `DualBasisPair.k_pattern`; no block is built until
+    it is read, and `build` reads none."""
     _check_sd(s, d)
-    rec = RECURRENCE[basis]
-    k0 = np.zeros((d - 1, d))
-    k1 = np.zeros((d - 1, d))
-    for i in range(d - 1):
-        # subtracting from +0.0 keeps a zero coefficient's block at +0.0
-        k0[i, i:i + 3] -= rec(d - 2 - i)[:d - i]
-        k1[i, i + 1] = 1.0
-    n = np.eye(d)[::-1, None, :]  # degree k carries I in block d-1-k
-    return DualBasisPair(s, d, basis, _blocks([k0, k1], s, basis),
-                         _blocks(n, s, basis))
+    return DualBasisPair(s, d, basis)
 
 
 def monomial_pair(s: int, d: int) -> DualBasisPair:
@@ -94,13 +107,22 @@ def _nhat(basis: Basis, d: int) -> np.ndarray:
     return y[:0:-1].transpose(1, 2, 0)  # block j of Nhat holds y_{d-1-j}
 
 
-def _blocks(pattern, s: int, basis: Basis) -> PolyMatrix:
-    """Scalar coefficient stack -> PolyMatrix with each entry times I_s
-    (the Kronecker product with I_s, by broadcasting)."""
-    pattern = np.asarray(pattern)
+def kron_eye(pattern: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """Write each matrix of the scalar stack `pattern` (k, r, c) Kronecker
+    I_s into `out`, a complex (k, rs, cs) array or view, by broadcasting.
+    Every cell is written: off a block's diagonal, the entry times +0.0,
+    so a negative entry's block holds -0.0 there."""
     k, r, c = pattern.shape
-    return PolyMatrix((pattern[:, :, None, :, None] * np.eye(s)[:, None, :])
-                      .reshape(k, r * s, c * s), basis)
+    np.multiply(pattern[:, :, None, :, None], np.eye(s)[:, None, :],
+                out=out.reshape(k, r, s, c, s, copy=False))
+    return out
+
+
+def _blocks(pattern: np.ndarray, s: int, basis: Basis) -> PolyMatrix:
+    """Scalar coefficient stack -> PolyMatrix with each entry times I_s."""
+    k, r, c = pattern.shape
+    return PolyMatrix(kron_eye(pattern, s, np.empty((k, r * s, c * s), dtype=complex)),
+                      basis)
 
 
 def _check_sd(s: int, d: int):

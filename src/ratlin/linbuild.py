@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import unit_circle_points
-from .dualbases import DualBasisPair, pair_for
+from .dualbases import DualBasisPair, kron_eye, pair_for
 from .errors import BasisError, DimensionError, PoleError, PreconditionError
 from .polymat import RECURRENCE, Basis, PolyMatrix, generic_rank, numerical_rank
 
@@ -159,7 +159,9 @@ class PencilReadings:
 
 @dataclass(frozen=True)
 class StructuredLinearization(PencilReadings):
-    """Constant pencil L(lambda) = L1 lambda + L0 with block metadata."""
+    """Constant pencil L(lambda) = L1 lambda + L0 with block metadata.
+    `build` is its only constructor: L0 and L1 are read-only views of the
+    one coefficient stack it assembles, held once and not copied."""
 
     grade_a: int
     grade_d: int
@@ -171,12 +173,6 @@ class StructuredLinearization(PencilReadings):
     m_b: PolyMatrix
     m_c: PolyMatrix  # stored unsigned; the assembled (3,1) block is -M_C
     m_d: PolyMatrix
-
-    def __post_init__(self):
-        for name in ("L0", "L1"):
-            arr = np.array(getattr(self, name), dtype=complex)  # private copy
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def rho_a(self) -> int:
@@ -330,7 +326,11 @@ def row_pencil(p: PolyMatrix, pair: DualBasisPair) -> PolyMatrix:
 
 def build(r: Realization, grade_a: int | None = None,
           grade_d: int | None = None, rng=None) -> StructuredLinearization:
-    """Assemble the structured pencil; grades may only be overridden upward."""
+    """Assemble the structured pencil; grades may only be overridden upward.
+
+    Every block is written into one (2, rows, cols) stack, the K blocks from
+    the pairs' scalar patterns through `kron_eye`, so neither pair builds its
+    K or N; the stack is frozen and L0, L1 are views of it."""
     if not r.check_state_regular(rng):
         raise PreconditionError("state matrix appears singular (rank test failed)")
     da, dd = r.grade_sides(grade_a, grade_d)
@@ -357,10 +357,17 @@ def build(r: Realization, grade_a: int | None = None,
         "L_A": (0, ca, 0, ca),
     }
     stack = np.zeros((2, rows, cols), dtype=complex)
-    for (r0, r1, c0, c1), coeffs in zip(blocks.values(), (
-            m_a.coeffs, pair_a.K.coeffs, m_b.coeffs, -m_c.coeffs, m_d.coeffs,
-            pair_d.K.coeffs)):
-        stack[:, r0:r1, c0:c1] = coeffs
+
+    def view(name):
+        r0, r1, c0, c1 = blocks[name]
+        return stack[:, r0:r1, c0:c1]
+
+    for name, pm in (("M_A", m_a), ("M_B", m_b), ("M_D", m_d)):
+        view(name)[...] = pm.coeffs
+    np.negative(m_c.coeffs, out=view("M_C"))
+    kron_eye(pair_a.k_pattern, n, view("K_A"))
+    kron_eye(pair_d.k_pattern, m, view("K_D"))
+    stack.flags.writeable = False
     return StructuredLinearization(
         L0=stack[0], L1=stack[1], grade_a=da, grade_d=dd, blocks=blocks,
         pair_a=pair_a, pair_d=pair_d, realization=r,

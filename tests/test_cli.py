@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -531,6 +532,20 @@ def test_dumps_fixed_cases():
         assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize("cells", [1, 7, 100])
+def test_dumps_is_the_same_at_any_block_size(monkeypatch, cells):
+    """The text does not depend on how many cells are spelled at a time:
+    blocks of one cell, of part of a row and of several rows, of float and
+    complex arrays of one to three axes with signed zeros."""
+    monkeypatch.setattr("ratlin.cli.BLOCK_CELLS", cells)
+    rng = np.random.default_rng(3)
+    cplx = rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4))
+    cplx[rng.random(cplx.shape) < 0.5] = complex(-0.0, 0.0)
+    for obj in (rng.standard_normal(50), np.where(rng.random((13, 9)) < 0.5, -0.0, 1.5),
+                cplx, {"L0": cplx[0], "L1": cplx[1], "rhoA": 2}):
+        assert _dumps(obj) == json.dumps(_ref(obj), indent=2, sort_keys=True)
+
+
 def test_writing_the_pencil_holds_less_than_the_document():
     """Writing the pieces of an n = p = m = 16, grade 8 pencil (256 x 256)
     to a sink that keeps only their length peaks, as traced by tracemalloc,
@@ -547,3 +562,29 @@ def test_writing_the_pencil_holds_less_than_the_document():
         tracemalloc.stop()
     assert written == length
     assert peak < length
+
+
+@pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1], ids=lambda b: b.value)
+def test_linearize_holds_its_pencil_about_once(capsys, tmp_path, basis):
+    """One `ratlin linearize --output` of an n = p = m = 16, grade 8
+    realization (a 256 x 256 pencil) peaks, as traced by tracemalloc, at no
+    more than 1.6 times the bytes of L0 and L1: they are views of `build`'s
+    one stack, its K blocks are written in place, and the writer spells a
+    bounded block of rows at a time."""
+    r = gen_fixture(dataclasses.replace(MONOMIAL_N16_G8, basis_a=basis, basis_d=basis))
+    src, dst = tmp_path / "realz.json", tmp_path / "lin.json"
+    src.write_text(json.dumps(r.to_dict()))
+    sl = build(r)
+    pencil = sl.L0.nbytes + sl.L1.nbytes
+    del r, sl
+    argv = ["linearize", "--input", str(src), "--output", str(dst)]
+    assert main(argv) == 0  # the parser and imports, once per process
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 1.6 * pencil

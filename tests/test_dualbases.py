@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from ratlin.dualbases import chebyshev_pair, monomial_pair, pair_for
-from ratlin.linbuild import row_pencil
+from ratlin.linbuild import build, row_pencil
 from ratlin.polymat import Basis, PolyMatrix, vstack
+from ratlin.verify import FixtureSpec, gen_fixture
 
 from conftest import random_polymatrix
 
 GRID = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2), (2, 5),
-        (1, 8), (2, 8), (1, 10), (3, 10), (1, 12), (2, 12)]
+        (1, 8), (2, 8), (1, 10), (3, 10), (1, 12), (2, 12), (5, 6)]
 
 
 def test_monomial_s1_d3_display():
@@ -70,7 +71,29 @@ def test_chebyshev_d2_final_row_convention():
 @pytest.mark.parametrize("s,d", GRID)
 @pytest.mark.parametrize("maker", [monomial_pair, chebyshev_pair])
 def test_completion_identities(maker, s, d):
-    _assert_completion_identities(maker(s, d))
+    pr = maker(s, d)
+    _assert_completion_identities(pr)
+    _assert_dense_kronecker(pr)
+
+
+def _assert_dense_kronecker(pr):
+    """K and N, built on first read, and the K_A and K_D blocks that `build`
+    writes into its pencil without building K, equal the dense Kronecker
+    product of the scalar pair with I_s bit for bit, signed zeros included."""
+    s, d, basis = pr.s, pr.d, pr.basis
+    scalar = pair_for(basis, 1, d)
+
+    def dense(p):
+        return np.stack([np.kron(c.real, np.eye(s)) for c in p.coeffs]).astype(complex)
+
+    assert pr.K.coeffs.tobytes() == dense(scalar.K).tobytes()
+    assert pr.N.coeffs.tobytes() == dense(scalar.N).tobytes()
+    spec = FixtureSpec(seed=1, n=s, p=1, m=s, grade_a=d, grade_d=d,
+                       basis_a=basis, basis_d=basis)
+    sl = build(gen_fixture(spec))
+    for name in ("K_A", "K_D"):
+        block = np.stack([sl.block(name, k) for k in (0, 1)])
+        assert block.tobytes() == dense(scalar.K).tobytes()
 
 
 def _assert_completion_identities(pr):

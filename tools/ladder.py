@@ -3,9 +3,13 @@
     python3 tools/ladder.py OUT.json [CHECKOUT]
 
 Imports ratlin from CHECKOUT/src (default: the checkout this file lives in)
-and runs `run_all(gen_fixture(spec))` on every rung: seed 1,
-n = p = m in {2, 6, 12, 20}, grade in {2, 4, 6, 8} on both sides, both sides
-monomial or both Chebyshev, and each of the four STRUCTURES, 128 rungs.
+and runs `run_all(gen_fixture(spec))` on every rung: seed 1, both sides
+monomial or both Chebyshev, each of the four STRUCTURES, and grade g on
+both sides at
+- n = p = m in {2, 6, 12, 20}, g in {2, 4, 6, 8}: 128 square rungs;
+- n in {6, 12, 20}, p = n/2, m = n, g in {4, 8}: 48 rectangular rungs,
+  whose rational matrix has a right nullspace of dimension at least n/2
+  whatever its STRUCTURE.
 
 Each rung runs in a child process of its own whose address space is capped
 at LIMIT_GB (RLIMIT_AS, set by the child on itself), so a rung that runs
@@ -41,9 +45,9 @@ and left-index-match checks) with the reasons of its skips, the rungs,
 sides and seconds of the `_solve_at` runs, failed checks,
 failed `linearize` runs, the exit codes of each other command, counted,
 out-of-memory rungs and the slowest rung of the regular and of the singular
-rungs.  One rung alone is
+rungs (a rectangular rung counts as singular).  One rung alone is
 
-    python3 tools/ladder.py --rung CHECKOUT N GRADE BASIS STRUCTURE
+    python3 tools/ladder.py --rung CHECKOUT N P M GRADE BASIS STRUCTURE
 
 which prints its record as one JSON line.
 BLAS is pinned to one thread unless the environment already says otherwise.
@@ -69,13 +73,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 LIMIT_GB = 3
 SIZES = (2, 6, 12, 20)
 GRADES = (2, 4, 6, 8)
+RECTANGULAR = ((6, 3, 6), (12, 6, 12), (20, 10, 20))  # (n, p, m)
+RECTANGULAR_GRADES = (4, 8)
 BASES = ("monomial", "chebyshev1")
 INDEX_CHECKS = {"right-index-shift": "right", "nullvector-degree-law": "right",
                 "left-index-match": "left"}
 COMMANDS = ("eigs", "infinity", "nullspace --side right", "nullspace --side left")
 
 
-def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
+def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
+         structure: str) -> dict:
     """One rung in this process: the exit code, wall time and peak resident
     set of `linearize --output`, then the statuses, the wall time, the peak
     resident set, the indices, the `_solve_at` runs and the skip reasons of
@@ -122,7 +129,7 @@ def rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
     for side in ("right", "left"):
         name = f"recover_{side}_minimal_basis"
         setattr(verify, name, noting_results(side, getattr(verify, name)))
-    spec = verify.FixtureSpec(seed=1, n=n, p=n, m=n, grade_a=grade, grade_d=grade,
+    spec = verify.FixtureSpec(seed=1, n=n, p=p, m=m, grade_a=grade, grade_d=grade,
                               basis_a=Basis(basis), basis_d=Basis(basis),
                               structure=structure)
     r = verify.gen_fixture(spec)
@@ -175,12 +182,14 @@ def maxrss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
-def run_rung(checkout: str, n: int, grade: int, basis: str, structure: str) -> dict:
+def run_rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
+             structure: str) -> dict:
     """`rung` in a child process under the address-space cap."""
-    args = [sys.executable, __file__, "--rung", checkout, str(n), str(grade),
-            basis, structure]
+    args = [sys.executable, __file__, "--rung", checkout,
+            *map(str, (n, p, m, grade)), basis, structure]
     proc = subprocess.run(args, capture_output=True, text=True)
-    out = {"n": n, "grade": grade, "basis": basis, "structure": structure}
+    out = {"n": n, "p": p, "m": m, "grade": grade, "basis": basis,
+           "structure": structure}
     if proc.returncode == 0:
         return {**out, "status": "ok", **json.loads(proc.stdout)}
     status = "oom" if "MemoryError" in proc.stderr else "error"
@@ -194,7 +203,8 @@ def summary(rungs: list) -> dict:
     slowest = {}
     solve_sides, solve_seconds = Counter(), 0.0
     for rec in rungs:
-        kind = "regular" if rec["structure"] == "regular" else "singular"
+        square_regular = rec["structure"] == "regular" and rec["p"] == rec["m"]
+        kind = "regular" if square_regular else "singular"
         if rec["status"] != "ok":
             continue
         if kind == "singular":
@@ -206,8 +216,8 @@ def summary(rungs: list) -> dict:
             solve_sides[solve["side"]] += 1
             solve_seconds += solve["seconds"]
         if rec["seconds"] > slowest.get(kind, {}).get("seconds", -1.0):
-            slowest[kind] = {k: rec[k] for k in ("n", "grade", "basis", "structure",
-                                                  "seconds")}
+            slowest[kind] = {k: rec[k] for k in ("n", "p", "m", "grade", "basis",
+                                                  "structure", "seconds")}
     return {"index_sides": dict(sides), "index_side_skips": dict(reasons),
             "solve_at": {"rungs": sum(bool(rec.get("solve_at")) for rec in rungs),
                          "sides": dict(solve_sides),
@@ -239,19 +249,21 @@ def main(argv=None) -> int:
     if argv[:1] == ["--rung"]:
         cap = LIMIT_GB << 30
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-        checkout, n, grade, basis, structure = argv[1:]
-        print(json.dumps(rung(checkout, int(n), int(grade), basis, structure)))
+        checkout, *sizes, basis, structure = argv[1:]
+        print(json.dumps(rung(checkout, *map(int, sizes), basis, structure)))
         return 0
     if len(argv) not in (1, 2):
         print(__doc__, file=sys.stderr)
         return 2
     checkout = argv[1] if len(argv) == 2 else str(Path(__file__).resolve().parents[1])
+    shapes = [((n, n, n), GRADES) for n in SIZES] \
+        + [(shape, RECTANGULAR_GRADES) for shape in RECTANGULAR]
     rungs = []
     for structure in ("regular", "zero-column-b", "zero-row-c", "rank-deficient-d"):
         for basis in BASES:
-            for n in SIZES:
-                for grade in GRADES:
-                    rec = run_rung(checkout, n, grade, basis, structure)
+            for shape, grades in shapes:
+                for grade in grades:
+                    rec = run_rung(checkout, *shape, grade, basis, structure)
                     print(json.dumps(rec), file=sys.stderr, flush=True)
                     rungs.append(rec)
     record = {"environment": environment(), "summary": summary(rungs), "rungs": rungs}
