@@ -9,9 +9,10 @@ bases.  One column-compression staircase, run in place on one working
 pencil, gives a pencil's right minimal indices, a basis of those degrees
 back-substituted through the form it leaves, and its Jordan block sizes at
 0, which are the local partial multiplicities and, on reversed pencils, the
-invariant orders at infinity.  A basis is read at 0 and, where that reading
-is refused, on the reversed pencil, at infinity; a reading is kept only when
-it passes a gate: its count, the index sum of the Kronecker form, whose
+invariant orders at infinity.  It runs once per side and end of a pencil's
+`PencilReadings`.  A basis is read at 0 and, where that reading is refused,
+at infinity, the reading the orders take; a reading is kept only when it
+passes a gate: its count, the index sum of the Kronecker form, whose
 regular-part size one rank-completing QZ counts, and the certificate.  A
 refused basis whose indices pass is refined at those degrees by one step of
 inverse iteration through a band QR of the block convolution matrix, which
@@ -32,7 +33,7 @@ from .linbuild import (PencilReadings, StructuredLinearization, block_pencil,
 from .polymat import NEG_INF, PolyMatrix, numerical_rank
 
 INF_BETA_TOL = 1e-12
-# multiplier on the staircase rank cutoff max(M, N) * eps * ||[L0 L1]||_2
+# multiplier on the staircase rank cutoff max(M, N) * eps * ||[l0 l1]||_2
 STAIRCASE_SCALE = 1e6
 DEGREE_TOL = 1e-8  # relative norm below which a coefficient row is zero
 # certificate residual above which a basis is refused: a tenth of the
@@ -153,11 +154,11 @@ class MinimalBasisResult:
 
     def is_reduced(self) -> bool:
         """Whether the highest-degree coefficient matrix, taken vector by
-        vector, has full rank.  Vectors are stored in ascending degree order,
-        so the sorted index list doubles as the per-vector degree list."""
+        vector, has full rank (no vectors do).  Vectors ascend by degree, so
+        the sorted index list doubles as the per-vector degree list."""
         v, right = self.vectors.coeffs, self.side == "right"
         tops = [v[d, :, j] if right else v[d, j, :] for j, d in enumerate(self.indices)]
-        return numerical_rank(np.stack(tops, axis=1 if right else 0)) == self.count
+        return not tops or numerical_rank(np.stack(tops, axis=1 if right else 0)) == self.count
 
 
 def pencil_eigs(readings: PencilReadings, vectors: bool = False) -> PencilEig:
@@ -257,8 +258,8 @@ def classify(sl: StructuredLinearization, rng=None,
 
 def partial_multiplicities_at(p: PolyMatrix, lam: complex) -> list:
     """Multiplicities of lam as a zero of P, sorted: the Jordan block sizes
-    at 0 of `_staircase` on the block pencil of the Taylor expansion of P at
-    lam, a strong linearization of P(lam + mu) (a pencil is its own).
+    at 0 of the right `staircase` of the readings of the block pencil of
+    P's Taylor expansion at lam, a strong linearization of P(lam + mu).
 
     The point is usually a computed eigenvalue, exact only to roundoff,
     which the staircase's loosened rank cutoff absorbs.
@@ -267,7 +268,7 @@ def partial_multiplicities_at(p: PolyMatrix, lam: complex) -> list:
         return []
     taylor = PolyMatrix(_taylor_stack(p.to_monomial(), complex(lam)))
     l0, l1, _ = block_pencil(taylor)
-    return _staircase(l0, l1)[1]
+    return PencilReadings(l0, l1).staircase("right")[1]
 
 
 def _taylor_stack(mono: PolyMatrix, lam: complex) -> np.ndarray:
@@ -286,11 +287,11 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
     Combines the partial multiplicities at 0 of the reversed state pencil and
     of the reversed full pencil, padded with zeros up to the generic rank of
     the rational matrix, then shifts everything down by the grade.  The
-    reversal of lambda L1 + L0 is the pencil lambda L0 + L1, its own Taylor
-    expansion at 0, so `_staircase` reads the multiplicities off it directly,
-    and its right minimal indices with them: the pencil has n + m + s
-    columns and rank L = rank R + n + s, so rank R is m less their count.
-    `rng` is kept for callers' signatures and not drawn from.
+    reversal of lambda L1 + L0 is lambda L0 + L1, its own Taylor expansion
+    at 0, so the right staircases at infinity of `sl.state` and `sl`, the
+    gate's too, read the multiplicities and its right minimal indices: the
+    pencil has n + m + s columns and rank L = rank R + n + s, so rank R is
+    m less their count.  `rng` is kept for callers' signatures.
     """
     r = sl.realization
     okl, okr = check_infinity_minimality(r, sl.grade_a, sl.grade_d)
@@ -300,9 +301,8 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
             "the pencil does not linearize the structure at infinity")
     g = sl.rho_d + 1
 
-    la0, la1 = sl.state_pencil()
-    e_list = _staircase(la1, la0)[1]
-    right, e_tilde, _ = _staircase(sl.L1, sl.L0)
+    e_list = sl.state.staircase("right", infinity=True)[1]
+    right, e_tilde, _ = sl.staircase("right", infinity=True)
 
     rank_r = r.m - len(right)
     t, u = len(e_list), len(e_tilde)
@@ -313,23 +313,22 @@ def invariant_orders_at_infinity(sl: StructuredLinearization, rng=None) -> list:
     return [q - g for q in body]
 
 
-def polynomial_nullspace(l0: np.ndarray, l1: np.ndarray, side: str = "right",
-                         readings=None) -> MinimalBasisResult:
-    """Minimal polynomial nullspace basis of a pencil.
+def polynomial_nullspace(readings: PencilReadings,
+                         side: str = "right") -> MinimalBasisResult:
+    """Minimal polynomial nullspace basis on `side` of the pencil whose
+    `PencilReadings` is `readings` (a linearization is its own).
 
-    The nullity is read off `readings`, the pencil's `PencilReadings` (made
-    here when not given; a linearization is its own), as `rank`, and the
-    basis is back-substituted through its `_staircase` on `side`, at 0 and,
-    where that reading is refused, at infinity, and kept if it passes the
-    gate of `_gated_basis`: the count, the index sum with the regular-part
-    size, and the certificate.  Indices that pass the gate with no basis
-    that does get a basis solved at those degrees (`_solve_at`); a side no
-    reading numbers raises BreakdownError.  The output is deterministic.
+    The nullity is read off `readings.rank`, and the basis is back-substituted
+    through its `staircase` on `side`, at 0 and, where that reading is
+    refused, at infinity, and kept if it passes the gate of `_gated_basis`:
+    the count, the index sum with the regular-part size, and the
+    certificate.  Indices that pass the gate with no basis that does get a
+    basis solved at those degrees (`_solve_at`); a side no reading numbers
+    raises BreakdownError.  The output is deterministic.
     """
     if side not in ("right", "left"):
         raise RatlinError(f"side must be 'right' or 'left', got {side!r}")
-    readings = PencilReadings(l0, l1) if readings is None else readings
-    stack = side_stack(l0, l1, side)
+    stack = side_stack(readings.L0, readings.L1, side)
     cols = stack.shape[2]
     nullity = cols - readings.rank
     res = _gated_basis(stack, nullity, side, readings) if nullity else _basis_result([], cols)
@@ -384,32 +383,29 @@ def _back_substitute(form) -> list:
 
 
 def _gated_basis(stack, nullity, side, readings) -> MinimalBasisResult:
-    """The pencil's right basis on `side` from the staircase at 0 of
-    `readings` or, if the gate refuses it, from that of `readings.reversal`,
-    which reads the pencil at infinity (Van Dooren, LAA 1979): its vectors,
-    coefficients reversed, are the pencil's.  The gate: the indices number
-    the nullity; some reading of the other side numbers its own and closes
-    the index sum, right and left indices and regular-part size adding up to
-    the normal rank (Gantmacher 1959; Verghese, Van Dooren & Kailath, IJC
-    30, 1979), which a reading that takes eigenvalues near 0 for higher
-    indices breaks; and the basis passes `certify_minimal_basis` within
-    GATE_RESIDUAL, as back-substitution can lose digits.  Where indices pass
-    and no basis does, the first refused basis is refined at its indices
-    (`_solve_at`); where none pass, BreakdownError."""
+    """The pencil's right basis on `side` from the staircase of `readings`
+    at 0 or, if the gate refuses it, at infinity, which reads the reversed
+    pencil (Van Dooren, LAA 1979): its vectors, coefficients reversed, are
+    the pencil's.  The gate: the indices number the nullity; some reading
+    of the other side numbers its own and closes the index sum, right and
+    left indices and regular-part size adding up to the normal rank
+    (Gantmacher 1959; Verghese, Van Dooren & Kailath, IJC 30, 1979), which
+    a reading that takes eigenvalues near 0 for higher indices breaks; and
+    the basis passes `certify_minimal_basis` within GATE_RESIDUAL, as
+    back-substitution can lose digits.  Where indices pass and no basis
+    does, the first refused basis is refined at its indices (`_solve_at`);
+    where none pass, BreakdownError."""
     other = "left" if side == "right" else "right"
     rank, size = stack.shape[2] - nullity, readings.regular_size
-
-    def reading(infinity):
-        return readings.reversal if infinity else readings
 
     def closes(indices):
         return len(indices) == nullity and size is not None and any(
             len(o) == stack.shape[1] - rank and sum(indices) + sum(o) + size == rank
-            for o in (reading(inf).staircase(other)[0] for inf in (False, True)))
+            for o in (readings.staircase(other, inf)[0] for inf in (False, True)))
 
     refused = None
     for infinity in (False, True):
-        indices, _, form = reading(infinity).staircase(side)
+        indices, _, form = readings.staircase(side, infinity)
         if closes(indices):
             found = [(d, cf[::-1] if infinity else cf) for d, cf in _back_substitute(form)]
             res = _basis_result(found, stack.shape[2])
@@ -495,6 +491,7 @@ def _staircase(l0: np.ndarray, l1: np.ndarray, norm=None) -> tuple:
     """(right minimal indices, Jordan block sizes at 0, form) of
     lambda * l1 + l0, the lists sorted, from Van Dooren's column-compression
     staircase (LAA 1979; Demmel & Kagstrom, ACM TOMS 1993), run in place.
+    `PencilReadings.staircase` is its one caller, once per side and end.
 
     Level k takes the mu_k null columns V2 of the active block a[r:, c:] of
     a working copy (a, b) of the pencil and b's rank rho_k on them,

@@ -108,9 +108,9 @@ def _deg(p: PolyMatrix) -> int:
 
 @dataclass(frozen=True)
 class PencilReadings:
-    """The staircase at 0 of each side of lambda L1 + L0, its normal rank,
-    the size of its regular part, ||[L0 L1]||_2 and the readings of its
-    reversal, each computed once on first use."""
+    """The staircase of each side of lambda L1 + L0 at 0 and at infinity,
+    its normal rank, the size of its regular part and ||[L0 L1]||_2, each
+    computed once on first use."""
 
     L0: np.ndarray
     L1: np.ndarray
@@ -121,7 +121,7 @@ class PencilReadings:
 
     @cached_property
     def norm(self) -> float:
-        """||[L0 L1]||_2: the right staircase's cutoff scale, `regular_size`'s tau."""
+        """||[L0 L1]||_2: the right staircase's cutoff at 0, `regular_size`'s tau."""
         return np.linalg.norm(np.hstack([self.L0, self.L1]).astype(complex, copy=False), 2)
 
     @cached_property
@@ -132,29 +132,23 @@ class PencilReadings:
         to roundoff; a regular pencil pays one SVD."""
         return generic_rank(PolyMatrix(np.stack([self.L0, self.L1])), rank_scale=100.0)
 
-    def staircase(self, side: str) -> tuple:
-        """`eigsolve._staircase` at 0 of the pencil's coefficient stack on
-        `side` ("right", or "left" for the transpose), run once per side on
-        first use."""
-        if side not in self._staircases:
+    def staircase(self, side: str, infinity: bool = False) -> tuple:
+        """`eigsolve._staircase` of the coefficient stack on `side` ("right",
+        or "left" for the transpose) at 0 or, at infinity, of the swapped
+        pair lambda L0 + L1; run once per side and end on first use.  Each
+        cuts at ||[l0 l1]||_2 of its own pair, which is `norm` at right 0."""
+        if (side, infinity) not in self._staircases:
             from .eigsolve import _staircase, side_stack  # eigsolve imports this module
-            self._staircases[side] = _staircase(*side_stack(self.L0, self.L1, side),
-                                                self.norm if side == "right" else None)
-        return self._staircases[side]
+            l0, l1 = side_stack(self.L0, self.L1, side)[::-1 if infinity else 1]
+            self._staircases[side, infinity] = _staircase(
+                l0, l1, None if infinity or side == "left" else self.norm)
+        return self._staircases[side, infinity]
 
     @cached_property
     def regular_size(self) -> int | None:
-        """`eigsolve.regular_part_size`, shared by both sides."""
+        """`eigsolve.regular_part_size`, shared by both sides and ends."""
         from .eigsolve import regular_part_size  # eigsolve imports this module
         return regular_part_size(self)
-
-    @cached_property
-    def reversal(self) -> "PencilReadings":
-        """The readings of lambda L0 + L1, which read this pencil at infinity,
-        sharing the norm, rank and regular-part size, which reversal keeps."""
-        rev = PencilReadings(self.L1, self.L0)
-        rev.__dict__.update(norm=self.norm, rank=self.rank, regular_size=self.regular_size)
-        return rev
 
 
 @dataclass(frozen=True)
@@ -208,13 +202,18 @@ class StructuredLinearization(PencilReadings):
         return pencil_eigs(self, vectors=True)
 
     @cached_property
-    def state_spectrum(self):
-        """State-pencil QZ without vectors, run once on first use, sampling
-        no rank: L_A linearizes A, whose regularity `build` certifies."""
-        from .eigsolve import pencil_eigs  # eigsolve imports this module
+    def state(self) -> PencilReadings:
+        """The readings of the state pencil, whose rank is full and samples
+        nothing: L_A linearizes A, whose regularity `build` certifies."""
         state = PencilReadings(*self.state_pencil())
         state.__dict__["rank"] = state.L0.shape[0]
-        return pencil_eigs(state)
+        return state
+
+    @cached_property
+    def state_spectrum(self):
+        """QZ of `state` without vectors, run once on first use."""
+        from .eigsolve import pencil_eigs  # eigsolve imports this module
+        return pencil_eigs(self.state)
 
     @cached_property
     def minimality(self) -> "MinimalityReport":

@@ -301,7 +301,7 @@ def _recover_minimal_basis(sl: StructuredLinearization, side: str,
     through its transpose, whose columns are the basis rows."""
     rng = make_rng(rng)
     _require_minimality(sl, side)
-    basis_l = polynomial_nullspace(sl.L0, sl.L1, side, readings=sl)
+    basis_l = polynomial_nullspace(sl, side)
     r = sl.realization
     if side == "right":
         first, size, shift = sl.shape[1] - r.m, r.m, sl.rho_d

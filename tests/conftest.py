@@ -81,8 +81,8 @@ def count_off(side):
     infinity alike: no reading of that side numbers its nullity."""
     staircase = PencilReadings.staircase
 
-    def spoiled(readings, asked):
-        indices, *rest = staircase(readings, asked)
+    def spoiled(readings, asked, infinity=False):
+        indices, *rest = staircase(readings, asked, infinity)
         return (indices + [0] if asked == side else indices, *rest)
     return spoiled
 

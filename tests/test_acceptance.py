@@ -392,7 +392,7 @@ def test_criterion_9_degree_law():
         left_inf, _ = check_infinity_minimality(r, sl.grade_a, sl.grade_d)
         if not left_inf:
             continue
-        basis = polynomial_nullspace(sl.L0, sl.L1, "right")
+        basis = polynomial_nullspace(PencilReadings(sl.L0, sl.L1), "right")
         low = sl.shape[1] - r.m * (sl.rho_d + 1)
         for j, eps in enumerate(basis.indices):
             vector = basis.vectors.coeffs[:eps + 1, :, j]

@@ -17,6 +17,7 @@ from ratlin.eigsolve import (certify_minimal_basis, classify,
                              polynomial_nullspace, regular_part_size)
 from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis, PolyMatrix, generic_rank, hstack, vstack
+from ratlin.recover import recover_right_minimal_basis
 from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
 from conftest import (SCALED, count_calls, count_off, l_block, match_multisets,
@@ -519,13 +520,13 @@ def _assert_step_list_readings(readings) -> int:
     order of the products, amplified by small singular-value gaps, can
     move a decision either way."""
     compared = 0
-    for pencil in (readings, readings.reversal):
+    for infinity in (False, True):
         for side in ("right", "left"):
-            a, b = eigsolve.side_stack(pencil.L0, pencil.L1, side)
-            *want, margin = _step_list_staircase(
-                a, b, pencil.norm if side == "right" else None)
+            a, b = eigsolve.side_stack(readings.L0, readings.L1, side)
+            *want, margin = (_step_list_staircase(b, a) if infinity else _step_list_staircase(
+                a, b, readings.norm if side == "right" else None))
             if margin >= 10.0:
-                assert list(pencil.staircase(side)[:2]) == want, side
+                assert list(readings.staircase(side, infinity)[:2]) == want, (side, infinity)
                 compared += 1
     return compared
 
@@ -580,6 +581,36 @@ class TestInvariantOrders:
         for sl in sls:
             invariant_orders_at_infinity(sl, rng=1)
         assert calls == []
+
+    def test_orders_and_the_gate_run_one_staircase_per_pencil_side_and_end(
+            self, monkeypatch):
+        # the orders read the state and full pencils on the right at
+        # infinity; the right gate refuses its reading at 0 and takes the
+        # full pencil's at infinity that the orders ran: five staircases,
+        # each of a different pencil, side or end
+        staircase, calls = eigsolve._staircase, []
+
+        def counting(l0, l1, norm=None):
+            calls.append((l0.tobytes(), l1.tobytes()))
+            return staircase(l0, l1, norm)
+
+        monkeypatch.setattr(eigsolve, "_staircase", counting)
+        cheb = Basis.CHEBYSHEV1
+        sl = build(gen_fixture(FixtureSpec(seed=1, n=6, p=6, m=6, grade_a=8, grade_d=8,
+                                           basis_a=cheb, basis_d=cheb,
+                                           structure="zero-column-b")), rng=1)
+        invariant_orders_at_infinity(sl)
+        recover_right_minimal_basis(sl, rng=1)
+        assert len(calls) == len(set(calls)) == 5
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_a_reading_at_infinity_runs_no_qz_and_samples_no_rank(self, qz_runs, side):
+        # the reading at infinity is the pencil's own: it takes no norm,
+        # normal rank or regular-part size of a second readings object
+        sl = build(gen_fixture(FixtureSpec(seed=1, structure="zero-column-b")), rng=1)
+        sl.staircase(side, infinity=True)
+        assert qz_runs == []
+        assert "rank" not in vars(sl) and "regular_size" not in vars(sl)
 
     def test_orders_where_no_point_is_well_conditioned(self):
         # cond A(z) = 1e8 everywhere: sampling rank R found no point
@@ -648,7 +679,7 @@ class TestPolynomialNullspace:
     def test_kronecker_block(self):
         l0 = np.array([[0.0, 1.0]])
         l1 = np.array([[1.0, 0.0]])
-        res = polynomial_nullspace(l0, l1)
+        res = polynomial_nullspace(PencilReadings(l0, l1))
         assert res.indices == [1]
         v = res.vectors
         # v(l) proportional to [1, -l]
@@ -659,7 +690,7 @@ class TestPolynomialNullspace:
     def test_wide_block_two_indices(self):
         l0 = np.array([[0.0, 1.0, 0.0]])
         l1 = np.array([[1.0, 0.0, 0.0]])
-        res = polynomial_nullspace(l0, l1)
+        res = polynomial_nullspace(PencilReadings(l0, l1))
         assert res.indices == [0, 1]
         diag = certify_minimal_basis(res, l0, l1)
         assert diag["ok"], diag
@@ -667,14 +698,18 @@ class TestPolynomialNullspace:
     def test_left_transpose_symmetry(self):
         l0 = np.array([[0.0, 1.0, 0.0]]).T
         l1 = np.array([[1.0, 0.0, 0.0]]).T
-        res = polynomial_nullspace(l0, l1, side="left")
+        res = polynomial_nullspace(PencilReadings(l0, l1), side="left")
         assert res.side == "left"
         assert res.indices == [0, 1]
         assert certify_minimal_basis(res, l0, l1)["ok"]
 
-    def test_regular_pencil_empty(self):
-        res = polynomial_nullspace(-np.eye(2), np.eye(2))
-        assert res.indices == [] and res.count == 0
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_regular_pencil_empty(self, side):
+        # an empty basis is a minimal basis: reduced, and of full rank 0
+        res = polynomial_nullspace(PencilReadings(-np.eye(2), np.eye(2)), side)
+        assert res.indices == [] and res.count == 0 and res.side == side
+        assert res.is_reduced()
+        assert res.full_rank_at([0.0, 1.0, 2.5j])
 
     def test_count_rule_on_random_singular_pencil(self):
         rng = np.random.default_rng(3)
@@ -682,8 +717,8 @@ class TestPolynomialNullspace:
         right = rng.standard_normal((3, 6))
         l0 = left @ rng.standard_normal((3, 3)) @ right
         l1 = left @ rng.standard_normal((3, 3)) @ right
-        res_r = polynomial_nullspace(l0, l1, "right")
-        res_l = polynomial_nullspace(l0, l1, "left")
+        res_r = polynomial_nullspace(PencilReadings(l0, l1), "right")
+        res_l = polynomial_nullspace(PencilReadings(l0, l1), "left")
         assert len(res_r.indices) == 6 - 3
         assert len(res_l.indices) == 5 - 3
         assert certify_minimal_basis(res_r, l0, l1)["ok"]
@@ -694,8 +729,8 @@ class TestPolynomialNullspace:
         assert l0.shape == (11, 13)
         assert eigsolve._staircase(l0, l1)[:2] == ([0, 1, 3], [])
         assert eigsolve._staircase(l0.T, l1.T)[:2] == ([2], [])
-        assert polynomial_nullspace(l0, l1, "right").indices == [0, 1, 3]
-        assert polynomial_nullspace(l0, l1, "left").indices == [2]
+        assert polynomial_nullspace(PencilReadings(l0, l1), "right").indices == [0, 1, 3]
+        assert polynomial_nullspace(PencilReadings(l0, l1), "left").indices == [2]
 
     @pytest.mark.parametrize("t", [1.0, 1e-3])
     @pytest.mark.parametrize("centres", [(0.0,), (0.0, np.exp(2j))],
@@ -732,9 +767,9 @@ class TestPolynomialNullspace:
         # the reading's own degrees all check out; only its length is short
         l0, l1 = _kronecker_pencil()
         readings = PencilReadings(l0, l1)
-        readings._staircases["right"] = ([0, 1], [], [])
+        readings._staircases["right", False] = ([0, 1], [], [])
         want = _basis_at_infinity(readings, "right", l0.shape[1])
-        got = polynomial_nullspace(l0, l1, "right", readings=readings)
+        got = polynomial_nullspace(readings, "right")
         assert got.indices == want.indices == [0, 1, 3]
         assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
         assert certify_minimal_basis(got, l0, l1)["ok"]
@@ -760,10 +795,10 @@ class TestPolynomialNullspace:
             last = {"raise-last": [guess[-1] + 1],
                     "lower-last": [abs(guess[-1] - 1)],  # 0 goes up to 1
                     "drop-last": []}[spoil]
-            readings._staircases[side] = (guess[:-1] + last, sizes,
-                                          eigsolve._staircase(a[:, ::-1], b[:, ::-1])[2])
+            readings._staircases[side, False] = (
+                guess[:-1] + last, sizes, eigsolve._staircase(a[:, ::-1], b[:, ::-1])[2])
             want = _basis_at_infinity(readings, side, a.shape[1])
-            got = polynomial_nullspace(sl.L0, sl.L1, side, readings=readings)
+            got = polynomial_nullspace(readings, side)
             assert got.indices == want.indices == guess
             assert _right_coeffs(got).tobytes() == want.vectors.coeffs.tobytes()
             assert certify_minimal_basis(got, sl.L0, sl.L1)["ok"]
@@ -791,7 +826,7 @@ class TestPolynomialNullspace:
             stack = _pencil_stack(sl.L0, sl.L1, side)
             guess = eigsolve._staircase(*stack)[0]
             calls.clear()
-            got = polynomial_nullspace(sl.L0, sl.L1, side)
+            got = polynomial_nullspace(PencilReadings(sl.L0, sl.L1), side)
             assert got.indices == guess
             if guess:
                 refused = _basis_at_0(PencilReadings(sl.L0, sl.L1), side, stack.shape[2])
@@ -821,11 +856,11 @@ class TestPolynomialNullspace:
         monkeypatch.setattr(eigsolve, "_solve_at",
                             lambda *args: solved.append(1) or solve_at(*args))
         readings = PencilReadings(l0, l1)
-        got = polynomial_nullspace(l0, l1, "right", readings=readings)
+        got = polynomial_nullspace(readings, "right")
         assert got.indices == [0, 1, 3]
         assert len(calls) == misses + 1
         assert bool(solved) == (misses == 2)
-        assert ("reversal" in vars(readings)) == (misses > 0)
+        assert (("right", True) in readings._staircases) == (misses > 0)
 
     def test_solve_at_gives_a_certified_basis_of_the_indices(self):
         # one null space per distinct degree, each deflated of the shifts of
@@ -876,17 +911,24 @@ class TestPolynomialNullspace:
 
     @pytest.mark.parametrize("structure", STRUCTURES[1:])
     @pytest.mark.parametrize("basis_a, basis_d", list(product(Basis, Basis)))
-    def test_seed1_pencil_sides_need_neither_the_reversal_nor_solve_at(
+    def test_seed1_pencil_sides_need_no_reading_at_infinity_nor_solve_at(
             self, monkeypatch, structure, basis_a, basis_d):
         # every side of these pencils takes the basis read at 0
+        staircase = PencilReadings.staircase
+
         def refuse(*args):
             raise AssertionError("the basis read at 0 was rejected")
+
+        def at_0(readings, side, infinity=False):
+            if infinity:
+                refuse()
+            return staircase(readings, side)
         monkeypatch.setattr(eigsolve, "_solve_at", refuse)
-        monkeypatch.setattr(PencilReadings, "reversal", property(refuse))
+        monkeypatch.setattr(PencilReadings, "staircase", at_0)
         sl = build(gen_fixture(FixtureSpec(seed=1, structure=structure,
                                            basis_a=basis_a, basis_d=basis_d)),
                    rng=1)
-        counts = [polynomial_nullspace(sl.L0, sl.L1, side).count
+        counts = [polynomial_nullspace(PencilReadings(sl.L0, sl.L1), side).count
                   for side in ("right", "left")]
         assert sum(counts) > 0
 
@@ -898,7 +940,7 @@ class TestPolynomialNullspace:
         monkeypatch.setattr(PencilReadings, "staircase", count_off("right"))
         for side in ("right", "left"):
             with pytest.raises(BreakdownError, match=f"no {side} reading"):
-                polynomial_nullspace(l0, l1, side)
+                polynomial_nullspace(PencilReadings(l0, l1), side)
 
     @pytest.mark.parametrize("t, near_shift", [
         (1.0, False), (0.12, False), (1e-3, False), (0.03, True), (1e-3, True)],
@@ -918,7 +960,7 @@ class TestPolynomialNullspace:
         l0, l1 = planted_kronecker(np.random.default_rng(seed), eps, eta, t,
                                    centres)
         for side, want in (("right", sorted(eps)), ("left", [eta])):
-            res = polynomial_nullspace(l0, l1, side)
+            res = polynomial_nullspace(PencilReadings(l0, l1), side)
             assert res.indices == want
             assert certify_minimal_basis(res, l0, l1)["ok"]
 
@@ -940,7 +982,7 @@ class TestPolynomialNullspace:
         if not index_sum:
             monkeypatch.setattr(eigsolve, "regular_part_size",
                                 lambda *args: rank - sum(right) - 5)
-        res = polynomial_nullspace(l0, l1, "left")
+        res = polynomial_nullspace(PencilReadings(l0, l1), "left")
         assert res.indices == ([4] if index_sum else [5])
 
     @pytest.mark.parametrize("spoil_reading", [False, True])
@@ -958,10 +1000,10 @@ class TestPolynomialNullspace:
         assert certify_minimal_basis(basis, *stack)["ok"]
         want = basis
         if spoil_reading:
-            readings._staircases["right"] = (guess[:-1] + [guess[-1] + 1],
-                                             sizes, form)
+            readings._staircases["right", False] = (guess[:-1] + [guess[-1] + 1],
+                                                    sizes, form)
             want = _basis_at_infinity(readings, "right", stack.shape[2])
-        got = polynomial_nullspace(sl.L0, sl.L1, "right", readings=readings)
+        got = polynomial_nullspace(readings, "right")
         assert got.indices == want.indices == guess
         assert got.vectors.coeffs.tobytes() == want.vectors.coeffs.tobytes()
 
@@ -1036,7 +1078,7 @@ def _spoiled(res):
 def _basis_at_infinity(readings, side, cols):
     """The right basis on `side` back-substituted through the staircase of
     the reversed pencil, each vector's coefficients reversed."""
-    found = eigsolve._back_substitute(readings.reversal.staircase(side)[2])
+    found = eigsolve._back_substitute(readings.staircase(side, infinity=True)[2])
     return eigsolve._basis_result([(d, cf[::-1]) for d, cf in found], cols)
 
 
@@ -1047,8 +1089,8 @@ def _right_coeffs(res) -> np.ndarray:
 
 def _rank_read_at_infinity(sl) -> int:
     """rank R as `invariant_orders_at_infinity` reads it: m less the number
-    of right minimal indices of the reversed pencil's staircase."""
-    return sl.realization.m - len(eigsolve._staircase(sl.L1, sl.L0)[0])
+    of right minimal indices of the pencil's right staircase at infinity."""
+    return sl.realization.m - len(sl.staircase("right", infinity=True)[0])
 
 
 def test_rational_rank(preset):

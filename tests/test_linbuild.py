@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ratlin.config import unit_circle_points
 from ratlin.dualbases import chebyshev_pair, monomial_pair
-from ratlin.eigsolve import pencil_eigs
+from ratlin.eigsolve import pencil_eigs, polynomial_nullspace
 from ratlin.errors import BasisError, DimensionError, PoleError, PreconditionError
 from ratlin import linbuild
 from ratlin.linbuild import (PencilReadings, Realization, block_pencil, build,
@@ -139,9 +139,10 @@ class TestBuild:
                 D=random_polymatrix(rng, 1, 2, 2, Basis.MONOMIAL))
 
     @pytest.mark.parametrize("structure", STRUCTURES[1:])
-    def test_reversal_shares_the_rank(self, monkeypatch, structure):
-        # reversal keeps the normal rank: the reversed readings, and the
-        # regular-part size they share, take it without sampling again
+    def test_readings_at_infinity_share_the_rank(self, monkeypatch, structure):
+        # reversal keeps the normal rank: both sides' readings at infinity,
+        # the regular-part size and the gate on both sides take it without
+        # sampling the pencil, or its reversal, again
         sl = build(gen_fixture(FixtureSpec(seed=1, structure=structure)))
         rank = sl.rank
         assert rank < min(sl.shape)
@@ -153,8 +154,10 @@ class TestBuild:
             return sample(p, *args, **kw)
 
         monkeypatch.setattr(linbuild, "generic_rank", refuse)
-        assert sl.reversal.rank == rank
-        assert sl.reversal.regular_size == sl.regular_size
+        for side in ("right", "left"):
+            sl.staircase(side, infinity=True)
+            polynomial_nullspace(sl, side)
+        assert sl.rank == rank and sl.regular_size is not None
 
     @pytest.mark.parametrize("key, value, message", [
         ("B", np.nan, "block B: non-finite coefficient (nan+0j) of degree 1 at entry (0, 1)"),

@@ -25,8 +25,12 @@ the record holds these, the wall time of `run_all`, the child's peak
 resident set after it, the status of each check, the minimal indices of
 the rational matrix that each side's basis recovery returned, the side
 and wall time of each `eigsolve._solve_at` run within `run_all` (the basis
-solved at indices whose back-substituted bases the gate refused), and the
-reason of each skipped index check:
+solved at indices whose back-substituted bases the gate refused), the
+staircases that `run_all`'s linearization ran, in order, as [side, end]
+with end "0" or "inf" (each runs once, on the first reading of its side at
+its end; at checkouts that read infinity on a `reversal` object, that
+object's runs count as the linearization's at "inf"), and the reason of
+each skipped index check:
 
 - "nullity 0": the side has no nullspace (every side of a regular input);
 - "uncertified": basis recovery raised `BreakdownError`, as the gate does
@@ -36,8 +40,8 @@ reason of each skipped index check:
   its nullity (checkouts whose `run_all` skips such a side before any
   recovery).
 
-The linearization is the one `run_all` itself built, recorded as its side's
-staircase at 0 is read, and the nullity is read off its `rank`, the normal
+The linearization is the one `run_all` itself built, recorded as it reads
+a side's staircase, and the nullity is read off its `rank`, the normal
 rank the gate read; a recovery's result or error is recorded as it passes.
 The record also holds the BLAS thread count, the environment and a
 summary: index-side coverage of the singular rungs (the right-index-shift
@@ -85,21 +89,33 @@ def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
          structure: str) -> dict:
     """One rung in this process: the exit code, wall time and peak resident
     set of `linearize --output`, then the statuses, the wall time, the peak
-    resident set, the indices, the `_solve_at` runs and the skip reasons of
-    `run_all`, then the exit code and wall time of each of COMMANDS, with
-    the orders that `infinity` prints where it exits 0."""
+    resident set, the indices, the `_solve_at` runs, the staircases its
+    linearization ran and the skip reasons of `run_all`, then the exit code
+    and wall time of each of COMMANDS, with the orders that `infinity`
+    prints where it exits 0."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from ratlin import cli, eigsolve, verify
-    from ratlin.linbuild import StructuredLinearization
+    from ratlin.linbuild import PencilReadings, StructuredLinearization
     from ratlin.polymat import Basis
 
-    readings, errors, indices, sides, solves = {}, {}, {}, [], []
-    staircase = StructuredLinearization.staircase
+    readings, errors, indices, sides, solves, ran = {}, {}, {}, [], [], []
+    staircase = PencilReadings.staircase
     solve_at, gated_basis = eigsolve._solve_at, eigsolve._gated_basis
 
-    def recording(sl, side):
-        readings[side] = sl
-        return staircase(sl, side)
+    def recording(obj, side, infinity=False):
+        args = (side, infinity) if infinity else (side,)  # older checkouts take side alone
+        end = "inf" if infinity else "0"
+        if isinstance(obj, StructuredLinearization):
+            readings[side] = obj
+        elif any(vars(sl).get("reversal") is obj for sl in readings.values()):
+            end = "inf"
+        else:  # a state, Taylor or completed pencil
+            return staircase(obj, *args)
+        runs = len(obj._staircases)
+        out = staircase(obj, *args)
+        if len(obj._staircases) > runs:
+            ran.append([side, end])
+        return out
 
     def noting_results(side, recover):
         def recorded(sl, rng=None):
@@ -124,7 +140,7 @@ def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
         sides.append(side)
         return gated_basis(stack, nullity, side, *args)
 
-    StructuredLinearization.staircase = recording
+    PencilReadings.staircase = recording
     eigsolve._solve_at, eigsolve._gated_basis = timing, siding
     for side in ("right", "left"):
         name = f"recover_{side}_minimal_basis"
@@ -154,7 +170,7 @@ def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
         report = verify.run_all(r, seed=1)
         seconds = time.perf_counter() - start
         rss = maxrss_mb()
-        StructuredLinearization.staircase = staircase  # the commands build their own
+        PencilReadings.staircase = staircase  # the commands build their own
         eigsolve._solve_at, eigsolve._gated_basis = solve_at, gated_basis
         commands = {name: command(*name.split(), "--json") for name in COMMANDS}
     checks = {e.name: e.status for e in report.entries}
@@ -173,7 +189,7 @@ def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
                            "PreconditionError": "precondition"}.get(errors.get(side),
                                                                     "count")
     return {"seconds": round(seconds, 3), "maxrss_mb": rss, "checks": checks,
-            "indices": indices, "skips": skips, "solve_at": solves,
+            "indices": indices, "skips": skips, "solve_at": solves, "staircases": ran,
             "linearize": linearize, "commands": commands}
 
 

@@ -37,9 +37,10 @@ Each realization except the benchmark's goes through `eigs`, `infinity`,
 through `check` and both `nullspace` runs, the `spectral` ones through
 `eigs`, `infinity` and `check`, whose `eigenvector-recovery` entry pins the
 worst eta of the eigenpairs recovered off the whole spectrum on regular
-inputs up to n = 12, the n = 12 singular ones through `check` and both
-`nullspace` runs, and the scaled ones through `eigs`, both `nullspace`
-runs and `check`.  Every run writes
+inputs up to n = 12, the n = 12 singular ones through `check`, both
+`nullspace` runs and `infinity`, whose orders read the deep reversed pencil
+that the gate's reading at infinity shares, and the scaled ones through
+`eigs`, both `nullspace` runs and `check`.  Every run writes
 OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
 `linearize --output` also writes its file to OUTDIR/<input>.pencil.json,
 named by a path relative to OUTDIR so that the `wrote ...` line is the same
@@ -91,6 +92,7 @@ BENCH_SEEDS = (1, 7919)
 BENCH_COMMANDS = {"battery": ("check", "nullspace-left", "nullspace-right"),
                   "spectral": ("eigs", "infinity", "check")}
 SCALED_COMMANDS = ("eigs", "nullspace-left", "nullspace-right", "check")
+DEEP_COMMANDS = BENCH_COMMANDS["battery"] + ("infinity",)
 
 
 def realizations(verify, basis):
@@ -311,7 +313,7 @@ def main(argv=None) -> int:
         spec = verify.FixtureSpec(seed=1, n=12, p=12, m=12, grade_a=4,
                                   grade_d=4, structure=structure)
         run_input(cli, f"{structure}-n12-g4-s1-monomial-monomial",
-                  verify.gen_fixture(spec).to_dict(), BENCH_COMMANDS["battery"])
+                  verify.gen_fixture(spec).to_dict(), DEEP_COMMANDS)
     for seed in range(1, 7):
         r = verify.gen_fixture(verify.FixtureSpec(seed=seed, n=3, p=3, m=3,
                                                   grade_a=3, grade_d=3))
