@@ -9,7 +9,7 @@ to eigenvectors and minimal bases of R by block slicing.
 """
 
 from .config import DEFAULT_SEED
-from .dualbases import DualBasisPair, chebyshev_pair, monomial_pair
+from .dualbases import DualBasisPair
 from .errors import (BasisError, BreakdownError, DimensionError, PoleError,
                      PreconditionError, RatlinError)
 from .eigsolve import (MinimalBasisResult, PencilEig, SpectralReport,
@@ -24,8 +24,7 @@ from .polymat import Basis, PolyMatrix, generic_rank, hstack, vstack
 from .recover import (EigenpairR, RecoveredNullspace, eigenpair,
                       factorization_residuals, lift_left_eigvec,
                       lift_right_eigvec, recover_left_eigvec,
-                      recover_left_minimal_basis, recover_right_eigvec,
-                      recover_right_minimal_basis)
+                      recover_minimal_basis, recover_right_eigvec)
 from .scalareq import RootReport, ScalarEquation, solve_scalar
 from .verify import CheckReport, FixtureSpec, gen_fixture, preset_cross_coupled, run_all
 
@@ -35,15 +34,15 @@ __all__ = [
     "MinimalBasisResult", "MinimalityReport", "PencilEig", "PoleError", "PolyMatrix",
     "PreconditionError", "RatlinError", "Realization", "RecoveredNullspace",
     "RootReport", "ScalarEquation", "SpectralReport",
-    "StructuredLinearization", "build", "chebyshev_pair",
+    "StructuredLinearization", "build",
     "check_finite_minimality", "check_infinity_minimality", "classify",
     "eigenpair", "factorization_residuals", "gen_fixture",
     "generic_rank", "hat_transfer_eval", "hstack", "invariant_orders_at_infinity",
     "lift_left_eigvec", "lift_right_eigvec",
-    "minimality_report", "monomial_pair", "partial_multiplicities_at", "pencil_eigs",
+    "minimality_report", "partial_multiplicities_at", "pencil_eigs",
     "polynomial_nullspace", "preset_cross_coupled", "recover_left_eigvec",
-    "recover_left_minimal_basis", "recover_right_eigvec",
-    "recover_right_minimal_basis", "row_pencil", "run_all", "solve_scalar",
+    "recover_minimal_basis", "recover_right_eigvec", "row_pencil", "run_all",
+    "solve_scalar",
     "transfer_eval", "vstack",
 ]
 

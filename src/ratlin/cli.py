@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: linearize, eigs, infinity, nullspace, scalar, check.  Options are
-the input (--input or --preset), --seed and --json, plus each command's own;
-no threshold is settable and nothing is read from the environment.  Exit
-codes: 0 success, 1 mathematical precondition failure, 2 I/O or parse failure.
+the input (--input or --preset, not both), --seed and --json, plus each
+command's own; no threshold is settable and nothing is read from the
+environment.  Exit codes: 0 success, 1 mathematical precondition failure, 2
+I/O or parse failure (a usage error too).
 JSON output writes each double exactly (its shortest round-tripping repr),
 streamed one piece per array row; tables print 17 significant digits.
 Output is byte-stable for a fixed seed, input and BLAS thread count: the last
@@ -23,8 +24,8 @@ from . import verify
 from .config import DEFAULT_SEED
 from .errors import RatlinError
 from .eigsolve import classify, invariant_orders_at_infinity
-from .linbuild import Realization, build
-from .recover import recover_left_minimal_basis, recover_right_minimal_basis
+from .linbuild import Realization, StructuredLinearization, build
+from .recover import recover_minimal_basis
 from .scalareq import ScalarEquation, solve_scalar
 
 
@@ -54,10 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", help="realization JSON file")
-            p.add_argument("--preset", choices=sorted(verify.PRESETS),
-                           help="use a named built-in realization")
+        if needs_input:  # one source: argparse refuses both
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--input", help="realization JSON file")
+            source.add_argument("--preset", choices=sorted(verify.PRESETS),
+                                help="use a named built-in realization")
         p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
         p.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -78,16 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigs", help="pole/zero classification")
     common(p)
-    p.set_defaults(func=_cmd_eigs)
+    p.set_defaults(func=_reporting(_cmd_eigs))
 
     p = sub.add_parser("infinity", help="invariant orders at infinity")
     common(p)
-    p.set_defaults(func=_cmd_infinity)
+    p.set_defaults(func=_reporting(_cmd_infinity))
 
     p = sub.add_parser("nullspace", help="minimal basis of a singular input")
     common(p)
     p.add_argument("--side", choices=("left", "right"), default="right")
-    p.set_defaults(func=_cmd_nullspace)
+    p.set_defaults(func=_reporting(_cmd_nullspace))
 
     p = sub.add_parser("scalar", help="solve c/a = d/b")
     common(p, needs_input=False)
@@ -95,11 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="monomial coefficients, ascending")
     p.add_argument("--b", required=True, help="Chebyshev coefficients, ascending")
     p.add_argument("--d", required=True, help="Chebyshev coefficients, ascending")
-    p.set_defaults(func=_cmd_scalar)
+    p.set_defaults(func=_reporting(_cmd_scalar))
 
     p = sub.add_parser("check", help="run the verification battery")
     common(p)
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_reporting(_cmd_check))
     return parser
 
 
@@ -110,6 +112,12 @@ def _load_realization(args) -> Realization:
         raise ValueError("provide --input FILE or --preset NAME")
     with open(args.input) as fh:
         return Realization.from_dict(json.load(fh))
+
+
+def _linearization(args) -> StructuredLinearization:
+    """The pencil of the input, at the grades `linearize` overrides."""
+    return build(_load_realization(args), grade_a=getattr(args, "grade_a", None),
+                 grade_d=getattr(args, "grade_d", None), rng=args.seed)
 
 
 def _dumps(obj) -> str:
@@ -215,9 +223,22 @@ def _emit(payload: dict):
     sys.stdout.write("\n")
 
 
+def _reporting(command):
+    """The command `command(args) -> (payload, table, exit code)` as one
+    that writes the payload under --json, prints the table otherwise, and
+    returns the exit code."""
+    def run(args) -> int:
+        payload, table, code = command(args)
+        if args.json:
+            _emit(payload)
+        else:
+            print(table)
+        return code
+    return run
+
+
 def _cmd_linearize(args) -> int:
-    r = _load_realization(args)
-    sl = build(r, grade_a=args.grade_a, grade_d=args.grade_d, rng=args.seed)
+    sl = _linearization(args)
     if args.output:
         with open(args.output, "w") as fh:
             fh.writelines(_chunks(sl.to_dict()))
@@ -229,13 +250,8 @@ def _cmd_linearize(args) -> int:
     return 0
 
 
-def _cmd_eigs(args) -> int:
-    r = _load_realization(args)
-    sl = build(r, rng=args.seed)
-    rep = classify(sl, vectors=False)
-    if args.json:
-        _emit(rep.to_dict())
-        return 0
+def _cmd_eigs(args) -> tuple:
+    rep = classify(_linearization(args), vectors=False)
     lines = ["poles (value, count):"]
     for v, c in rep.poles:
         lines.append(f"  {v.real:+.17g}{v.imag:+.17g}j  x{c}")
@@ -244,60 +260,38 @@ def _cmd_eigs(args) -> int:
         lines.append(f"  {z.value.real:+.17g}{z.value.imag:+.17g}j  "
                      f"{'yes' if z.classified else 'NO'}  "
                      f"{'yes' if z.near_pole else 'no'}")
-    print("\n".join(lines))
-    return 0
+    return rep.to_dict(), "\n".join(lines), 0
 
 
-def _cmd_infinity(args) -> int:
-    r = _load_realization(args)
-    sl = build(r, rng=args.seed)
+def _cmd_infinity(args) -> tuple:
+    sl = _linearization(args)
     orders = invariant_orders_at_infinity(sl)
-    if args.json:
-        _emit({"infinityOrders": orders, "grade": sl.rho_d + 1})
-    else:
-        print(f"invariant orders at infinity: {orders} (grade {sl.rho_d + 1})")
-    return 0
+    return ({"infinityOrders": orders, "grade": sl.rho_d + 1},
+            f"invariant orders at infinity: {orders} (grade {sl.rho_d + 1})", 0)
 
 
-def _cmd_nullspace(args) -> int:
-    r = _load_realization(args)
-    sl = build(r, rng=args.seed)
-    fn = (recover_right_minimal_basis if args.side == "right"
-          else recover_left_minimal_basis)
-    rec = fn(sl, rng=args.seed)
-    if args.json:
-        _emit(rec.to_dict())
-        return 0
-    print(f"{args.side} minimal indices: {rec.basis_r.indices} "
-          f"(pencil: {rec.basis_l.indices}, shift {rec.shift}); "
-          f"verified: {rec.diagnostics['ok']}")
-    return 0
+def _cmd_nullspace(args) -> tuple:
+    rec = recover_minimal_basis(_linearization(args), args.side, rng=args.seed)
+    return (rec.to_dict(), f"{args.side} minimal indices: {rec.basis_r.indices} "
+            f"(pencil: {rec.basis_l.indices}, shift {rec.shift}); "
+            f"verified: {rec.diagnostics['ok']}", 0)
 
 
-def _cmd_scalar(args) -> int:
+def _cmd_scalar(args) -> tuple:
     eq = ScalarEquation.from_lists(
         *(_parse_coeffs(getattr(args, name), f"--{name}") for name in "acbd"))
     rep = solve_scalar(eq, rng=args.seed)
-    if args.json:
-        _emit(rep.to_dict())
-        return 0
     lines = [f"{len(rep.roots)} roots:"]
     for v, res in sorted(rep.roots, key=lambda t: (t[0].real, t[0].imag)):
         lines.append(f"  {v.real:+.17g}{v.imag:+.17g}j  residual {res:.3e}")
     if rep.excluded:
         lines.append(f"excluded as poles: {len(rep.excluded)}")
-    print("\n".join(lines))
-    return 0
+    return rep.to_dict(), "\n".join(lines), 0
 
 
-def _cmd_check(args) -> int:
-    r = _load_realization(args)
-    rep = verify.run_all(r, seed=args.seed)
-    if args.json:
-        _emit(rep.to_dict())
-    else:
-        print(rep.table())
-    return 0 if rep.passed else 1
+def _cmd_check(args) -> tuple:
+    rep = verify.run_all(_load_realization(args), seed=args.seed)
+    return rep.to_dict(), rep.table(), 0 if rep.passed else 1
 
 
 def _parse_coeffs(text: str, flag: str = "the list") -> list:

@@ -77,16 +77,6 @@ def pair_for(basis: Basis, s: int, d: int) -> DualBasisPair:
     return DualBasisPair(s, d, basis)
 
 
-def monomial_pair(s: int, d: int) -> DualBasisPair:
-    """Block bidiagonal [-I, lambda I] chain with N = [I l^{d-1}, ..., I l, I]."""
-    return pair_for(Basis.MONOMIAL, s, d)
-
-
-def chebyshev_pair(s: int, d: int) -> DualBasisPair:
-    """Interior rows [-1/2 I, lambda I, -1/2 I], final row [-I, lambda I]."""
-    return pair_for(Basis.CHEBYSHEV1, s, d)
-
-
 def _nhat(basis: Basis, d: int) -> np.ndarray:
     """Coefficient stack of the scalar Nhat, of grade d-2, in the pair's basis.
 

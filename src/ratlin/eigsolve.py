@@ -561,16 +561,13 @@ def certify_minimal_basis(res: MinimalBasisResult, l0: np.ndarray,
     random points and at 0, and full rank of the highest-degree coefficient
     matrix taken column-by-column (row-by-row on the left side).
     """
-    if res.count == 0:
-        return {"residual": 0.0, "pointwise_full_rank": True,
-                "reduced_full_rank": True, "ok": True}
     pencil = PolyMatrix(np.stack([np.asarray(l0, dtype=complex),
                                   np.asarray(l1, dtype=complex)]))
     v = res.vectors
     prod = (pencil @ v) if res.side == "right" else (v @ pencil)
-    scale = max(1.0, float(np.max(np.abs(v.coeffs)))) * max(
+    scale = max(1.0, float(np.max(np.abs(v.coeffs), initial=0.0))) * max(
         1.0, float(np.max(np.abs(pencil.coeffs))))
-    residual = float(np.max(np.abs(prod.coeffs))) / scale
+    residual = float(np.max(np.abs(prod.coeffs), initial=0.0)) / scale
 
     full = res.full_rank_at(list(unit_circle_points(rng, 5)) + [0.0])
     reduced = res.is_reduced()

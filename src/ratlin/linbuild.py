@@ -203,9 +203,10 @@ class StructuredLinearization(PencilReadings):
 
     @cached_property
     def state(self) -> PencilReadings:
-        """The readings of the state pencil, whose rank is full and samples
-        nothing: L_A linearizes A, whose regularity `build` certifies."""
-        state = PencilReadings(*self.state_pencil())
+        """The readings of the state pencil L_A = [M_A; K_A], the one handle
+        on its (L0, L1), whose rank is full and samples nothing: L_A
+        linearizes A, whose regularity `build` certifies."""
+        state = PencilReadings(self.block("L_A", 0), self.block("L_A", 1))
         state.__dict__["rank"] = state.L0.shape[0]
         return state
 
@@ -231,11 +232,6 @@ class StructuredLinearization(PencilReadings):
         first use."""
         from .recover import _spectrum_eigenpairs  # recover imports this module
         return _spectrum_eigenpairs(self)
-
-    def state_pencil(self) -> tuple:
-        """(L0, L1) of the state block L_A = [M_A; K_A]."""
-        r0, r1, c0, c1 = self.blocks["L_A"]
-        return self.L0[r0:r1, c0:c1], self.L1[r0:r1, c0:c1]
 
     def block(self, name: str, which: int = 0) -> np.ndarray:
         r0, r1, c0, c1 = self.blocks[name]

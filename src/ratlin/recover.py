@@ -1,8 +1,10 @@
 """Pull-back maps from a structured linearization to the rational matrix.
 
 Eigenvectors come back by slicing the appropriate block of a pencil null
-vector; minimal bases come back the same way at the polynomial level, with
-the right indices shifted down by rho_D and the left indices unchanged.  The
+vector; minimal bases come back the same way at the polynomial level, through
+one `recover_minimal_basis(sl, side)`: the right basis is the last m rows of
+the pencil's, its indices shifted down by rho_D, and the left basis is the
+pencil's at the p rows of the M_C block, its indices unchanged.  The
 one-sided factorization residuals provide an executable certificate that a
 built pencil really carries the transfer function around with it.
 """
@@ -144,8 +146,7 @@ def lift_left_eigvec(sl: StructuredLinearization, lam: complex,
     """Embed a left eigenvector: y^T [M_C L_A^{-1}, I_p, -M_R Nhat_D^T]."""
     r = sl.realization
     y = np.asarray(y_t, dtype=complex).ravel()
-    la0, la1 = sl.state_pencil()
-    la = la1 * complex(lam) + la0
+    la = sl.state.L1 * complex(lam) + sl.state.L0
     require_invertible(la, lam, "state pencil")
     first = np.linalg.solve(la.T, sl.m_c.eval(lam).T).T
     mr = hat_transfer_eval(sl, lam)[:r.p]
@@ -276,29 +277,18 @@ def factorization_residuals(sl: StructuredLinearization, lam, *,
 # minimal bases
 # ---------------------------------------------------------------------------
 
-def recover_right_minimal_basis(sl: StructuredLinearization,
-                                rng=None) -> RecoveredNullspace:
-    """Right minimal basis and indices of the rational matrix.
+def recover_minimal_basis(sl: StructuredLinearization, side: str = "right",
+                          rng=None) -> RecoveredNullspace:
+    """Minimal basis and indices of the rational matrix on `side`, sliced
+    from the pencil's basis on that side (`polynomial_nullspace`).
 
-    The pencil's right minimal basis vectors are split; the rational-matrix
-    basis is the last m-row slice of the lower block (the selector completion
-    at work) and the indices drop by rho_D.
-    """
-    return _recover_minimal_basis(sl, "right", rng)
-
-
-def recover_left_minimal_basis(sl: StructuredLinearization,
-                               rng=None) -> RecoveredNullspace:
-    """Left minimal basis of the rational matrix: the rows of the pencil's
-    left basis restricted to the block at positions [n(1+rho_A), n(1+rho_A)+p);
-    indices carry over as-is."""
-    return _recover_minimal_basis(sl, "left", rng)
-
-
-def _recover_minimal_basis(sl: StructuredLinearization, side: str,
-                           rng) -> RecoveredNullspace:
-    """Both sides at once, written for columns: a left basis is handled
-    through its transpose, whose columns are the basis rows."""
+    Right: each basis vector is the last m rows of a pencil vector (the
+    lower block, where the selector completion puts x), and its index drops
+    by rho_D.  Left: each basis row is a pencil basis row restricted to its
+    entries [n(1+rho_A), n(1+rho_A)+p), those of the pencil rows of the M_C
+    block, and its index carries over.  Written for columns: a left basis
+    goes through its transpose, whose columns are the basis rows.  An empty
+    basis takes the same path, and its diagnostics read residual 0.0."""
     rng = make_rng(rng)
     _require_minimality(sl, side)
     basis_l = polynomial_nullspace(sl, side)
@@ -311,22 +301,14 @@ def _recover_minimal_basis(sl: StructuredLinearization, side: str,
     def orient(stack):  # (grade+1, size, count) <-> the side's own layout
         return stack if side == "right" else stack.transpose(0, 2, 1)
 
-    if basis_l.count == 0:
-        empty = MinimalBasisResult(
-            vectors=PolyMatrix(orient(np.zeros((1, size, 0), dtype=complex))),
-            indices=[], side=side)
-        return RecoveredNullspace(side, empty, basis_l, shift, {
-            "ok": True, "degree_consistent": True, "nullspace_residual": 0.0,
-            "pointwise_full_rank": True, "reduced_full_rank": True})
-
     vectors = orient(basis_l.vectors.coeffs)
     rows = slice(first, first + size)
     degrees = [index - shift for index in basis_l.indices]
     ok_deg = all(block_degree(vectors[:index + 1, :, j], rows) == index - shift
                  for j, index in enumerate(basis_l.indices))
-    gmax = max(degrees)
-    out = np.stack([_normalize_column(np.array(vectors[:, rows, j]), want)[: gmax + 1]
-                    for j, want in enumerate(degrees)], axis=2)
+    out = np.zeros((max(degrees, default=0) + 1, size, len(degrees)), dtype=complex)
+    for j, want in enumerate(degrees):
+        out[:, :, j] = _normalize_column(vectors[:, rows, j], want)[:len(out)]
     basis_r = MinimalBasisResult(vectors=PolyMatrix(orient(out)),
                                  indices=sorted(degrees), side=side)
     diag = _nullspace_diagnostics(sl, basis_r, side, rng)

@@ -18,8 +18,7 @@ from .eigsolve import MinimalBasisResult, block_degree, classify
 from .linbuild import (Realization, StructuredLinearization, build,
                        sample_points, system_eval)
 from .polymat import RECURRENCE, Basis, PolyMatrix, hstack, numerical_rank
-from .recover import (eigenpair, factorization_residuals,
-                      recover_left_minimal_basis, recover_right_minimal_basis)
+from .recover import eigenpair, factorization_residuals, recover_minimal_basis
 
 STRUCTURES = ("regular", "zero-column-b", "zero-row-c", "rank-deficient-d")
 
@@ -253,8 +252,7 @@ def _check_state_pencil_spectrum(sl, rng) -> CheckEntry:
     pts = np.array(sample_points(r, rng, 5, 0.07, 60, cond_max=1e6), dtype=complex)
     if pts.size < 5:
         return _entry("state-pencil-spectrum", False, 1.0)
-    la0, la1 = sl.state_pencil()
-    sign_l, log_l = np.linalg.slogdet(la1 * pts[:, None, None] + la0)
+    sign_l, log_l = np.linalg.slogdet(sl.state.L1 * pts[:, None, None] + sl.state.L0)
     sign_a, log_a = np.linalg.slogdet(r.A.eval(pts))
     rec = RECURRENCE[sl.pair_a.basis]
     log_c = r.n * sum(math.log(rec(k)[0]) for k in range(sl.grade_a - 1))
@@ -317,10 +315,8 @@ def _check_index_side(sl, side, nullity, rng) -> list:
     skipped = [_skip(name)] + ([_skip("nullvector-degree-law")] if right else [])
     if nullity <= 0:
         return skipped
-    recover_basis = (recover_right_minimal_basis if right
-                     else recover_left_minimal_basis)
     try:
-        rec = recover_basis(sl, rng=rng)
+        rec = recover_minimal_basis(sl, side, rng=rng)
     except (PreconditionError, BreakdownError):
         return skipped
     diag = rec.diagnostics

@@ -24,8 +24,8 @@ from ratlin.linbuild import (PencilReadings, Realization, build,
 from ratlin.polymat import Basis, PolyMatrix, numerical_rank
 from ratlin.recover import (eigenpair, factorization_residuals,
                             lift_left_eigvec, lift_right_eigvec,
-                            recover_left_eigvec, recover_left_minimal_basis,
-                            recover_right_eigvec, recover_right_minimal_basis)
+                            recover_left_eigvec, recover_minimal_basis,
+                            recover_right_eigvec)
 from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled, run_all
 
 from conftest import match_multisets, poly_roots, prescribed_realization
@@ -157,7 +157,7 @@ def test_criterion_4_coupled_pair_regression():
     det_a = (PolyMatrix.from_scalar_coeffs([-2, -1, 1])
              @ PolyMatrix.from_scalar_coeffs([2, 1]))
     pole_oracle = np.polynomial.polynomial.polyroots(det_a.coeffs.ravel())
-    state = pencil_eigs(PencilReadings(*sl.state_pencil()))
+    state = pencil_eigs(PencilReadings(sl.state.L0, sl.state.L1))
     ok, worst = match_multisets(state.finite(), pole_oracle, 1e-8)
     assert ok, f"pole mismatch {worst:.3e}"
 
@@ -281,15 +281,15 @@ def test_criterion_6_minimal_index_shift_law():
     # certified, with no independent reference needed for the singular one
     for j, eps, eta, r, sl in prescribed_fixture_pool():
         rng = np.random.default_rng(j)
-        right = recover_right_minimal_basis(sl, rng=rng)
+        right = recover_minimal_basis(sl, "right", rng=rng)
         assert right.basis_r.indices == eps, (j, right.basis_r.indices, eps)
-        left = recover_left_minimal_basis(sl, rng=rng)
+        left = recover_minimal_basis(sl, "left", rng=rng)
         assert left.basis_r.indices == [eta], (j, left.basis_r.indices, eta)
         _assert_index_shift_certified(right, left, sl, rng)
     for spec, r, sl in singular_fixture_pool():
         rng = np.random.default_rng(spec.seed)
-        right = recover_right_minimal_basis(sl, rng=rng)
-        left = recover_left_minimal_basis(sl, rng=rng)
+        right = recover_minimal_basis(sl, "right", rng=rng)
+        left = recover_minimal_basis(sl, "left", rng=rng)
         _assert_index_shift_certified(right, left, sl, rng)
     report(6, "minimal index shift law")
 
@@ -319,8 +319,8 @@ def test_prescribed_indices_pass_the_battery(eps, eta, k, grade_a, grade_d,
     r = prescribed_realization(np.random.default_rng(seed), eps, eta, k,
                                grade_a, grade_d, basis_a, basis_d)
     sl = build(r, rng=1)
-    assert recover_right_minimal_basis(sl, rng=1).basis_r.indices == sorted(eps)
-    assert recover_left_minimal_basis(sl, rng=1).basis_r.indices == [eta]
+    assert recover_minimal_basis(sl, "right", rng=1).basis_r.indices == sorted(eps)
+    assert recover_minimal_basis(sl, "left", rng=1).basis_r.indices == [eta]
     statuses = {e.name: e.status for e in run_all(r, seed=1).entries}
     assert all(statuses[name] == "pass" for name in (
         "right-index-shift", "left-index-match", "nullvector-degree-law",

@@ -176,6 +176,56 @@ class TestCheck:
         assert "minimality-proxy" in out
 
 
+PRESET = ("--preset", "cross-coupled")
+TABLES = {
+    ("eigs",) + PRESET: (0, """\
+poles (value, count):
+  -1.9999999999999996+0j  x1
+  -0.99999999999999989+0j  x1
+  +2+0j  x1
+zeros (value, classified, near pole):
+  -1.9999999999999987+0j  yes  yes
+  -1.6180339887499042+4.6882609251192549e-16j  yes  no
+  -0.99999999999999423-6.5590176809685376e-17j  yes  yes
+  -1.994489857695104e-16+4.7717787481686081e-18j  yes  no
+  -0+0j  yes  no
+  +0.61803398874989501+2.172872332045886e-16j  yes  no
+"""),
+    ("infinity",) + PRESET: (0, "invariant orders at infinity: [-3, 0] (grade 2)\n"),
+    ("nullspace", "--side", "right") + PRESET: (
+        0, "right minimal indices: [] (pencil: [], shift 1); verified: True\n"),
+    ("nullspace", "--side", "left") + PRESET: (
+        0, "left minimal indices: [] (pencil: [], shift 0); verified: True\n"),
+    ("check",) + PRESET: (0, """\
+check                     status   worst residual
+block-factor-identities   pass     0.000e+00
+dual-pair-identities      pass     0.000e+00
+transfer-rank-additivity  pass     0.000e+00
+one-sided-factorizations  pass     1.036e-16
+state-pencil-spectrum     pass     2.220e-16
+minimality-proxy          pass     0.000e+00
+right-index-shift         skipped  0.000e+00
+left-index-match          skipped  0.000e+00
+nullvector-degree-law     skipped  0.000e+00
+nullspace-dimension       skipped  0.000e+00
+eigenvector-recovery      pass     1.363e-15
+overall: pass
+"""),
+    ("scalar", "--a=1", "--c=-2,0,1", "--b=1", "--d=1"): (0, """\
+2 roots:
+  -1.7320508075688776+0j  residual 4.273e-17
+  +1.7320508075688774-0j  residual 1.424e-17
+"""),
+}
+
+
+@pytest.mark.parametrize("argv", list(TABLES), ids=" ".join)
+def test_table_output_is_pinned(capsys, argv):
+    """The whole table form (no --json) of each report command, byte for
+    byte, with its exit code and an empty stderr."""
+    assert run_cli(capsys, *argv) == TABLES[argv] + ("",)
+
+
 class TestErrors:
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "eigs", "--input", "/nonexistent.json")
@@ -184,6 +234,17 @@ class TestErrors:
     def test_no_input_is_io_error(self, capsys):
         code, _, _ = run_cli(capsys, "eigs")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["linearize", "eigs", "infinity",
+                                         "nullspace", "check"])
+    def test_input_and_preset_together_exit_2(self, capsys, command):
+        # neither source wins silently: argparse refuses the pair
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "cross-coupled", "--input", "missing.json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ratlin.dualbases import chebyshev_pair, monomial_pair, pair_for
+from ratlin.dualbases import pair_for
 from ratlin.linbuild import build, row_pencil
 from ratlin.polymat import Basis, PolyMatrix, vstack
 from ratlin.verify import FixtureSpec, gen_fixture
@@ -13,7 +13,7 @@ GRID = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (3, 2), (2, 5),
 
 
 def test_monomial_s1_d3_display():
-    pr = monomial_pair(1, 3)
+    pr = pair_for(Basis.MONOMIAL, 1, 3)
     assert np.allclose(pr.K.coeff(0), [[-1, 0, 0], [0, -1, 0]])
     assert np.allclose(pr.K.coeff(1), [[0, 1, 0], [0, 0, 1]])
     # N = [l^2, l, 1]
@@ -23,7 +23,7 @@ def test_monomial_s1_d3_display():
 
 
 def test_monomial_degenerate_grade1():
-    pr = monomial_pair(2, 1)
+    pr = pair_for(Basis.MONOMIAL, 2, 1)
     assert pr.K.shape == (0, 2)
     assert pr.Nhat.shape == (0, 2)
     assert np.allclose(pr.N.coeff(0), np.eye(2))
@@ -31,7 +31,7 @@ def test_monomial_degenerate_grade1():
 
 
 def test_monomial_s1_d2_hand_solved():
-    pr = monomial_pair(1, 2)
+    pr = pair_for(Basis.MONOMIAL, 1, 2)
     assert np.allclose(pr.K.coeff(0), [[-1, 0]])
     assert np.allclose(pr.K.coeff(1), [[0, 1]])
     assert np.allclose(pr.Khat.coeff(0), [[0, 1]])
@@ -44,13 +44,13 @@ def test_monomial_s1_d2_hand_solved():
 def test_monomial_s1_d3_completion_frozen():
     # hand-solved from K Nhat^T = I, Khat Nhat^T = 0 with the last block zero:
     # column 1 of Nhat^T is [-1, 0, 0], column 2 is [-l, -1, 0]
-    pr = monomial_pair(1, 3)
+    pr = pair_for(Basis.MONOMIAL, 1, 3)
     assert np.allclose(pr.Nhat.coeff(0), [[-1, 0, 0], [0, -1, 0]])
     assert np.allclose(pr.Nhat.coeff(1), [[0, 0, 0], [-1, 0, 0]])
 
 
 def test_chebyshev_s1_d4_display():
-    pr = chebyshev_pair(1, 4)
+    pr = pair_for(Basis.CHEBYSHEV1, 1, 4)
     assert np.allclose(pr.K.coeff(0),
                        [[-0.5, 0, -0.5, 0], [0, -0.5, 0, -0.5], [0, 0, -1, 0]])
     assert np.allclose(pr.K.coeff(1),
@@ -62,16 +62,16 @@ def test_chebyshev_s1_d4_display():
 
 
 def test_chebyshev_d2_final_row_convention():
-    pr = chebyshev_pair(1, 2)
+    pr = pair_for(Basis.CHEBYSHEV1, 1, 2)
     assert np.allclose(pr.K.coeff(0), [[-1, 0]])
     assert np.allclose(pr.K.coeff(1), [[0, 1]])
     assert np.allclose(pr.N.eval(0.7), [[0.7, 1.0]])
 
 
 @pytest.mark.parametrize("s,d", GRID)
-@pytest.mark.parametrize("maker", [monomial_pair, chebyshev_pair])
-def test_completion_identities(maker, s, d):
-    pr = maker(s, d)
+@pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
+def test_completion_identities(basis, s, d):
+    pr = pair_for(basis, s, d)
     _assert_completion_identities(pr)
     _assert_dense_kronecker(pr)
 
@@ -109,10 +109,10 @@ def _assert_completion_identities(pr):
 
 
 @pytest.mark.parametrize("s,d", [(1, 3), (2, 3), (1, 4)])
-@pytest.mark.parametrize("maker", [monomial_pair, chebyshev_pair])
-def test_unimodularity_det_constancy(maker, s, d):
+@pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
+def test_unimodularity_det_constancy(basis, s, d):
     rng = np.random.default_rng(55)
-    pr = maker(s, d)
+    pr = pair_for(basis, s, d)
     u = vstack(pr.K, pr.Khat)
     pts = np.exp(2j * np.pi * rng.uniform(size=5)) * 1.4
     dets = np.array([np.linalg.det(u.eval(z)) for z in pts])
@@ -120,10 +120,10 @@ def test_unimodularity_det_constancy(maker, s, d):
     assert np.max(np.abs(dets - dets[0])) <= 1e-10 * abs(dets[0])
 
 
-@pytest.mark.parametrize("maker", [monomial_pair, chebyshev_pair])
-def test_n_full_row_rank_everywhere(maker):
+@pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.CHEBYSHEV1])
+def test_n_full_row_rank_everywhere(basis):
     rng = np.random.default_rng(66)
-    pr = maker(2, 4)
+    pr = pair_for(basis, 2, 4)
     pts = list(np.exp(2j * np.pi * rng.uniform(size=10))) + [0.0]
     for z in pts:
         assert np.linalg.matrix_rank(pr.N.eval(z)) == pr.s

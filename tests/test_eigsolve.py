@@ -17,7 +17,7 @@ from ratlin.eigsolve import (certify_minimal_basis, classify,
                              polynomial_nullspace, regular_part_size)
 from ratlin.linbuild import PencilReadings, Realization, build
 from ratlin.polymat import Basis, PolyMatrix, generic_rank, hstack, vstack
-from ratlin.recover import recover_right_minimal_basis
+from ratlin.recover import recover_minimal_basis
 from ratlin.verify import STRUCTURES, FixtureSpec, gen_fixture
 
 from conftest import (SCALED, count_calls, count_off, l_block, match_multisets,
@@ -103,7 +103,7 @@ class TestPencilEigs:
 
     def test_preset_state_pencil(self, preset):
         sl = build(preset)
-        pe = pencil_eigs(PencilReadings(*sl.state_pencil()))
+        pe = pencil_eigs(PencilReadings(sl.state.L0, sl.state.L1))
         det = poly_det_coeffs(preset.A)
         roots = np.polynomial.polynomial.polyroots(det)
         ok, worst = match_multisets(pe.finite(), roots, 1e-8)
@@ -277,7 +277,7 @@ class TestClassify:
                            basis_a=basis, basis_d=basis)
         sl = build(gen_fixture(spec))
         bare = classify(sl, vectors=False).to_dict()
-        assert qz_runs == [(sl.state_pencil()[0].shape, False), (sl.shape, False)]
+        assert qz_runs == [(sl.state.L0.shape, False), (sl.shape, False)]
         assert "spectrum" not in vars(sl)
         assert bare == classify(build(gen_fixture(spec))).to_dict()
 
@@ -545,7 +545,7 @@ class TestInvariantOrders:
             r = gen_fixture(FixtureSpec(seed=seed, n=n, p=n, m=n, grade_a=g,
                                         grade_d=g, basis_a=ba, basis_d=bd))
             sl = build(deficient_leading(r, blocks), grade_d=g + raise_d, rng=1)
-            la0, la1 = sl.state_pencil()
+            la0, la1 = sl.state.L0, sl.state.L1
             for l0, l1 in ((la1, la0), (sl.L1, sl.L0)):
                 got, want = eigsolve._staircase(l0, l1), _staircase_with_vectors(l0, l1)
                 assert got[:2] == want[:2]
@@ -600,7 +600,7 @@ class TestInvariantOrders:
                                            basis_a=cheb, basis_d=cheb,
                                            structure="zero-column-b")), rng=1)
         invariant_orders_at_infinity(sl)
-        recover_right_minimal_basis(sl, rng=1)
+        recover_minimal_basis(sl, "right", rng=1)
         assert len(calls) == len(set(calls)) == 5
 
     @pytest.mark.parametrize("side", ["right", "left"])
@@ -710,6 +710,10 @@ class TestPolynomialNullspace:
         assert res.indices == [] and res.count == 0 and res.side == side
         assert res.is_reduced()
         assert res.full_rank_at([0.0, 1.0, 2.5j])
+        # and the certificate's general path says so, with residual 0.0
+        assert certify_minimal_basis(res, -np.eye(2), np.eye(2)) == {
+            "residual": 0.0, "pointwise_full_rank": True,
+            "reduced_full_rank": True, "ok": True}
 
     def test_count_rule_on_random_singular_pencil(self):
         rng = np.random.default_rng(3)

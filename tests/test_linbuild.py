@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ratlin.config import unit_circle_points
-from ratlin.dualbases import chebyshev_pair, monomial_pair
+from ratlin.dualbases import pair_for
 from ratlin.eigsolve import pencil_eigs, polynomial_nullspace
 from ratlin.errors import BasisError, DimensionError, PoleError, PreconditionError
 from ratlin import linbuild
@@ -23,7 +23,7 @@ class TestRowPencil:
     def test_degree1_at_grade3_constant_blocks(self):
         rng = np.random.default_rng(0)
         c = random_polymatrix(rng, 1, 2, 3)
-        pr = monomial_pair(3, 3)
+        pr = pair_for(Basis.MONOMIAL, 3, 3)
         m = row_pencil(c, pr)
         assert np.allclose(m.coeff(1), 0)
         assert np.allclose(m.coeff(0)[:, :3], 0)
@@ -33,7 +33,7 @@ class TestRowPencil:
     def test_chebyshev_grade2_recurrence_identity(self):
         d0, d1, d2 = 1.5, -0.25, 2.0
         p = PolyMatrix.from_scalar_coeffs([d0, d1, d2], Basis.CHEBYSHEV1)
-        pr = chebyshev_pair(1, 2)
+        pr = pair_for(Basis.CHEBYSHEV1, 1, 2)
         m = row_pencil(p, pr)
         assert np.allclose(m.coeff(1), [[2 * d2, 0]])
         assert np.allclose(m.coeff(0), [[d1, d0 - d2]])
@@ -46,7 +46,7 @@ class TestRowPencil:
     def test_random_grade4_exact_factor(self):
         rng = np.random.default_rng(7)
         p = random_polymatrix(rng, 4, 3, 2)
-        pr = monomial_pair(2, 4)
+        pr = pair_for(Basis.MONOMIAL, 2, 4)
         m = row_pencil(p, pr)
         prod = m @ pr.N.T
         diff = prod - p.pad_to_grade(prod.grade)
@@ -55,12 +55,12 @@ class TestRowPencil:
     def test_basis_mismatch_rejected(self):
         p = PolyMatrix.zero(2, 2, 1, Basis.CHEBYSHEV1)
         with pytest.raises(BasisError):
-            row_pencil(p, monomial_pair(2, 2))
+            row_pencil(p, pair_for(Basis.MONOMIAL, 2, 2))
 
     def test_grade_too_small_rejected(self):
         p = random_polymatrix(np.random.default_rng(1), 3, 2, 2)
         with pytest.raises(DimensionError):
-            row_pencil(p, monomial_pair(2, 2))
+            row_pencil(p, pair_for(Basis.MONOMIAL, 2, 2))
 
 
 class TestBuild:
@@ -201,7 +201,8 @@ class TestMinimality:
         preset's computed poles, where both pass, and a realization with
         B = 0 whose poles 1 and 2 fail only the right test, next to a point
         where both pass."""
-        la0, la1 = build(preset).state_pencil()
+        state = build(preset).state
+        la0, la1 = state.L0, state.L1
         poles = pencil_eigs(PencilReadings(la0, la1)).finite()
         a = PolyMatrix.from_list([np.diag([-1.0, -2.0]), np.eye(2)])
         half = Realization(A=a, B=PolyMatrix.zero(2, 2), C=PolyMatrix.identity(2),
@@ -378,7 +379,7 @@ def test_rank_relation_random_fixtures():
 def test_block_pencil_matches_state_pencil(preset):
     sl = build(preset)
     l0, l1, pair = block_pencil(preset.A)
-    la0, la1 = sl.state_pencil()
+    la0, la1 = sl.state.L0, sl.state.L1
     assert np.array_equal(l0, la0)
     assert np.array_equal(l1, la1)
 

@@ -101,8 +101,8 @@ def test_state_pencil_eigs_stable_under_grade_override():
     r = random_realization(330, n=2, p=2, m=2, grade_a=2, grade_d=2)
     base = build(r)
     padded = build(r, grade_a=4)
-    e1 = pencil_eigs(PencilReadings(*base.state_pencil())).finite()
-    e2 = pencil_eigs(PencilReadings(*padded.state_pencil())).finite()
+    e1 = pencil_eigs(PencilReadings(base.state.L0, base.state.L1)).finite()
+    e2 = pencil_eigs(PencilReadings(padded.state.L0, padded.state.L1)).finite()
     # padding adds infinite eigenvalues only; the finite spectrum is unchanged
     ok, worst = match_multisets(e2, e1, 1e-8)
     assert ok, worst

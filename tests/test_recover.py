@@ -12,8 +12,8 @@ from ratlin import recover
 from ratlin.polymat import Basis, PolyMatrix
 from ratlin.recover import (eigenpair, factorization_residuals,
                             lift_left_eigvec, lift_right_eigvec,
-                            recover_left_eigvec, recover_left_minimal_basis,
-                            recover_right_eigvec, recover_right_minimal_basis)
+                            recover_left_eigvec, recover_minimal_basis,
+                            recover_right_eigvec)
 from ratlin.verify import FixtureSpec, gen_fixture
 
 from conftest import random_polymatrix, random_realization
@@ -147,7 +147,7 @@ class TestEigenpair:
             ep = eigenpair(sl, lam)
             assert max(ep.residual_right, ep.residual_left) <= 1e-8
         # the state pencil's QZ for the poles, and one full-pencil QZ
-        assert qz_runs == [(sl.state_pencil()[0].shape, False), (sl.shape, True)]
+        assert qz_runs == [(sl.state.L0.shape, False), (sl.shape, True)]
         assert svds == []  # every pair came from the QZ vectors, no SVD of L(lambda)
         # one stacked solve, over every finite eigenvalue of the pencil
         assert solves == [(len(sl.spectrum.finite()), 2, 2)]
@@ -331,7 +331,7 @@ class TestFactorizationResiduals:
 class TestMinimalBases:
     def test_wide_one_over_lambda(self):
         sl = build(one_over_lambda_minus_one_wide())
-        rec = recover_right_minimal_basis(sl)
+        rec = recover_minimal_basis(sl, "right")
         assert rec.basis_l.indices == [sl.rho_d]
         assert rec.basis_r.indices == [0]
         vec = rec.basis_r.vectors.coeffs[0, :, 0]
@@ -360,16 +360,15 @@ class TestMinimalBases:
                 coeffs[d, -1, na:na + sl.realization.p] = 0.0
             return dataclasses.replace(res, vectors=PolyMatrix(coeffs))
 
-        recover_basis = getattr(recover, f"recover_{side}_minimal_basis")
-        assert recover_basis(sl, rng=1).diagnostics["degree_consistent"]
+        assert recover_minimal_basis(sl, side, rng=1).diagnostics["degree_consistent"]
         monkeypatch.setattr(recover, "polynomial_nullspace", spoiled)
-        assert not recover_basis(sl, rng=1).diagnostics["degree_consistent"]
+        assert not recover_minimal_basis(sl, side, rng=1).diagnostics["degree_consistent"]
 
     def test_left_transpose_of_wide(self):
         base = one_over_lambda_minus_one_wide()
         r = Realization(A=base.A, B=base.C.T, C=base.B.T, D=base.D.T)
         sl = build(r)
-        rec = recover_left_minimal_basis(sl)
+        rec = recover_minimal_basis(sl, "left")
         assert rec.basis_l.indices == [0]
         assert rec.basis_r.indices == [0]
         assert rec.shift == 0
@@ -379,9 +378,16 @@ class TestMinimalBases:
 
     def test_regular_input_gives_empty(self, preset):
         sl = build(preset)
-        right = recover_right_minimal_basis(sl)
-        left = recover_left_minimal_basis(sl)
+        right = recover_minimal_basis(sl, "right")
+        left = recover_minimal_basis(sl, "left")
         assert right.basis_r.indices == [] and left.basis_r.indices == []
+        # the general path: a grade-0 stack of no vectors, residual 0.0
+        assert right.basis_r.vectors.coeffs.shape == (1, sl.realization.m, 0)
+        assert left.basis_r.vectors.coeffs.shape == (1, 0, sl.realization.p)
+        for rec in (right, left):
+            assert rec.diagnostics == {
+                "ok": True, "degree_consistent": True, "nullspace_residual": 0.0,
+                "pointwise_full_rank": True, "reduced_full_rank": True}
 
     def test_zero_column_structure(self):
         rng = np.random.default_rng(81)
@@ -394,7 +400,7 @@ class TestMinimalBases:
                         C=random_polymatrix(rng, 2, 2, 2),
                         D=PolyMatrix(d))
         sl = build(r)
-        rec = recover_right_minimal_basis(sl)
+        rec = recover_minimal_basis(sl, "right")
         assert rec.basis_l.indices == [sl.rho_d]
         assert rec.basis_r.indices == [0]
         # the constant null vector is e_m up to scale
@@ -404,7 +410,7 @@ class TestMinimalBases:
 
     def test_normalization_pivot_is_one(self):
         sl = build(one_over_lambda_minus_one_wide())
-        rec = recover_right_minimal_basis(sl)
+        rec = recover_minimal_basis(sl, "right")
         top = rec.basis_r.vectors.coeffs[rec.basis_r.indices[-1], :, 0]
         pivot = top[np.argmax(np.abs(top))]
         assert abs(pivot - 1.0) < 1e-12
@@ -418,7 +424,7 @@ class TestMinimalBases:
         r = Realization(A=random_polymatrix(rng, 2, 2, 2), B=random_polymatrix(rng, 2, 2, 3),
                         C=PolyMatrix(c), D=PolyMatrix(d))
         sl = build(r)
-        rec = recover_left_minimal_basis(sl)
+        rec = recover_minimal_basis(sl, "left")
         assert rec.diagnostics["reduced_full_rank"]
         assert rec.diagnostics["pointwise_full_rank"]
         assert rec.basis_r.indices == [0]
@@ -436,7 +442,7 @@ class TestMinimalBases:
                         D=PolyMatrix(d))
         sl = build(r)
         with pytest.raises(PreconditionError):
-            recover_right_minimal_basis(sl)
+            recover_minimal_basis(sl, "right")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -445,8 +451,8 @@ def test_left_recovery_matches_right_recovery_of_transpose(seed):
     (A^T, C^T, B^T, D^T); here R has a zero last row."""
     r = gen_fixture(FixtureSpec(seed=seed, structure="zero-row-c"))
     rt = Realization(A=r.A.T, B=r.C.T, C=r.B.T, D=r.D.T)
-    left = recover_left_minimal_basis(build(r, rng=seed), rng=seed)
-    right = recover_right_minimal_basis(build(rt, rng=seed), rng=seed)
+    left = recover_minimal_basis(build(r, rng=seed), "left", rng=seed)
+    right = recover_minimal_basis(build(rt, rng=seed), "right", rng=seed)
     assert left.basis_r.indices == right.basis_r.indices == [0]
     assert left.diagnostics["ok"] and right.diagnostics["ok"]
     assert np.allclose(left.basis_r.vectors.T.coeffs, right.basis_r.vectors.coeffs)

@@ -131,15 +131,16 @@ class TestRunAll:
                                                       name, key):
         # the fixture of test_zero_column_activates_nullspace_checks, with one
         # diagnostic of the recovered basis turned False
-        attr = f"recover_{side}_minimal_basis"
-        recover_basis = getattr(verify, attr)
+        recover_basis = verify.recover_minimal_basis
 
-        def spoiled(sl, rng=None):
-            rec = recover_basis(sl, rng=rng)
+        def spoiled(sl, which, rng=None):
+            rec = recover_basis(sl, which, rng=rng)
+            if which != side:
+                return rec
             return dataclasses.replace(rec, diagnostics={**rec.diagnostics,
                                                          key: False})
 
-        monkeypatch.setattr(verify, attr, spoiled)
+        monkeypatch.setattr(verify, "recover_minimal_basis", spoiled)
         spec = FixtureSpec(seed=11, n=2, p=3, m=3, structure="zero-column-b")
         rep = run_all(gen_fixture(spec), seed=4)
         statuses = {e.name: e.status for e in rep.entries}
@@ -230,7 +231,7 @@ class TestRunAll:
             assert sum(np.array_equal(l0, a) and np.array_equal(l1, b)
                        for l0, l1 in calls) == 1, (side, len(calls))
         assert len(calls) == 2
-        assert qz_runs == [(sl.state_pencil()[0].shape, False),
+        assert qz_runs == [(sl.state.L0.shape, False),
                            ((max(sl.shape),) * 2, True)]
 
     def test_unclassifiable_state_eigenvalues_reported(self):
@@ -498,8 +499,7 @@ def same_results_record() -> dict:
     from itertools import product
     from ratlin.eigsolve import invariant_orders_at_infinity
     from ratlin.errors import RatlinError
-    from ratlin.recover import (recover_left_minimal_basis,
-                                recover_right_minimal_basis)
+    from ratlin.recover import recover_minimal_basis
     out = {}
     for structure, ba, bd in product(STRUCTURES, Basis, Basis):
         r = gen_fixture(FixtureSpec(seed=1, structure=structure,
@@ -507,10 +507,9 @@ def same_results_record() -> dict:
         sl = build(r, rng=1)
         rec = {"checks": [[e.name, e.status] for e in run_all(r, seed=1).entries],
                "orders": invariant_orders_at_infinity(sl, rng=1)}
-        for side, fn in (("right", recover_right_minimal_basis),
-                         ("left", recover_left_minimal_basis)):
+        for side in ("right", "left"):
             try:
-                rec[side] = fn(sl, rng=1).basis_r.indices
+                rec[side] = recover_minimal_basis(sl, side, rng=1).basis_r.indices
             except RatlinError as exc:
                 rec[side] = type(exc).__name__
         out[f"{structure}/{ba.value}/{bd.value}"] = rec

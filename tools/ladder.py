@@ -117,14 +117,17 @@ def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
             ran.append([side, end])
         return out
 
-    def noting_results(side, recover):
-        def recorded(sl, rng=None):
+    def noting_results(recover, side=None):
+        """`recover`, recording the indices it returns or the error it
+        raises under its side: `side`, or its own argument where None."""
+        def recorded(sl, *args, rng=None):
+            which = side or args[0]
             try:
-                rec = recover(sl, rng=rng)
+                rec = recover(sl, *args, rng=rng)
             except Exception as exc:
-                errors[side] = type(exc).__name__
+                errors[which] = type(exc).__name__
                 raise
-            indices[side] = [int(i) for i in rec.basis_r.indices]
+            indices[which] = [int(i) for i in rec.basis_r.indices]
             return rec
         return recorded
 
@@ -142,9 +145,12 @@ def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
 
     PencilReadings.staircase = recording
     eigsolve._solve_at, eigsolve._gated_basis = timing, siding
-    for side in ("right", "left"):
-        name = f"recover_{side}_minimal_basis"
-        setattr(verify, name, noting_results(side, getattr(verify, name)))
+    if hasattr(verify, "recover_minimal_basis"):  # recover_minimal_basis(sl, side, rng=)
+        verify.recover_minimal_basis = noting_results(verify.recover_minimal_basis)
+    else:  # older checkouts name one function per side
+        for side in ("right", "left"):
+            name = f"recover_{side}_minimal_basis"
+            setattr(verify, name, noting_results(getattr(verify, name), side))
     spec = verify.FixtureSpec(seed=1, n=n, p=p, m=m, grade_a=grade, grade_d=grade,
                               basis_a=Basis(basis), basis_d=Basis(basis),
                               structure=structure)

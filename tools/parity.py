@@ -40,7 +40,11 @@ worst eta of the eigenpairs recovered off the whole spectrum on regular
 inputs up to n = 12, the n = 12 singular ones through `check`, both
 `nullspace` runs and `infinity`, whose orders read the deep reversed pencil
 that the gate's reading at infinity shares, and the scaled ones through
-`eigs`, both `nullspace` runs and `check`.  Every run writes
+`eigs`, both `nullspace` runs and `check`.  The preset and the 16 seed-1
+n = p = m = 2 grade-2 `gen_fixture` inputs also go through `eigs`,
+`infinity`, both `nullspace` runs and `check` without `--json` (the table
+form, <case>.<command>-table.txt), and the first TABLE_SCALAR_COUNT
+`scalar` equations likewise (scalar-table-<seed>.txt).  Every run writes
 OUTDIR/<input>.<command>.txt with its exit code, stdout and stderr;
 `linearize --output` also writes its file to OUTDIR/<input>.pencil.json,
 named by a path relative to OUTDIR so that the `wrote ...` line is the same
@@ -87,7 +91,12 @@ COMMANDS = {
     "linearize-output": ["linearize", "--output", "{case}.pencil.json"],
     "check": ["check", "--json"],
 }
+TABLE_COMMANDS = {f"{name}-table": COMMANDS[name][:-1]  # COMMANDS[name] less --json
+                  for name in ("eigs", "infinity", "nullspace-left", "nullspace-right",
+                               "check")}
+TABLE_CASE = "-n2-g2-s1-"  # with the preset, the inputs run in table form too
 SCALAR_COUNT = 40
+TABLE_SCALAR_COUNT = 10
 BENCH_SEEDS = (1, 7919)
 BENCH_COMMANDS = {"battery": ("check", "nullspace-left", "nullspace-right"),
                   "spectral": ("eigs", "infinity", "check")}
@@ -235,7 +244,8 @@ def _same(a, b) -> bool:
 
 def _command(name: Path) -> str:
     """The command of an output file: <case>.<command>.txt,
-    scalar-<seed>.txt, <case>.pencil.json or inputs/<case>.json."""
+    scalar-<seed>.txt, scalar-table-<seed>.txt, <case>.pencil.json or
+    inputs/<case>.json."""
     if name.parts[0] == "inputs":
         return "inputs"
     parts = name.name.split(".")
@@ -304,7 +314,8 @@ def main(argv=None) -> int:
         src.write_text(json.dumps(r.to_dict(), sort_keys=True) + "\n")
         cases.append((case, ["--input", str(src)]))
     for case, source in cases:
-        for name, cmd in COMMANDS.items():
+        table = case == "preset" or TABLE_CASE in case and "-lead" not in case
+        for name, cmd in {**COMMANDS, **(TABLE_COMMANDS if table else {})}.items():
             run(cli, [a.format(case=case) for a in cmd] + source,
                 Path(f"{case}.{name}.txt"))
     for workload, case, obj in bench:
@@ -322,6 +333,8 @@ def main(argv=None) -> int:
                       scaled_last_column(r, factor).to_dict(), SCALED_COMMANDS)
     for seed in range(1, SCALAR_COUNT + 1):
         run(cli, ["scalar", "--json"] + scalar_args(seed), Path(f"scalar-{seed}.txt"))
+    for seed in range(1, TABLE_SCALAR_COUNT + 1):
+        run(cli, ["scalar"] + scalar_args(seed), Path(f"scalar-table-{seed}.txt"))
     return 0
 
 
