@@ -251,7 +251,7 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_eigs(args) -> tuple:
-    rep = classify(_linearization(args), vectors=False)
+    rep = classify(_linearization(args))
     lines = ["poles (value, count):"]
     for v, c in rep.poles:
         lines.append(f"  {v.real:+.17g}{v.imag:+.17g}j  x{c}")

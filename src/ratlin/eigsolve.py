@@ -1,26 +1,25 @@
 """Dense pencil spectral computations.
 
 Covers the generalized eigensolver contract (QZ as one LAPACK zggev call,
-bit for bit what scipy.linalg.eig returns, with the vectors left
-unnormalized until a pair is asked for), pole/zero classification of a
-structured linearization off its one full-pencil QZ (or, for a caller that
-reads no eigenpair, a QZ without vectors), and polynomial nullspace minimal
-bases.  One column-compression staircase, run in place on one working
-pencil, gives a pencil's right minimal indices, a basis of those degrees
-back-substituted through the form it leaves, and its Jordan block sizes at
-0, which are the local partial multiplicities and, on reversed pencils, the
-invariant orders at infinity.  It runs once per side and end of a pencil's
-`PencilReadings`.  A basis is read at 0 and, where that reading is refused,
-at infinity, the reading the orders take; a reading is kept only when it
-passes a gate: its count, the index sum of the Kronecker form, whose
-regular-part size one rank-completing QZ counts, and the certificate.  A
-refused basis whose indices pass is refined at those degrees by one step of
-inverse iteration through a band QR of the block convolution matrix, which
-is never formed.  Only pencils are handled: a polynomial matrix of higher
-grade gets its nullspace through a linearization.
+bit for bit what scipy.linalg.eig returns, with the vectors, where asked
+for, left unnormalized), pole/zero classification of a structured
+linearization off its one full-pencil QZ, which computes no vectors, and
+polynomial nullspace minimal bases.  One column-compression staircase, run
+in place on one working pencil, gives a pencil's right minimal indices, a
+basis of those degrees back-substituted through the form it leaves, and its
+Jordan block sizes at 0, which are the local partial multiplicities and, on
+reversed pencils, the invariant orders at infinity.  It runs once per side
+and end of a pencil's `PencilReadings`.  A basis is read at 0 and, where
+that reading is refused, at infinity, the reading the orders take; a
+reading is kept only when it passes a gate: its count, the index sum of the
+Kronecker form, whose regular-part size one rank-completing QZ counts, and
+the certificate.  A refused basis whose indices pass is refined at those
+degrees by one step of inverse iteration through a band QR of the block
+convolution matrix, which is never formed.  Only pencils are handled: a
+polynomial matrix of higher grade gets its nullspace through a
+linearization.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -45,20 +44,14 @@ GATE_RESIDUAL = 1e-11
 TRUE_SCORE = 1e-8
 
 
-@functools.cache
-def _nrm2():
-    from scipy.linalg.blas import get_blas_funcs  # loaded with the QZ
-    return get_blas_funcs("nrm2", dtype=complex, ilp64="preferred")
-
-
 @dataclass(frozen=True)
 class PencilEig:
     """Generalized eigenvalues of L1*lambda + L0 as (alpha, beta) pairs.
 
     A pair with |beta| below tolerance is an eigenvalue at infinity.  For a
     singular pencil `regular` is False and the pairs must not be interpreted.
-    The vectors are kept as LAPACK returns them, unnormalized; `pair` scales
-    the one pair a caller asks for.
+    The vectors, where asked for, are kept as LAPACK returns them,
+    unnormalized.
     """
 
     alphas: np.ndarray
@@ -79,26 +72,6 @@ class PencilEig:
 
     def infinite_count(self) -> int:
         return int(np.sum(~self._finite_mask()))
-
-    def pairs(self, idx) -> tuple:
-        """(X, Y) of the pairs idx, L(lam) x = 0 = y^T L(lam), each column
-        scaled to unit norm by BLAS nrm2 as scipy.linalg.eig scales it."""
-        x, y = (v[:, idx] / [_nrm2()(v[:, i]) for i in idx]
-                for v in (self.right_vectors, self.left_vectors))
-        return x, y.conj()  # vl^H L = 0
-
-    def pair(self, i: int) -> tuple:
-        """(x, y) of pair i, as `pairs` gives it."""
-        x, y = self.pairs([i])
-        return x[:, 0], y[:, 0]
-
-    def vectors_near(self, lam: complex) -> tuple:
-        """`pair` of the finite pair nearest lam."""
-        idx = np.flatnonzero(self._finite_mask())
-        if self.right_vectors is None or idx.size == 0:
-            raise RatlinError("no finite eigenpair with vectors to match")
-        i = idx[np.argmin(np.abs(self.alphas[idx] / self.betas[idx] - lam))]
-        return self.pair(i)
 
 
 @dataclass(frozen=True)
@@ -212,36 +185,32 @@ def cluster_eigenvalues(values) -> list:
     return [(complex(v), int(c)) for v, c in out]
 
 
-def classify(sl: StructuredLinearization, rng=None,
-             vectors: bool = True) -> SpectralReport:
+def classify(sl: StructuredLinearization, rng=None) -> SpectralReport:
     """Pole/zero classification of the rational matrix behind a linearization.
 
     Poles come from `sl.state_spectrum`, zeros from `sl.spectrum`, the one
-    full-pencil QZ of a linearization, whose vectors `eigenpair` reads.  A
-    caller that reads no eigenpair passes vectors=False and gets the same
-    zeros, bit for bit, from a QZ without vectors, which runs in about half
-    the time on large pencils.  Either QZ is regular if `sl.rank`, which
+    full-pencil QZ of a linearization, without vectors: `eigenpair` reads
+    the zeros' vectors off R itself.  The QZ is regular if `sl.rank`, which
     the nullities read, is full.  `rng` is kept for callers' signatures and
-    not drawn from.  A zero within matching
-    tolerance of a pole is flagged and tagged with the pointwise minimality
-    checks of `sl.minimality` at the nearest pole; any other zero passes
-    both, since [A; C] and [A, B] have full rank wherever A is invertible.
-    Zeros failing either check are reported unclassified (the spectral
-    characterization does not certify them).
+    not drawn from.  A zero within matching tolerance of a pole is flagged
+    and tagged with the pointwise minimality checks of `sl.minimality` at
+    the nearest pole; any other zero passes both, since [A; C] and [A, B]
+    have full rank wherever A is invertible.  Zeros failing either check
+    are reported unclassified (the spectral characterization does not
+    certify them).
     """
     r = sl.realization
     if r.p != r.m:
         raise PreconditionError("classification needs a square rational matrix")
     pole_vals = sl.state_spectrum.finite()
-    full = sl.spectrum if vectors else pencil_eigs(sl)
-    if not full.regular:
+    if not sl.spectrum.regular:
         raise PreconditionError(
             "the pencil is singular; eigenvalues are meaningless — "
             "use polynomial_nullspace for the singular structure")
 
     poles = cluster_eigenvalues(pole_vals)
 
-    vals = full.finite()
+    vals = sl.spectrum.finite()
     gap = vals[:, None] - pole_vals[None, :]
     near = np.any(np.hypot(gap.real, gap.imag) <= MATCH_TOL * np.maximum(
         1.0, np.hypot(vals.real, vals.imag))[:, None], axis=1)

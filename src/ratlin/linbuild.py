@@ -192,14 +192,11 @@ class StructuredLinearization(PencilReadings):
 
     @cached_property
     def spectrum(self):
-        """Full-pencil QZ with left and right vectors, run once on first use,
-        regular if `rank` is full: `classify` reads its eigenvalues and
-        regularity and `eigenpair` its vectors, so a linearization that is
-        classified and has eigenpairs recovered runs one full-pencil QZ.
-        `classify(sl, vectors=False)` runs its own QZ without vectors
-        instead."""
+        """Full-pencil QZ without vectors, run once on first use, regular if
+        `rank` is full: `classify` reads its eigenvalues and regularity, and
+        `eigenpairs` its distinct finite eigenvalues."""
         from .eigsolve import pencil_eigs  # eigsolve imports this module
-        return pencil_eigs(self, vectors=True)
+        return pencil_eigs(self)
 
     @cached_property
     def state(self) -> PencilReadings:
@@ -227,11 +224,12 @@ class StructuredLinearization(PencilReadings):
 
     @cached_property
     def eigenpairs(self) -> dict:
-        """Recovered pair at each finite eigenvalue of `spectrum` off the
-        poles whose slice is nonzero, keyed by the eigenvalue; built once on
-        first use."""
-        from .recover import _spectrum_eigenpairs  # recover imports this module
-        return _spectrum_eigenpairs(self)
+        """`recover.eigenpair` at each distinct finite eigenvalue of
+        `spectrum` off the poles, keyed by the eigenvalue, the first of equal
+        ones; built once on first use."""
+        from .recover import _eigenpairs  # recover imports this module
+        vals = dict.fromkeys(self.spectrum.finite().tolist())
+        return _eigenpairs(self, np.array(list(vals), dtype=complex))
 
     def block(self, name: str, which: int = 0) -> np.ndarray:
         r0, r1, c0, c1 = self.blocks[name]

@@ -1,12 +1,15 @@
 """Pull-back maps from a structured linearization to the rational matrix.
 
-Eigenvectors come back by slicing the appropriate block of a pencil null
-vector; minimal bases come back the same way at the polynomial level, through
-one `recover_minimal_basis(sl, side)`: the right basis is the last m rows of
-the pencil's, its indices shifted down by rho_D, and the left basis is the
-pencil's at the p rows of the M_C block, its indices unchanged.  The
-one-sided factorization residuals provide an executable certificate that a
-built pencil really carries the transfer function around with it.
+The paper's eigenvector maps slice the appropriate block of a pencil null
+vector; `eigenpair` reads its pair off R itself, the smallest singular pair
+of R(lambda) at the pencil's eigenvalue, whose backward error no sliced
+vector beats.  Minimal bases come back by slicing at the polynomial level,
+through one `recover_minimal_basis(sl, side)`: the right basis is the last
+m rows of the pencil's, its indices shifted down by rho_D, and the left
+basis is the pencil's at the p rows of the M_C block, its indices
+unchanged.  The one-sided factorization residuals provide an executable
+certificate that a built pencil really carries the transfer function
+around with it.
 """
 
 import math
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import make_rng
-from .errors import PreconditionError, RatlinError
+from .errors import PoleError, PreconditionError, RatlinError
 from .eigsolve import MinimalBasisResult, block_degree, polynomial_nullspace
-from .linbuild import (StructuredLinearization, _state_stack, _state_terms,
-                       hat_transfer_eval, require_invertible, sample_points,
-                       transfer_eval)
+from .linbuild import (_POLE_HINT, StructuredLinearization, _state_stack,
+                       _state_terms, hat_transfer_eval, require_invertible,
+                       sample_points)
 from .polymat import PolyMatrix
 
 
@@ -155,65 +158,46 @@ def lift_left_eigvec(sl: StructuredLinearization, lam: complex,
 
 
 def eigenpair(sl: StructuredLinearization, lam: complex) -> EigenpairR:
-    """Both eigenvectors at a point, sliced from a QZ pair of `sl.spectrum`,
-    with their unscaled residuals and normwise backward errors eta.
+    """Both eigenvectors of R at a point, the smallest singular pair of
+    R(lam), with their unscaled residuals and normwise backward errors eta.
 
     At a finite eigenvalue of `sl.spectrum`, bit for bit, the pair comes from
     `sl.eigenpairs`, recovered for the whole spectrum on first use; anywhere
-    else from `_eigenpair_at`.  Away from the spectrum the nearest pair is
-    no eigenpair of R(lam), and its eta says so.  A pole raises PoleError, a
-    pair whose slice is numerically zero RatlinError."""
+    else from `_eigenpairs` at that one point.  Away from the zeros of R no
+    vector makes R(lam) x small, and eta says so.  A pole raises PoleError."""
     key = complex(lam)
     ep = sl.eigenpairs.get(key)
     if ep is None or repr(ep.value) != repr(key):  # repr keeps signed zeros
-        return _eigenpair_at(sl, lam)
+        ep = _eigenpairs(sl, np.array([key])).get(key)
+        if ep is None:
+            raise PoleError(f"state matrix singular at lambda={lam}{_POLE_HINT}")
     return ep
 
 
-def _eigenpair_at(sl: StructuredLinearization, lam: complex) -> EigenpairR:
-    """The pair at one point, sliced from the nearest finite QZ pair of
-    `sl.spectrum`."""
-    rv = transfer_eval(sl.realization, lam)
-    (phis,), (scale,) = _pair_terms(sl, np.array([lam], dtype=complex), rv[None])
-    x_tilde, y_tilde = sl.spectrum.vectors_near(lam)
-    x, y = _right_block(sl, phis, x_tilde), recover_left_eigvec(sl, lam, y_tilde)
-    res_r = float(np.linalg.norm(rv @ x) / np.linalg.norm(x))
-    res_l = float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
-    return EigenpairR(complex(lam), x, y, res_r, res_l, res_r / float(scale),
-                      res_l / float(scale))
-
-
-def _spectrum_eigenpairs(sl: StructuredLinearization) -> dict:
-    """`_eigenpair_at` at every finite eigenvalue of `sl.spectrum`, keyed by
-    the eigenvalue, bit for bit, in stacked operations over the spectrum but
-    the four norms of eta (`_norm`, per pair: a stacked norm sums in another
-    order).  Equal eigenvalues take the first pair, as `vectors_near` does;
-    poles and the pairs whose slice is numerically zero are left out.  No
-    residual is judged here: callers judge eta."""
-    try:
-        spec = sl.spectrum
-    except RatlinError:
-        return {}
-    fin = np.flatnonzero(spec._finite_mask())
-    vals = spec.alphas[fin] / spec.betas[fin]
-    first = np.sort(np.unique(vals, return_index=True)[1])
+def _eigenpairs(sl: StructuredLinearization, lams: np.ndarray) -> dict:
+    """The pair of `eigenpair` at each point of a 1-D array where A passes
+    `_state_stack`'s invertibility test, keyed by the point, from one stacked
+    SVD of R: its largest singular value is ||R(lam)||_2, and its smallest
+    singular pair (x, y^T) minimizes the normwise backward error eta on
+    either side (Tisseur, LAA 309, 2000), which vectors sliced from the
+    pencil (`recover_right_eigvec`, `recover_left_eigvec`) can only match.
+    ||R(lam)||_2 is replaced by 1 where R(lam) is zero up to roundoff: rank
+    0 at the cutoff max(p, m) eps 1e6 (that of computed data) relative to
+    ||D(lam)||_F + ||C A^{-1} B(lam)||_F, as at a zero of a 1 x 1 R, where
+    it is roundoff itself and would make eta 1 for any vector.  The
+    residuals are `_norm`s, per pair, so that a point gets the same bits
+    alone as in a stack.  No residual is judged here: callers judge eta."""
     r = sl.realization
-    (rvs,), ok = _state_stack(r, vals[first], (r.D, r.B))
-    lams = vals[first][ok]
-    phis, scales = _pair_terms(sl, lams, rvs)
-    xt, yt = spec.pairs(fin[first][ok])
-    at, k = np.arange(lams.size), np.argmax(np.abs(phis), axis=1)  # ties: lowest degree
-    rows = xt.shape[0] - (k[:, None] + 1) * r.m + np.arange(r.m)
-    xs = xt[rows, at[:, None]] / phis[at, k][:, None]
-    na = sl.blocks["L_A"][1]
-    ys = np.ascontiguousarray(yt[na:na + r.p].T)
-    keep = ((np.linalg.norm(xs, axis=1) > 1e-12 * np.linalg.norm(xt, axis=0))
-            & (np.linalg.norm(ys, axis=1) > 1e-12 * np.linalg.norm(yt, axis=0)))
-    lams, xs, ys, rvs, scales = (v[keep] for v in (lams, xs, ys, rvs, scales))
+    (rvs,), ok = _state_stack(r, lams, (r.D, r.B))
+    u, sv, vh = np.linalg.svd(rvs)
+    dv = r.D.eval(lams[ok])
+    parts = np.linalg.norm(dv, axis=(1, 2)) + np.linalg.norm(rvs - dv, axis=(1, 2))
+    zero = sv[:, 0] <= max(rvs.shape[1:]) * np.finfo(float).eps * 1e6 * parts
+    xs, ys = vh[:, -1].conj(), u[:, :, -1].conj()  # y^T R = sigma_min v^H
     out = {}
-    rxs, yrs = (rvs @ xs[:, :, None])[:, :, 0], (ys[:, None] @ rvs)[:, 0]
-    for lam, x, y, rx, yr, scale in zip(lams.tolist(), xs, ys, rxs, yrs, scales.tolist()):
-        res_r, res_l = _norm(rx) / _norm(x), _norm(yr) / _norm(y)
+    for lam, x, y, rv, scale in zip(lams[ok].tolist(), xs, ys, rvs,
+                                    np.where(zero, 1.0, sv[:, 0]).tolist()):
+        res_r, res_l = _norm(rv @ x) / _norm(x), _norm(y @ rv) / _norm(y)
         out[lam] = EigenpairR(lam, x, y, res_r, res_l, res_r / scale, res_l / scale)
     return out
 
@@ -222,19 +206,6 @@ def _norm(v: np.ndarray) -> float:
     """np.linalg.norm(v) of a complex vector, bit for bit, by its formula."""
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def _pair_terms(sl, lams, rvs) -> tuple:
-    """`_phis` and ||R(lam)||_2 at a 1-D array of points, or 1 where R(lam)
-    is zero up to roundoff: rank 0 at the cutoff max(p, m) eps 1e6 (that of
-    computed data) relative to ||D(lam)||_F + ||C A^{-1} B(lam)||_F.  There
-    ||R(lam)||_2 is roundoff itself, as at a zero of a 1 x 1 R, and would
-    make eta 1 for any vector."""
-    dv = sl.realization.D.eval(lams)
-    parts = np.linalg.norm(dv, axis=(1, 2)) + np.linalg.norm(rvs - dv, axis=(1, 2))
-    scales = np.linalg.norm(rvs, 2, axis=(1, 2))
-    zero = scales <= max(rvs.shape[1:]) * np.finfo(float).eps * 1e6 * parts
-    return _phis(sl, lams), np.where(zero, 1.0, scales)
 
 
 # ---------------------------------------------------------------------------

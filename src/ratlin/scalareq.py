@@ -117,7 +117,7 @@ def solve_scalar(eq: ScalarEquation, rng=None) -> RootReport:
     if _near_root(eq.c, sl.state_spectrum.finite()).any():
         raise PreconditionError("c/a is not irreducible: a and c share a root")
     try:
-        report = classify(sl, vectors=False)
+        report = classify(sl)
     except PreconditionError as exc:  # with p = m = 1 only a singular pencil
         raise PreconditionError(
             "the equation holds identically (r == 0); no discrete root set") from exc

@@ -208,7 +208,7 @@ right-index-shift         skipped  0.000e+00
 left-index-match          skipped  0.000e+00
 nullvector-degree-law     skipped  0.000e+00
 nullspace-dimension       skipped  0.000e+00
-eigenvector-recovery      pass     1.363e-15
+eigenvector-recovery      pass     1.368e-16
 overall: pass
 """),
     ("scalar", "--a=1", "--c=-2,0,1", "--b=1", "--d=1"): (0, """\

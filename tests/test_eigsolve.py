@@ -139,10 +139,11 @@ class TestPencilEigs:
             assert got.alphas.tobytes() == w[0].tobytes()
             assert got.betas.tobytes() == w[1].tobytes()
         assert bare.right_vectors is None and bare.left_vectors is None
-        for i in range(l0.shape[0]):
-            x, y = pe.pair(i)
+        for i in range(l0.shape[0]):  # scipy scales each vector by BLAS nrm2
+            x, y = (v[:, i] / scipy.linalg.norm(v[:, i])
+                    for v in (pe.right_vectors, pe.left_vectors))
             assert x.tobytes() == vr[:, i].tobytes()
-            assert y.tobytes() == vl[:, i].conj().tobytes()
+            assert y.tobytes() == vl[:, i].tobytes()
         if kind == "rank-deficient-l1":
             assert pe.infinite_count() == 2
 
@@ -260,8 +261,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("basis", list(Basis))
     def test_zeros_are_the_finite_eigenvalues_of_the_qz_without_vectors(self, basis):
-        # classify reads sl.spectrum, the QZ with vectors; its eigenvalues
-        # are those of the QZ without vectors bit for bit
+        # classify reads sl.spectrum, the full pencil's one QZ; its
+        # eigenvalues are those of pencil_eigs bit for bit
         sl = build(gen_fixture(FixtureSpec(seed=5, n=3, p=3, m=3, grade_a=3,
                                            grade_d=3, basis_a=basis, basis_d=basis)))
         zeros = np.array([z.value for z in classify(sl, rng=1).zeros])
@@ -271,15 +272,18 @@ class TestClassify:
 
     @pytest.mark.parametrize("basis", list(Basis))
     def test_without_vectors_same_report_and_no_vector_work(self, qz_runs, basis):
-        # a caller that reads no eigenpair runs the full pencil's QZ without
-        # vectors and leaves sl.spectrum unrun; the report is the same
+        # classify runs the state pencil's and the full pencil's QZ, both
+        # without vectors, once each; a second call and a fresh build give
+        # the same report
         spec = FixtureSpec(seed=5, n=3, p=3, m=3, grade_a=3, grade_d=3,
                            basis_a=basis, basis_d=basis)
         sl = build(gen_fixture(spec))
-        bare = classify(sl, vectors=False).to_dict()
+        bare = classify(sl).to_dict()
         assert qz_runs == [(sl.state.L0.shape, False), (sl.shape, False)]
-        assert "spectrum" not in vars(sl)
-        assert bare == classify(build(gen_fixture(spec))).to_dict()
+        assert sl.spectrum.right_vectors is None and sl.spectrum.left_vectors is None
+        fresh = classify(build(gen_fixture(spec))).to_dict()
+        assert bare == classify(sl).to_dict() == fresh
+        assert len(qz_runs) == 4
 
     def test_identity_transfer_all_unclassified(self):
         # B = 0, C = 0, D = I: R = I has no zeros; every pencil eigenvalue

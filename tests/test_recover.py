@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ratlin.errors import PoleError, PreconditionError, RatlinError
-from ratlin.eigsolve import classify
+from ratlin.eigsolve import classify, pencil_eigs
 from ratlin.linbuild import Realization, build, hat_transfer_eval, transfer_eval
 from ratlin import recover
 from ratlin.polymat import Basis, PolyMatrix
@@ -14,7 +15,8 @@ from ratlin.recover import (eigenpair, factorization_residuals,
                             lift_left_eigvec, lift_right_eigvec,
                             recover_left_eigvec, recover_minimal_basis,
                             recover_right_eigvec)
-from ratlin.verify import FixtureSpec, gen_fixture
+from ratlin.config import MATCH_TOL, RESIDUAL_TOL
+from ratlin.verify import FixtureSpec, gen_fixture, preset_cross_coupled
 
 from conftest import random_polymatrix, random_realization
 
@@ -89,7 +91,7 @@ class TestEigvecMaps:
     def test_lifted_vector_annihilates_pencil(self, preset):
         sl = build(preset)
         lam = (-1 + np.sqrt(5)) / 2  # a zero of the rational matrix
-        x_tilde, _ = sl.spectrum.vectors_near(lam)
+        x_tilde, _ = _qz_pair_near(pencil_eigs(sl, vectors=True), lam)
         x = recover_right_eigvec(sl, lam, x_tilde)
         lifted = lift_right_eigvec(sl, lam, x)
         assert np.linalg.norm(sl.pencil_eval(lam) @ lifted) <= 1e-10 * np.linalg.norm(lifted)
@@ -124,14 +126,15 @@ class TestEigvecMaps:
 
 class TestEigenpair:
     def test_one_qz_per_linearization(self, monkeypatch, qz_runs):
-        # classify and every eigenpair share the full pencil's one QZ
+        # classify reads the full pencil's one QZ, without vectors, and every
+        # eigenpair comes from one stacked SVD of R over its eigenvalues
         sl = build(gen_fixture(FixtureSpec(seed=2, grade_a=4, grade_d=4)))
         svds, solves = [], []
         svd, solve = np.linalg.svd, np.linalg.solve
 
         def counting_svd(a, *args, **kwargs):
-            # the regularity test before the QZ takes singular values only
-            if a.shape[-2:] == sl.shape and kwargs.get("compute_uv", True):
+            # rank and invertibility tests take singular values only
+            if kwargs.get("compute_uv", True):
                 svds.append(a.shape)
             return svd(a, *args, **kwargs)
 
@@ -147,25 +150,25 @@ class TestEigenpair:
             ep = eigenpair(sl, lam)
             assert max(ep.residual_right, ep.residual_left) <= 1e-8
         # the state pencil's QZ for the poles, and one full-pencil QZ
-        assert qz_runs == [(sl.state.L0.shape, False), (sl.shape, True)]
-        assert svds == []  # every pair came from the QZ vectors, no SVD of L(lambda)
-        # one stacked solve, over every finite eigenvalue of the pencil
-        assert solves == [(len(sl.spectrum.finite()), 2, 2)]
-        assert len(sl.spectrum.finite()) >= 16
+        assert qz_runs == [(sl.state.L0.shape, False), (sl.shape, False)]
+        # one stacked solve and one stacked SVD of the (k, p, m) stack of R,
+        # over every finite eigenvalue of the pencil
+        stack = (len(sl.spectrum.finite()), 2, 2)
+        assert svds == solves == [stack]
+        assert stack[0] >= 16
 
-    def test_off_spectrum_point_takes_the_nearest_qz_pair(self, preset):
+    def test_off_spectrum_point_takes_the_smallest_singular_pair(self, preset):
         sl = build(preset)
         lam = 0.4 + 0.3j  # neither a zero nor a pole of the preset
         ep = eigenpair(sl, lam)
-        x_tilde, y_tilde = sl.spectrum.vectors_near(lam)
-        x = recover_right_eigvec(sl, lam, x_tilde)
-        y = recover_left_eigvec(sl, lam, y_tilde)
         rv = transfer_eval(sl.realization, lam)
+        u, _, vh = np.linalg.svd(rv)
+        x, y = vh[-1].conj(), u[:, -1].conj()
         assert np.array_equal(ep.x, x)
         assert np.array_equal(ep.yT, y)
         assert ep.residual_right == float(np.linalg.norm(rv @ x) / np.linalg.norm(x))
         assert ep.residual_left == float(np.linalg.norm(y @ rv) / np.linalg.norm(y))
-        # the pair belongs to another point, and eta says so
+        # no vector makes R(lam) small there, and eta says so
         assert min(ep.eta_right, ep.eta_left) > 1e-3
 
     @pytest.mark.parametrize("spec", [
@@ -181,12 +184,14 @@ class TestEigenpair:
         memo = sl.eigenpairs
         left_out = []
         for lam in dict.fromkeys(sl.spectrum.finite().tolist()):
-            if lam not in memo:  # a pole, or a slice that is numerically zero
+            alone = recover._eigenpairs(sl, np.array([lam]))
+            if lam not in memo:  # a pole
+                assert alone == {}
                 with pytest.raises(RatlinError) as exc:
-                    recover._eigenpair_at(sl, lam)
+                    eigenpair(sl, lam)
                 left_out.append(exc.type)
                 continue
-            assert _bits(memo[lam]) == _bits(recover._eigenpair_at(sl, lam))
+            assert _bits(memo[lam]) == _bits(alone[lam])
             assert eigenpair(sl, lam) is memo[lam]
             assert not memo[lam].x.flags.writeable  # shared by every caller
         # classify reads its zeros off sl.spectrum, so every zero it
@@ -194,14 +199,19 @@ class TestEigenpair:
         zeros = [z.value for z in classify(sl).zeros
                  if z.classified and not z.near_pole]
         assert zeros and all(lam in memo for lam in zeros)
-        if not isinstance(spec, FixtureSpec):  # each is left out for its reason
-            assert sorted(e.__name__ for e in left_out) == {
-                "pole": ["PoleError"], "zero-slice": ["PoleError", "RatlinError"]}[spec]
+        if not isinstance(spec, FixtureSpec):  # the pole alone is left out
+            assert [e.__name__ for e in left_out] == ["PoleError"]
+        if spec == "zero-slice":
+            # the eigenvalue whose QZ vector slices to zero is no zero of R,
+            # and its pair's eta says so
+            etas = sorted(max(ep.eta_right, ep.eta_left) for ep in memo.values())
+            assert len(etas) == 3 and etas[1] <= 1e-14 and etas[2] > 0.1
 
     def test_large_residual_pair_is_judged_by_eta(self):
         # the zero of test_eigenvector_recovery_far_from_the_origin: at
-        # |lambda| about 78.6, ||R(lambda)||_2 is about 2.7e7 and the QZ
-        # pair's unscaled left residual about 2.3e-8, yet its eta is roundoff
+        # |lambda| about 78.6, ||R(lambda)||_2 is about 2.7e7, and even the
+        # smallest singular pair's unscaled residuals are about 3e-9, yet its
+        # eta is roundoff
         path = Path(__file__).parent / "data" / "battery_seed4_regular_cheb.json"
         sl = build(Realization.from_dict(json.loads(path.read_text())), rng=1)
         zeros = [z.value for z in classify(sl, rng=1).zeros]
@@ -209,7 +219,7 @@ class TestEigenpair:
         (lam,) = [lam for lam in zeros if abs(lam) > 70]
         ep = eigenpair(sl, lam)
         assert ep is sl.eigenpairs[lam]
-        assert max(ep.residual_right, ep.residual_left) > 1e-8
+        assert min(ep.residual_right, ep.residual_left) > 1e-9
         assert max(ep.eta_right, ep.eta_left) <= 1e-14
 
     def test_pole_among_the_eigenvalues(self):
@@ -221,8 +231,8 @@ class TestEigenpair:
         assert list(sl.eigenpairs) == [zero]  # the stack did not fail at the pole
         ep = eigenpair(sl, zero)
         assert ep is sl.eigenpairs[zero]
-        # equal eigenvalues take the first QZ pair, as vectors_near does
-        assert _bits(ep) == _bits(recover._eigenpair_at(sl, zero))
+        # equal eigenvalues share the pair at the first of them
+        assert _bits(ep) == _bits(recover._eigenpairs(sl, np.array([zero]))[zero])
         assert ep.residual_right == ep.residual_left == 0.0
         # the memo answers bit-identical points only: 2 + 0j != 2 - 0j bitwise
         assert repr(complex(zero)) == "(2-0j)"
@@ -261,6 +271,51 @@ class TestEigenpair:
             assert (ep.eta_right, ep.eta_left) == (ep.residual_right,
                                                    ep.residual_left)
             assert max(ep.eta_right, ep.eta_left) <= 1e-12
+
+    @pytest.mark.parametrize("spec", ["preset"] + [
+        FixtureSpec(seed=1, n=n, p=n, m=n, grade_a=grade, grade_d=grade,
+                    basis_a=basis, basis_d=basis)
+        for basis in Basis for n in (2, 6) for grade in range(2, 9)])
+    def test_sliced_qz_pairs_recover_the_eigenpairs(self, spec):
+        # the paper's recovery theorem: at every certified zero, the blocks
+        # of the pencil's QZ vectors that recover_right_eigvec and
+        # recover_left_eigvec slice are eigenvectors of R; eigenpair's
+        # smallest singular pair of R(lambda) is parallel to them at simple
+        # zeros and has no larger backward error
+        sl = build(preset_cross_coupled() if spec == "preset" else gen_fixture(spec))
+        spectrum, qz = sl.spectrum.finite(), pencil_eigs(sl, vectors=True)
+        eps = np.finfo(float).eps
+        zeros = [z.value for z in classify(sl).zeros if z.classified and not z.near_pole]
+        assert zeros
+        simple = 0
+        for lam in zeros:
+            x_tilde, y_tilde = _qz_pair_near(qz, lam)
+            x = recover_right_eigvec(sl, lam, x_tilde)
+            y = recover_left_eigvec(sl, lam, y_tilde)
+            rv = transfer_eval(sl.realization, lam)
+            norm = np.linalg.norm(rv, 2)
+            eta_right = np.linalg.norm(rv @ x) / (norm * np.linalg.norm(x))
+            eta_left = np.linalg.norm(y @ rv) / (norm * np.linalg.norm(y))
+            assert max(eta_right, eta_left) <= RESIDUAL_TOL
+            ep = eigenpair(sl, lam)
+            assert ep.eta_right <= eta_right + 8 * eps
+            assert ep.eta_left <= eta_left + 8 * eps
+            if np.sum(np.abs(spectrum - lam) <= MATCH_TOL * max(1.0, abs(lam))) == 1:
+                simple += 1
+                for a, b in ((x, ep.x), (y, ep.yT)):
+                    bound = (1 - 1e-8) * np.linalg.norm(a) * np.linalg.norm(b)
+                    assert abs(np.vdot(a, b)) >= bound
+        assert simple >= len(zeros) - 2  # the preset's double zero at 0
+
+
+def _qz_pair_near(pe, lam) -> tuple:
+    """(x_tilde, y_tilde^T) of the finite pair of the QZ with vectors `pe`
+    nearest lam, each scaled to unit norm as scipy.linalg.eig scales it."""
+    fin = np.flatnonzero(pe._finite_mask())
+    i = fin[np.argmin(np.abs(pe.alphas[fin] / pe.betas[fin] - lam))]
+    x, y = (v[:, i] / scipy.linalg.norm(v[:, i]) for v in (pe.right_vectors,
+                                                            pe.left_vectors))
+    return x, y.conj()  # vl^H L = 0
 
 
 def _bits(ep) -> tuple:

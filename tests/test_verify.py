@@ -350,13 +350,13 @@ class TestRunAll:
         assert by_name["nullspace-dimension"] == "fail"
 
     @pytest.mark.parametrize("structure, calls", [
-        ("zero-column-b", [False, True]), ("regular", [False, True])])
+        ("zero-column-b", [False, True]), ("regular", [False, False])])
     def test_qz_runs_per_battery(self, qz_runs, structure, calls):
         # one state-pencil QZ without vectors serves classify and every
         # minimality check; a regular input adds the full pencil's one QZ,
-        # with vectors, which serves both classify and eigenpair, and a
-        # singular one the rank-completing QZ, with vectors, of its
-        # regular-part size
+        # without vectors, whose eigenvalues serve both classify and
+        # eigenpair, and a singular one the rank-completing QZ, with
+        # vectors, of its regular-part size
         run_all(gen_fixture(FixtureSpec(seed=1, structure=structure)), seed=1)
         assert [vectors for _, vectors in qz_runs] == calls
 

@@ -23,14 +23,15 @@ with `--json`) through `cli.main`, recording each one's exit code and wall
 time, and the orders at infinity that `infinity` prints.  For each rung
 the record holds these, the wall time of `run_all`, the child's peak
 resident set after it, the status of each check, the minimal indices of
-the rational matrix that each side's basis recovery returned, the side
-and wall time of each `eigsolve._solve_at` run within `run_all` (the basis
-solved at indices whose back-substituted bases the gate refused), the
-staircases that `run_all`'s linearization ran, in order, as [side, end]
-with end "0" or "inf" (each runs once, on the first reading of its side at
-its end; at checkouts that read infinity on a `reversal` object, that
-object's runs count as the linearization's at "inf"), and the reason of
-each skipped index check:
+the rational matrix that each side's basis recovery returned, the worst
+eta of the `eigenvector-recovery` check where it is not skipped (every
+square regular rung), the side and wall time of each `eigsolve._solve_at`
+run within `run_all` (the basis solved at indices whose back-substituted
+bases the gate refused), the staircases that `run_all`'s linearization
+ran, in order, as [side, end] with end "0" or "inf" (each runs once, on
+the first reading of its side at its end; at checkouts that read infinity
+on a `reversal` object, that object's runs count as the linearization's at
+"inf"), and the reason of each skipped index check:
 
 - "nullity 0": the side has no nullspace (every side of a regular input);
 - "uncertified": basis recovery raised `BreakdownError`, as the gate does
@@ -89,10 +90,10 @@ def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
          structure: str) -> dict:
     """One rung in this process: the exit code, wall time and peak resident
     set of `linearize --output`, then the statuses, the wall time, the peak
-    resident set, the indices, the `_solve_at` runs, the staircases its
-    linearization ran and the skip reasons of `run_all`, then the exit code
-    and wall time of each of COMMANDS, with the orders that `infinity`
-    prints where it exits 0."""
+    resident set, the eigenvector-recovery eta, the indices, the `_solve_at`
+    runs, the staircases its linearization ran and the skip reasons of
+    `run_all`, then the exit code and wall time of each of COMMANDS, with
+    the orders that `infinity` prints where it exits 0."""
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from ratlin import cli, eigsolve, verify
     from ratlin.linbuild import PencilReadings, StructuredLinearization
@@ -180,6 +181,8 @@ def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
         eigsolve._solve_at, eigsolve._gated_basis = solve_at, gated_basis
         commands = {name: command(*name.split(), "--json") for name in COMMANDS}
     checks = {e.name: e.status for e in report.entries}
+    eta = [e.worst_residual for e in report.entries
+           if e.name == "eigenvector-recovery" and e.status != "skipped"]
     skips = {}
     for name, side in INDEX_CHECKS.items():
         if checks[name] != "skipped":
@@ -195,7 +198,8 @@ def rung(checkout: str, n: int, p: int, m: int, grade: int, basis: str,
                            "PreconditionError": "precondition"}.get(errors.get(side),
                                                                     "count")
     return {"seconds": round(seconds, 3), "maxrss_mb": rss, "checks": checks,
-            "indices": indices, "skips": skips, "solve_at": solves, "staircases": ran,
+            "eta": eta[0] if eta else None, "indices": indices, "skips": skips,
+            "solve_at": solves, "staircases": ran,
             "linearize": linearize, "commands": commands}
 
 
